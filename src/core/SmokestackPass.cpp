@@ -39,6 +39,18 @@ std::vector<AllocationSlot> collectSlots(const std::vector<AllocaInst *> &As,
   return Slots;
 }
 
+/// True when every permutation of \p Slots fits the P-BOX's 32-bit slot
+/// offsets and frame sizes. The bound is the worst case of any order: each
+/// slot padded by its full alignment, then the frame rounded up to 16.
+bool frameFitsPBox(const std::vector<AllocationSlot> &Slots) {
+  uint64_t Worst = 15;
+  for (const AllocationSlot &S : Slots)
+    if (__builtin_add_overflow(Worst, S.Size, &Worst) ||
+        __builtin_add_overflow(Worst, S.Align - 1, &Worst))
+      return false;
+  return Worst < (uint64_t(1) << 32);
+}
+
 } // namespace
 
 bool SmokestackPass::runOnModule(Module &M) {
@@ -52,6 +64,13 @@ bool SmokestackPass::runOnModule(Module &M) {
     FunctionPlan Plan;
     Plan.F = F.get();
     Plan.Allocas = F->getStaticAllocas();
+    // A frame the P-BOX cannot address would be silently truncated mod
+    // 2^32; leave its static allocas as they are instead.
+    if (!Plan.Allocas.empty() &&
+        !frameFitsPBox(collectSlots(Plan.Allocas, Opts.FunctionIdChecks))) {
+      Plan.Allocas.clear();
+      ++FramesTooLarge;
+    }
     if (Plan.Allocas.empty() && F->getVLAAllocas().empty())
       continue;
     Plans.push_back(std::move(Plan));

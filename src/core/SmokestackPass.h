@@ -64,6 +64,10 @@ public:
   /// Number of functions instrumented.
   unsigned functionsInstrumented() const { return Instrumented; }
 
+  /// Number of functions whose static allocas were left unhardened because
+  /// their worst-case frame reaches 4 GiB, past the P-BOX's 32-bit offsets.
+  unsigned framesTooLarge() const { return FramesTooLarge; }
+
 private:
   void instrumentWithPlan(Module &M, Function *F,
                           const std::vector<AllocaInst *> &Allocas,
@@ -78,6 +82,7 @@ private:
   /// tables are assigned, finalized in emitPBoxGlobal.
   std::vector<uint64_t> TableOffsets;
   unsigned Instrumented = 0;
+  unsigned FramesTooLarge = 0;
   uint64_t NextFunctionId = 0x5343'0001; // arbitrary distinctive base
 };
 

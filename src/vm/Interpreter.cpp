@@ -191,6 +191,16 @@ ExecResult Interpreter::run(const std::string &FuncName,
     Result.Message = "no such function definition: " + FuncName;
     return Result;
   }
+  // Both engines read Args by parameter index without a bound check: too
+  // few would read past the vector, too many would write past the
+  // callee's register file.
+  if (Args.size() != F->getNumArgs()) {
+    Result.Trap = TrapKind::BadCall;
+    Result.Message = formatString("'%s' takes %u argument(s), %zu given",
+                                  FuncName.c_str(), F->getNumArgs(),
+                                  Args.size());
+    return Result;
+  }
   Memory.clearTrap();
   StackPointer = MemoryMap::StackTop - MemoryMap::StackHeadroom -
                  alignTo(Opts.StackBaseOffset, 16);

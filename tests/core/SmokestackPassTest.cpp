@@ -309,3 +309,39 @@ TEST(SmokestackPassTest, RecursiveFunctionStillWorks) {
   ASSERT_TRUE(R.ok()) << R.Message;
   EXPECT_EQ(R.ReturnValue, 3628800u);
 }
+
+TEST(SmokestackPassTest, FrameBeyondPBoxOffsetsIsLeftUnhardened) {
+  // A 4e12-byte local cannot be addressed by the P-BOX's 32-bit slot
+  // offsets; hardening it would allocate 4e12 mod 2^32 bytes. The pass must
+  // leave the frame alone, so both runs trap on the true size.
+  auto Build = [](Module &M) {
+    buildCompute(M);
+    IRBuilder B(M);
+    Function *F = M.createFunction("big", B.i64(), {});
+    B.setInsertPoint(F->createBlock("entry"));
+    AllocaInst *X = B.alloca_(B.i64(), "x");
+    B.alloca_(B.getContext().getArrayTy(B.i8(), 4000000000000ULL), "huge");
+    B.store(B.constI64(3), X);
+    B.ret(B.load(B.i64(), X));
+  };
+  Module Plain("plain"), Hardened("hard");
+  Build(Plain);
+  Build(Hardened);
+  auto Owned = std::make_unique<SmokestackPass>();
+  SmokestackPass *Pass = Owned.get();
+  PassManager PM;
+  PM.addPass(std::move(Owned));
+  PM.run(Hardened);
+  ASSERT_TRUE(verifyModule(Hardened));
+  EXPECT_EQ(Pass->framesTooLarge(), 1u);
+  EXPECT_EQ(Pass->functionsInstrumented(), 1u) << "compute still hardened";
+
+  RngBundle Rng(31);
+  ExecResult RP = Interpreter(Plain).run("big");
+  ExecResult RH = Interpreter(Hardened, &Rng.Source).run("big");
+  EXPECT_EQ(RP.Trap, TrapKind::StackOverflow);
+  EXPECT_EQ(RH.Trap, RP.Trap);
+  EXPECT_EQ(RH.Message, RP.Message);
+  EXPECT_NE(RP.Message.find("4000000000000"), std::string::npos)
+      << RP.Message;
+}

@@ -1,0 +1,129 @@
+#!/usr/bin/env python3
+"""Exercises tools/check_bench_regression.py on the committed baselines.
+
+  * every committed BENCH_*.json must pass against itself;
+  * each failure the soak gate promises (a pass off the reference digest,
+    a digest change at equal parameters, a broken accounting identity,
+    shard kills without a restart, a throughput drop) must print a
+    REGRESSION line and exit 1;
+  * an old-shape per-mode soak file must be a clear REGRESSION line, not
+    a Python traceback.
+
+Usage: bench_gate_test.py REPO_ROOT
+"""
+
+import copy
+import glob
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+ROOT = sys.argv[1]
+GATE = os.path.join(ROOT, "tools", "check_bench_regression.py")
+failures = []
+
+
+def gate(base, cand):
+    r = subprocess.run([sys.executable, GATE, base, cand],
+                       capture_output=True, text=True)
+    return r.returncode, r.stdout + r.stderr
+
+
+def expect(cond, what, out):
+    print(("ok: " if cond else "FAIL: ") + what)
+    if not cond:
+        failures.append(what)
+        print(out)
+
+
+def expect_regression(base, cand, what):
+    rc, out = gate(base, cand)
+    expect(rc == 1 and "REGRESSION:" in out and "Traceback" not in out,
+           what, out)
+
+
+def load(name):
+    with open(os.path.join(ROOT, name)) as f:
+        return json.load(f)
+
+
+def main():
+    baselines = sorted(glob.glob(os.path.join(ROOT, "BENCH_*.json")))
+    expect(len(baselines) >= 3, "committed baselines found", baselines)
+    for path in baselines:
+        rc, out = gate(path, path)
+        expect(rc == 0 and "REGRESSION" not in out,
+               f"{os.path.basename(path)} passes against itself", out)
+
+    soak_path = os.path.join(ROOT, "BENCH_soak.json")
+    net_path = os.path.join(ROOT, "BENCH_netsoak.json")
+    with tempfile.TemporaryDirectory() as tmp:
+        def write(name, data):
+            path = os.path.join(tmp, name)
+            with open(path, "w") as f:
+                json.dump(data, f)
+            return path
+
+        def mutated(name, mutate):
+            data = copy.deepcopy(load(name))
+            mutate(data)
+            return write("cand_" + name, data)
+
+        def flip_last_digest(d):
+            p = d["passes"][-1]
+            p["digest"] = "0x%016x" % (int(p["digest"], 16) ^ 1)
+
+        def flip_all_digests(d):
+            for p in d["passes"]:
+                p["digest"] = "0x%016x" % (int(p["digest"], 16) ^ 1)
+            d["digest"] = d["passes"][0]["digest"]
+
+        def break_identity(d):
+            d["passes"][1]["identity_holds"] = False
+
+        def kills_without_restart(d):
+            wire = d["passes"][-1]["wire"]
+            wire["shard_kills_enabled"] = True
+            wire["shard_restarts"] = 0
+
+        def halve_throughput(d):
+            d["passes"][0]["requests_per_sec"] /= 2
+
+        expect_regression(soak_path,
+                          mutated("BENCH_soak.json", flip_last_digest),
+                          "a pass off the reference digest is a REGRESSION")
+        expect_regression(soak_path,
+                          mutated("BENCH_soak.json", flip_all_digests),
+                          "a digest change at equal parameters is a "
+                          "REGRESSION")
+        expect_regression(soak_path,
+                          mutated("BENCH_soak.json", break_identity),
+                          "identity_holds false is a REGRESSION")
+        expect_regression(net_path,
+                          mutated("BENCH_netsoak.json",
+                                  kills_without_restart),
+                          "shard kills with zero restarts are a REGRESSION")
+        expect_regression(soak_path,
+                          mutated("BENCH_soak.json", halve_throughput),
+                          "a 50% requests_per_sec drop is a REGRESSION")
+
+        old = write("old_soak_chaos.json", {
+            "bench": "soak_chaos", "requests": 10000, "fault_rate": 0.08,
+            "seed": 7, "workers": 4, "digest": "0xedbb4c9ce70f8fc2",
+            "requests_per_sec": 97713.8,
+        })
+        expect_regression(soak_path, old,
+                          "an old-shape soak_chaos candidate is a "
+                          "REGRESSION line, not a traceback")
+        expect_regression(old, old,
+                          "an old-shape soak_chaos baseline is a "
+                          "REGRESSION line, not a traceback")
+
+    print(f"{len(failures)} failure(s)")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

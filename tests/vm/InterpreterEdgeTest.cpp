@@ -217,3 +217,37 @@ TEST(InterpreterEdgeTest, OutputPersistsAcrossRunsUntilCleared) {
   VM.clearOutput();
   EXPECT_TRUE(VM.output().empty());
 }
+
+TEST(InterpreterEdgeTest, WrongArityEntryPointTrapsUnderEveryEngine) {
+  // g(x) = x + 1. A missing argument must not be read as zero (or past the
+  // argument vector), and a surplus one must not be written past g's
+  // register file: both are a BadCall before any instruction runs.
+  Module M("t");
+  IRBuilder B(M);
+  Function *G = M.createFunction("g", B.i64(), {B.i64()});
+  B.setInsertPoint(G->createBlock("entry"));
+  B.ret(B.add(G->getArg(0), B.constI64(1)));
+
+  struct Engine {
+    const char *Name;
+    bool Decoded, Jit;
+  };
+  for (Engine E : {Engine{"decoded", true, false}, Engine{"jit", true, true},
+                   Engine{"treewalk", false, false}}) {
+    InterpreterOptions Opts;
+    Opts.UseDecodedEngine = E.Decoded;
+    Opts.UseJit = E.Jit;
+    Opts.JitThreshold = 0;
+    Interpreter VM(M, nullptr, Opts);
+    for (const std::vector<uint64_t> &Args :
+         {std::vector<uint64_t>{}, std::vector<uint64_t>{1, 2}}) {
+      ExecResult R = VM.run("g", Args);
+      EXPECT_EQ(R.Trap, TrapKind::BadCall)
+          << E.Name << " with " << Args.size() << " argument(s)";
+      EXPECT_EQ(R.Steps, 0u) << E.Name;
+    }
+    ExecResult R = VM.run("g", {41});
+    ASSERT_TRUE(R.ok()) << E.Name;
+    EXPECT_EQ(R.ReturnValue, 42u) << E.Name;
+  }
+}

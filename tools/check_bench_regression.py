@@ -7,7 +7,7 @@ the same bench and fails (exit 1) when:
   * a throughput metric dropped more than --max-drop-pct below the
     baseline (default 25%), or
   * for the soaks, the outcome digest differs from the baseline while
-    the run parameters (requests, seed, workers, fault rate) match — the
+    the campaign parameters (mode, requests, seed, fault rate) match — the
     digest is bit-deterministic, so any mismatch is a real behavior
     change, not noise.
 
@@ -18,14 +18,15 @@ gating once someone renames a key.
 
 Supported bench kinds (selected by the "bench"/"benchmark" key):
 
-  soak_chaos        gates requests_per_sec and the exact digest
-  soak_scaling      gates requests_per_sec and digest of the matching
-                    sweep points, and of the matching net_sweep points
-                    (keyed by connections × shards) when both files
-                    carry one
-  soak_net_chaos    gates requests_per_sec, the exact wire digest, and
-                    the wire-vs-in-process and accounting-identity
-                    verdicts
+  soak              bench/soak_server's pass list, in every mode: each
+                    candidate pass must equal the run's reference digest,
+                    keep its accounting identity, and book a shard restart
+                    when it injected shard kills; passes matched to the
+                    baseline on (pool vs net, workers, shards, connections)
+                    gate requests_per_sec and, at equal campaign
+                    parameters, the exact digest. Shard mode is not part of
+                    the match, so process-mode runs are digest-compared
+                    against a thread-mode baseline
   interp_throughput gates max_speedup (a machine-relative ratio, so it
                     transfers across runner generations better than raw
                     steps/sec)
@@ -97,144 +98,87 @@ def same_params(base, cand, keys):
     return all(base.get(k) == cand.get(k) for k in keys)
 
 
-def check_soak_chaos(base, cand, max_drop_pct):
-    rc = check_drop(
-        "requests_per_sec",
-        require(base, "requests_per_sec", "baseline"),
-        require(cand, "requests_per_sec", "candidate"),
-        max_drop_pct,
-    )
-    if same_params(base, cand, ["requests", "seed", "workers", "fault_rate"]):
-        base_digest = require(base, "digest", "baseline")
-        cand_digest = require(cand, "digest", "candidate")
-        if base_digest != cand_digest:
-            rc |= fail(
-                f"digest {cand_digest} != baseline {base_digest} "
-                "for identical parameters (determinism break)"
-            )
-        else:
-            rc |= ok(f"digest matches baseline exactly ({base_digest})")
-    else:
-        rc |= ok("digest not compared (run parameters differ from baseline)")
-    return rc
+def check_soak(base, cand, max_drop_pct):
+    """One soak schema for every mode: a campaign plus a list of passes.
 
+    Every candidate pass must reproduce the run's reference digest, keep
+    its accounting identity, and (when it injected shard kills) book at
+    least one shard restart. Passes are matched to baseline passes on
+    (pool vs net, workers, shards, connections), the first pass per key;
+    shard mode is deliberately not part of the key, so a process-mode
+    candidate is digest-compared against a thread-mode baseline. Matched
+    passes gate requests_per_sec and, when the campaign parameters equal
+    the baseline's, the exact digest.
+    """
+    def key(p, where):
+        transport = require(p, "transport", where)
+        return ("pool" if transport == "pool" else "net",
+                require(p, "workers", where), require(p, "shards", where),
+                require(p, "connections", where))
 
-def check_soak_net_chaos(base, cand, max_drop_pct):
-    rc = check_drop(
-        "requests_per_sec",
-        require(base, "requests_per_sec", "baseline"),
-        require(cand, "requests_per_sec", "candidate"),
-        max_drop_pct,
-    )
-    # These verdicts are parameter-independent: the wire digest must equal
-    # the in-process digest and the accounting identity must hold on every
-    # run, whatever its size.
-    for verdict in ("wire_equals_in_process", "identity_holds"):
-        if require(cand, verdict, "candidate") is not True:
-            rc |= fail(f"candidate {verdict} is not true")
-        else:
-            rc |= ok(f"candidate {verdict}")
-    # Shard-isolation accounting. shard_mode is required so a run from
-    # before the multi-process front-end (old JSON shape) is an explicit
-    # gate error, not a silent pass. When the run injected shard kills,
-    # at least one restart must have been booked: a kill campaign with
-    # zero restarts means the chaos never reached the child processes.
-    shard_mode = require(cand, "shard_mode", "candidate")
-    if shard_mode not in ("thread", "process"):
-        rc |= fail(f"candidate shard_mode {shard_mode!r} is not "
-                   "'thread' or 'process'")
-    else:
-        rc |= ok(f"candidate shard_mode {shard_mode!r}")
-    if require(cand, "shard_kills_enabled", "candidate"):
-        restarts = require(cand, "shard_restarts", "candidate")
-        if not isinstance(restarts, int) or restarts < 1:
-            rc |= fail(f"shard kills enabled but shard_restarts is "
-                       f"{restarts!r} (expected >= 1)")
-        else:
-            rc |= ok(f"shard kills enabled and {restarts} restart(s) booked")
-    # shard_mode is deliberately NOT a digest-comparison parameter: the
-    # digest must be invariant across thread and process mode, so a
-    # process-mode candidate is compared against a thread-mode baseline.
-    if same_params(base, cand,
-                   ["requests", "seed", "fault_rate", "connections"]):
-        base_digest = require(base, "digest", "baseline")
-        cand_digest = require(cand, "digest", "candidate")
-        if base_digest != cand_digest:
-            rc |= fail(
-                f"wire digest {cand_digest} != baseline {base_digest} "
-                "for identical parameters (determinism break)"
-            )
-        else:
-            rc |= ok(f"wire digest matches baseline exactly ({base_digest})")
-    else:
-        rc |= ok("digest not compared (run parameters differ from baseline)")
-    return rc
+    def label(k):
+        return "{} workers={} shards={} conns={}".format(*k)
 
+    def first_per_key(passes, where):
+        by_key = {}
+        for p in passes:
+            by_key.setdefault(key(p, where), p)
+        return by_key
 
-def check_soak_scaling(base, cand, max_drop_pct):
     rc = 0
-    comparable = same_params(base, cand, ["requests", "seed", "fault_rate"])
+    reference = require(cand, "digest", "candidate")
+    cand_passes = require(cand, "passes", "candidate")
+    for i, p in enumerate(cand_passes):
+        k = key(p, f"candidate pass {i + 1}")
+        where = f"candidate pass {i + 1} ({label(k)})"
+        digest = require(p, "digest", where)
+        if digest != reference:
+            rc |= fail(f"{where}: digest {digest} != the run's reference "
+                       f"digest {reference}")
+        if require(p, "identity_holds", where) is not True:
+            rc |= fail(f"{where}: identity_holds is not true")
+        if k[0] == "net":
+            wire = require(p, "wire", where)
+            restarts = require(wire, "shard_restarts", where)
+            if require(wire, "shard_kills_enabled", where) and \
+                    (not isinstance(restarts, int) or restarts < 1):
+                rc |= fail(f"{where}: shard kills enabled but "
+                           f"shard_restarts is {restarts!r} (expected >= 1)")
+    rc |= ok(f"{len(cand_passes)} candidate passes checked against the "
+             f"reference digest {reference}, the accounting identity and "
+             "shard restarts")
+
+    comparable = same_params(base, cand,
+                             ["mode", "requests", "seed", "fault_rate"])
     if not comparable:
-        print("note: scaling parameters differ from baseline; "
-              "gating matching sweep points only on throughput ratio")
-    base_points = {
-        require(p, "workers", "baseline sweep point"): p
-        for p in require(base, "sweep", "baseline")
-    }
+        print("note: campaign parameters differ from baseline; "
+              "digests not compared")
+    base_passes = first_per_key(require(base, "passes", "baseline"),
+                                "baseline pass")
     compared = 0
-    for p in require(cand, "sweep", "candidate"):
-        workers = require(p, "workers", "candidate sweep point")
-        b = base_points.get(workers)
-        if b is None or not comparable:
+    for k, p in first_per_key(cand_passes, "candidate pass").items():
+        b = base_passes.get(k)
+        if b is None:
             continue
         compared += 1
         rc |= check_drop(
-            f"workers={workers} requests_per_sec",
-            require(b, "requests_per_sec", "baseline sweep point"),
-            require(p, "requests_per_sec", "candidate sweep point"),
+            f"{label(k)} requests_per_sec",
+            require(b, "requests_per_sec", "baseline pass"),
+            require(p, "requests_per_sec", "candidate pass"),
             max_drop_pct,
         )
-        if require(b, "digest", "baseline sweep point") != \
-                require(p, "digest", "candidate sweep point"):
-            rc |= fail(
-                f"workers={workers} digest {p['digest']} != baseline "
-                f"{b['digest']} (determinism break)"
-            )
-    # The wire dimension: net_sweep points are keyed (connections, shards).
-    # Older baselines predate the socket front-end and carry none; that is
-    # a note, not a failure.
-    base_net = {
-        (require(p, "connections", "baseline net_sweep point"),
-         require(p, "shards", "baseline net_sweep point")): p
-        for p in base.get("net_sweep", [])
-    }
-    for p in cand.get("net_sweep", []):
-        key = (require(p, "connections", "candidate net_sweep point"),
-               require(p, "shards", "candidate net_sweep point"))
-        if require(p, "wire_matches_in_process",
-                   "candidate net_sweep point") is not True:
-            rc |= fail(
-                f"net conns={key[0]} shards={key[1]}: wire digest does not "
-                "match the in-process digest"
-            )
-        b = base_net.get(key)
-        if b is None or not comparable:
+        if not comparable:
             continue
-        compared += 1
-        rc |= check_drop(
-            f"net conns={key[0]} shards={key[1]} requests_per_sec",
-            require(b, "requests_per_sec", "baseline net_sweep point"),
-            require(p, "requests_per_sec", "candidate net_sweep point"),
-            max_drop_pct,
-        )
-        if require(b, "digest", "baseline net_sweep point") != \
-                require(p, "digest", "candidate net_sweep point"):
-            rc |= fail(
-                f"net conns={key[0]} shards={key[1]} digest {p['digest']} "
-                f"!= baseline {b['digest']} (determinism break)"
-            )
+        base_digest = require(b, "digest", "baseline pass")
+        if base_digest != p["digest"]:
+            rc |= fail(f"{label(k)}: digest {p['digest']} != baseline "
+                       f"{base_digest} for identical parameters "
+                       "(determinism break)")
+        else:
+            rc |= ok(f"{label(k)}: digest matches baseline exactly "
+                     f"({base_digest})")
     if compared == 0:
-        rc |= ok("no directly comparable sweep points; nothing gated")
+        rc |= ok("no pass matches a baseline pass; nothing compared")
     return rc
 
 
@@ -402,9 +346,7 @@ def main():
         )
 
     checks = {
-        "soak_chaos": check_soak_chaos,
-        "soak_scaling": check_soak_scaling,
-        "soak_net_chaos": check_soak_net_chaos,
+        "soak": check_soak,
         "interp_throughput": check_interp,
         "interp_jit": check_interp_jit,
         "request_reset": check_request_reset,
