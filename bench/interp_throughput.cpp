@@ -21,6 +21,13 @@
 /// (path overridable as argv[1]) plus BENCH_interp_jit.json (argv[2]) with
 /// the JIT-vs-decoded identity digests and speedups, gated in CI at >= 2x.
 ///
+/// The call kernels ask the paper's Fig. 3 question of the VM itself: a
+/// 2000-call three-alloca leaf, plain and Smokestack-hardened (one kernel
+/// per RNG scheme), timed on the decoded engine and the JIT. They land in
+/// BENCH_interp_jit.json's call_kernels array with per-engine
+/// hardened/plain overheads; the gate demands decoded == JIT digests and
+/// >= 1.5x JIT-over-decoded on every hardened kernel.
+///
 /// -engine=all (default) measures everything; -engine=jit skips the slow
 /// tree-walk and measures decoded vs jit only; -engine=decoded restores
 /// the historical tree-walk vs decoded run; -engine=treewalk measures the
@@ -29,9 +36,13 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "core/SmokestackPass.h"
 #include "ir/IRBuilder.h"
+#include "ir/Parser.h"
 #include "jit/JitAbi.h"
 #include "obs/Trace.h"
+#include "rng/Entropy.h"
+#include "rng/RandomSource.h"
 #include "vm/Interpreter.h"
 
 #include <algorithm>
@@ -310,6 +321,76 @@ double measureRequestRate(Interpreter &VM, int RequestsPerRep, int Reps) {
   return RequestsPerRep / Times[Times.size() / 2];
 }
 
+/// The VM's Fig. 3 kernel: main() folds leaf(acc) ^ i over 2000 calls of a
+/// leaf with three allocas — the shape Smokestack relayouts on every call.
+constexpr const char *CallKernelIR = R"(
+define i64 @leaf(i64 %x) {
+entry:
+  %a = alloca i64, align 8
+  %b = alloca [16 x i8], align 1
+  %c = alloca i32, align 4
+  store i64 %x, ptr %a
+  store i8 1, ptr %b
+  store i32 2, ptr %c
+  %v = load i64, ptr %a
+  %w = add i64 %v, i64 3
+  ret i64 %w
+}
+
+define i64 @main() {
+entry:
+  %i = alloca i64, align 8
+  %acc = alloca i64, align 8
+  store i64 0, ptr %i
+  store i64 1, ptr %acc
+  br label %loop
+loop:
+  %c = load i64, ptr %i
+  %more = icmp slt i64 %c, i64 2000
+  br i8 %more, label %body, label %exit
+body:
+  %a0 = load i64, ptr %acc
+  %r = call i64 @leaf(i64 %a0)
+  %x = xor i64 %r, i64 %c
+  store i64 %x, ptr %acc
+  %c1 = add i64 %c, i64 1
+  store i64 %c1, ptr %i
+  br label %loop
+exit:
+  %res = load i64, ptr %acc
+  ret i64 %res
+}
+)";
+
+constexpr uint64_t CallKernelCalls = 2000;
+
+/// One call-kernel variant: plain (Rng empty) or hardened with \p Rng.
+struct CallKernelSpec {
+  const char *Name;
+  const char *Rng; ///< "" (plain), "pseudo", "aes1" or "aes10".
+};
+
+const CallKernelSpec CallKernels[] = {
+    {"calls.leaf3.plain", ""},
+    {"calls.leaf3.smokestack_pseudo", "pseudo"},
+    {"calls.leaf3.smokestack_aes1", "aes1"},
+    {"calls.leaf3.smokestack_aes10", "aes10"},
+};
+
+std::unique_ptr<Module> buildCallKernel(bool Hardened) {
+  ParseResult R = parseModule(CallKernelIR, "calls.leaf3");
+  if (!R.ok()) {
+    std::fprintf(stderr, "call kernel does not parse: %s\n", R.Error.c_str());
+    std::exit(1);
+  }
+  if (Hardened) {
+    PassManager PM;
+    PM.addPass(std::make_unique<SmokestackPass>());
+    PM.run(*R.M);
+  }
+  return std::move(R.M);
+}
+
 struct KernelSpec {
   const char *Name;
   void (*Build)(Module &M);
@@ -331,16 +412,19 @@ struct EngineResult {
   uint64_t Digest = 0;
 };
 
+/// Folds the eight bytes of \p V into FNV-1a digest \p H.
+uint64_t digestMore(uint64_t H, uint64_t V) {
+  for (int B = 0; B != 8; ++B) {
+    H ^= (V >> (B * 8)) & 0xFF;
+    H *= 1099511628211ULL;
+  }
+  return H;
+}
+
 /// FNV-1a over the result pair — the identity fingerprint compared across
 /// engines (and archived in BENCH_interp_jit.json for the CI gate).
 uint64_t digestResult(uint64_t Steps, uint64_t ReturnValue) {
-  uint64_t H = 1469598103934665603ULL;
-  for (uint64_t V : {Steps, ReturnValue})
-    for (int B = 0; B != 8; ++B) {
-      H ^= (V >> (B * 8)) & 0xFF;
-      H *= 1099511628211ULL;
-    }
-  return H;
+  return digestMore(digestMore(1469598103934665603ULL, Steps), ReturnValue);
 }
 
 /// Runs `main` of \p M Reps times on one engine and returns the median
@@ -379,6 +463,71 @@ EngineResult measureEngine(Module &M, Engine E, int Reps) {
   R.SecondsPerRun = Times[Times.size() / 2];
   R.Digest = digestResult(R.Steps, R.ReturnValue);
   return R;
+}
+
+/// One call kernel on one engine: its own module, source and VM.
+struct CallRun {
+  std::unique_ptr<Module> M;
+  DeterministicEntropySource Entropy{0xF163};
+  std::unique_ptr<RandomSource> Rng;
+  std::unique_ptr<Interpreter> VM;
+  std::vector<double> Times;
+  EngineResult R;
+};
+
+/// Times every call kernel on the decoded engine and, with \p WantJit, the
+/// JIT; returns {decoded, jit} per kernel (jit = decoded without it). The
+/// runs are interleaved round-robin, one run of every variant per rep, so
+/// host noise lands on all variants alike and the speedup and overhead
+/// ratios compare like with like. A hardened kernel's digest also folds
+/// its source's next draw after the last run, so an engine that drew a
+/// different number of values cannot match.
+std::vector<std::pair<EngineResult, EngineResult>>
+measureCallKernels(bool WantJit, int Reps) {
+  std::vector<std::unique_ptr<CallRun>> Runs;
+  for (const CallKernelSpec &Spec : CallKernels)
+    for (bool Jit : {false, true}) {
+      if (Jit && !WantJit)
+        continue;
+      auto Run = std::make_unique<CallRun>();
+      Run->M = buildCallKernel(Spec.Rng[0] != '\0');
+      Run->Rng = makeRandomSource(Spec.Rng, Run->Entropy); // null: plain
+      InterpreterOptions Opts;
+      Opts.UseJit = Jit;
+      Opts.JitThreshold = 0;
+      Run->VM = std::make_unique<Interpreter>(*Run->M, Run->Rng.get(), Opts);
+      Runs.push_back(std::move(Run));
+    }
+  for (int Rep = -1; Rep != Reps; ++Rep) // rep -1 warms up, untimed
+    for (std::unique_ptr<CallRun> &Run : Runs) {
+      auto T0 = std::chrono::steady_clock::now();
+      ExecResult Res = Run->VM->run("main");
+      auto T1 = std::chrono::steady_clock::now();
+      if (!Res.ok()) {
+        std::fprintf(stderr, "call kernel trapped: %s\n",
+                     Res.Message.c_str());
+        std::exit(1);
+      }
+      Run->R.Steps = Res.Steps;
+      Run->R.ReturnValue = Res.ReturnValue;
+      if (Rep >= 0)
+        Run->Times.push_back(std::chrono::duration<double>(T1 - T0).count());
+    }
+  std::vector<std::pair<EngineResult, EngineResult>> Results;
+  for (size_t I = 0; I != Runs.size(); I += WantJit ? 2 : 1) {
+    EngineResult Pair[2];
+    for (size_t J = 0; J != (WantJit ? 2u : 1u); ++J) {
+      CallRun &Run = *Runs[I + J];
+      std::sort(Run.Times.begin(), Run.Times.end());
+      Run.R.SecondsPerRun = Run.Times[Run.Times.size() / 2];
+      Run.R.Digest = digestResult(Run.R.Steps, Run.R.ReturnValue);
+      if (Run.Rng)
+        Run.R.Digest = digestMore(Run.R.Digest, Run.Rng->next());
+      Pair[J] = Run.R;
+    }
+    Results.push_back({Pair[0], WantJit ? Pair[1] : Pair[0]});
+  }
+  return Results;
 }
 
 } // namespace
@@ -512,15 +661,74 @@ int main(int argc, char **argv) {
                   JitSpeedup, K + 1 == std::size(Kernels) ? "" : ",");
     JitJson += JitRow;
   }
+  // The VM's Fig. 3: per engine, the plain call kernel's time is the base
+  // of every hardened kernel's overhead ratio.
+  std::string CallJson;
+  if (WantDecoded) {
+    const int CallReps = 301;
+    std::printf("\nVM Fig. 3: %llu-call three-alloca leaf, median of %d "
+                "interleaved runs\n",
+                static_cast<unsigned long long>(CallKernelCalls), CallReps);
+    std::printf("%-30s %12s %12s %9s %11s %11s\n", "kernel", "decoded us",
+                "jit us", "jit/dec", "dec hard/p", "jit hard/p");
+    std::vector<std::pair<EngineResult, EngineResult>> Measured =
+        measureCallKernels(WantJit, CallReps);
+    const EngineResult &PlainDecoded = Measured[0].first;
+    const EngineResult &PlainJit = Measured[0].second;
+    for (size_t K = 0; K != std::size(CallKernels); ++K) {
+      const CallKernelSpec &Spec = CallKernels[K];
+      const auto &[Decoded, Jit] = Measured[K];
+      if (WantJit && Jit.Digest != Decoded.Digest) {
+        std::fprintf(stderr, "%s: JIT identity violation (decoded %llu/%llu, "
+                             "jit %llu/%llu)\n",
+                     Spec.Name,
+                     static_cast<unsigned long long>(Decoded.ReturnValue),
+                     static_cast<unsigned long long>(Decoded.Steps),
+                     static_cast<unsigned long long>(Jit.ReturnValue),
+                     static_cast<unsigned long long>(Jit.Steps));
+        DigestMismatch = true;
+      }
+      double JitSpeedup =
+          WantJit ? Decoded.SecondsPerRun / Jit.SecondsPerRun : 0.0;
+      double DecodedOverhead =
+          Decoded.SecondsPerRun / PlainDecoded.SecondsPerRun;
+      double JitOverhead =
+          WantJit ? Jit.SecondsPerRun / PlainJit.SecondsPerRun : 0.0;
+      std::printf("%-30s %12.1f %12.1f %8.2fx %10.3fx %10.3fx\n", Spec.Name,
+                  Decoded.SecondsPerRun * 1e6,
+                  WantJit ? Jit.SecondsPerRun * 1e6 : 0.0, JitSpeedup,
+                  DecodedOverhead, JitOverhead);
+      char Row[768];
+      std::snprintf(
+          Row, sizeof(Row),
+          "    {\"name\": \"%s\", \"hardened\": %s, \"rng\": \"%s\", "
+          "\"calls\": %llu, \"digest_decoded\": \"%016llx\", "
+          "\"digest_jit\": \"%016llx\", \"decoded_us_per_run\": %.2f, "
+          "\"jit_us_per_run\": %.2f, \"jit_speedup_vs_decoded\": %.3f, "
+          "\"harden_overhead_decoded\": %.3f, "
+          "\"harden_overhead_jit\": %.3f}%s\n",
+          Spec.Name, Spec.Rng[0] ? "true" : "false", Spec.Rng,
+          static_cast<unsigned long long>(CallKernelCalls),
+          static_cast<unsigned long long>(Decoded.Digest),
+          static_cast<unsigned long long>(Jit.Digest),
+          Decoded.SecondsPerRun * 1e6,
+          WantJit ? Jit.SecondsPerRun * 1e6 : 0.0, JitSpeedup,
+          DecodedOverhead, JitOverhead,
+          K + 1 == std::size(CallKernels) ? "" : ",");
+      CallJson += Row;
+    }
+  }
+
   // The JIT identity/throughput summary is written whenever the decoded
   // baseline was measured; on hosts without a JIT the digests are the
   // decoded ones and jit_available=false tells the gate to skip.
   if (WantDecoded) {
     char JitTail[128];
     std::snprintf(JitTail, sizeof(JitTail),
-                  "  ],\n  \"min_jit_speedup_vs_decoded\": %.3f\n}\n",
+                  "  ],\n  \"min_jit_speedup_vs_decoded\": %.3f,\n",
                   WantJit ? MinJitSpeedup : 0.0);
     JitJson += JitTail;
+    JitJson += "  \"call_kernels\": [\n" + CallJson + "  ]\n}\n";
     if (std::FILE *Out = std::fopen(JitJsonPath, "w")) {
       std::fputs(JitJson.c_str(), Out);
       std::fclose(Out);

@@ -21,6 +21,13 @@
 /// the same instruction boundary with the same TrapKind and message
 /// (messages are built by the shims, which share the interpreter's code).
 ///
+/// Loads that miss the stack segment retry inline against the read-only
+/// data segment (JitContext::RODataHost) before taking the shim, and —
+/// while no LayoutObserver is bound — static allocas and observed geps
+/// run inline too, so a Smokestack prologue leaves native code only for
+/// its smokestack.rand call. Calls reach their callee through
+/// Interpreter::callSite, which uses the call site's cached CalleeDF.
+///
 /// Register conventions inside compiled code (System V x86-64; all six
 /// callee-saved registers are pinned for the function's whole body, so
 /// shim calls need no save/restore):
@@ -65,6 +72,18 @@ struct JitContext {
   uint8_t *StackHost = nullptr;
   uint64_t *StackTouchedLo = nullptr;
   uint64_t *StackTouchedHi = nullptr;
+  /// Read-only data segment bytes (SimMemory::jitRODataHost): a load that
+  /// misses the stack fast path retries against [RODataBase, RODataBase +
+  /// RODataSize) inline before taking the interpreter shim, which keeps
+  /// the hardened prologue's P-BOX loads in native code.
+  const uint8_t *RODataHost = nullptr;
+  /// &Interpreter::StackPointer and &Interpreter::StackLowWater, which the
+  /// inline static-alloca stencil bumps exactly like materializeAlloca.
+  uint64_t *StackPointer = nullptr;
+  uint64_t *StackLowWater = nullptr;
+  /// Nonzero when a LayoutObserver is bound: allocas and observed geps then
+  /// take the shim, which makes the observer callbacks.
+  uint64_t Observed = 0;
 };
 
 /// Entry point of a compiled function: (context, register file) -> status.
@@ -90,9 +109,10 @@ bool jitAvailable();
 extern "C" {
 
 /// Executes DF->Insts[IP] with the interpreter's semantics — the shared
-/// slow path behind every opcode the stencils do not inline (allocas,
-/// calls, division, floating point, observed geps, unreachable) and the
-/// out-of-segment tail of inlined loads/stores. Fuel for the instruction
+/// slow path behind every opcode the stencils do not inline (VLAs, calls,
+/// division, floating point, unreachable), every failing check of an
+/// inlined stencil (out-of-segment loads/stores, alloca overflow), and
+/// allocas/observed geps while a LayoutObserver is bound. Fuel for the instruction
 /// was already decremented by emitted code. Returns 0 to continue at the
 /// next instruction, 1 on trap (ExecResult filled in).
 uint64_t ssJitInterpOne(smokestack::JitContext *Ctx, uint64_t *Regs,

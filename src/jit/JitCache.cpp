@@ -20,12 +20,17 @@ static Statistic NumJitFailures("jit.compile-failures",
 static Statistic NumJitCalls("jit.native-calls",
                              "Function invocations run as native code");
 
-JitFn JitCache::onCall(const DecodedFunction &DF) {
-  Entry &E = Entries[&DF];
-  if (E.Fn) {
-    ++NumJitCalls;
-    return E.Fn;
-  }
+void JitCache::flushStats() {
+  NumJitCalls += NativeCalls;
+  NativeCalls = 0;
+}
+
+JitFn JitCache::onColdCall(const DecodedFunction &DF) {
+  if (DF.Index >= Entries.size())
+    Entries.resize(DF.Index + 1);
+  Entry &E = Entries[DF.Index];
+  if (E.Key != &DF)
+    E = Entry{&DF};
   if (E.Failed)
     return nullptr;
   if (E.Invocations++ < Threshold)
@@ -41,6 +46,6 @@ JitFn JitCache::onCall(const DecodedFunction &DF) {
   E.Fn = reinterpret_cast<JitFn>(const_cast<void *>(Span));
   ++NumJitCompiled;
   NumJitCodeBytes += (Code.size() + 4095) & ~size_t{4095};
-  ++NumJitCalls;
+  ++NativeCalls;
   return E.Fn;
 }

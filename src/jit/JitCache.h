@@ -24,9 +24,10 @@
 
 #include "jit/CodeArena.h"
 #include "jit/JitAbi.h"
+#include "vm/DecodedFunction.h"
 
 #include <cstdint>
-#include <unordered_map>
+#include <vector>
 
 namespace smokestack {
 
@@ -38,8 +39,24 @@ public:
 
   /// Called at function entry. Returns the native entry point when this
   /// function is hot and compiled, or nullptr to run the decoded engine
-  /// this time (cold, failed to compile, or arena exhausted).
-  JitFn onCall(const DecodedFunction &DF);
+  /// this time (cold, failed to compile, or arena exhausted). The hot path
+  /// is one indexed load: entries are keyed by DecodedFunction::Index.
+  JitFn onCall(const DecodedFunction &DF) {
+    if (DF.Index < Entries.size()) {
+      Entry &E = Entries[DF.Index];
+      if (E.Fn && E.Key == &DF) {
+        ++NativeCalls;
+        return E.Fn;
+      }
+    }
+    return onColdCall(DF);
+  }
+
+  /// Adds the native invocations counted since the last flush to the
+  /// jit.native-calls statistic. Interpreter::run calls it once per run,
+  /// so the statistic is exact at every request boundary without an
+  /// atomic add per call.
+  void flushStats();
 
   /// Drops every entry (the keys are about to dangle). Sealed code pages
   /// stay mapped RX in the arena — W^X forbids reopening them — but are
@@ -49,7 +66,7 @@ public:
   /// Number of functions with installed native code (tests, -stats).
   uint64_t compiledFunctions() const {
     uint64_t N = 0;
-    for (const auto &[_, E] : Entries)
+    for (const Entry &E : Entries)
       if (E.Fn)
         ++N;
     return N;
@@ -60,14 +77,23 @@ public:
 
 private:
   struct Entry {
+    /// The function this entry describes; an index reused by a different
+    /// DecodedFunction resets the entry.
+    const DecodedFunction *Key = nullptr;
     JitFn Fn = nullptr;
     uint64_t Invocations = 0;
     bool Failed = false;
   };
 
+  /// Tiering for a function without installed code: counts the
+  /// invocation and compiles once the threshold is reached.
+  JitFn onColdCall(const DecodedFunction &DF);
+
   unsigned Threshold;
   CodeArena Arena;
-  std::unordered_map<const DecodedFunction *, Entry> Entries;
+  std::vector<Entry> Entries;
+  /// Native invocations not yet added to jit.native-calls.
+  uint64_t NativeCalls = 0;
 };
 
 } // namespace smokestack

@@ -14,9 +14,10 @@
 //    (FuelLeft & JitCancelMask)==0 cancel poll, then the decrement), so
 //    ExecResult::Steps and every trap point land on the same instruction;
 //  * hot opcodes (ALU, shifts, compares, selects, geps, casts, branches,
-//    stack-segment loads/stores) are inlined; everything else — and the
-//    out-of-segment tail of loads/stores — funnels through the
-//    ssJitInterpOne shim, which *is* the interpreter's switch;
+//    stack-segment loads/stores, rodata loads, and — with no observer
+//    bound — static allocas and observed geps) are inlined; everything
+//    else — and every failing check of an inlined stencil — funnels
+//    through the ssJitInterpOne shim, which *is* the interpreter's switch;
 //  * inlined stores replicate SimMemory's touched-range bookkeeping so
 //    snapshot restore and request-boundary hygiene see identical ranges.
 //
@@ -34,6 +35,7 @@
 
 #include "ir/Instructions.h"
 #include "jit/JitAbi.h"
+#include "support/Casting.h"
 #include "vm/DecodedFunction.h"
 #include "vm/SimMemory.h"
 
@@ -197,12 +199,14 @@ public:
       addRR(Dst, Scratch);
     }
   }
-  void cmpImm32(uint8_t Reg, uint32_t V) { // cmp Reg, imm32 (sign-ext)
+  /// 81 /Ext Reg, imm32 (sign-extended): 0=add 4=and 5=sub 7=cmp.
+  void aluImm32(uint8_t Ext, uint8_t Reg, uint32_t V) {
     rex(true, 0, 0, Reg);
     u8(0x81);
-    modrmReg(7, Reg); // /7 = cmp
+    modrmReg(Ext, Reg);
     u32(V);
   }
+  void cmpImm32(uint8_t Reg, uint32_t V) { aluImm32(7, Reg, V); }
   void cmpRR(uint8_t A, uint8_t B) { // cmp A, B
     rex(true, B, 0, A);
     u8(0x39);
@@ -213,11 +217,43 @@ public:
     u8(0x3B);
     mem(Reg, Base, Disp);
   }
-  void cmpSlotZero(uint32_t Idx) { // cmp qword [rbx + Idx*8], 0
-    rex(true, 0, 0, RBX);
+  void cmpMemZero(uint8_t Base, int32_t Disp) { // cmp qword [Base+Disp], 0
+    rex(true, 0, 0, Base);
     u8(0x83);
-    mem(7, RBX, static_cast<int32_t>(Idx) * 8); // /7 = cmp, imm8
+    mem(7, Base, Disp); // /7 = cmp, imm8
     u8(0x00);
+  }
+  void cmpSlotZero(uint32_t Idx) { // cmp qword [rbx + Idx*8], 0
+    cmpMemZero(RBX, static_cast<int32_t>(Idx) * 8);
+  }
+  void loadMem(uint8_t Dst, uint8_t Base, int32_t Disp) { // mov Dst, [..]
+    rex(true, Dst, 0, Base);
+    u8(0x8B);
+    mem(Dst, Base, Disp);
+  }
+  void storeMem(uint8_t Base, int32_t Disp, uint8_t Src) { // mov [..], Src
+    rex(true, Src, 0, Base);
+    u8(0x89);
+    mem(Src, Base, Disp);
+  }
+  /// Zero-extending W-byte load into rax from [Base + rcx].
+  void loadIndexed(unsigned W, uint8_t Base) {
+    if (W == 1) { // movzx eax, byte [Base + rcx]
+      rex(false, RAX, RCX, Base);
+      u8(0x0F);
+      u8(0xB6);
+    } else if (W == 2) { // movzx eax, word [Base + rcx]
+      rex(false, RAX, RCX, Base);
+      u8(0x0F);
+      u8(0xB7);
+    } else if (W == 4) { // mov eax, dword [Base + rcx]
+      rex(false, RAX, RCX, Base);
+      u8(0x8B);
+    } else { // mov rax, qword [Base + rcx]
+      rex(true, RAX, RCX, Base);
+      u8(0x8B);
+    }
+    memIndex(RAX, Base, RCX);
   }
   void testRR(uint8_t A) { // test A, A (64-bit)
     rex(true, A, 0, A);
@@ -423,12 +459,14 @@ bool isSignedPredicate(ICmpInst::Predicate P) {
   }
 }
 
-/// One pending out-of-line slow path for an inlined load/store.
+/// One pending out-of-line slow path of an inlined stencil.
 struct OolBlock {
-  size_t JccHole;   ///< rel32 hole of the `ja slow` in the fast path.
-  size_t Resume;    ///< Code offset to jump back to.
-  uint32_t IP;      ///< Decoded-instruction index for ssJitInterpOne.
+  std::vector<size_t> JccHoles; ///< rel32 holes of the fast path's exits.
+  size_t Resume = 0;            ///< Code offset to jump back to.
+  uint32_t IP = 0;              ///< Decoded-instruction index for the shim.
 };
+
+int32_t ctxOffset(size_t Off) { return static_cast<int32_t>(Off); }
 
 } // namespace
 
@@ -458,15 +496,24 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
   E.u8(0x48); E.u8(0x83); E.u8(0xEC); E.u8(0x08); // sub rsp, 8
   E.movRR(RBX, RSI); // rbx = Regs
   E.movRR(R13, RDI); // r13 = Ctx
-  auto loadCtxField = [&](uint8_t Dst, size_t Off) {
-    E.rex(true, Dst, 0, RDI);
-    E.u8(0x8B);
-    E.mem(Dst, RDI, static_cast<int32_t>(Off));
+  E.loadMem(R14, RDI, ctxOffset(offsetof(JitContext, FuelLeft)));
+  E.loadMem(R15, RDI, ctxOffset(offsetof(JitContext, StackHost)));
+  E.loadMem(R12, RDI, ctxOffset(offsetof(JitContext, StackTouchedLo)));
+  E.loadMem(RBP, RDI, ctxOffset(offsetof(JitContext, StackTouchedHi)));
+
+  // Opens an out-of-line shim path for instruction IP: the fast path jumps
+  // to it on condition Cc (patched once the ool section is laid out).
+  auto oolExit = [&](uint8_t Cc, uint32_t IP) {
+    if (Ools.empty() || Ools.back().IP != IP)
+      Ools.push_back({{}, 0, IP});
+    Ools.back().JccHoles.push_back(E.jccHole(Cc));
   };
-  loadCtxField(R14, offsetof(JitContext, FuelLeft));
-  loadCtxField(R15, offsetof(JitContext, StackHost));
-  loadCtxField(R12, offsetof(JitContext, StackTouchedLo));
-  loadCtxField(RBP, offsetof(JitContext, StackTouchedHi));
+  // Observer callbacks (alloca, observed gep) live in the shim: with a
+  // LayoutObserver bound, those stencils leave through it.
+  auto exitIfObserved = [&](uint32_t IP) {
+    E.cmpMemZero(R13, ctxOffset(offsetof(JitContext, Observed)));
+    oolExit(CC_NE, IP);
+  };
 
   //===--- per-instruction stencils --------------------------------------===//
   for (uint32_t IP = 0; IP != DF.Insts.size(); ++IP) {
@@ -603,13 +650,21 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       E.storeSlot(DI.Dest, RAX);
       break;
     }
-    case DecodedOp::GepConst: {
+    case DecodedOp::GepConst:
+    case DecodedOp::GepConstObs: {
+      if (DI.Op == DecodedOp::GepConstObs)
+        exitIfObserved(IP);
       E.loadSlot(RAX, DI.A);
       E.addImm(RAX, DI.Imm, RDX);
       E.storeSlot(DI.Dest, RAX);
+      if (DI.Op == DecodedOp::GepConstObs)
+        Ools.back().Resume = E.pos();
       break;
     }
-    case DecodedOp::GepIndex: {
+    case DecodedOp::GepIndex:
+    case DecodedOp::GepIndexObs: {
+      if (DI.Op == DecodedOp::GepIndexObs)
+        exitIfObserved(IP);
       E.loadSlot(RAX, DI.A);
       E.loadSlot(RDX, DI.B);
       if (DI.C <= static_cast<uint32_t>(std::numeric_limits<int32_t>::max()))
@@ -623,6 +678,42 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       E.addRR(RAX, RDX);
       E.addImm(RAX, DI.Imm, RDX);
       E.storeSlot(DI.Dest, RAX);
+      if (DI.Op == DecodedOp::GepIndexObs)
+        Ools.back().Resume = E.pos();
+      break;
+    }
+    case DecodedOp::AllocaStatic: {
+      // Interpreter::materializeAlloca for one element, without observer:
+      // every failing check leaves through the shim before StackPointer
+      // moves, so the shim re-runs the checks and traps identically.
+      const auto *Alloca = cast<AllocaInst>(DI.Src);
+      uint64_t Bytes = Alloca->getAllocatedType()->sizeInBytes();
+      uint64_t Align = Alloca->getAlign();
+      if (Bytes > MemoryMap::StackSize || Align == 0 ||
+          (Align & (Align - 1)) != 0 || Align > (uint64_t(1) << 30)) {
+        E.callShim3(InterpOne, IP);
+        E.testEax();
+        E.jccLabel(CC_NZ, Label::TrapExit);
+        break;
+      }
+      exitIfObserved(IP);
+      E.loadMem(RDX, R13, ctxOffset(offsetof(JitContext, StackPointer)));
+      E.loadMem(RAX, RDX, 0);
+      E.cmpImm32(RAX, static_cast<uint32_t>(MemoryMap::StackBase + Bytes));
+      oolExit(CC_B, IP);
+      if (Bytes)
+        E.aluImm32(5, RAX, static_cast<uint32_t>(Bytes)); // sub
+      if (Align > 1)
+        E.aluImm32(4, RAX, static_cast<uint32_t>(-static_cast<int64_t>(Align)));
+      E.cmpImm32(RAX, static_cast<uint32_t>(MemoryMap::StackBase));
+      oolExit(CC_B, IP);
+      E.storeMem(RDX, 0, RAX);
+      E.loadMem(RSI, R13, ctxOffset(offsetof(JitContext, StackLowWater)));
+      E.cmpRegMem(RAX, RSI, 0); // if (SP < LowWater) LowWater = SP
+      E.jccRel8(CC_AE, 3);
+      E.storeMem(RSI, 0, RAX); // 3 bytes
+      E.storeSlot(DI.Dest, RAX);
+      Ools.back().Resume = E.pos();
       break;
     }
     case DecodedOp::Load: {
@@ -633,24 +724,8 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       E.u8(0x8D);
       E.mem(RCX, RAX, -static_cast<int32_t>(MemoryMap::StackBase));
       E.cmpImm32(RCX, static_cast<uint32_t>(MemoryMap::StackSize - W));
-      Ools.push_back({E.jccHole(CC_A), 0, IP});
-      if (W == 1) { // movzx eax, byte [r15 + rcx]
-        E.rex(false, RAX, RCX, R15);
-        E.u8(0x0F); E.u8(0xB6);
-        E.memIndex(RAX, R15, RCX);
-      } else if (W == 2) { // movzx eax, word [r15 + rcx]
-        E.rex(false, RAX, RCX, R15);
-        E.u8(0x0F); E.u8(0xB7);
-        E.memIndex(RAX, R15, RCX);
-      } else if (W == 4) { // mov eax, dword [r15 + rcx]
-        E.rex(false, RAX, RCX, R15);
-        E.u8(0x8B);
-        E.memIndex(RAX, R15, RCX);
-      } else { // mov rax, qword [r15 + rcx]
-        E.rex(true, RAX, RCX, R15);
-        E.u8(0x8B);
-        E.memIndex(RAX, R15, RCX);
-      }
+      oolExit(CC_A, IP);
+      E.loadIndexed(W, R15);
       E.storeSlot(DI.Dest, RAX);
       Ools.back().Resume = E.pos();
       break;
@@ -662,7 +737,7 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       E.u8(0x8D);
       E.mem(RCX, RAX, -static_cast<int32_t>(MemoryMap::StackBase));
       E.cmpImm32(RCX, static_cast<uint32_t>(MemoryMap::StackSize - W));
-      Ools.push_back({E.jccHole(CC_A), 0, IP});
+      oolExit(CC_A, IP);
       if (W == 1) { // mov byte [r15 + rcx], dl
         E.rex(false, RDX, RCX, R15);
         E.u8(0x88);
@@ -731,7 +806,24 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
 
   //===--- out-of-line slow paths ----------------------------------------===//
   for (const OolBlock &B : Ools) {
-    E.patchRel32(B.JccHole, E.pos());
+    for (size_t Hole : B.JccHoles)
+      E.patchRel32(Hole, E.pos());
+    const DecodedInst &DI = DF.Insts[B.IP];
+    if (DI.Op == DecodedOp::Load) {
+      // Off the stack: retry against the read-only segment, where the
+      // hardened prologue's P-BOX lives. rax still holds the address.
+      unsigned W = DI.Width;
+      E.rex(true, RCX, 0, RAX); // lea rcx, [rax - RODataBase]
+      E.u8(0x8D);
+      E.mem(RCX, RAX, -static_cast<int32_t>(MemoryMap::RODataBase));
+      E.cmpImm32(RCX, static_cast<uint32_t>(MemoryMap::RODataSize - W));
+      size_t NotRO = E.jccHole(CC_A);
+      E.loadMem(RSI, R13, ctxOffset(offsetof(JitContext, RODataHost)));
+      E.loadIndexed(W, RSI);
+      E.storeSlot(DI.Dest, RAX);
+      E.patchRel32(E.jmpHole(), B.Resume);
+      E.patchRel32(NotRO, E.pos());
+    }
     E.callShim3(InterpOne, B.IP);
     E.testEax();
     E.jccLabel(CC_NZ, Label::TrapExit);

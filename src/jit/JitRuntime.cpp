@@ -8,7 +8,7 @@
 // ssJitInterpOne executes exactly one DecodedInst with the interpreter's
 // own semantics — the case bodies below are the decoded dispatch loop of
 // Interpreter::callDecoded, case for case, sharing its helpers
-// (materializeAlloca, dispatchBuiltin, SimMemory, vm/SlotBits.h) through
+// (materializeAlloca, callSite, SimMemory, vm/SlotBits.h) through
 // the JitShims friendship. That construction is what makes "bit-identical
 // to the decoded engine" a structural property instead of a test wish:
 // anything subtle (RNG draw order inside builtins, trap messages, signed
@@ -30,7 +30,6 @@
 #include "vm/SlotBits.h"
 
 #include <cstdint>
-#include <vector>
 
 namespace smokestack {
 
@@ -67,8 +66,8 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
     return 0;
   }
   case DecodedOp::Load: {
-    // Out-of-stack-segment tail of the inlined fast path (globals, heap,
-    // rodata, unmapped).
+    // Tail of the inlined stack and rodata fast paths (globals, heap,
+    // unmapped).
     uint64_t Bits = 0;
     if (!I.Memory.loadInt(Regs[DI.A], DI.Width, Bits)) {
       Result.Trap = I.Memory.getTrap();
@@ -285,23 +284,12 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
     Regs[DI.Dest] = Regs[DI.A] ? Regs[DI.B] : Regs[DI.C];
     return 0;
   case DecodedOp::Call: {
-    const DecodedCallSite &CS = DF.CallSites[DI.A];
-    std::vector<uint64_t> CallArgs;
-    CallArgs.reserve(CS.NumArgs);
-    for (uint32_t J = 0; J != CS.NumArgs; ++J)
-      CallArgs.push_back(Regs[DF.CallArgRegs[CS.ArgStart + J]]);
+    // A direct call re-enters callDecoded, so a hot callee runs its own
+    // compiled body and a cold one stays interpreted — tiering nests.
     uint64_t RetValue = 0;
-    if (CS.IsBuiltin) {
-      if (!I.dispatchBuiltin(CS.Callee, CallArgs, RetValue, Result))
-        return 1;
-    } else {
-      // Recursion re-enters callDecoded, so a hot callee runs its own
-      // compiled body and a cold one stays interpreted — tiering nests.
-      RetValue = I.callDecoded(I.getDecoded(CS.Callee), CallArgs, Result,
-                               static_cast<unsigned>(Ctx->Depth) + 1);
-      if (Result.Trap != TrapKind::None)
-        return 1;
-    }
+    if (!I.callSite(DF, DF.CallSites[DI.A], Regs,
+                    static_cast<unsigned>(Ctx->Depth), RetValue, Result))
+      return 1;
     if (DI.Dest != DecodedInst::NoReg)
       Regs[DI.Dest] = DI.Width ? maskToWidth(RetValue, DI.Width) : RetValue;
     return 0;

@@ -6,6 +6,9 @@
 
 #include "rng/RandomSource.h"
 
+#include "rng/AesCtr.h"
+#include "rng/Pseudo.h"
+#include "rng/RdRand.h"
 #include "support/ErrorHandling.h"
 #include "support/Statistics.h"
 
@@ -74,4 +77,18 @@ const char *smokestack::securityLevelName(SecurityLevel Level) {
     return "High";
   }
   smokestack_unreachable("unknown security level");
+}
+
+std::unique_ptr<RandomSource>
+smokestack::makeRandomSource(const std::string &Scheme,
+                             EntropySource &Entropy) {
+  if (Scheme == "pseudo")
+    return std::make_unique<PseudoRandomSource>(Entropy);
+  if (Scheme == "aes1")
+    return std::make_unique<AesCtrRandomSource>(Entropy, 1);
+  if (Scheme == "aes10")
+    return std::make_unique<AesCtrRandomSource>(Entropy, 10);
+  if (Scheme == "rdrand")
+    return std::make_unique<RdRandSource>(Entropy);
+  return nullptr;
 }

@@ -35,6 +35,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <string>
 
 namespace smokestack {
 
@@ -158,6 +159,13 @@ private:
   uint64_t Refills = 0;
   DrawStatus LastStatus = DrawStatus::Ok;
 };
+
+class EntropySource;
+
+/// The source of scheme \p Scheme — "pseudo", "aes1", "aes10" or "rdrand"
+/// — seeded from \p Entropy, or nullptr for any other name.
+std::unique_ptr<RandomSource> makeRandomSource(const std::string &Scheme,
+                                               EntropySource &Entropy);
 
 } // namespace smokestack
 

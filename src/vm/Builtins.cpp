@@ -21,12 +21,15 @@
 ///
 //===----------------------------------------------------------------------===//
 
+#include "vm/Builtins.h"
+
 #include "ir/Module.h"
 #include "rng/RandomSource.h"
 #include "support/Format.h"
 #include "vm/Interpreter.h"
 
 #include <cstring>
+#include <iterator>
 
 using namespace smokestack;
 
@@ -46,17 +49,57 @@ bool writeBytes(SimMemory &Memory, uint64_t Addr, const void *Data,
   return true;
 }
 
+/// Name and required argument count of every BuiltinId, in enum order.
+struct BuiltinInfo {
+  const char *Name;
+  unsigned MinArgs;
+};
+constexpr BuiltinInfo Builtins[] = {
+    {"", 0},                // None
+    {"smokestack.rand", 0}, // Rand
+    {"smokestack.trap", 1}, // Trap
+    {"malloc", 1},
+    {"free", 1},
+    {"memset", 3},
+    {"memcpy", 3},
+    {"strlen", 1},
+    {"strcpy", 2},
+    {"strncpy", 3},
+    {"sstrncpy", 3},
+    {"get_input", 1},
+    {"get_input_n", 2},
+    {"input_remaining", 0},
+    {"print_i64", 1},
+    {"print_str", 1},
+    {"snprintf", 3},
+    {"abort", 0},
+    {"", 0}, // Unknown
+};
+static_assert(std::size(Builtins) ==
+                  static_cast<size_t>(BuiltinId::Unknown) + 1,
+              "one BuiltinInfo per BuiltinId");
+
 } // namespace
 
-bool Interpreter::builtinSnprintf(const std::vector<uint64_t> &Args,
+BuiltinId smokestack::builtinIdFor(const std::string &Name) {
+  for (size_t I = 1; I != static_cast<size_t>(BuiltinId::Unknown); ++I)
+    if (Name == Builtins[I].Name)
+      return static_cast<BuiltinId>(I);
+  return BuiltinId::Unknown;
+}
+
+const char *smokestack::builtinName(BuiltinId Id) {
+  return Builtins[static_cast<size_t>(Id)].Name;
+}
+
+unsigned smokestack::builtinMinArgs(BuiltinId Id) {
+  return Builtins[static_cast<size_t>(Id)].MinArgs;
+}
+
+bool Interpreter::builtinSnprintf(std::span<const uint64_t> Args,
                                   uint64_t &RetValue, ExecResult &Result) {
   // snprintf(buf, size, fmt, ...). Supports %s %d %u %c %x %lld %% — the
   // directives the vulnerable code paths use.
-  if (Args.size() < 3) {
-    Result.Trap = TrapKind::BadCall;
-    Result.Message = "snprintf needs at least (buf, size, fmt)";
-    return false;
-  }
   uint64_t Buf = Args[0];
   uint64_t Size = Args[1];
   std::string Fmt;
@@ -139,10 +182,9 @@ bool Interpreter::builtinSnprintf(const std::vector<uint64_t> &Args,
   return true;
 }
 
-bool Interpreter::dispatchBuiltin(Function *Callee,
-                                  const std::vector<uint64_t> &Args,
+bool Interpreter::dispatchBuiltin(BuiltinId Id, const Function &Callee,
+                                  std::span<const uint64_t> Args,
                                   uint64_t &RetValue, ExecResult &Result) {
-  const std::string &Name = Callee->getName();
   RetValue = 0;
 
   auto TrapFromMemory = [&]() {
@@ -151,7 +193,21 @@ bool Interpreter::dispatchBuiltin(Function *Callee,
     return false;
   };
 
-  if (Name == "smokestack.rand") {
+  // Every case below may index Args up to its id's required count.
+  // (snprintf always checked its own prefix and keeps that message.)
+  if (Args.size() < builtinMinArgs(Id)) {
+    Result.Trap = TrapKind::BadCall;
+    Result.Message =
+        Id == BuiltinId::Snprintf
+            ? "snprintf needs at least (buf, size, fmt)"
+            : formatString("'%s' takes at least %u argument(s), %zu given",
+                           Callee.getName().c_str(), builtinMinArgs(Id),
+                           Args.size());
+    return false;
+  }
+
+  switch (Id) {
+  case BuiltinId::Rand:
     if (!Rng) {
       Result.Trap = TrapKind::BadCall;
       Result.Message = "smokestack.rand called with no bound RandomSource";
@@ -169,14 +225,12 @@ bool Interpreter::dispatchBuiltin(Function *Callee,
       return false;
     }
     return true;
-  }
 
-  if (Name == "smokestack.trap") {
-    uint64_t Code = Args.empty() ? 0 : Args[0];
-    if (Code == 1) {
+  case BuiltinId::Trap:
+    if (Args[0] == 1) {
       Result.Trap = TrapKind::FunctionIdViolation;
       Result.Message = "smokestack function-identifier check failed";
-    } else if (Code == 2) {
+    } else if (Args[0] == 2) {
       Result.Trap = TrapKind::CanaryViolation;
       Result.Message = "stack canary check failed";
     } else {
@@ -184,17 +238,16 @@ bool Interpreter::dispatchBuiltin(Function *Callee,
       Result.Message = "explicit trap";
     }
     return false;
-  }
 
-  if (Name == "malloc") {
-    RetValue = Memory.heapAlloc(Args.at(0));
+  case BuiltinId::Malloc:
+    RetValue = Memory.heapAlloc(Args[0]);
     return true;
-  }
-  if (Name == "free")
+
+  case BuiltinId::Free:
     return true; // bump allocator: no-op
 
-  if (Name == "memset") {
-    uint64_t Dst = Args.at(0), Byte = Args.at(1), N = Args.at(2);
+  case BuiltinId::Memset: {
+    uint64_t Dst = Args[0], Byte = Args[1], N = Args[2];
     std::vector<uint8_t> Fill(N, static_cast<uint8_t>(Byte));
     if (!writeBytes(Memory, Dst, Fill.data(), N, Result))
       return false;
@@ -202,8 +255,8 @@ bool Interpreter::dispatchBuiltin(Function *Callee,
     return true;
   }
 
-  if (Name == "memcpy") {
-    uint64_t Dst = Args.at(0), Src = Args.at(1), N = Args.at(2);
+  case BuiltinId::Memcpy: {
+    uint64_t Dst = Args[0], Src = Args[1], N = Args[2];
     std::vector<uint8_t> Tmp(N);
     if (N && !Memory.read(Src, Tmp.data(), N))
       return TrapFromMemory();
@@ -213,115 +266,117 @@ bool Interpreter::dispatchBuiltin(Function *Callee,
     return true;
   }
 
-  if (Name == "strlen") {
+  case BuiltinId::Strlen: {
     std::string Str;
-    if (!Memory.readCString(Args.at(0), Str))
+    if (!Memory.readCString(Args[0], Str))
       return TrapFromMemory();
     RetValue = Str.size();
     return true;
   }
 
-  if (Name == "strcpy") {
+  case BuiltinId::Strcpy: {
     // Classic unbounded copy.
     std::string Str;
-    if (!Memory.readCString(Args.at(1), Str))
+    if (!Memory.readCString(Args[1], Str))
       return TrapFromMemory();
-    if (!writeBytes(Memory, Args.at(0), Str.c_str(), Str.size() + 1, Result))
+    if (!writeBytes(Memory, Args[0], Str.c_str(), Str.size() + 1, Result))
       return false;
-    RetValue = Args.at(0);
+    RetValue = Args[0];
     return true;
   }
 
-  if (Name == "strncpy") {
+  case BuiltinId::Strncpy: {
     std::string Str;
-    if (!Memory.readCString(Args.at(1), Str))
+    if (!Memory.readCString(Args[1], Str))
       return TrapFromMemory();
-    uint64_t N = Args.at(2);
+    uint64_t N = Args[2];
     std::vector<uint8_t> Tmp(N, 0);
     std::memcpy(Tmp.data(), Str.data(), Str.size() < N ? Str.size() : N);
-    if (!writeBytes(Memory, Args.at(0), Tmp.data(), N, Result))
+    if (!writeBytes(Memory, Args[0], Tmp.data(), N, Result))
       return false;
-    RetValue = Args.at(0);
+    RetValue = Args[0];
     return true;
   }
 
-  if (Name == "sstrncpy") {
+  case BuiltinId::Sstrncpy: {
     // ProFTPD's sstrncpy(dst, src, len): copies at most len-1 bytes and
     // NUL-terminates. CVE-2006-5815: a non-positive len underflows the
     // bound and the copy runs to the source's end, unbounded by dst.
     std::string Str;
-    if (!Memory.readCString(Args.at(1), Str))
+    if (!Memory.readCString(Args[1], Str))
       return TrapFromMemory();
-    int64_t N = static_cast<int64_t>(Args.at(2));
+    int64_t N = static_cast<int64_t>(Args[2]);
     uint64_t ToCopy = N <= 0 ? Str.size()
                              : (Str.size() < static_cast<uint64_t>(N - 1)
                                     ? Str.size()
                                     : static_cast<uint64_t>(N - 1));
-    if (!writeBytes(Memory, Args.at(0), Str.data(), ToCopy, Result))
+    if (!writeBytes(Memory, Args[0], Str.data(), ToCopy, Result))
       return false;
     uint8_t Nul = 0;
-    if (!writeBytes(Memory, Args.at(0) + ToCopy, &Nul, 1, Result))
+    if (!writeBytes(Memory, Args[0] + ToCopy, &Nul, 1, Result))
       return false;
-    RetValue = Args.at(0);
+    RetValue = Args[0];
     return true;
   }
 
-  if (Name == "get_input") {
+  case BuiltinId::GetInput: {
     // Unbounded read of the next input record — the canonical vulnerable
     // input function from the paper's Listing 1.
     if (InputQueue.empty())
       return true; // RetValue stays 0
     std::vector<uint8_t> Record = std::move(InputQueue.front());
     InputQueue.pop_front();
-    if (!writeBytes(Memory, Args.at(0), Record.data(), Record.size(), Result))
+    if (!writeBytes(Memory, Args[0], Record.data(), Record.size(), Result))
       return false;
     RetValue = Record.size();
     return true;
   }
 
-  if (Name == "get_input_n") {
+  case BuiltinId::GetInputN: {
     // Bounds-checked variant (a patched program would use this).
     if (InputQueue.empty())
       return true;
     std::vector<uint8_t> Record = std::move(InputQueue.front());
     InputQueue.pop_front();
-    uint64_t Max = Args.at(1);
+    uint64_t Max = Args[1];
     uint64_t ToCopy = Record.size() < Max ? Record.size() : Max;
-    if (!writeBytes(Memory, Args.at(0), Record.data(), ToCopy, Result))
+    if (!writeBytes(Memory, Args[0], Record.data(), ToCopy, Result))
       return false;
     RetValue = ToCopy;
     return true;
   }
 
-  if (Name == "input_remaining") {
+  case BuiltinId::InputRemaining:
     RetValue = InputQueue.size();
     return true;
-  }
 
-  if (Name == "print_i64") {
-    Output += formatString("%lld\n", (long long)(int64_t)Args.at(0));
+  case BuiltinId::PrintI64:
+    Output += formatString("%lld\n", (long long)(int64_t)Args[0]);
     return true;
-  }
 
-  if (Name == "print_str") {
+  case BuiltinId::PrintStr: {
     std::string Str;
-    if (!Memory.readCString(Args.at(0), Str))
+    if (!Memory.readCString(Args[0], Str))
       return TrapFromMemory();
     Output += Str;
     Output.push_back('\n');
     return true;
   }
 
-  if (Name == "snprintf")
+  case BuiltinId::Snprintf:
     return builtinSnprintf(Args, RetValue, Result);
 
-  if (Name == "abort") {
+  case BuiltinId::Abort:
     Result.Trap = TrapKind::ExplicitTrap;
     Result.Message = "abort() called";
     return false;
+
+  case BuiltinId::None:
+  case BuiltinId::Unknown:
+    break;
   }
 
   Result.Trap = TrapKind::BadCall;
-  Result.Message = "unknown builtin: " + Name;
+  Result.Message = "unknown builtin: " + Callee.getName();
   return false;
 }

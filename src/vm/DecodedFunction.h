@@ -29,6 +29,8 @@
 #ifndef SMOKESTACK_VM_DECODEDFUNCTION_H
 #define SMOKESTACK_VM_DECODEDFUNCTION_H
 
+#include "vm/Builtins.h"
+
 #include <cstdint>
 #include <vector>
 
@@ -105,20 +107,29 @@ struct DecodedInst {
   const Instruction *Src = nullptr;
 };
 
+struct DecodedFunction;
+
 /// One direct call site; argument registers live in
 /// DecodedFunction::CallArgRegs[ArgStart .. ArgStart+NumArgs).
 struct DecodedCallSite {
   Function *Callee = nullptr;
+  /// The callee's decoded form, resolved once by the DecodedProgram that
+  /// owns both functions. nullptr for builtins and for per-interpreter
+  /// decodes, which resolve through Interpreter::getDecoded instead.
+  const DecodedFunction *CalleeDF = nullptr;
   uint32_t ArgStart = 0;
   uint32_t NumArgs = 0;
-  /// True when the callee is a declaration dispatched by builtin name.
-  bool IsBuiltin = false;
+  /// The builtin a declaration callee dispatches to (resolved from its
+  /// name at decode time); BuiltinId::None for definitions.
+  BuiltinId Builtin = BuiltinId::None;
 };
 
 /// A function lowered for the decoded engine. Immutable after decode; one
 /// per (Interpreter, Function) pair, produced lazily on first call.
 struct DecodedFunction {
   Function *F = nullptr;
+  /// F's position in its module, the dense key of the JIT code cache.
+  uint32_t Index = 0;
   std::vector<DecodedInst> Insts;
   /// Pre-materialized constants, copied to Regs[NumMutable..NumSlots) on
   /// every entry. ConstantInt bits are pre-masked to their type width,

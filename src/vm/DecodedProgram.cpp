@@ -58,8 +58,15 @@ DecodedProgram::DecodedProgram(Module &M)
     Function *F = M.getFunctionAt(I);
     if (F->isDeclaration())
       continue;
-    Decoded.emplace(F, decodeFunction(*F, GlobalAddresses));
+    Decoded.emplace(F, decodeFunction(*F, GlobalAddresses,
+                                      static_cast<uint32_t>(I)));
     ++NumSharedDecodes;
   }
+  // Every definition is decoded now, so direct calls can bind their
+  // callee's decoded form once instead of looking it up on every call.
+  for (auto &Entry : Decoded)
+    for (DecodedCallSite &CS : Entry.second->CallSites)
+      if (CS.Builtin == BuiltinId::None)
+        CS.CalleeDF = find(CS.Callee);
   ++NumSharedPrograms;
 }

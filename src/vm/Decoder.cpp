@@ -72,8 +72,9 @@ class FunctionDecoder {
 public:
   FunctionDecoder(
       Function &F,
-      const std::unordered_map<std::string, uint64_t> &GlobalAddresses)
-      : F(F), GlobalAddresses(GlobalAddresses) {}
+      const std::unordered_map<std::string, uint64_t> &GlobalAddresses,
+      uint32_t Index)
+      : F(F), GlobalAddresses(GlobalAddresses), Index(Index) {}
 
   std::unique_ptr<DecodedFunction> decode();
 
@@ -86,6 +87,7 @@ private:
 
   Function &F;
   const std::unordered_map<std::string, uint64_t> &GlobalAddresses;
+  uint32_t Index;
   std::unique_ptr<DecodedFunction> DF;
   std::unordered_map<const Value *, uint32_t> RegIndex;
   std::unordered_map<uint64_t, uint32_t> PoolIndex;
@@ -319,7 +321,8 @@ DecodedInst FunctionDecoder::decodeInst(const Instruction *Inst) {
     DI.A = static_cast<uint32_t>(DF->CallSites.size());
     DecodedCallSite CS;
     CS.Callee = Call->getCallee();
-    CS.IsBuiltin = CS.Callee->isDeclaration();
+    if (CS.Callee->isDeclaration())
+      CS.Builtin = builtinIdFor(CS.Callee->getName());
     CS.ArgStart = static_cast<uint32_t>(DF->CallArgRegs.size());
     CS.NumArgs = Call->getNumArgs();
     for (unsigned I = 0, E = Call->getNumArgs(); I != E; ++I)
@@ -351,6 +354,7 @@ std::unique_ptr<DecodedFunction> FunctionDecoder::decode() {
   assert(!F.isDeclaration() && "cannot decode a declaration");
   DF = std::make_unique<DecodedFunction>();
   DF->F = &F;
+  DF->Index = Index;
 
   // Register numbering: arguments first, then value-producing instructions
   // in block order — identical to the tree-walk engine's Numbering.
@@ -383,6 +387,7 @@ std::unique_ptr<DecodedFunction> FunctionDecoder::decode() {
 
 std::unique_ptr<DecodedFunction> smokestack::decodeFunction(
     Function &F,
-    const std::unordered_map<std::string, uint64_t> &GlobalAddresses) {
-  return FunctionDecoder(F, GlobalAddresses).decode();
+    const std::unordered_map<std::string, uint64_t> &GlobalAddresses,
+    uint32_t Index) {
+  return FunctionDecoder(F, GlobalAddresses, Index).decode();
 }

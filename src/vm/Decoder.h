@@ -26,10 +26,12 @@
 namespace smokestack {
 
 /// Lowers \p F (which must be a definition) into its decoded form.
-/// \p GlobalAddresses maps module globals to their simulated addresses.
+/// \p GlobalAddresses maps module globals to their simulated addresses;
+/// \p Index is F's position in its module (DecodedFunction::Index).
 std::unique_ptr<DecodedFunction>
 decodeFunction(Function &F,
-               const std::unordered_map<std::string, uint64_t> &GlobalAddresses);
+               const std::unordered_map<std::string, uint64_t> &GlobalAddresses,
+               uint32_t Index);
 
 } // namespace smokestack
 

@@ -133,8 +133,14 @@ const DecodedFunction &Interpreter::getDecoded(Function *F) {
     if (const DecodedFunction *DF = SharedProgram->find(F))
       return *DF;
   auto It = DecodedCache.find(F);
-  if (It == DecodedCache.end())
-    It = DecodedCache.emplace(F, decodeFunction(*F, GlobalAddresses)).first;
+  if (It == DecodedCache.end()) {
+    uint32_t Index = 0;
+    for (size_t E = M.getNumFunctions();
+         Index != E && M.getFunctionAt(Index) != F;)
+      ++Index;
+    It = DecodedCache.emplace(F, decodeFunction(*F, GlobalAddresses, Index))
+             .first;
+  }
   return *It->second;
 }
 
@@ -214,6 +220,8 @@ ExecResult Interpreter::run(const std::string &FuncName,
     if (RegisterPool.size() < Opts.MaxCallDepth + 1)
       RegisterPool.resize(Opts.MaxCallDepth + 1);
     Result.ReturnValue = callDecoded(getDecoded(F), Args, Result, 0);
+    if (Jit)
+      Jit->flushStats();
   } else {
     Result.ReturnValue = callFunction(F, Args, Result, 0);
   }
@@ -613,7 +621,8 @@ uint64_t Interpreter::callFunction(Function *F,
         CallArgs.push_back(getValue(Fr, Call->getArg(I)));
       uint64_t RetValue = 0;
       if (Callee->isDeclaration()) {
-        if (!dispatchBuiltin(Callee, CallArgs, RetValue, Result))
+        if (!dispatchBuiltin(builtinIdFor(Callee->getName()), *Callee,
+                             CallArgs, RetValue, Result))
           break;
       } else {
         RetValue = callFunction(Callee, CallArgs, Result, Depth + 1);
@@ -644,8 +653,36 @@ uint64_t Interpreter::callFunction(Function *F,
   return 0;
 }
 
+bool Interpreter::callSite(const DecodedFunction &DF,
+                           const DecodedCallSite &CS, const uint64_t *Regs,
+                           unsigned Depth, uint64_t &RetValue,
+                           ExecResult &Result) {
+  // Arguments are copied out of the caller's register file (the callee's
+  // file at Depth+1 is rebuilt on entry); a stack buffer covers every
+  // call of the shipped modules, longer argument lists spill to the heap.
+  constexpr uint32_t InlineArgs = 8;
+  uint64_t Inline[InlineArgs] = {};
+  std::vector<uint64_t> Spill;
+  uint64_t *Buf = Inline;
+  if (CS.NumArgs > InlineArgs) {
+    Spill.resize(CS.NumArgs);
+    Buf = Spill.data();
+  }
+  const uint32_t *ArgRegs = DF.CallArgRegs.data() + CS.ArgStart;
+  for (uint32_t I = 0; I != CS.NumArgs; ++I)
+    Buf[I] = Regs[ArgRegs[I]];
+  std::span<const uint64_t> Args(Buf, CS.NumArgs);
+
+  if (CS.Builtin != BuiltinId::None)
+    return dispatchBuiltin(CS.Builtin, *CS.Callee, Args, RetValue, Result);
+  const DecodedFunction &Callee =
+      CS.CalleeDF ? *CS.CalleeDF : getDecoded(CS.Callee);
+  RetValue = callDecoded(Callee, Args, Result, Depth + 1);
+  return Result.Trap == TrapKind::None;
+}
+
 uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
-                                  const std::vector<uint64_t> &Args,
+                                  std::span<const uint64_t> Args,
                                   ExecResult &Result, unsigned Depth) {
   Function *F = DF.F;
   if (Depth > Opts.MaxCallDepth) {
@@ -659,8 +696,9 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
   // pool, so this reference stays valid through recursive calls.
   std::vector<uint64_t> &Regs = RegisterPool[Depth];
   Regs.assign(DF.NumSlots, 0);
-  std::memcpy(Regs.data() + DF.NumMutable, DF.ConstPool.data(),
-              DF.ConstPool.size() * sizeof(uint64_t));
+  if (!DF.ConstPool.empty()) // an empty pool's data() may be null
+    std::memcpy(Regs.data() + DF.NumMutable, DF.ConstPool.data(),
+                DF.ConstPool.size() * sizeof(uint64_t));
   assert(Args.size() == F->getNumArgs() && "argument count mismatch");
   for (size_t I = 0, E = Args.size(); I != E; ++I)
     Regs[I] = DF.ArgWidths[I] ? maskToWidth(Args[I], DF.ArgWidths[I])
@@ -687,6 +725,10 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       Ctx.StackHost = SV.Host;
       Ctx.StackTouchedLo = SV.TouchedLo;
       Ctx.StackTouchedHi = SV.TouchedHi;
+      Ctx.RODataHost = Memory.jitRODataHost();
+      Ctx.StackPointer = &StackPointer;
+      Ctx.StackLowWater = &StackLowWater;
+      Ctx.Observed = TheObserver != nullptr;
       uint64_t Trapped = Fn(&Ctx, Regs.data());
       StackPointer = SavedStackPointer;
       return Trapped ? 0 : Ctx.RetValue;
@@ -945,21 +987,10 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       IP = Regs[DI.A] ? DI.B : DI.C;
       continue;
     case DecodedOp::Call: {
-      const DecodedCallSite &CS = DF.CallSites[DI.A];
-      std::vector<uint64_t> CallArgs;
-      CallArgs.reserve(CS.NumArgs);
-      for (uint32_t I = 0; I != CS.NumArgs; ++I)
-        CallArgs.push_back(Regs[DF.CallArgRegs[CS.ArgStart + I]]);
       uint64_t RetValue = 0;
-      if (CS.IsBuiltin) {
-        if (!dispatchBuiltin(CS.Callee, CallArgs, RetValue, Result))
-          break;
-      } else {
-        RetValue = callDecoded(getDecoded(CS.Callee), CallArgs, Result,
-                               Depth + 1);
-        if (Result.Trap != TrapKind::None)
-          break;
-      }
+      if (!callSite(DF, DF.CallSites[DI.A], Regs.data(), Depth, RetValue,
+                    Result))
+        break;
       if (DI.Dest != DecodedInst::NoReg)
         Regs[DI.Dest] = DI.Width ? maskToWidth(RetValue, DI.Width) : RetValue;
       continue;

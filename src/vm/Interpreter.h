@@ -23,11 +23,13 @@
 #define SMOKESTACK_VM_INTERPRETER_H
 
 #include "ir/Module.h"
+#include "vm/Builtins.h"
 #include "vm/SimMemory.h"
 
 #include <atomic>
 #include <deque>
 #include <memory>
+#include <span>
 #include <unordered_map>
 
 namespace smokestack {
@@ -35,6 +37,7 @@ namespace smokestack {
 class JitCache;
 struct JitShims;
 class RandomSource;
+struct DecodedCallSite;
 struct DecodedFunction;
 class DecodedProgram;
 struct VmSnapshot;
@@ -225,10 +228,18 @@ private:
   /// Decoded-engine twin of callFunction; dispatches over flat DecodedInst
   /// arrays with zero per-operand map lookups.
   uint64_t callDecoded(const DecodedFunction &DF,
-                       const std::vector<uint64_t> &Args, ExecResult &Result,
+                       std::span<const uint64_t> Args, ExecResult &Result,
                        unsigned Depth);
-  bool dispatchBuiltin(Function *Callee, const std::vector<uint64_t> &Args,
-                       uint64_t &RetValue, ExecResult &Result);
+  /// Executes call site \p CS of \p DF (a frame at \p Depth whose register
+  /// file is \p Regs): gathers the arguments without a heap allocation
+  /// and dispatches to the builtin or the callee. Shared by the decoded
+  /// dispatch loop and the JIT shim. Returns false on trap.
+  bool callSite(const DecodedFunction &DF, const DecodedCallSite &CS,
+                const uint64_t *Regs, unsigned Depth, uint64_t &RetValue,
+                ExecResult &Result);
+  bool dispatchBuiltin(BuiltinId Id, const Function &Callee,
+                       std::span<const uint64_t> Args, uint64_t &RetValue,
+                       ExecResult &Result);
   uint64_t materializeAlloca(const Function &F, const AllocaInst &Alloca,
                              uint64_t Count, ExecResult &Result);
 
@@ -239,7 +250,7 @@ private:
   void setValue(Frame &Fr, const Value *V, uint64_t Bits);
 
   // Builtin helpers.
-  bool builtinSnprintf(const std::vector<uint64_t> &Args, uint64_t &RetValue,
+  bool builtinSnprintf(std::span<const uint64_t> Args, uint64_t &RetValue,
                        ExecResult &Result);
 
   Module &M;

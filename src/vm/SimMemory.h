@@ -129,6 +129,11 @@ public:
             Stack.Mem.touchedHiSlot()};
   }
 
+  /// Host bytes of the read-only data segment (the P-BOX) for the JIT's
+  /// inlined loads. Stable like the stack's; a read has no touched-range
+  /// side effect, so a plain host read equals read().
+  const uint8_t *jitRODataHost() const { return ROData.Mem.data(); }
+
   /// Captures every segment's touched content plus the heap cursor into
   /// \p S (vm/Snapshot.h; implemented in Snapshot.cpp).
   void captureImage(VmSnapshot &S) const;

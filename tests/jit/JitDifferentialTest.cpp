@@ -23,6 +23,7 @@
 #include "ir/Verifier.h"
 #include "jit/JitAbi.h"
 #include "rng/AesCtr.h"
+#include "rng/RdRand.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -43,13 +44,15 @@ namespace {
 
 /// Runs \p FuncName under the decoded engine and under the JIT (compile on
 /// first call) and asserts result parity. Each engine gets its own
-/// interpreter and, when \p Seed is nonzero, an identically-seeded AES-10
-/// source so hardened modules draw identical layout streams — any
+/// interpreter and, when \p Seed is nonzero, an identically-seeded source
+/// of \p Scheme so hardened modules draw identical layout streams — any
 /// divergence in RNG draw *order* between the engines would desync the
-/// streams and fail loudly.
+/// streams and fail loudly. (rdrand draws from hardware: its layouts
+/// differ per engine, so only layout-independent results can match.)
 void expectJitParity(Module &M, const std::string &FuncName,
                      uint64_t Seed = 0,
-                     InterpreterOptions BaseOpts = InterpreterOptions()) {
+                     InterpreterOptions BaseOpts = InterpreterOptions(),
+                     const std::string &Scheme = "aes10") {
   InterpreterOptions DecodedOpts = BaseOpts;
   DecodedOpts.UseDecodedEngine = true;
   DecodedOpts.UseJit = false;
@@ -58,10 +61,12 @@ void expectJitParity(Module &M, const std::string &FuncName,
   JitOpts.JitThreshold = 0;
 
   DeterministicEntropySource DecodedEntropy(Seed), JitEntropy(Seed);
-  AesCtrRandomSource DecodedRng(DecodedEntropy, 10), JitRng(JitEntropy, 10);
+  std::unique_ptr<RandomSource> DecodedRng =
+      makeRandomSource(Scheme, DecodedEntropy);
+  std::unique_ptr<RandomSource> JitRng = makeRandomSource(Scheme, JitEntropy);
 
-  Interpreter DecodedVM(M, Seed ? &DecodedRng : nullptr, DecodedOpts);
-  Interpreter JitVM(M, Seed ? &JitRng : nullptr, JitOpts);
+  Interpreter DecodedVM(M, Seed ? DecodedRng.get() : nullptr, DecodedOpts);
+  Interpreter JitVM(M, Seed ? JitRng.get() : nullptr, JitOpts);
 
   ExecResult DecodedR = DecodedVM.run(FuncName);
   ExecResult JitR = JitVM.run(FuncName);
@@ -309,4 +314,306 @@ TEST(JitDifferentialTest, RepeatedRunsReuseCompiledCode) {
   EXPECT_EQ(First.Steps, Second.Steps);
   EXPECT_GT(CompiledAfterFirst, 0u);
   EXPECT_EQ(JitVM.jitCompiledFunctions(), CompiledAfterFirst);
+}
+
+namespace {
+
+/// main() loads a Width-byte integer from simulated address \p Addr and
+/// returns it zero-extended.
+void buildRawLoad(Module &M, uint64_t Addr, Type *Ty) {
+  IRBuilder B(M);
+  Function *F = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(F->createBlock("entry"));
+  Value *P = B.cast_(CastInst::CastOp::IntToPtr, B.ptr(), B.constI64(Addr));
+  Value *V = B.load(Ty, P);
+  B.ret(Ty == B.i64() ? V : B.zext(B.i64(), V));
+}
+
+std::vector<Type *> scalarTypes(IRBuilder &B) {
+  return {B.i8(), B.i16(), B.i32(), B.i64()};
+}
+
+} // namespace
+
+// The JIT reads the read-only segment (the P-BOX) inline when a load
+// misses the stack fast path; these pin that tail to SimMemory::read.
+
+TEST(JitDifferentialTest, RODataLoadWidthsParity) {
+  SKIP_WITHOUT_JIT();
+  Module M("t");
+  IRBuilder B(M);
+  std::vector<uint8_t> Init;
+  for (unsigned I = 0; I != 32; ++I)
+    Init.push_back(static_cast<uint8_t>(0x81 + 7 * I));
+  GlobalVariable *Table = M.createGlobal(
+      "table", B.getContext().getArrayTy(B.i8(), 32), Init, /*ReadOnly=*/true);
+  Function *F = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(F->createBlock("entry"));
+  // Unaligned offsets, one load per width, folded into one result.
+  Value *Acc = B.constI64(0);
+  int64_t Off = 1;
+  for (Type *Ty : scalarTypes(B)) {
+    Value *V = B.load(Ty, B.gepConst(Table, Off));
+    Acc = B.add(B.mul(Acc, B.constI64(31)),
+                Ty == B.i64() ? V : B.zext(B.i64(), V));
+    Off += 5;
+  }
+  B.ret(Acc);
+  expectJitParity(M, "main");
+
+  Interpreter VM(M);
+  ExecResult R = VM.run("main");
+  ASSERT_TRUE(R.ok()) << R.Message;
+  EXPECT_NE(R.ReturnValue, 0u);
+}
+
+TEST(JitDifferentialTest, RODataLoadEndingAtSegmentEndParity) {
+  SKIP_WITHOUT_JIT();
+  for (unsigned W : {1u, 2u, 4u, 8u}) {
+    Module M("t");
+    IRBuilder B(M);
+    Type *Ty = scalarTypes(B)[W == 1 ? 0 : W == 2 ? 1 : W == 4 ? 2 : 3];
+    buildRawLoad(M, MemoryMap::RODataBase + MemoryMap::RODataSize - W, Ty);
+    expectJitParity(M, "main");
+    InterpreterOptions Opts;
+    Opts.UseJit = true;
+    Opts.JitThreshold = 0;
+    Interpreter VM(M, nullptr, Opts);
+    ExecResult R = VM.run("main");
+    EXPECT_TRUE(R.ok()) << "width " << W << ": " << R.Message;
+  }
+}
+
+TEST(JitDifferentialTest, RODataLoadPastSegmentEndTrapsParity) {
+  SKIP_WITHOUT_JIT();
+  for (unsigned W : {1u, 2u, 4u, 8u}) {
+    Module M("t");
+    IRBuilder B(M);
+    Type *Ty = scalarTypes(B)[W == 1 ? 0 : W == 2 ? 1 : W == 4 ? 2 : 3];
+    buildRawLoad(M, MemoryMap::RODataBase + MemoryMap::RODataSize - W + 1,
+                 Ty);
+    expectJitParity(M, "main");
+    InterpreterOptions Opts;
+    Opts.UseJit = true;
+    Opts.JitThreshold = 0;
+    Interpreter VM(M, nullptr, Opts);
+    EXPECT_EQ(VM.run("main").Trap, TrapKind::UnmappedAccess) << "width " << W;
+  }
+}
+
+TEST(JitDifferentialTest, RODataStoreTrapsReadOnlyParity) {
+  SKIP_WITHOUT_JIT();
+  Module M("t");
+  IRBuilder B(M);
+  GlobalVariable *Table = M.createGlobal(
+      "table", B.getContext().getArrayTy(B.i8(), 16), {1, 2, 3},
+      /*ReadOnly=*/true);
+  Function *F = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(F->createBlock("entry"));
+  B.store(B.constI32(7), B.gepConst(Table, 4));
+  B.ret(B.load(B.i64(), Table));
+  expectJitParity(M, "main");
+  InterpreterOptions Opts;
+  Opts.UseJit = true;
+  Opts.JitThreshold = 0;
+  Interpreter VM(M, nullptr, Opts);
+  EXPECT_EQ(VM.run("main").Trap, TrapKind::ReadOnlyViolation);
+}
+
+namespace {
+
+/// A multi-function call kernel: main() calls mid() 40 times, and mid()
+/// calls the three-alloca leaf() twice, so hardened prologues run at two
+/// depths with values flowing through every frame.
+constexpr const char *CallKernelIR = R"(
+define i64 @leaf(i64 %x) {
+entry:
+  %a = alloca i64, align 8
+  %b = alloca [16 x i8], align 1
+  %c = alloca i32, align 4
+  store i64 %x, ptr %a
+  store i8 1, ptr %b
+  store i32 2, ptr %c
+  %v = load i64, ptr %a
+  %w = add i64 %v, i64 3
+  ret i64 %w
+}
+
+define i64 @mid(i64 %x, i64 %y) {
+entry:
+  %s = alloca [24 x i8], align 8
+  %t = alloca i16, align 2
+  store i16 9, ptr %t
+  %l = call i64 @leaf(i64 %x)
+  %r = call i64 @leaf(i64 %y)
+  %m = mul i64 %l, i64 %r
+  store i64 %m, ptr %s
+  %o = load i64, ptr %s
+  ret i64 %o
+}
+
+define i64 @main() {
+entry:
+  %i = alloca i64, align 8
+  %acc = alloca i64, align 8
+  store i64 0, ptr %i
+  store i64 1, ptr %acc
+  br label %loop
+loop:
+  %c = load i64, ptr %i
+  %more = icmp slt i64 %c, i64 40
+  br i8 %more, label %body, label %exit
+body:
+  %a0 = load i64, ptr %acc
+  %r = call i64 @mid(i64 %a0, i64 %c)
+  %x = xor i64 %r, i64 %c
+  store i64 %x, ptr %acc
+  %c1 = add i64 %c, i64 1
+  store i64 %c1, ptr %i
+  br label %loop
+exit:
+  %res = load i64, ptr %acc
+  ret i64 %res
+}
+)";
+
+std::unique_ptr<Module> hardenedCallKernel() {
+  ParseResult R = parseModule(CallKernelIR, "calls");
+  EXPECT_TRUE(R.ok()) << R.Error;
+  PassManager PM;
+  PM.addPass(std::make_unique<SmokestackPass>());
+  PM.run(*R.M);
+  EXPECT_TRUE(verifyModule(*R.M));
+  return std::move(R.M);
+}
+
+/// Records every LayoutObserver callback in order.
+struct RecordingObserver : LayoutObserver {
+  std::vector<std::string> Events;
+  void onAlloca(const Function &F, const AllocaInst &A, uint64_t Addr,
+                uint64_t Size) override {
+    Events.push_back("alloca " + F.getName() + " " + A.getName() + " " +
+                     std::to_string(Addr) + " " + std::to_string(Size));
+  }
+  void onVariableAddress(const Function &F, const std::string &Name,
+                         uint64_t Addr) override {
+    Events.push_back("var " + F.getName() + " " + Name + " " +
+                     std::to_string(Addr));
+  }
+  void onFunctionEnter(const Function &F) override {
+    Events.push_back("enter " + F.getName());
+  }
+};
+
+} // namespace
+
+TEST(JitDifferentialTest, HardenedCallKernelParityPerRngScheme) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = hardenedCallKernel();
+  std::vector<std::string> Schemes = {"pseudo", "aes1", "aes10"};
+  if (rdRandAvailable())
+    Schemes.push_back("rdrand");
+  for (const std::string &Scheme : Schemes) {
+    SCOPED_TRACE(Scheme);
+    expectJitParity(*M, "main", /*Seed=*/0xCA11, InterpreterOptions(),
+                    Scheme);
+  }
+  // The same kernel with a failing check: a trap class, not a return.
+  InterpreterOptions Tight;
+  Tight.Fuel = 1500;
+  expectJitParity(*M, "main", /*Seed=*/0xCA11, Tight, "pseudo");
+  Tight.MaxCallDepth = 1;
+  expectJitParity(*M, "main", /*Seed=*/0xCA11, Tight, "aes10");
+}
+
+TEST(JitDifferentialTest, ObserverCallbacksParity) {
+  // Static allocas and observed geps run inline only while no observer is
+  // bound; with one bound, the JIT must report exactly the decoded
+  // engine's callbacks, in order.
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = hardenedCallKernel();
+  InterpreterOptions DecodedOpts, JitOpts;
+  JitOpts.UseJit = true;
+  JitOpts.JitThreshold = 0;
+  DeterministicEntropySource DecodedEntropy(5), JitEntropy(5);
+  AesCtrRandomSource DecodedRng(DecodedEntropy, 10), JitRng(JitEntropy, 10);
+  Interpreter DecodedVM(*M, &DecodedRng, DecodedOpts);
+  Interpreter JitVM(*M, &JitRng, JitOpts);
+  RecordingObserver DecodedObs, JitObs;
+  DecodedVM.setLayoutObserver(&DecodedObs);
+  JitVM.setLayoutObserver(&JitObs);
+  ExecResult DecodedR = DecodedVM.run("main");
+  ExecResult JitR = JitVM.run("main");
+  ASSERT_TRUE(DecodedR.ok()) << DecodedR.Message;
+  EXPECT_EQ(DecodedR.ReturnValue, JitR.ReturnValue);
+  EXPECT_EQ(DecodedR.Steps, JitR.Steps);
+  EXPECT_GT(DecodedObs.Events.size(), 400u);
+  EXPECT_EQ(DecodedObs.Events, JitObs.Events);
+
+  // Unbinding the observer switches the same compiled code to its inline
+  // paths; the run must still match the decoded engine's.
+  DecodedVM.setLayoutObserver(nullptr);
+  JitVM.setLayoutObserver(nullptr);
+  DecodedR = DecodedVM.run("main");
+  JitR = JitVM.run("main");
+  EXPECT_EQ(DecodedR.ReturnValue, JitR.ReturnValue);
+  EXPECT_EQ(DecodedR.Steps, JitR.Steps);
+  EXPECT_EQ(DecodedObs.Events.size(), JitObs.Events.size());
+}
+
+TEST(JitDifferentialTest, StaticAllocaStackOverflowParity) {
+  // Two 3 MB static allocas overflow the 4 MiB stack on the second: the
+  // inline alloca stencil must leave through the shim and trap with the
+  // decoded engine's message, stack pointer and low-water mark.
+  SKIP_WITHOUT_JIT();
+  Module M("t");
+  IRBuilder B(M);
+  Function *F = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(F->createBlock("entry"));
+  AllocaInst *Big1 =
+      B.alloca_(B.getContext().getArrayTy(B.i8(), 3000000), "big1");
+  AllocaInst *Big2 =
+      B.alloca_(B.getContext().getArrayTy(B.i8(), 3000000), "big2");
+  B.store(B.constI8(1), Big1);
+  B.store(B.constI8(2), Big2);
+  B.ret(B.constI64(0));
+  expectJitParity(M, "main");
+  InterpreterOptions Opts;
+  Opts.UseJit = true;
+  Opts.JitThreshold = 0;
+  Interpreter VM(M, nullptr, Opts);
+  EXPECT_EQ(VM.run("main").Trap, TrapKind::StackOverflow);
+}
+
+TEST(JitDifferentialTest, TrapRecoveryScrubsInlineAllocas) {
+  // Post-trap recovery scrubs the stack from the run's low-water mark, so
+  // the inline alloca stencil must lower StackLowWater exactly as
+  // materializeAlloca does: a 200 KB frame reaches below the scrub slack,
+  // and its bytes must be zero after the trapped request, under both
+  // engines.
+  SKIP_WITHOUT_JIT();
+  Module M("t");
+  IRBuilder B(M);
+  Type *Big = B.getContext().getArrayTy(B.i8(), 200000);
+  Function *Probe = M.createFunction("probe", B.i64(), {});
+  B.setInsertPoint(Probe->createBlock("entry"));
+  B.ret(B.cast_(CastInst::CastOp::PtrToInt, B.i64(), B.alloca_(Big, "buf")));
+  Function *Crash = M.createFunction("crash", B.i64(), {});
+  B.setInsertPoint(Crash->createBlock("entry"));
+  B.store(B.constI8(0xAB), B.alloca_(Big, "buf"));
+  B.unreachable_();
+
+  for (bool UseJit : {false, true}) {
+    InterpreterOptions Opts;
+    Opts.UseJit = UseJit;
+    Opts.JitThreshold = 0;
+    Interpreter VM(M, nullptr, Opts);
+    ExecResult P = VM.run("probe");
+    ASSERT_TRUE(P.ok()) << P.Message;
+    ExecResult R = VM.runRequest("crash");
+    ASSERT_EQ(R.Trap, TrapKind::ExplicitTrap);
+    uint8_t Byte = 0xFF;
+    ASSERT_TRUE(VM.memory().read(P.ReturnValue, &Byte, 1));
+    EXPECT_EQ(Byte, 0u) << (UseJit ? "jit" : "decoded");
+  }
 }

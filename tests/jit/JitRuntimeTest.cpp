@@ -16,6 +16,7 @@
 
 #include "ir/IRBuilder.h"
 #include "jit/JitAbi.h"
+#include "support/Statistics.h"
 #include "vm/DecodedProgram.h"
 #include "vm/Interpreter.h"
 #include "vm/Snapshot.h"
@@ -226,4 +227,39 @@ TEST(JitRuntimeTest, JitOptionFallsBackWhenUnavailable) {
   EXPECT_TRUE(R.ok());
   if (!jitAvailable())
     EXPECT_EQ(VM.jitCompiledFunctions(), 0u);
+}
+
+TEST(JitRuntimeTest, NativeCallCounterIsExactAtEveryRequestBoundary) {
+  // The code cache counts native invocations locally and flushes them into
+  // jit.native-calls once per run. The batching must be invisible at
+  // request boundaries: each delta equals the native invocations of that
+  // request. main() calls leaf() five times; at threshold 3 a function's
+  // first three invocations are interpreted and every later one is native.
+  SKIP_WITHOUT_JIT();
+  Module M("t");
+  IRBuilder B(M);
+  Function *Leaf = M.createFunction("leaf", B.i64(), {B.i64()});
+  B.setInsertPoint(Leaf->createBlock("entry"));
+  B.ret(B.add(Leaf->getArg(0), B.constI64(1)));
+  Function *Main = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(Main->createBlock("entry"));
+  Value *Acc = B.constI64(0);
+  for (int I = 0; I != 5; ++I)
+    Acc = B.call(Leaf, {Acc});
+  B.ret(Acc);
+
+  Statistic *NativeCalls = findStatistic("jit.native-calls");
+  ASSERT_NE(NativeCalls, nullptr);
+  InterpreterOptions Opts;
+  Opts.UseJit = true;
+  Opts.JitThreshold = 3;
+  Interpreter VM(M, nullptr, Opts);
+  // Request 1: leaf's 4th and 5th calls; 2-3: all of leaf's; 4+: main too.
+  for (uint64_t Expected : {2u, 5u, 5u, 6u, 6u}) {
+    uint64_t Before = NativeCalls->value();
+    ExecResult R = VM.runRequest("main");
+    ASSERT_TRUE(R.ok()) << R.Message;
+    EXPECT_EQ(R.ReturnValue, 5u);
+    EXPECT_EQ(NativeCalls->value() - Before, Expected);
+  }
 }

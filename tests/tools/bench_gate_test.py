@@ -7,7 +7,10 @@
     shard kills without a restart, a throughput drop) must print a
     REGRESSION line and exit 1;
   * an old-shape per-mode soak file must be a clear REGRESSION line, not
-    a Python traceback.
+    a Python traceback;
+  * the interp_jit call kernels: a JIT digest off the decoded one, a
+    hardened kernel under the 1.5x floor, or no call_kernels at all must
+    each be a REGRESSION.
 
 Usage: bench_gate_test.py REPO_ROOT
 """
@@ -108,6 +111,34 @@ def main():
         expect_regression(soak_path,
                           mutated("BENCH_soak.json", halve_throughput),
                           "a 50% requests_per_sec drop is a REGRESSION")
+
+        jit_path = os.path.join(ROOT, "BENCH_interp_jit.json")
+
+        def flip_call_digest(d):
+            k = d["call_kernels"][-1]
+            k["digest_jit"] = "%016x" % (int(k["digest_jit"], 16) ^ 1)
+
+        def slow_hardened_calls(d):
+            for k in d["call_kernels"]:
+                if k["hardened"]:
+                    k["jit_speedup_vs_decoded"] = 1.2
+
+        def drop_call_kernels(d):
+            del d["call_kernels"]
+
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json", flip_call_digest),
+                          "a call-kernel JIT digest off decoded is a "
+                          "REGRESSION")
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json",
+                                  slow_hardened_calls),
+                          "a hardened call kernel under 1.5x is a "
+                          "REGRESSION")
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json", drop_call_kernels),
+                          "an interp_jit file without call_kernels is a "
+                          "REGRESSION line, not a traceback")
 
         old = write("old_soak_chaos.json", {
             "bench": "soak_chaos", "requests": 10000, "fault_rate": 0.08,

@@ -5,7 +5,10 @@
 //===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "jit/JitAbi.h"
 #include "rng/Pseudo.h"
+#include "runtime/WorkerPool.h"
+#include "vm/Builtins.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -273,4 +276,65 @@ TEST(BuiltinsTest, UnknownBuiltinTraps) {
   ExecResult R = VM.run("f");
   EXPECT_EQ(R.Trap, TrapKind::BadCall);
   EXPECT_NE(R.Message.find("mystery"), std::string::npos);
+}
+
+TEST(BuiltinsTest, TooFewArgumentsTrapBadCallUnderEveryEngineAndInAPool) {
+  // Every builtin that reads an argument, declared and called with none.
+  // Such a call used to index past the argument list: an uncaught
+  // std::out_of_range that aborted the host process, and inside a worker
+  // pool reached std::terminate.
+  unsigned Checked = 0;
+  for (unsigned Raw = static_cast<unsigned>(BuiltinId::None) + 1;
+       Raw != static_cast<unsigned>(BuiltinId::Unknown); ++Raw) {
+    auto Id = static_cast<BuiltinId>(Raw);
+    std::string Name = builtinName(Id);
+    ASSERT_EQ(builtinIdFor(Name), Id) << Name;
+    if (builtinMinArgs(Id) == 0)
+      continue;
+    ++Checked;
+    Module M("t");
+    IRBuilder B(M);
+    Function *Decl = M.getOrInsertDeclaration(Name, B.i64(), {});
+    Function *F = M.createFunction("f", B.i64(), {});
+    B.setInsertPoint(F->createBlock("entry"));
+    B.ret(B.call(Decl, {}));
+
+    struct Engine {
+      const char *Name;
+      bool Decoded, Jit;
+    };
+    for (Engine E : {Engine{"decoded", true, false},
+                     Engine{"jit", true, true},
+                     Engine{"treewalk", false, false}}) {
+      if (E.Jit && !jitAvailable())
+        continue;
+      InterpreterOptions Opts;
+      Opts.UseDecodedEngine = E.Decoded;
+      Opts.UseJit = E.Jit;
+      Opts.JitThreshold = 0;
+      Interpreter VM(M, nullptr, Opts);
+      ExecResult R = VM.run("f");
+      EXPECT_EQ(R.Trap, TrapKind::BadCall) << Name << " under " << E.Name;
+      EXPECT_EQ(R.Message,
+                Id == BuiltinId::Snprintf
+                    ? "snprintf needs at least (buf, size, fmt)"
+                    : "'" + Name + "' takes at least " +
+                          std::to_string(builtinMinArgs(Id)) +
+                          " argument(s), 0 given")
+          << E.Name;
+      EXPECT_EQ(R.Steps, 1u) << Name << " under " << E.Name;
+    }
+
+    PoolOptions PO;
+    PO.Workers = 1;
+    PO.Function = "f";
+    WorkerPool Pool(M, PO);
+    Pool.start();
+    Pool.submit({0, {}});
+    std::vector<PoolOutcome> Outcomes = Pool.finish();
+    ASSERT_EQ(Outcomes.size(), 1u) << Name;
+    EXPECT_EQ(Outcomes[0].Trap, TrapKind::BadCall) << Name << " in a pool";
+    EXPECT_FALSE(Outcomes[0].Poisoned) << Name;
+  }
+  EXPECT_GE(Checked, 10u);
 }

@@ -36,8 +36,11 @@ Supported bench kinds (selected by the "bench"/"benchmark" key):
   interp_jit        gates per-kernel JIT-vs-decoded digest identity (any
                     mismatch is a correctness bug, not noise), the
                     min_jit_speedup_vs_decoded ratio, and its >= 2x floor;
-                    a candidate with jit_available false (non-x86-64
-                    runner) passes with a note
+                    for the call_kernels (the VM's Fig. 3) it gates the
+                    same digest identity and a >= 1.5x JIT-over-decoded
+                    floor on every hardened kernel; a candidate with
+                    jit_available false (non-x86-64 runner) passes with a
+                    note
   attack_corpus     gates the defeat-rate invariants of the DOP attack
                     corpus (smokestack must defeat >= 99% of attacks and
                     strictly beat every baseline defense; undefended
@@ -191,6 +194,11 @@ def check_interp(base, cand, max_drop_pct):
     )
 
 
+# JIT-over-decoded floor of every hardened call kernel: the hardened
+# prologue (P-BOX loads, frame slicing) must stay in native code.
+CALL_KERNEL_FLOOR = 1.5
+
+
 def check_interp_jit(base, cand, max_drop_pct):
     if require(cand, "jit_available", "candidate") is not True:
         return ok("jit unavailable on this runner; nothing gated")
@@ -222,6 +230,28 @@ def check_interp_jit(base, cand, max_drop_pct):
         )
     else:
         rc |= ok(f"min_jit_speedup_vs_decoded {cand_min:.2f} >= 2.0x floor")
+    calls = require(cand, "call_kernels", "candidate")
+    if not calls:
+        rc |= fail("candidate has no call_kernels")
+    for kernel in calls:
+        name = require(kernel, "name", "candidate call kernel")
+        dec = require(kernel, "digest_decoded", f"candidate call kernel {name}")
+        jit = require(kernel, "digest_jit", f"candidate call kernel {name}")
+        if dec != jit:
+            rc |= fail(f"{name}: jit digest {jit} != decoded digest {dec} "
+                       "(identity violation)")
+        else:
+            rc |= ok(f"{name}: jit digest equals decoded digest ({dec})")
+        if require(kernel, "hardened", f"candidate call kernel {name}"):
+            speedup = require(kernel, "jit_speedup_vs_decoded",
+                              f"candidate call kernel {name}")
+            if (not isinstance(speedup, (int, float))
+                    or speedup < CALL_KERNEL_FLOOR):
+                rc |= fail(f"{name}: jit_speedup_vs_decoded {speedup} is "
+                           f"below the {CALL_KERNEL_FLOOR}x floor")
+            else:
+                rc |= ok(f"{name}: jit_speedup_vs_decoded {speedup:.2f} >= "
+                         f"{CALL_KERNEL_FLOOR}x floor")
     return rc
 
 

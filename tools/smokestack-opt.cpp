@@ -89,7 +89,6 @@
 #include "obs/MetricsRegistry.h"
 #include "obs/Trace.h"
 #include "rng/AesCtr.h"
-#include "rng/Pseudo.h"
 #include "rng/RdRand.h"
 #include "rng/Resilient.h"
 #include "runtime/WorkerPool.h"
@@ -183,19 +182,6 @@ int usage(const char *Argv0) {
                "<file.ir|->\n",
                Argv0);
   return 2;
-}
-
-std::unique_ptr<RandomSource> makeRng(const std::string &Scheme,
-                                      EntropySource &Entropy) {
-  if (Scheme == "pseudo")
-    return std::make_unique<PseudoRandomSource>(Entropy);
-  if (Scheme == "aes1")
-    return std::make_unique<AesCtrRandomSource>(Entropy, 1);
-  if (Scheme == "aes10")
-    return std::make_unique<AesCtrRandomSource>(Entropy, 10);
-  if (Scheme == "rdrand")
-    return std::make_unique<RdRandSource>(Entropy);
-  return nullptr;
 }
 
 uint64_t specSeed(const std::string &Spec, uint64_t Default) {
@@ -600,7 +586,8 @@ int main(int argc, char **argv) {
       Scope = std::make_unique<FaultScope>(Injector);
 
     SystemEntropySource Entropy;
-    std::unique_ptr<RandomSource> Rng = makeRng(Opts.RngScheme, Entropy);
+    std::unique_ptr<RandomSource> Rng =
+        makeRandomSource(Opts.RngScheme, Entropy);
     if (!Rng) {
       std::fprintf(stderr, "error: unknown rng scheme '%s'\n",
                    Opts.RngScheme.c_str());
