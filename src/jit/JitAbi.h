@@ -15,18 +15,51 @@
 /// masking), the LayoutObserver entry callback, and the stack-pointer
 /// restore, so JIT entry and interpreter entry are literally the same code
 /// up to the first instruction. Inside, the emitted code keeps the decoded
-/// engine's books bit for bit: fuel is decremented once per instruction
-/// *before* it executes, the cancel flag is polled on the same
-/// (FuelLeft & JitCancelMask) == 0 schedule, and every trap is raised at
-/// the same instruction boundary with the same TrapKind and message
-/// (messages are built by the shims, which share the interpreter's code).
+/// engine's books bit for bit — ExecResult::Steps, FuelLeft, and the
+/// instruction, TrapKind and message of every trap (messages are built by
+/// the shims, which share the interpreter's code) — while charging fuel
+/// once per *fuel segment* instead of once per instruction.
+///
+/// Fuel segments. A segment is a maximal run of decoded instructions that
+/// no branch enters mid-way: it ends after a terminator, a Call or an
+/// Unreachable, and after JitMaxSegment instructions. Its head tests the
+/// fuel cell once:
+///
+///   if ((FuelLeft & JitCancelMask) >= N)   // N = segment length
+///     FuelLeft -= N, then run the N instruction bodies natively;
+///   else
+///     ssJitInterpSegment(Ctx, Regs, Start, N), then resume at the body
+///     of the segment's last instruction.
+///
+/// Why the fast path is exact: the decoded loop, at the k-th instruction
+/// of the segment (k < N), traps when FuelLeft - k == 0 and polls the
+/// cancel flag when (FuelLeft - k) & JitCancelMask == 0. With r =
+/// FuelLeft & JitCancelMask >= N, the low bits of FuelLeft - k are r - k
+/// >= 1 (no borrow), so neither event can happen inside the segment and
+/// one subtraction of N leaves FuelLeft where the loop would. Three rules
+/// keep every observer of FuelLeft exact:
+///
+///  * Nothing inside a segment reads FuelLeft except a Call, and a Call
+///    ends its segment, so a callee always starts from exact fuel.
+///  * A trap at the k-th instruction of a fast-path segment first refunds
+///    the N - k - 1 units charged for instructions that never ran, so
+///    FuelLeft (and Steps) at the trap equal the decoded engine's.
+///  * The slow path is the decoded loop itself: per instruction, the
+///    fuel==0 trap, the cancel poll, the decrement, then execution through
+///    ssJitInterpOne. It charges the last instruction but leaves running
+///    it to the native body, so both paths share one copy of a
+///    terminator's code.
+///
+/// With a mask of 1023 and segments of at most 256 instructions, the slow
+/// path runs for about N/1024 of the segments a run enters.
 ///
 /// Loads that miss the stack segment retry inline against the read-only
 /// data segment (JitContext::RODataHost) before taking the shim, and —
 /// while no LayoutObserver is bound — static allocas and observed geps
 /// run inline too, so a Smokestack prologue leaves native code only for
-/// its smokestack.rand call. Calls reach their callee through
-/// Interpreter::callSite, which uses the call site's cached CalleeDF.
+/// its smokestack.rand call, which goes straight to ssJitRand. Other calls
+/// reach their callee through Interpreter::callSite, which uses the call
+/// site's cached CalleeDF.
 ///
 /// Register conventions inside compiled code (System V x86-64; all six
 /// callee-saved registers are pinned for the function's whole body, so
@@ -90,9 +123,16 @@ struct JitContext {
 /// Status 0 = returned, 1 = trapped.
 using JitFn = uint64_t (*)(JitContext *, uint64_t *);
 
-/// The emitted cancel-poll schedule; must equal the interpreter's private
-/// CancelCheckMask (asserted in JitRuntime.cpp, which can see it).
+/// The interpreter's cancel-poll schedule, which every segment head tests
+/// against; must equal the interpreter's private CancelCheckMask
+/// (asserted in JitRuntime.cpp, which can see it).
 inline constexpr uint64_t JitCancelMask = 1023;
+
+/// Longest fuel segment. Must not exceed JitCancelMask, or a segment head
+/// could never take its fast path; a smaller cap bounds what one slow path
+/// interprets, at the cost of more heads.
+inline constexpr uint32_t JitMaxSegment = 256;
+static_assert(JitMaxSegment <= JitCancelMask);
 
 /// True when this build can emit and execute native code (x86-64 with
 /// POSIX mprotect semantics). Everything else falls back to the decoded
@@ -112,18 +152,24 @@ extern "C" {
 /// slow path behind every opcode the stencils do not inline (VLAs, calls,
 /// division, floating point, unreachable), every failing check of an
 /// inlined stencil (out-of-segment loads/stores, alloca overflow), and
-/// allocas/observed geps while a LayoutObserver is bound. Fuel for the instruction
-/// was already decremented by emitted code. Returns 0 to continue at the
-/// next instruction, 1 on trap (ExecResult filled in).
+/// allocas/observed geps while a LayoutObserver is bound. Fuel for the
+/// instruction was already charged. Returns 0 to continue at the next
+/// instruction, 1 on trap (ExecResult filled in).
 uint64_t ssJitInterpOne(smokestack::JitContext *Ctx, uint64_t *Regs,
                         uint64_t IP);
 
-/// The cancel-flag poll: returns 1 (and fills the WorkerCrash trap) when
-/// the cooperative cancel flag is set, else 0.
-uint64_t ssJitPollCancel(smokestack::JitContext *Ctx);
+/// The slow path of a segment head: runs DF->Insts[Start, Start + N - 1)
+/// with the decoded loop's per-instruction fuel order (OutOfFuel trap,
+/// cancel poll, decrement, execute) and charges the last instruction
+/// without running it. Returns 0 when the native code should continue at
+/// the last instruction's body, 1 on trap.
+uint64_t ssJitInterpSegment(smokestack::JitContext *Ctx, uint64_t *Regs,
+                            uint64_t Start, uint64_t N);
 
-/// Fills the OutOfFuel trap; the emitted code then exits with status 1.
-void ssJitOutOfFuel(smokestack::JitContext *Ctx);
+/// Executes DF->Insts[IP], a call site of smokestack.rand, through the
+/// interpreter's own draw (Interpreter::builtinRand). Same contract as
+/// ssJitInterpOne.
+uint64_t ssJitRand(smokestack::JitContext *Ctx, uint64_t *Regs, uint64_t IP);
 
 } // extern "C"
 

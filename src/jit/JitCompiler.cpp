@@ -9,10 +9,13 @@
 // rel32s, shim addresses). The emitted body reproduces the decoded
 // dispatch loop of Interpreter::callDecoded bit for bit:
 //
-//  * every instruction is preceded by the fuel/cancel prologue in the
-//    interpreter's exact order (fuel==0 trap first, then the
-//    (FuelLeft & JitCancelMask)==0 cancel poll, then the decrement), so
-//    ExecResult::Steps and every trap point land on the same instruction;
+//  * every fuel segment (see JitAbi.h) starts with a head that charges the
+//    whole segment at once when no instruction in it could see fuel 0 or
+//    a cancel-poll point, and otherwise hands the segment to
+//    ssJitInterpSegment; every trapping exit inside a segment refunds the
+//    fuel charged for the instructions after it, so ExecResult::Steps and
+//    every trap point land on the same instruction;
+//  * smokestack.rand call sites go straight to the ssJitRand shim;
 //  * hot opcodes (ALU, shifts, compares, selects, geps, casts, branches,
 //    stack-segment loads/stores, rodata loads, and — with no observer
 //    bound — static allocas and observed geps) are inlined; everything
@@ -24,9 +27,11 @@
 // Layout of a compiled function:
 //
 //   [prologue]  pin rbx/r13/r14/r15/r12/rbp from the JitContext
-//   [body]      one stencil per DecodedInst, in decode order
-//   [ool]       out-of-line slow paths for inlined loads/stores
-//   [fuel]      shared OutOfFuel stub -> trap epilogue
+//   [body]      per segment: its head, then one stencil per DecodedInst,
+//               in decode order
+//   [ool]       out-of-line slow paths for inlined loads/stores and for
+//               segment heads
+//   [refund]    one stub per distinct refund: give back fuel, then trap
 //   [exit]      status 0 (returned) / 1 (trapped), restore, ret
 //
 //===----------------------------------------------------------------------===//
@@ -39,11 +44,45 @@
 #include "vm/DecodedFunction.h"
 #include "vm/SimMemory.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
+#include <map>
 
 using namespace smokestack;
+
+std::vector<uint32_t> smokestack::fuelSegmentEnds(const DecodedFunction &DF) {
+  const uint32_t Size = static_cast<uint32_t>(DF.Insts.size());
+  std::vector<bool> Head(Size + 1, false);
+  for (uint32_t IP = 0; IP != Size; ++IP) {
+    const DecodedInst &DI = DF.Insts[IP];
+    switch (DI.Op) {
+    case DecodedOp::Br:
+      Head[DI.A] = true;
+      break;
+    case DecodedOp::CondBr:
+      Head[DI.B] = Head[DI.C] = true;
+      break;
+    case DecodedOp::Ret:
+    case DecodedOp::RetVoid:
+    case DecodedOp::Call:
+    case DecodedOp::Unreachable:
+      break;
+    default:
+      continue; // falls through to the next instruction, same segment
+    }
+    Head[IP + 1] = true;
+  }
+  std::vector<uint32_t> End(Size);
+  for (uint32_t Start = 0, IP = 1; IP <= Size; ++IP) {
+    if (IP != Size && !Head[IP] && IP - Start != JitMaxSegment)
+      continue;
+    std::fill(End.begin() + Start, End.begin() + IP, IP);
+    Start = IP;
+  }
+  return End;
+}
 
 #if defined(__x86_64__) && !defined(_WIN32)
 
@@ -65,8 +104,13 @@ enum HReg : uint8_t {
   R15 = 15,
 };
 
-/// Branch-fixup targets that are not decoded-instruction indices.
-enum class Label { FuelStub, TrapExit, OkExit };
+/// Kinds of rel32 branch target, resolved once the whole body is laid out.
+enum class Label {
+  Inst,     ///< The head of the segment starting at a decoded instruction.
+  TrapExit, ///< Status 1.
+  OkExit,   ///< Status 0.
+  Refund,   ///< Give back some fuel, then take TrapExit.
+};
 
 /// A minimal x86-64 byte emitter: just enough encoder to instantiate the
 /// stencil set below. Every emit helper appends to Code; rel32 holes are
@@ -76,10 +120,9 @@ public:
   std::vector<uint8_t> Code;
 
   struct Fixup {
-    size_t Pos;       ///< Offset of the rel32 hole.
-    bool IsInst;      ///< Target is a decoded-instruction index...
-    uint32_t Inst;    ///< ...this one, or
-    Label L;          ///< ...this shared label.
+    size_t Pos;     ///< Offset of the rel32 hole.
+    Label L;
+    uint32_t Value; ///< Instruction index (Inst) or fuel units (Refund).
   };
   std::vector<Fixup> Fixups;
 
@@ -255,19 +298,12 @@ public:
     }
     memIndex(RAX, Base, RCX);
   }
-  void testRR(uint8_t A) { // test A, A (64-bit)
-    rex(true, A, 0, A);
-    u8(0x85);
-    modrmReg(A, A);
-  }
-  void testEaxImm32(uint32_t V) { // test eax, imm32
-    u8(0xA9);
+  /// 81 /Ext qword [Base], imm32 (sign-extended): 0=add 5=sub.
+  void aluMemImm32(uint8_t Ext, uint8_t Base, uint32_t V) {
+    rex(true, 0, 0, Base);
+    u8(0x81);
+    mem(Ext, Base, 0);
     u32(V);
-  }
-  void decReg(uint8_t Reg) { // dec Reg (64-bit)
-    rex(true, 0, 0, Reg);
-    u8(0xFF);
-    modrmReg(1, Reg); // /1 = dec
   }
   void shiftCl(uint8_t Reg, uint8_t Sub) { // D3 /Sub: 4=shl 5=shr 7=sar
     rex(true, 0, 0, Reg);
@@ -341,26 +377,15 @@ public:
 
   //===--- control flow -------------------------------------------------===//
 
-  void jccInst(uint8_t Cc, uint32_t TargetInst) { // jcc rel32 -> inst
+  void jccLabel(uint8_t Cc, Label L, uint32_t Value = 0) { // jcc rel32
     u8(0x0F);
     u8(0x80 | Cc);
-    Fixups.push_back({pos(), true, TargetInst, Label::OkExit});
+    Fixups.push_back({pos(), L, Value});
     u32(0);
   }
-  void jccLabel(uint8_t Cc, Label L) {
-    u8(0x0F);
-    u8(0x80 | Cc);
-    Fixups.push_back({pos(), false, 0, L});
-    u32(0);
-  }
-  void jmpInst(uint32_t TargetInst) {
+  void jmpLabel(Label L, uint32_t Value = 0) { // jmp rel32
     u8(0xE9);
-    Fixups.push_back({pos(), true, TargetInst, Label::OkExit});
-    u32(0);
-  }
-  void jmpLabel(Label L) {
-    u8(0xE9);
-    Fixups.push_back({pos(), false, 0, L});
+    Fixups.push_back({pos(), L, Value});
     u32(0);
   }
   /// jcc rel32 to a code offset known later; returns the hole position.
@@ -402,12 +427,6 @@ public:
     movImm64(RAX, Fn);
     u8(0xFF);
     u8(0xD0); // call rax
-  }
-  void callShim1(uint64_t Fn) { // mov rdi, r13; movabs rax, Fn; call rax
-    movRR(RDI, R13);
-    movImm64(RAX, Fn);
-    u8(0xFF);
-    u8(0xD0);
   }
   void testEax() { // test eax, eax
     u8(0x85);
@@ -466,6 +485,13 @@ struct OolBlock {
   uint32_t IP = 0;              ///< Decoded-instruction index for the shim.
 };
 
+/// One pending slow path of a segment head (ssJitInterpSegment).
+struct SegmentSlowPath {
+  size_t JccHole = 0; ///< rel32 hole of the head's fuel test.
+  uint32_t Start = 0;
+  uint32_t N = 0;
+};
+
 int32_t ctxOffset(size_t Off) { return static_cast<int32_t>(Off); }
 
 } // namespace
@@ -477,12 +503,17 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
     return {};
 
   Emitter E;
-  std::vector<size_t> InstOff(DF.Insts.size(), 0);
+  // Code offset of each instruction's segment head (segment starts only;
+  // branches and head fall-through land there) and of its body.
+  std::vector<size_t> HeadOff(DF.Insts.size(), 0);
+  std::vector<size_t> BodyOff(DF.Insts.size(), 0);
+  std::vector<uint32_t> SegEnd = fuelSegmentEnds(DF);
   std::vector<OolBlock> Ools;
+  std::vector<SegmentSlowPath> SlowPaths;
 
   const auto InterpOne = reinterpret_cast<uint64_t>(&ssJitInterpOne);
-  const auto PollCancel = reinterpret_cast<uint64_t>(&ssJitPollCancel);
-  const auto OutOfFuel = reinterpret_cast<uint64_t>(&ssJitOutOfFuel);
+  const auto InterpSegment = reinterpret_cast<uint64_t>(&ssJitInterpSegment);
+  const auto Rand = reinterpret_cast<uint64_t>(&ssJitRand);
 
   //===--- prologue ------------------------------------------------------===//
   // Entry: rdi = JitContext*, rsi = Regs. Pin the six callee-saved
@@ -501,6 +532,16 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
   E.loadMem(R12, RDI, ctxOffset(offsetof(JitContext, StackTouchedLo)));
   E.loadMem(RBP, RDI, ctxOffset(offsetof(JitContext, StackTouchedHi)));
 
+  // After a shim call for instruction IP: on status 1, give back the fuel
+  // charged for the rest of IP's segment, then take the trap exit.
+  auto exitOnTrap = [&](uint32_t IP) {
+    E.testEax();
+    uint32_t Refund = SegEnd[IP] - IP - 1;
+    if (Refund)
+      E.jccLabel(CC_NZ, Label::Refund, Refund);
+    else
+      E.jccLabel(CC_NZ, Label::TrapExit);
+  };
   // Opens an out-of-line shim path for instruction IP: the fast path jumps
   // to it on condition Cc (patched once the ool section is laid out).
   auto oolExit = [&](uint8_t Cc, uint32_t IP) {
@@ -518,35 +559,24 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
   //===--- per-instruction stencils --------------------------------------===//
   for (uint32_t IP = 0; IP != DF.Insts.size(); ++IP) {
     const DecodedInst &DI = DF.Insts[IP];
-    InstOff[IP] = E.pos();
     unsigned W = DI.Width;
 
-    // Fuel/cancel prologue, in the interpreter's exact order: trap on
-    // fuel==0, poll cancel when (FuelLeft & JitCancelMask)==0, then
-    // decrement.
-    E.rex(true, RAX, 0, R14); // mov rax, [r14]
-    E.u8(0x8B);
-    E.mem(RAX, R14, 0);
-    E.testRR(RAX);
-    E.jccLabel(CC_Z, Label::FuelStub);
-    E.testEaxImm32(static_cast<uint32_t>(JitCancelMask));
-    {
-      // jnz skip over the poll block (fixed 26 bytes).
-      E.jccRel8(CC_NZ, 26);
-      size_t PollStart = E.pos();
-      E.callShim1(PollCancel); // 3 + 10 + 2
-      E.testEax();             // 2
-      E.jccLabel(CC_NZ, Label::TrapExit); // 6
-      E.rex(true, RAX, 0, R14); // reload fuel after the call: 3
+    if (IP == 0 || SegEnd[IP - 1] == IP) {
+      // Segment head: charge all N instructions at once when
+      // (FuelLeft & JitCancelMask) >= N, else take the slow path.
+      uint32_t N = SegEnd[IP] - IP;
+      HeadOff[IP] = E.pos();
+      E.rex(false, RAX, 0, R14); // mov eax, [r14] (the low bits suffice)
       E.u8(0x8B);
       E.mem(RAX, R14, 0);
-      assert(E.pos() - PollStart == 26 && "cancel poll stencil size");
-      (void)PollStart;
+      E.u8(0x25); // and eax, JitCancelMask
+      E.u32(static_cast<uint32_t>(JitCancelMask));
+      E.u8(0x3D); // cmp eax, N
+      E.u32(N);
+      SlowPaths.push_back({E.jccHole(CC_B), IP, N});
+      E.aluMemImm32(5, R14, N); // sub qword [r14], N
     }
-    E.decReg(RAX);
-    E.rex(true, RAX, 0, R14); // mov [r14], rax
-    E.u8(0x89);
-    E.mem(RAX, R14, 0);
+    BodyOff[IP] = E.pos();
 
     switch (DI.Op) {
     case DecodedOp::Add:
@@ -613,8 +643,7 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       uint8_t Cc = setccForPredicate(P);
       if (Cc == 0xFF) { // defensive: decoder never emits this
         E.callShim3(InterpOne, IP);
-        E.testEax();
-        E.jccLabel(CC_NZ, Label::TrapExit);
+        exitOnTrap(IP);
         break;
       }
       E.loadSlot(RAX, DI.A);
@@ -692,8 +721,7 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       if (Bytes > MemoryMap::StackSize || Align == 0 ||
           (Align & (Align - 1)) != 0 || Align > (uint64_t(1) << 30)) {
         E.callShim3(InterpOne, IP);
-        E.testEax();
-        E.jccLabel(CC_NZ, Label::TrapExit);
+        exitOnTrap(IP);
         break;
       }
       exitIfObserved(IP);
@@ -776,12 +804,12 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       break;
     }
     case DecodedOp::Br:
-      E.jmpInst(static_cast<uint32_t>(DI.A));
+      E.jmpLabel(Label::Inst, DI.A);
       break;
     case DecodedOp::CondBr:
       E.cmpSlotZero(DI.A);
-      E.jccInst(CC_NE, static_cast<uint32_t>(DI.B));
-      E.jmpInst(static_cast<uint32_t>(DI.C));
+      E.jccLabel(CC_NE, Label::Inst, DI.B);
+      E.jmpLabel(Label::Inst, DI.C);
       break;
     case DecodedOp::Ret:
       E.loadSlot(RAX, DI.A);
@@ -793,13 +821,19 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
     case DecodedOp::RetVoid:
       E.jmpLabel(Label::OkExit);
       break;
+    case DecodedOp::Call:
+      if (DF.CallSites[DI.A].Builtin == BuiltinId::Rand) {
+        E.callShim3(Rand, IP);
+        exitOnTrap(IP);
+        break;
+      }
+      [[fallthrough]];
     default:
       // Everything else — allocas, calls, division/remainder, all floating
       // point, FP-involved casts, observed geps, unreachable — runs the
       // interpreter's own switch via the shim.
       E.callShim3(InterpOne, IP);
-      E.testEax();
-      E.jccLabel(CC_NZ, Label::TrapExit);
+      exitOnTrap(IP);
       break;
     }
   }
@@ -825,15 +859,30 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
       E.patchRel32(NotRO, E.pos());
     }
     E.callShim3(InterpOne, B.IP);
+    exitOnTrap(B.IP);
+    E.patchRel32(E.jmpHole(), B.Resume);
+  }
+  for (const SegmentSlowPath &P : SlowPaths) {
+    E.patchRel32(P.JccHole, E.pos());
+    E.movImm32(RCX, P.N);
+    E.callShim3(InterpSegment, P.Start);
     E.testEax();
     E.jccLabel(CC_NZ, Label::TrapExit);
-    size_t Back = E.jmpHole();
-    E.patchRel32(Back, B.Resume);
+    E.patchRel32(E.jmpHole(), BodyOff[P.Start + P.N - 1]);
+  }
+
+  //===--- refund stubs ---------------------------------------------------===//
+  std::map<uint32_t, size_t> RefundOff;
+  for (const Emitter::Fixup &F : E.Fixups)
+    if (F.L == Label::Refund)
+      RefundOff.emplace(F.Value, 0);
+  for (auto &[Units, Off] : RefundOff) {
+    Off = E.pos();
+    E.aluMemImm32(0, R14, Units); // add qword [r14], Units
+    E.jmpLabel(Label::TrapExit);
   }
 
   //===--- shared exits ---------------------------------------------------===//
-  size_t FuelStubOff = E.pos();
-  E.callShim1(OutOfFuel); // falls through into the trap exit
   size_t TrapOff = E.pos();
   E.movImm32(RAX, 1);
   E.jmpRel8(2); // over the ok exit's xor
@@ -851,14 +900,23 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF) {
 
   //===--- patch all recorded holes ---------------------------------------===//
   for (const Emitter::Fixup &F : E.Fixups) {
-    size_t Target;
-    if (F.IsInst) {
-      assert(F.Inst < InstOff.size() && "branch to missing instruction");
-      Target = InstOff[F.Inst];
-    } else {
-      Target = F.L == Label::FuelStub ? FuelStubOff
-               : F.L == Label::TrapExit ? TrapOff
-                                        : OkOff;
+    size_t Target = 0;
+    switch (F.L) {
+    case Label::Inst:
+      assert(F.Value < HeadOff.size() &&
+             (F.Value == 0 || SegEnd[F.Value - 1] == F.Value) &&
+             "branch to an instruction that is not a segment head");
+      Target = HeadOff[F.Value];
+      break;
+    case Label::TrapExit:
+      Target = TrapOff;
+      break;
+    case Label::OkExit:
+      Target = OkOff;
+      break;
+    case Label::Refund:
+      Target = RefundOff.at(F.Value);
+      break;
     }
     E.patchRel32(F.Pos, Target);
   }

@@ -16,8 +16,10 @@
 // way.
 //
 // Control flow (Br/CondBr/Ret/RetVoid) is always inlined by the compiler
-// and must never arrive here; fuel for the instruction was already
-// decremented by the emitted per-instruction prologue.
+// and must never arrive here. Fuel for the instruction was already charged,
+// either by its fuel segment's head or by ssJitInterpSegment (the head's
+// slow path, which runs a segment with the decoded loop's per-instruction
+// fuel order). ssJitRand is the direct path of smokestack.rand call sites.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,26 +27,33 @@
 #include "jit/JitAbi.h"
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
+#include "support/Statistics.h"
 #include "vm/DecodedFunction.h"
 #include "vm/Interpreter.h"
 #include "vm/SlotBits.h"
 
 #include <cstdint>
 
+static smokestack::Statistic
+    NumSlowSegments("jit.slow-segments",
+                    "Fuel segments run through the per-instruction path");
+
 namespace smokestack {
 
-/// Friend-of-Interpreter implementation of the C shims. One decoded
-/// instruction per call; returns 0 to continue, 1 on trap.
+/// Friend-of-Interpreter implementation of the C shims. Each returns 0 to
+/// continue, 1 on trap.
 struct JitShims {
-  // The emitted cancel-poll schedule must match the interpreter's; the
-  // constant is private, so the check lives here with friend access.
+  // The segment heads' fast-path test must match the interpreter's poll
+  // schedule; the constant is private, so the check lives here with
+  // friend access.
   static_assert(Interpreter::CancelCheckMask == JitCancelMask,
                 "JitAbi.h's JitCancelMask is out of sync with the "
                 "interpreter's poll schedule");
 
   static uint64_t interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP);
-  static uint64_t pollCancel(JitContext *Ctx);
-  static void outOfFuel(JitContext *Ctx);
+  static uint64_t interpSegment(JitContext *Ctx, uint64_t *Regs,
+                                uint64_t Start, uint64_t N);
+  static uint64_t rand(JitContext *Ctx, uint64_t *Regs, uint64_t IP);
 };
 
 uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
@@ -307,20 +316,43 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
   smokestack_unreachable("control flow routed to the JIT interp shim");
 }
 
-uint64_t JitShims::pollCancel(JitContext *Ctx) {
+uint64_t JitShims::interpSegment(JitContext *Ctx, uint64_t *Regs,
+                                 uint64_t Start, uint64_t N) {
+  // The decoded loop's per-instruction order, verbatim: trap on fuel 0,
+  // poll on the cancel schedule, charge, execute. The segment's last
+  // instruction is only charged; the native code resumes at its body.
+  ++NumSlowSegments;
   Interpreter &I = *Ctx->Interp;
-  if (I.CancelFlag && I.CancelFlag->load(std::memory_order_relaxed)) {
-    Ctx->Result->Trap = TrapKind::WorkerCrash;
-    Ctx->Result->Message = "cooperative cancel in " + Ctx->DF->F->getName();
-    return 1;
+  ExecResult &Result = *Ctx->Result;
+  for (uint64_t IP = Start, End = Start + N; IP != End; ++IP) {
+    if (I.FuelLeft == 0) {
+      Result.Trap = TrapKind::OutOfFuel;
+      Result.Message =
+          "instruction budget exhausted in " + Ctx->DF->F->getName();
+      return 1;
+    }
+    if ((I.FuelLeft & Interpreter::CancelCheckMask) == 0 && I.CancelFlag &&
+        I.CancelFlag->load(std::memory_order_relaxed)) {
+      Result.Trap = TrapKind::WorkerCrash;
+      Result.Message = "cooperative cancel in " + Ctx->DF->F->getName();
+      return 1;
+    }
+    --I.FuelLeft;
+    if (IP + 1 != End && interpOne(Ctx, Regs, IP))
+      return 1;
   }
   return 0;
 }
 
-void JitShims::outOfFuel(JitContext *Ctx) {
-  Ctx->Result->Trap = TrapKind::OutOfFuel;
-  Ctx->Result->Message =
-      "instruction budget exhausted in " + Ctx->DF->F->getName();
+uint64_t JitShims::rand(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
+  // callSite minus the argument gather: smokestack.rand reads none.
+  const DecodedInst &DI = Ctx->DF->Insts[IP];
+  uint64_t RetValue = 0;
+  if (!Ctx->Interp->builtinRand(RetValue, *Ctx->Result))
+    return 1;
+  if (DI.Dest != DecodedInst::NoReg)
+    Regs[DI.Dest] = DI.Width ? maskToWidth(RetValue, DI.Width) : RetValue;
+  return 0;
 }
 
 } // namespace smokestack
@@ -332,10 +364,11 @@ extern "C" uint64_t ssJitInterpOne(JitContext *Ctx, uint64_t *Regs,
   return JitShims::interpOne(Ctx, Regs, IP);
 }
 
-extern "C" uint64_t ssJitPollCancel(JitContext *Ctx) {
-  return JitShims::pollCancel(Ctx);
+extern "C" uint64_t ssJitInterpSegment(JitContext *Ctx, uint64_t *Regs,
+                                       uint64_t Start, uint64_t N) {
+  return JitShims::interpSegment(Ctx, Regs, Start, N);
 }
 
-extern "C" void ssJitOutOfFuel(JitContext *Ctx) {
-  return JitShims::outOfFuel(Ctx);
+extern "C" uint64_t ssJitRand(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
+  return JitShims::rand(Ctx, Regs, IP);
 }

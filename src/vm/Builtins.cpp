@@ -182,6 +182,26 @@ bool Interpreter::builtinSnprintf(std::span<const uint64_t> Args,
   return true;
 }
 
+bool Interpreter::builtinRand(uint64_t &RetValue, ExecResult &Result) {
+  if (!Rng) {
+    Result.Trap = TrapKind::BadCall;
+    Result.Message = "smokestack.rand called with no bound RandomSource";
+    return false;
+  }
+  // Buffered draw: equals next() at the default batch size of 1; the
+  // hardened prologue benefits from batching when the host enables it.
+  RetValue = Rng->nextBuffered();
+  // Fail closed: a permutation index from a failed draw would be
+  // predictable (zero), exactly the layout determinism Smokestack
+  // removes. The trap is recoverable at the request boundary.
+  if (Rng->lastDrawStatus() == DrawStatus::Failed) {
+    Result.Trap = TrapKind::RandomnessFailure;
+    Result.Message = "randomness source failed closed during a draw";
+    return false;
+  }
+  return true;
+}
+
 bool Interpreter::dispatchBuiltin(BuiltinId Id, const Function &Callee,
                                   std::span<const uint64_t> Args,
                                   uint64_t &RetValue, ExecResult &Result) {
@@ -208,23 +228,7 @@ bool Interpreter::dispatchBuiltin(BuiltinId Id, const Function &Callee,
 
   switch (Id) {
   case BuiltinId::Rand:
-    if (!Rng) {
-      Result.Trap = TrapKind::BadCall;
-      Result.Message = "smokestack.rand called with no bound RandomSource";
-      return false;
-    }
-    // Buffered draw: equals next() at the default batch size of 1; the
-    // hardened prologue benefits from batching when the host enables it.
-    RetValue = Rng->nextBuffered();
-    // Fail closed: a permutation index from a failed draw would be
-    // predictable (zero), exactly the layout determinism Smokestack
-    // removes. The trap is recoverable at the request boundary.
-    if (Rng->lastDrawStatus() == DrawStatus::Failed) {
-      Result.Trap = TrapKind::RandomnessFailure;
-      Result.Message = "randomness source failed closed during a draw";
-      return false;
-    }
-    return true;
+    return builtinRand(RetValue, Result);
 
   case BuiltinId::Trap:
     if (Args[0] == 1) {

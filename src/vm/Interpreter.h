@@ -154,6 +154,9 @@ public:
     TheObserver = Observer;
   }
 
+  /// Sets the instruction budget (InterpreterOptions::Fuel) of later runs.
+  void setFuel(uint64_t Fuel) { Opts.Fuel = Fuel; }
+
   /// Binds the randomness source consumed by the smokestack.rand builtin.
   void setRandomSource(RandomSource *Source) { Rng = Source; }
 
@@ -250,6 +253,10 @@ private:
   void setValue(Frame &Fr, const Value *V, uint64_t Bits);
 
   // Builtin helpers.
+  /// smokestack.rand: one draw from the bound source, failing closed.
+  /// Shared by dispatchBuiltin and the JIT's rand shim, so both engines
+  /// draw, and trap, through the same statements.
+  bool builtinRand(uint64_t &RetValue, ExecResult &Result);
   bool builtinSnprintf(std::span<const uint64_t> Args, uint64_t &RetValue,
                        ExecResult &Result);
 

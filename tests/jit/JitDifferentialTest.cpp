@@ -526,6 +526,44 @@ TEST(JitDifferentialTest, HardenedCallKernelParityPerRngScheme) {
   expectJitParity(*M, "main", /*Seed=*/0xCA11, Tight, "aes10");
 }
 
+namespace {
+
+/// A source whose every draw fails closed.
+class DeadSource : public RandomSource {
+public:
+  uint64_t next() override {
+    setDrawStatus(DrawStatus::Failed);
+    return 0;
+  }
+  const char *name() const override { return "dead"; }
+  SecurityLevel securityLevel() const override { return SecurityLevel::High; }
+};
+
+} // namespace
+
+TEST(JitDifferentialTest, RandShimTrapsLikeDispatchBuiltin) {
+  // smokestack.rand call sites skip dispatchBuiltin on the JIT (ssJitRand);
+  // a failed draw and a missing source must still trap exactly as the
+  // decoded engine does.
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = hardenedCallKernel();
+  InterpreterOptions DecodedOpts, JitOpts;
+  JitOpts.UseJit = true;
+  JitOpts.JitThreshold = 0;
+  DeadSource DecodedDead, JitDead;
+  for (bool Bound : {true, false}) {
+    SCOPED_TRACE(Bound ? "failing source" : "no source");
+    Interpreter DecodedVM(*M, Bound ? &DecodedDead : nullptr, DecodedOpts);
+    Interpreter JitVM(*M, Bound ? &JitDead : nullptr, JitOpts);
+    ExecResult D = DecodedVM.run("main"), J = JitVM.run("main");
+    EXPECT_EQ(J.Trap, Bound ? TrapKind::RandomnessFailure : TrapKind::BadCall);
+    EXPECT_EQ(D.Trap, J.Trap);
+    EXPECT_EQ(D.Message, J.Message);
+    EXPECT_EQ(D.Steps, J.Steps);
+    EXPECT_GT(JitVM.jitCompiledFunctions(), 0u);
+  }
+}
+
 TEST(JitDifferentialTest, ObserverCallbacksParity) {
   // Static allocas and observed geps run inline only while no observer is
   // bound; with one bound, the JIT must report exactly the decoded

@@ -1,0 +1,380 @@
+//===- tests/jit/JitFuelSegmentTest.cpp - Per-segment fuel parity ----------===//
+//
+// Part of the Smokestack reproduction. MIT license.
+//
+//===----------------------------------------------------------------------===//
+///
+/// \file
+/// The JIT charges fuel once per straight-line segment (jit/JitAbi.h), the
+/// decoded engine once per instruction. These tests run each kernel at
+/// every fuel budget from 1 to 1024 + Steps + 1, with the cooperative
+/// cancel flag off and on: fuel exhaustion and the cancel poll then land
+/// on every instruction the kernel executes, every segment head takes
+/// both its fast and its slow path, and both engines must agree on Trap,
+/// Steps, ReturnValue and Message at every budget. The kernels aim at segment
+/// boundaries: the hardened call kernel per RNG scheme, traps in the middle
+/// of a segment (an out-of-line load shim, the division shim), a heap load
+/// that takes the shim and succeeds, a function longer than the segment
+/// cap, a block that is a lone `br`, and a loop back-edge.
+///
+/// Because a conservative head (slow path where the fast one was safe)
+/// cannot change a result, the segmentation rules and the fast path's
+/// exact boundary are pinned separately.
+///
+//===----------------------------------------------------------------------===//
+
+#include "core/SmokestackPass.h"
+#include "ir/IRBuilder.h"
+#include "ir/Parser.h"
+#include "ir/Verifier.h"
+#include "jit/JitAbi.h"
+#include "jit/JitCompiler.h"
+#include "rng/Entropy.h"
+#include "rng/RandomSource.h"
+#include "support/Statistics.h"
+#include "vm/DecodedProgram.h"
+#include "vm/Interpreter.h"
+
+#include <gtest/gtest.h>
+
+#include <atomic>
+#include <string>
+
+using namespace smokestack;
+
+namespace {
+
+#define SKIP_WITHOUT_JIT()                                                     \
+  do {                                                                         \
+    if (!jitAvailable())                                                       \
+      GTEST_SKIP() << "JIT unavailable on this host";                          \
+  } while (0)
+
+/// One engine's VM for a whole sweep: budgets change between requests
+/// through setFuel, so the JIT compiles once and the arenas are reused.
+struct SweepVM {
+  DeterministicEntropySource Entropy{0x5E6};
+  std::unique_ptr<RandomSource> Rng;
+  std::atomic<bool> Cancel{false};
+  std::unique_ptr<Interpreter> VM;
+
+  /// \p Scheme names the RNG ("" = none); both engines' sources are
+  /// seeded alike and stay in step while every request draws alike.
+  SweepVM(Module &M, bool Jit, const std::string &Scheme) {
+    Rng = makeRandomSource(Scheme, Entropy);
+    InterpreterOptions Opts;
+    Opts.UseJit = Jit;
+    Opts.JitThreshold = 0;
+    VM = std::make_unique<Interpreter>(M, Rng.get(), Opts);
+    VM->setCancelFlag(&Cancel);
+  }
+
+  ExecResult run(uint64_t Fuel, bool CancelSet) {
+    VM->setFuel(Fuel);
+    Cancel = CancelSet;
+    return VM->runRequest("main");
+  }
+};
+
+/// Runs `main` of \p M once on a fresh VM (see SweepVM).
+ExecResult runAt(Module &M, bool Jit, uint64_t Fuel, bool Cancel,
+                 const std::string &Scheme = "") {
+  return SweepVM(M, Jit, Scheme).run(Fuel, Cancel);
+}
+
+/// The sweep: every budget from 1 to 1024 + Steps + 1, with the cancel
+/// flag off and on, where Steps is the decoded engine's count for an
+/// unlimited run (which may itself trap). Budgets up to Steps + 1 run out
+/// of fuel at every instruction, the top Steps + 2 budgets put the first
+/// poll point on every instruction, and the entry head sees every residue
+/// of FuelLeft & JitCancelMask, so every segment runs both ways.
+void expectFuelParity(Module &M, const std::string &Scheme = "") {
+  const uint64_t Steps =
+      runAt(M, false, InterpreterOptions().Fuel, false, Scheme).Steps;
+  SweepVM Decoded(M, false, Scheme), Jit(M, true, Scheme);
+  uint64_t Runs = 0, Mismatches = 0;
+  for (bool Cancel : {false, true})
+    for (uint64_t Fuel = 1; Fuel <= JitCancelMask + Steps + 2; ++Fuel) {
+      ExecResult D = Decoded.run(Fuel, Cancel);
+      ExecResult J = Jit.run(Fuel, Cancel);
+      ++Runs;
+      if (D.Trap == J.Trap && D.Steps == J.Steps &&
+          D.ReturnValue == J.ReturnValue && D.Message == J.Message)
+        continue;
+      if (++Mismatches <= 5)
+        ADD_FAILURE() << "fuel " << Fuel << ", cancel " << Cancel
+                      << ": decoded " << trapKindName(D.Trap) << " after "
+                      << D.Steps << " steps -> " << D.ReturnValue << " ("
+                      << D.Message << "), jit " << trapKindName(J.Trap)
+                      << " after " << J.Steps << " steps -> "
+                      << J.ReturnValue << " (" << J.Message << ")";
+    }
+  EXPECT_EQ(Mismatches, 0u) << "of " << Runs << " budgets";
+}
+
+std::unique_ptr<Module> parse(const char *IR, bool Hardened = false) {
+  ParseResult R = parseModule(IR, "fuel");
+  EXPECT_TRUE(R.ok()) << R.Error;
+  if (Hardened) {
+    PassManager PM;
+    PM.addPass(std::make_unique<SmokestackPass>());
+    PM.run(*R.M);
+  }
+  EXPECT_TRUE(verifyModule(*R.M));
+  return std::move(R.M);
+}
+
+/// The VM's Fig. 3 kernel (bench/interp_throughput) at 40 calls: long
+/// enough that the cancel sweep reaches every instruction of an iteration.
+constexpr const char *CallKernelIR = R"(
+define i64 @leaf(i64 %x) {
+entry:
+  %a = alloca i64, align 8
+  %b = alloca [16 x i8], align 1
+  %c = alloca i32, align 4
+  store i64 %x, ptr %a
+  store i8 1, ptr %b
+  store i32 2, ptr %c
+  %v = load i64, ptr %a
+  %w = add i64 %v, i64 3
+  ret i64 %w
+}
+
+define i64 @main() {
+entry:
+  %i = alloca i64, align 8
+  %acc = alloca i64, align 8
+  store i64 0, ptr %i
+  store i64 1, ptr %acc
+  br label %loop
+loop:
+  %c = load i64, ptr %i
+  %more = icmp slt i64 %c, i64 40
+  br i8 %more, label %body, label %exit
+body:
+  %a0 = load i64, ptr %acc
+  %r = call i64 @leaf(i64 %a0)
+  %x = xor i64 %r, i64 %c
+  store i64 %x, ptr %acc
+  %c1 = add i64 %c, i64 1
+  store i64 %c1, ptr %i
+  br label %loop
+exit:
+  %res = load i64, ptr %acc
+  ret i64 %res
+}
+)";
+
+/// Builds `main`: one block of \p Adds chained adds on a stack value, then
+/// ret — a single straight-line run of Adds + 4 instructions.
+void buildStraightLine(Module &M, unsigned Adds) {
+  IRBuilder B(M);
+  Function *F = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(F->createBlock("entry"));
+  AllocaInst *Slot = B.alloca_(B.i64(), "s");
+  B.store(B.constI64(1), Slot);
+  Value *V = B.load(B.i64(), Slot);
+  for (unsigned I = 0; I != Adds; ++I)
+    V = B.add(V, B.constI64(I));
+  B.ret(V);
+}
+
+uint64_t slowSegments() {
+  Statistic *S = findStatistic("jit.slow-segments");
+  EXPECT_NE(S, nullptr);
+  return S ? S->value() : 0;
+}
+
+} // namespace
+
+TEST(JitFuelSegmentTest, HardenedCallKernelEveryBudget) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> Plain = parse(CallKernelIR);
+  expectFuelParity(*Plain);
+  std::unique_ptr<Module> Hard = parse(CallKernelIR, /*Hardened=*/true);
+  for (const char *Scheme : {"pseudo", "aes1", "aes10"}) {
+    SCOPED_TRACE(Scheme);
+    expectFuelParity(*Hard, Scheme);
+  }
+}
+
+TEST(JitFuelSegmentTest, TrappingLoadMidSegment) {
+  // The load leaves its stencil through the out-of-line shim and traps
+  // with three instructions of its segment still charged.
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(R"(
+define i64 @main() {
+entry:
+  %s = alloca i64, align 8
+  store i64 5, ptr %s
+  %v = load i64, ptr %s
+  %bad = inttoptr i64 %v to ptr
+  %x = load i64, ptr %bad
+  %y = add i64 %x, i64 1
+  %z = mul i64 %y, i64 3
+  ret i64 %z
+}
+)");
+  expectFuelParity(*M);
+  EXPECT_EQ(runAt(*M, true, 1000, false).Trap, TrapKind::UnmappedAccess);
+}
+
+TEST(JitFuelSegmentTest, DivisionByZeroMidSegment) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(R"(
+define i64 @main() {
+entry:
+  %s = alloca i64, align 8
+  store i64 0, ptr %s
+  %d = load i64, ptr %s
+  %a = add i64 %d, i64 7
+  %q = udiv i64 %a, i64 %d
+  %r = add i64 %q, i64 1
+  %t = xor i64 %r, i64 5
+  ret i64 %t
+}
+)");
+  expectFuelParity(*M);
+  EXPECT_EQ(runAt(*M, true, 1000, false).Trap, TrapKind::DivisionByZero);
+}
+
+TEST(JitFuelSegmentTest, HeapLoadThroughShimSucceeds) {
+  // Heap accesses miss both inline fast paths (stack, rodata) and finish in
+  // the shim without trapping: the segment's charge must stand as is.
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(R"(
+declare ptr @malloc(i64)
+
+define i64 @main() {
+entry:
+  %h = call ptr @malloc(i64 16)
+  store i64 41, ptr %h
+  %v = load i64, ptr %h
+  %w = add i64 %v, i64 1
+  %x = mul i64 %w, i64 2
+  ret i64 %x
+}
+)");
+  expectFuelParity(*M);
+  ExecResult R = runAt(*M, true, 1000, false);
+  EXPECT_TRUE(R.ok()) << R.Message;
+  EXPECT_EQ(R.ReturnValue, 84u);
+}
+
+TEST(JitFuelSegmentTest, StraightLinePastTheSegmentCap) {
+  SKIP_WITHOUT_JIT();
+  Module M("long");
+  buildStraightLine(M, 2 * JitMaxSegment + 100);
+  expectFuelParity(M);
+}
+
+TEST(JitFuelSegmentTest, LoneBrBlocks) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(R"(
+define i64 @main() {
+entry:
+  %s = alloca i64, align 8
+  store i64 3, ptr %s
+  br label %hop
+hop:
+  br label %hop2
+hop2:
+  br label %done
+done:
+  %v = load i64, ptr %s
+  ret i64 %v
+}
+)");
+  expectFuelParity(*M);
+}
+
+TEST(JitFuelSegmentTest, LoopBackEdgeLandsOnSegmentHead) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(R"(
+define i64 @main() {
+entry:
+  %i = alloca i64, align 8
+  %sum = alloca i64, align 8
+  store i64 0, ptr %i
+  store i64 0, ptr %sum
+  br label %loop
+loop:
+  %iv = load i64, ptr %i
+  %s0 = load i64, ptr %sum
+  %s1 = add i64 %s0, i64 %iv
+  store i64 %s1, ptr %sum
+  %next = add i64 %iv, i64 1
+  store i64 %next, ptr %i
+  %more = icmp ult i64 %next, i64 150
+  br i8 %more, label %loop, label %done
+done:
+  %r = load i64, ptr %sum
+  ret i64 %r
+}
+)");
+  expectFuelParity(*M);
+}
+
+TEST(JitFuelSegmentTest, SegmentationRules) {
+  // Segments start at 0, at branch targets, after terminators, calls and
+  // unreachable, and every JitMaxSegment instructions. Result parity alone
+  // cannot see these boundaries — a longer segment only takes the slow
+  // path more often — so they are pinned directly.
+  std::unique_ptr<Module> M = parse(R"(
+declare i64 @smokestack.rand()
+
+define i64 @main() {
+entry:
+  %s = alloca i64, align 8
+  %r = call i64 @smokestack.rand()
+  store i64 %r, ptr %s
+  br label %hop
+hop:
+  br label %done
+done:
+  %v = load i64, ptr %s
+  ret i64 %v
+}
+)");
+  DecodedProgram P(*M);
+  const DecodedFunction *DF = P.find(M->getFunction("main"));
+  ASSERT_NE(DF, nullptr);
+  // alloca, call | store, br | br | load, ret
+  EXPECT_EQ(fuelSegmentEnds(*DF),
+            (std::vector<uint32_t>{2, 2, 4, 4, 5, 7, 7}));
+
+  Module Long("long");
+  buildStraightLine(Long, 2 * JitMaxSegment + 100);
+  DecodedProgram LP(Long);
+  const DecodedFunction *LDF = LP.find(Long.getFunction("main"));
+  ASSERT_NE(LDF, nullptr);
+  const uint32_t Size = static_cast<uint32_t>(LDF->Insts.size());
+  std::vector<uint32_t> Ends = fuelSegmentEnds(*LDF);
+  EXPECT_EQ(Ends.front(), JitMaxSegment);
+  EXPECT_EQ(Ends[JitMaxSegment], 2 * JitMaxSegment);
+  EXPECT_EQ(Ends[2 * JitMaxSegment], Size);
+  EXPECT_EQ(Ends.back(), Size);
+}
+
+TEST(JitFuelSegmentTest, FastPathExactlyAtTheBoundary) {
+  // One segment of N instructions: (FuelLeft & JitCancelMask) == N still
+  // runs natively; one unit less takes the slow path, which with the
+  // cancel flag set is where the last instruction hits the poll point.
+  SKIP_WITHOUT_JIT();
+  Module M("seg");
+  buildStraightLine(M, 20);
+  const uint64_t N = 24; // alloca, store, load, 20 adds, ret
+  const uint64_t Base = JitCancelMask + 1;
+
+  uint64_t Before = slowSegments();
+  ExecResult AtN = runAt(M, true, Base + N, true);
+  EXPECT_EQ(slowSegments() - Before, 0u);
+  EXPECT_TRUE(AtN.ok()) << AtN.Message;
+  EXPECT_EQ(AtN.Steps, N);
+
+  Before = slowSegments();
+  ExecResult Below = runAt(M, true, Base + N - 1, true);
+  EXPECT_EQ(slowSegments() - Before, 1u);
+  EXPECT_EQ(Below.Trap, TrapKind::WorkerCrash);
+  EXPECT_EQ(Below.Steps, N - 1);
+}

@@ -9,8 +9,8 @@
   * an old-shape per-mode soak file must be a clear REGRESSION line, not
     a Python traceback;
   * the interp_jit call kernels: a JIT digest off the decoded one, a
-    hardened kernel under the 1.5x floor, or no call_kernels at all must
-    each be a REGRESSION.
+    hardened kernel under the 2.0x floor (even just, at 1.9x), or no
+    call_kernels at all must each be a REGRESSION.
 
 Usage: bench_gate_test.py REPO_ROOT
 """
@@ -118,10 +118,12 @@ def main():
             k = d["call_kernels"][-1]
             k["digest_jit"] = "%016x" % (int(k["digest_jit"], 16) ^ 1)
 
-        def slow_hardened_calls(d):
-            for k in d["call_kernels"]:
-                if k["hardened"]:
-                    k["jit_speedup_vs_decoded"] = 1.2
+        def hardened_calls_at(speedup):
+            def mutate(d):
+                for k in d["call_kernels"]:
+                    if k["hardened"]:
+                        k["jit_speedup_vs_decoded"] = speedup
+            return mutate
 
         def drop_call_kernels(d):
             del d["call_kernels"]
@@ -132,9 +134,13 @@ def main():
                           "REGRESSION")
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json",
-                                  slow_hardened_calls),
-                          "a hardened call kernel under 1.5x is a "
-                          "REGRESSION")
+                                  hardened_calls_at(1.2)),
+                          "a hardened call kernel at 1.2x is a REGRESSION")
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json",
+                                  hardened_calls_at(1.9)),
+                          "a hardened call kernel at 1.9x (under the 2.0x "
+                          "floor) is a REGRESSION")
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json", drop_call_kernels),
                           "an interp_jit file without call_kernels is a "

@@ -37,8 +37,10 @@ Supported bench kinds (selected by the "bench"/"benchmark" key):
                     mismatch is a correctness bug, not noise), the
                     min_jit_speedup_vs_decoded ratio, and its >= 2x floor;
                     for the call_kernels (the VM's Fig. 3) it gates the
-                    same digest identity and a >= 1.5x JIT-over-decoded
-                    floor on every hardened kernel; a candidate with
+                    same digest identity and a >= 2x JIT-over-decoded
+                    floor on every hardened kernel with a seeded RNG (the
+                    RDRAND kernel's draw cost is the hardware's, so it is
+                    gated on digest identity alone); a candidate with
                     jit_available false (non-x86-64 runner) passes with a
                     note
   attack_corpus     gates the defeat-rate invariants of the DOP attack
@@ -194,9 +196,10 @@ def check_interp(base, cand, max_drop_pct):
     )
 
 
-# JIT-over-decoded floor of every hardened call kernel: the hardened
-# prologue (P-BOX loads, frame slicing) must stay in native code.
-CALL_KERNEL_FLOOR = 1.5
+# JIT-over-decoded floor of every hardened call kernel with a seeded RNG:
+# the hardened prologue (P-BOX loads, frame slicing, the rand draw) must
+# stay in native code or one shim call away from it.
+CALL_KERNEL_FLOOR = 2.0
 
 
 def check_interp_jit(base, cand, max_drop_pct):
@@ -242,7 +245,8 @@ def check_interp_jit(base, cand, max_drop_pct):
                        "(identity violation)")
         else:
             rc |= ok(f"{name}: jit digest equals decoded digest ({dec})")
-        if require(kernel, "hardened", f"candidate call kernel {name}"):
+        hardened = require(kernel, "hardened", f"candidate call kernel {name}")
+        if hardened and kernel.get("rng") != "rdrand":
             speedup = require(kernel, "jit_speedup_vs_decoded",
                               f"candidate call kernel {name}")
             if (not isinstance(speedup, (int, float))

@@ -376,6 +376,26 @@ int main(int argc, char **argv) {
       enableObsTiming();
 
     if (Opts.Pool || Opts.Serve) {
+      // Every pool and wire request calls the entry point with no
+      // arguments, so an entry point that cannot take that call would
+      // only serve bad-call traps: refuse it before anything starts.
+      const Function *Entry = M.getFunction(Opts.RunFunction);
+      if (!Entry || Entry->isDeclaration()) {
+        std::fprintf(stderr,
+                     "error: -run=%s: no function definition named '%s'; "
+                     "-workers/-serve need a zero-argument entry point\n",
+                     Opts.RunFunction.c_str(), Opts.RunFunction.c_str());
+        return 1;
+      }
+      if (Entry->getNumArgs() != 0) {
+        std::fprintf(stderr,
+                     "error: -run=%s: '%s' takes %u argument(s); "
+                     "-workers/-serve call it with none\n",
+                     Opts.RunFunction.c_str(), Opts.RunFunction.c_str(),
+                     Entry->getNumArgs());
+        return 1;
+      }
+
       // Pool mode: the WorkerPool owns per-request deterministic RNG
       // chains and per-request fault injectors, so -rng/-resilient (and
       // the -faults seed) are superseded by -seed.
