@@ -1,4 +1,4 @@
-//===- bench/interp_throughput.cpp - Decoded vs tree-walk throughput ------===//
+//===- bench/interp_throughput.cpp - Decoded vs JIT throughput ------------===//
 //
 // Part of the Smokestack reproduction. MIT license.
 //
@@ -6,20 +6,21 @@
 ///
 /// \file
 /// Measures Mini-IR interpreter throughput (executed instructions per
-/// second) for the tree-walking engine, the pre-decoded engine, and the
-/// copy-and-patch JIT, on four SPEC-shaped kernels mirroring the workload
-/// models used elsewhere in the reproduction (perlbench-like hashing,
-/// bzip2-like byte frequencies, mcf-like min scans, gcc-like mixed control
-/// flow).
+/// second) for the pre-decoded engine and the copy-and-patch JIT, on four
+/// SPEC-shaped kernels mirroring the workload models used elsewhere in the
+/// reproduction (perlbench-like hashing, bzip2-like byte frequencies,
+/// mcf-like min scans, gcc-like mixed control flow).
 ///
-/// All engines run the same module object; the decoded engine pays its
+/// Both engines run the same module object; the decoded engine pays its
 /// one-time decode — and the JIT its decode+compile — on the warmup run,
 /// which is exactly the deployment model (translate per function, execute
 /// per invocation). Every kernel's (Steps, ReturnValue) pair is digested
 /// per engine and the digests must agree exactly; any divergence is a
 /// correctness bug and exits nonzero. Results land in BENCH_interp.json
-/// (path overridable as argv[1]) plus BENCH_interp_jit.json (argv[2]) with
-/// the JIT-vs-decoded identity digests and speedups, gated in CI at >= 2x.
+/// (path overridable as argv[1]: per-kernel steps/sec, gated in CI against
+/// the committed baseline, plus the observability-overhead A/B) and
+/// BENCH_interp_jit.json (argv[2]) with the JIT-vs-decoded identity
+/// digests and speedups, gated in CI at >= 2x.
 ///
 /// The call kernels ask the paper's Fig. 3 question of the VM itself: a
 /// 2000-call three-alloca leaf, plain and Smokestack-hardened (one kernel
@@ -31,10 +32,7 @@
 /// seeded, so its digest leaves the RNG stream out and it is gated on
 /// digest identity alone.
 ///
-/// -engine=all (default) measures everything; -engine=jit skips the slow
-/// tree-walk and measures decoded vs jit only; -engine=decoded restores
-/// the historical tree-walk vs decoded run; -engine=treewalk measures the
-/// oracle alone. On hosts without jitAvailable() the JIT is skipped and
+/// On hosts without jitAvailable() the JIT is skipped and
 /// BENCH_interp_jit.json records jit_available=false.
 ///
 //===----------------------------------------------------------------------===//
@@ -419,8 +417,6 @@ const KernelSpec Kernels[] = {
     {"gcc.worklist", buildWorklistKernel},
 };
 
-enum class Engine { Treewalk, Decoded, Jit };
-
 struct EngineResult {
   uint64_t Steps = 0;
   uint64_t ReturnValue = 0;
@@ -443,15 +439,14 @@ uint64_t digestResult(uint64_t Steps, uint64_t ReturnValue) {
   return digestMore(digestMore(1469598103934665603ULL, Steps), ReturnValue);
 }
 
-/// Runs `main` of \p M Reps times on one engine and returns the median
-/// per-run wall time. The first (untimed) warmup run absorbs the one-time
-/// decode cost for the decoded engine — plus the stencil compile for the
-/// JIT (JitThreshold=0 promotes on the warmup call) — and any allocator
-/// warmup for all of them.
-EngineResult measureEngine(Module &M, Engine E, int Reps) {
+/// Runs `main` of \p M Reps times on the decoded engine or, with \p Jit,
+/// the JIT and returns the median per-run wall time. The first (untimed)
+/// warmup run absorbs the one-time decode cost — plus the stencil compile
+/// for the JIT (JitThreshold=0 promotes on the warmup call) — and any
+/// allocator warmup.
+EngineResult measureEngine(Module &M, bool Jit, int Reps) {
   InterpreterOptions Opts;
-  Opts.UseDecodedEngine = E != Engine::Treewalk;
-  Opts.UseJit = E == Engine::Jit;
+  Opts.UseJit = Jit;
   Opts.JitThreshold = 0;
   Interpreter VM(M, nullptr, Opts);
 
@@ -551,54 +546,29 @@ measureCallKernels(const std::vector<CallKernelSpec> &Specs, bool WantJit,
 } // namespace
 
 int main(int argc, char **argv) {
-  std::string EngineSel = "all";
-  std::vector<const char *> Paths;
-  for (int I = 1; I != argc; ++I) {
-    std::string Arg = argv[I];
-    if (Arg.rfind("-engine=", 0) == 0) {
-      EngineSel = Arg.substr(8);
-      if (EngineSel != "all" && EngineSel != "jit" && EngineSel != "decoded" &&
-          EngineSel != "treewalk") {
-        std::fprintf(stderr,
-                     "unknown -engine=%s (all|jit|decoded|treewalk)\n",
-                     EngineSel.c_str());
-        return 1;
-      }
-    } else {
-      Paths.push_back(argv[I]);
-    }
-  }
-  const char *JsonPath = Paths.size() > 0 ? Paths[0] : "BENCH_interp.json";
-  const char *JitJsonPath =
-      Paths.size() > 1 ? Paths[1] : "BENCH_interp_jit.json";
+  const char *JsonPath = argc > 1 ? argv[1] : "BENCH_interp.json";
+  const char *JitJsonPath = argc > 2 ? argv[2] : "BENCH_interp_jit.json";
   const int Reps = 5;
 
   // The decoded engine is always measured: it is the digest oracle for the
-  // JIT and the baseline of both speedup gates. -engine trims the rest.
-  const bool WantTree = EngineSel == "all" || EngineSel == "decoded" ||
-                        EngineSel == "treewalk";
-  const bool WantDecoded = EngineSel != "treewalk";
-  const bool WantJit =
-      (EngineSel == "all" || EngineSel == "jit") && jitAvailable();
-  if ((EngineSel == "all" || EngineSel == "jit") && !jitAvailable())
+  // JIT and the baseline of both speedup gates.
+  const bool WantJit = jitAvailable();
+  if (!WantJit)
     std::fprintf(stderr,
                  "warning: JIT unavailable on this host; measuring the "
                  "decoded engine only\n");
 
-  std::printf("Mini-IR interpreter throughput: tree-walk vs pre-decoded "
-              "vs jit\n");
-  std::printf("%-22s %12s %14s %14s %14s %9s %9s\n", "kernel", "steps",
-              "tree Mst/s", "decoded Mst/s", "jit Mst/s", "speedup",
-              "jit/dec");
+  std::printf("Mini-IR interpreter throughput: pre-decoded vs jit\n");
+  std::printf("%-22s %12s %14s %14s %9s\n", "kernel", "steps",
+              "decoded Mst/s", "jit Mst/s", "jit/dec");
 
   std::string Json = "{\n  \"benchmark\": \"interp_throughput\",\n"
                      "  \"reps\": " +
                      std::to_string(Reps) + ",\n  \"kernels\": [\n";
   std::string JitJson =
       std::string("{\n  \"benchmark\": \"interp_jit\",\n") +
-      "  \"jit_available\": " + (jitAvailable() ? "true" : "false") +
+      "  \"jit_available\": " + (WantJit ? "true" : "false") +
       ",\n  \"reps\": " + std::to_string(Reps) + ",\n  \"kernels\": [\n";
-  double MaxSpeedup = 0.0;
   double MinJitSpeedup = WantJit ? 1e300 : 0.0;
   bool DigestMismatch = false;
   for (size_t K = 0; K != std::size(Kernels); ++K) {
@@ -606,28 +576,11 @@ int main(int argc, char **argv) {
     Module M(Spec.Name);
     Spec.Build(M);
 
-    EngineResult Tree, Decoded, Jit;
-    if (WantTree)
-      Tree = measureEngine(M, Engine::Treewalk, Reps);
-    if (WantDecoded)
-      Decoded = measureEngine(M, Engine::Decoded, Reps);
-    else
-      Decoded = Tree; // -engine=treewalk: reuse the oracle as the baseline
+    EngineResult Decoded = measureEngine(M, /*Jit=*/false, Reps);
+    EngineResult Jit;
     if (WantJit)
-      Jit = measureEngine(M, Engine::Jit, Reps);
+      Jit = measureEngine(M, /*Jit=*/true, Reps);
 
-    if (WantTree && WantDecoded &&
-        (Tree.ReturnValue != Decoded.ReturnValue ||
-         Tree.Steps != Decoded.Steps)) {
-      std::fprintf(stderr, "%s: engine divergence (tree %llu/%llu steps, "
-                           "decoded %llu/%llu steps)\n",
-                   Spec.Name,
-                   static_cast<unsigned long long>(Tree.ReturnValue),
-                   static_cast<unsigned long long>(Tree.Steps),
-                   static_cast<unsigned long long>(Decoded.ReturnValue),
-                   static_cast<unsigned long long>(Decoded.Steps));
-      return 1;
-    }
     if (WantJit && Jit.Digest != Decoded.Digest) {
       std::fprintf(stderr, "%s: JIT identity violation (decoded %llu/%llu, "
                            "jit %llu/%llu)\n",
@@ -639,30 +592,24 @@ int main(int argc, char **argv) {
       DigestMismatch = true;
     }
 
-    double TreeRate = WantTree ? Tree.Steps / Tree.SecondsPerRun : 0.0;
     double DecodedRate = Decoded.Steps / Decoded.SecondsPerRun;
     double JitRate = WantJit ? Jit.Steps / Jit.SecondsPerRun : 0.0;
-    double Speedup = WantTree && WantDecoded ? DecodedRate / TreeRate : 0.0;
     double JitSpeedup = WantJit ? JitRate / DecodedRate : 0.0;
-    MaxSpeedup = std::max(MaxSpeedup, Speedup);
     if (WantJit)
       MinJitSpeedup = std::min(MinJitSpeedup, JitSpeedup);
 
-    std::printf("%-22s %12llu %14.2f %14.2f %14.2f %8.2fx %8.2fx\n",
-                Spec.Name,
+    std::printf("%-22s %12llu %14.2f %14.2f %8.2fx\n", Spec.Name,
                 static_cast<unsigned long long>(Decoded.Steps),
-                TreeRate / 1e6, DecodedRate / 1e6, JitRate / 1e6, Speedup,
-                JitSpeedup);
+                DecodedRate / 1e6, JitRate / 1e6, JitSpeedup);
 
-    char Row[640];
+    char Row[512];
     std::snprintf(Row, sizeof(Row),
                   "    {\"name\": \"%s\", \"steps\": %llu, "
-                  "\"treewalk_steps_per_sec\": %.0f, "
                   "\"decoded_steps_per_sec\": %.0f, "
-                  "\"jit_steps_per_sec\": %.0f, \"speedup\": %.3f, "
+                  "\"jit_steps_per_sec\": %.0f, "
                   "\"jit_speedup_vs_decoded\": %.3f}%s\n",
                   Spec.Name, static_cast<unsigned long long>(Decoded.Steps),
-                  TreeRate, DecodedRate, JitRate, Speedup, JitSpeedup,
+                  DecodedRate, JitRate, JitSpeedup,
                   K + 1 == std::size(Kernels) ? "" : ",");
     Json += Row;
 
@@ -682,80 +629,75 @@ int main(int argc, char **argv) {
   // The VM's Fig. 3: per engine, the plain call kernel's time is the base
   // of every hardened kernel's overhead ratio.
   std::string CallJson;
-  if (WantDecoded) {
-    const int CallReps = 301;
-    std::printf("\nVM Fig. 3: %llu-call three-alloca leaf, median of %d "
-                "interleaved runs\n",
-                static_cast<unsigned long long>(CallKernelCalls), CallReps);
-    std::printf("%-30s %12s %12s %9s %11s %11s\n", "kernel", "decoded us",
-                "jit us", "jit/dec", "dec hard/p", "jit hard/p");
-    const std::vector<CallKernelSpec> Specs = callKernels();
-    std::vector<std::pair<EngineResult, EngineResult>> Measured =
-        measureCallKernels(Specs, WantJit, CallReps);
-    const EngineResult &PlainDecoded = Measured[0].first;
-    const EngineResult &PlainJit = Measured[0].second;
-    for (size_t K = 0; K != Specs.size(); ++K) {
-      const CallKernelSpec &Spec = Specs[K];
-      const auto &[Decoded, Jit] = Measured[K];
-      if (WantJit && Jit.Digest != Decoded.Digest) {
-        std::fprintf(stderr, "%s: JIT identity violation (decoded %llu/%llu, "
-                             "jit %llu/%llu)\n",
-                     Spec.Name,
-                     static_cast<unsigned long long>(Decoded.ReturnValue),
-                     static_cast<unsigned long long>(Decoded.Steps),
-                     static_cast<unsigned long long>(Jit.ReturnValue),
-                     static_cast<unsigned long long>(Jit.Steps));
-        DigestMismatch = true;
-      }
-      double JitSpeedup =
-          WantJit ? Decoded.SecondsPerRun / Jit.SecondsPerRun : 0.0;
-      double DecodedOverhead =
-          Decoded.SecondsPerRun / PlainDecoded.SecondsPerRun;
-      double JitOverhead =
-          WantJit ? Jit.SecondsPerRun / PlainJit.SecondsPerRun : 0.0;
-      std::printf("%-30s %12.1f %12.1f %8.2fx %10.3fx %10.3fx\n", Spec.Name,
-                  Decoded.SecondsPerRun * 1e6,
-                  WantJit ? Jit.SecondsPerRun * 1e6 : 0.0, JitSpeedup,
-                  DecodedOverhead, JitOverhead);
-      char Row[768];
-      std::snprintf(
-          Row, sizeof(Row),
-          "    {\"name\": \"%s\", \"hardened\": %s, \"rng\": \"%s\", "
-          "\"calls\": %llu, \"digest_decoded\": \"%016llx\", "
-          "\"digest_jit\": \"%016llx\", \"decoded_us_per_run\": %.2f, "
-          "\"jit_us_per_run\": %.2f, \"jit_speedup_vs_decoded\": %.3f, "
-          "\"harden_overhead_decoded\": %.3f, "
-          "\"harden_overhead_jit\": %.3f}%s\n",
-          Spec.Name, Spec.Rng[0] ? "true" : "false", Spec.Rng,
-          static_cast<unsigned long long>(CallKernelCalls),
-          static_cast<unsigned long long>(Decoded.Digest),
-          static_cast<unsigned long long>(Jit.Digest),
-          Decoded.SecondsPerRun * 1e6,
-          WantJit ? Jit.SecondsPerRun * 1e6 : 0.0, JitSpeedup,
-          DecodedOverhead, JitOverhead,
-          K + 1 == Specs.size() ? "" : ",");
-      CallJson += Row;
+  const int CallReps = 301;
+  std::printf("\nVM Fig. 3: %llu-call three-alloca leaf, median of %d "
+              "interleaved runs\n",
+              static_cast<unsigned long long>(CallKernelCalls), CallReps);
+  std::printf("%-30s %12s %12s %9s %11s %11s\n", "kernel", "decoded us",
+              "jit us", "jit/dec", "dec hard/p", "jit hard/p");
+  const std::vector<CallKernelSpec> Specs = callKernels();
+  std::vector<std::pair<EngineResult, EngineResult>> Measured =
+      measureCallKernels(Specs, WantJit, CallReps);
+  const EngineResult &PlainDecoded = Measured[0].first;
+  const EngineResult &PlainJit = Measured[0].second;
+  for (size_t K = 0; K != Specs.size(); ++K) {
+    const CallKernelSpec &Spec = Specs[K];
+    const auto &[Decoded, Jit] = Measured[K];
+    if (WantJit && Jit.Digest != Decoded.Digest) {
+      std::fprintf(stderr, "%s: JIT identity violation (decoded %llu/%llu, "
+                           "jit %llu/%llu)\n",
+                   Spec.Name,
+                   static_cast<unsigned long long>(Decoded.ReturnValue),
+                   static_cast<unsigned long long>(Decoded.Steps),
+                   static_cast<unsigned long long>(Jit.ReturnValue),
+                   static_cast<unsigned long long>(Jit.Steps));
+      DigestMismatch = true;
     }
+    double JitSpeedup =
+        WantJit ? Decoded.SecondsPerRun / Jit.SecondsPerRun : 0.0;
+    double DecodedOverhead =
+        Decoded.SecondsPerRun / PlainDecoded.SecondsPerRun;
+    double JitOverhead =
+        WantJit ? Jit.SecondsPerRun / PlainJit.SecondsPerRun : 0.0;
+    std::printf("%-30s %12.1f %12.1f %8.2fx %10.3fx %10.3fx\n", Spec.Name,
+                Decoded.SecondsPerRun * 1e6,
+                WantJit ? Jit.SecondsPerRun * 1e6 : 0.0, JitSpeedup,
+                DecodedOverhead, JitOverhead);
+    char Row[768];
+    std::snprintf(
+        Row, sizeof(Row),
+        "    {\"name\": \"%s\", \"hardened\": %s, \"rng\": \"%s\", "
+        "\"calls\": %llu, \"digest_decoded\": \"%016llx\", "
+        "\"digest_jit\": \"%016llx\", \"decoded_us_per_run\": %.2f, "
+        "\"jit_us_per_run\": %.2f, \"jit_speedup_vs_decoded\": %.3f, "
+        "\"harden_overhead_decoded\": %.3f, "
+        "\"harden_overhead_jit\": %.3f}%s\n",
+        Spec.Name, Spec.Rng[0] ? "true" : "false", Spec.Rng,
+        static_cast<unsigned long long>(CallKernelCalls),
+        static_cast<unsigned long long>(Decoded.Digest),
+        static_cast<unsigned long long>(Jit.Digest),
+        Decoded.SecondsPerRun * 1e6,
+        WantJit ? Jit.SecondsPerRun * 1e6 : 0.0, JitSpeedup,
+        DecodedOverhead, JitOverhead,
+        K + 1 == Specs.size() ? "" : ",");
+    CallJson += Row;
   }
 
-  // The JIT identity/throughput summary is written whenever the decoded
-  // baseline was measured; on hosts without a JIT the digests are the
-  // decoded ones and jit_available=false tells the gate to skip.
-  if (WantDecoded) {
-    char JitTail[128];
-    std::snprintf(JitTail, sizeof(JitTail),
-                  "  ],\n  \"min_jit_speedup_vs_decoded\": %.3f,\n",
-                  WantJit ? MinJitSpeedup : 0.0);
-    JitJson += JitTail;
-    JitJson += "  \"call_kernels\": [\n" + CallJson + "  ]\n}\n";
-    if (std::FILE *Out = std::fopen(JitJsonPath, "w")) {
-      std::fputs(JitJson.c_str(), Out);
-      std::fclose(Out);
-      std::printf("\nwrote %s\n", JitJsonPath);
-    } else {
-      std::fprintf(stderr, "cannot write %s\n", JitJsonPath);
-      return 1;
-    }
+  // On hosts without a JIT the digests are the decoded ones and
+  // jit_available=false tells the gate to skip.
+  char JitTail[128];
+  std::snprintf(JitTail, sizeof(JitTail),
+                "  ],\n  \"min_jit_speedup_vs_decoded\": %.3f,\n",
+                WantJit ? MinJitSpeedup : 0.0);
+  JitJson += JitTail;
+  JitJson += "  \"call_kernels\": [\n" + CallJson + "  ]\n}\n";
+  if (std::FILE *Out = std::fopen(JitJsonPath, "w")) {
+    std::fputs(JitJson.c_str(), Out);
+    std::fclose(Out);
+    std::printf("\nwrote %s\n", JitJsonPath);
+  } else {
+    std::fprintf(stderr, "cannot write %s\n", JitJsonPath);
+    return 1;
   }
   if (DigestMismatch)
     return 1;
@@ -765,8 +707,6 @@ int main(int argc, char **argv) {
                  MinJitSpeedup);
     return 2;
   }
-  if (!WantTree)
-    return 0; // -engine=jit: no tree-walk baseline, no obs A/B, no gate below
 
   // Observability-overhead A/B (DESIGN.md §11): the same tiny request
   // served three ways — obs probes compiled in but timing off, off again
@@ -777,9 +717,7 @@ int main(int argc, char **argv) {
   // per-request latency tracing.
   Module ObsM("obs.tiny_request");
   buildTinyRequestKernel(ObsM);
-  InterpreterOptions ObsOpts;
-  ObsOpts.UseDecodedEngine = true;
-  Interpreter ObsVM(ObsM, nullptr, ObsOpts);
+  Interpreter ObsVM(ObsM);
   const int ObsRequests = 20000;
   const int ObsReps = 9;
   measureRequestRate(ObsVM, ObsRequests, 1); // warmup: decode + allocator
@@ -807,10 +745,9 @@ int main(int argc, char **argv) {
                 "\"disabled_req_per_sec\": %.0f, "
                 "\"disabled_rerun_req_per_sec\": %.0f, "
                 "\"enabled_req_per_sec\": %.0f, "
-                "\"noise_pct\": %.2f, \"enabled_overhead_pct\": %.2f},\n"
-                "  \"max_speedup\": %.3f\n}\n",
+                "\"noise_pct\": %.2f, \"enabled_overhead_pct\": %.2f}\n}\n",
                 ObsRequests, DisabledRate, DisabledRerun, EnabledRate,
-                NoisePct, OverheadPct, MaxSpeedup);
+                NoisePct, OverheadPct);
   Json += Tail;
 
   if (std::FILE *Out = std::fopen(JsonPath, "w")) {
@@ -821,5 +758,5 @@ int main(int argc, char **argv) {
     std::fprintf(stderr, "cannot write %s\n", JsonPath);
     return 1;
   }
-  return MaxSpeedup >= 3.0 ? 0 : 2;
+  return 0;
 }

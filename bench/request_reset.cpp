@@ -19,10 +19,9 @@
 ///
 /// The headline metric, restore_speedup_vs_rebuild, is the full-rebuild /
 /// snapshot-restore ratio at the largest touched size: machine-relative,
-/// so it transfers across runner generations better than raw ns/op (the
-/// same idea as interp_throughput's max_speedup). Results land in
-/// BENCH_reset.json (path overridable as argv[1]) and are gated by
-/// tools/check_bench_regression.py in the CI bench-smoke job.
+/// so it transfers across runner generations better than raw ns/op.
+/// Results land in BENCH_reset.json (path overridable as argv[1]) and are
+/// gated by tools/check_bench_regression.py in the CI bench-smoke job.
 ///
 //===----------------------------------------------------------------------===//
 

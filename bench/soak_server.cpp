@@ -33,10 +33,9 @@
 //   soak_server -chaos [...]          pool campaign plus injected worker
 //                                     crashes, hard worker deaths, and
 //                                     scripted poison requests; traced vs
-//                                     untraced, alternate worker count,
-//                                     snapshot restore off, and (under
-//                                     -engine=jit) a decoded-engine replay;
-//                                     emits BENCH_soak.json
+//                                     untraced, alternate worker count, and
+//                                     (under -engine=jit) a decoded-engine
+//                                     replay; emits BENCH_soak.json
 //   soak_server -net [-chaos] [...]   the in-process pool as reference, then
 //                                     the same campaign over loopback TCP
 //                                     through the epoll front-end at 1/2/4
@@ -621,8 +620,6 @@ struct PassSpec {
   bool Chaos = false;
   /// Per-request span tracing and wall-clock histograms; observational.
   bool Traced = false;
-  /// Crash repair by snapshot restore (false: full VM reconstruction).
-  bool SnapshotRestore = true;
   bool Jit = false;
   /// What equality of this pass's digest with the first pass's proves.
   const char *Claim = "";
@@ -644,8 +641,6 @@ std::string describe(const PassSpec &S) {
     Out += " chaos";
   if (S.Traced)
     Out += " traced";
-  if (!S.SnapshotRestore)
-    Out += " snapshot-restore=off";
   return Out;
 }
 
@@ -726,7 +721,6 @@ PoolOptions makeSoakPoolOptions(const Campaign &C, const PassSpec &S,
   PO.InterpOpts = InterpOpts;
   PO.InterpOpts.UseJit = S.Jit;
   PO.InjectFaults = true;
-  PO.SnapshotRestore = S.SnapshotRestore;
   PO.Tracer = Tracer;
   PO.FaultTemplate.site(FaultSite::RdRandStep) = {C.FaultRate,
                                                   RdRandSource::RetryLimit, 0};
@@ -1238,8 +1232,7 @@ bool writeJson(const std::string &Path, const char *Mode, const Campaign &C,
         Out,
         "    {\"transport\": \"%s\", \"workers\": %u, \"shards\": %u, "
         "\"connections\": %u,\n"
-        "     \"chaos\": %s, \"traced\": %s, \"snapshot_restore\": %s, "
-        "\"engine\": \"%s\",\n"
+        "     \"chaos\": %s, \"traced\": %s, \"engine\": \"%s\",\n"
         "     \"seconds\": %.4f, \"requests_per_sec\": %.1f,\n"
         "     \"digest\": \"0x%016" PRIx64 "\", \"identity_holds\": %s,\n"
         "     \"ledger\": {\"benign_ok\": %" PRIu64
@@ -1254,8 +1247,8 @@ bool writeJson(const std::string &Path, const char *Mode, const Campaign &C,
         ", \"traps_recovered\": %" PRIu64 ", \"fallback_draws\": %" PRIu64
         ", \"failclosed_draws\": %" PRIu64 "},\n",
         transportName(S.Via), S.Workers, S.Shards, S.Connections,
-        jsonBool(S.Chaos), jsonBool(S.Traced), jsonBool(S.SnapshotRestore),
-        S.Jit ? "jit" : "decoded", P.Seconds, P.rate(), P.DigestValue,
+        jsonBool(S.Chaos), jsonBool(S.Traced), S.Jit ? "jit" : "decoded",
+        P.Seconds, P.rate(), P.DigestValue,
         jsonBool(P.Valid && P.identityHolds()), L.BenignOk, L.BenignRandFail,
         L.BenignUnexpected, L.AttackAttempts, L.AttackTraps, L.AttackMisses,
         L.AttackSuccesses, L.PoisonedSeen, B.Submitted, B.Completed, B.Shed,
@@ -1494,9 +1487,6 @@ int main(int argc, char **argv) {
     PassSpec Alt = Base;
     Alt.Workers = AltWorkers;
     add(Alt, "digest is invariant under the worker count");
-    PassSpec Rebuild = Base;
-    Rebuild.SnapshotRestore = false;
-    add(Rebuild, "snapshot fast-path on/off digests are bit-identical");
     if (Jit) {
       PassSpec Decoded = Base;
       Decoded.Jit = false;

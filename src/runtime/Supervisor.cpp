@@ -149,8 +149,8 @@ void Supervisor::handleDeath(unsigned Id) {
 
   if (WillRestart) {
     // Rebuild on this thread, then relaunch: the thread create publishes
-    // the rebuilt Interpreter/RequestRng (snapshot-restored in place on
-    // the fast-path, reconstructed otherwise) to the new worker thread.
+    // the Interpreter/RequestRng, restored in place, to the new worker
+    // thread.
     ++RestartsUsed;
     Pool.rebuildWorker(W);
     W.State.store(WorkerPool::WorkerState::Idle, std::memory_order_relaxed);

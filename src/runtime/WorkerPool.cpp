@@ -35,15 +35,12 @@ Statistic NumPoolShed("pool.requests-shed",
                       "Requests rejected by the admission controller");
 Statistic NumPoolPoisoned("pool.requests-poisoned",
                           "Requests quarantined as poisoned");
-Statistic NumPoolSnapshotRestores(
+Statistic NumPoolRestores(
     "pool.snapshot-restores",
-    "Worker rebuilds served by the snapshot-restore fast-path");
-Statistic NumPoolFullRebuilds(
-    "pool.full-rebuilds",
-    "Worker rebuilds that reconstructed Interpreter + RequestRng");
+    "Worker rebuilds: snapshot restore of the VM plus an RNG reset");
 Histogram RebuildNanos(
     "pool.rebuild-nanos",
-    "Worker rebuild latency, either path (obs timing only)");
+    "Worker rebuild latency (obs timing only)");
 
 /// The carrier for an injected FaultSite::WorkerCrash: thrown out of the
 /// serve path and caught by the worker's containment loop, exactly like a
@@ -183,7 +180,7 @@ void PoolBooks::exportMetrics(MetricsRegistry &R) const {
 }
 
 WorkerPool::WorkerPool(Module &M, PoolOptions Opts)
-    : M(M), Opts(Opts), Shared(M), Queue(Opts.QueueCapacity) {
+    : Opts(Opts), Shared(M), Queue(Opts.QueueCapacity) {
   unsigned Count = Opts.Workers;
   if (Count == 0) {
     Count = std::thread::hardware_concurrency();
@@ -199,13 +196,11 @@ WorkerPool::WorkerPool(Module &M, PoolOptions Opts)
       W->Ring = &this->Opts.Tracer->ringFor(I);
     Workers.push_back(std::move(W));
   }
-  if (this->Opts.SnapshotRestore)
-    // One post-load image for the whole pool, captured from worker 0's VM
-    // (loading its globals eagerly — a fresh worker would have loaded them
-    // lazily on its first run, with the identical deterministic layout)
-    // and shared read-only by every crash rebuild.
-    Snapshot = std::make_unique<const VmSnapshot>(
-        Workers.front()->VM->captureSnapshot());
+  // One post-load image for the whole pool, captured from worker 0's VM
+  // (loading its globals eagerly — a fresh worker would have loaded them
+  // lazily on its first run, with the identical deterministic layout) and
+  // shared read-only by every crash rebuild.
+  Snapshot = Workers.front()->VM->captureSnapshot();
   Super = std::make_unique<Supervisor>(*this);
 }
 
@@ -314,9 +309,9 @@ void WorkerPool::recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
 }
 
 void WorkerPool::rebuildWorker(Worker &W) {
-  // Bank the doomed components' books first: a rebuilt Interpreter and
-  // RequestRng restart their counters at zero (on either path), and the
-  // pre-crash totals are part of the pool's accounting.
+  // Bank the doomed components' books first: a restored Interpreter and a
+  // reset RequestRng restart their counters at zero, and the pre-crash
+  // totals are part of the pool's accounting.
   W.VmCarry.Requests += W.VM->requestsServed();
   W.VmCarry.Traps += W.VM->requestTraps();
   W.VmCarry.Recoveries += W.VM->requestRecoveries();
@@ -324,22 +319,14 @@ void WorkerPool::rebuildWorker(Worker &W) {
 
   bool Timed = obsTimingEnabled();
   uint64_t Start = Timed ? obsNowNanos() : 0;
-  if (Snapshot) {
-    // Fast-path: restore the existing VM to the shared post-load image and
-    // reset the RNG in place. Bitwise equivalent to the reconstruction
-    // below (vm/Snapshot.h), at O(bytes dirtied) instead of a 37 MiB
-    // SimMemory rebuild — under chaos this is the dominant cost of a
-    // contained crash or a worker-death restart.
-    W.VM->restoreFromSnapshot(*Snapshot);
-    W.Rng->reset();
-    ++NumPoolSnapshotRestores;
-  } else {
-    W.VM = std::make_unique<Interpreter>(M, nullptr, Opts.InterpOpts);
-    W.VM->setSharedProgram(&Shared);
-    W.VM->setCancelFlag(&CancelAll);
-    W.Rng = std::make_unique<RequestRng>(Opts.Rng);
-    ++NumPoolFullRebuilds;
-  }
+  // Restore the existing VM to the shared post-load image and reset the
+  // RNG in place: bitwise equivalent to constructing both anew, at
+  // O(bytes dirtied) instead of a 37 MiB SimMemory rebuild — under chaos
+  // this is the dominant cost of a contained crash or a worker-death
+  // restart. Wiring (shared program, cancel flag) survives the restore.
+  W.VM->restoreFromSnapshot(Snapshot);
+  W.Rng->reset();
+  ++NumPoolRestores;
   if (Timed)
     RebuildNanos.record(obsNowNanos() - Start);
 }

@@ -271,17 +271,6 @@ struct PoolOptions {
   /// function of the index — any other dependence breaks the replay
   /// guarantee.
   std::function<void(uint64_t Index, FaultPlan &Plan)> PlanForRequest;
-  /// Crash-rebuild fast-path: the pool captures one post-load VmSnapshot
-  /// at construction (shared read-only by every worker) and rebuilds a
-  /// crashed or dead worker by restoring its existing Interpreter and
-  /// resetting its RequestRng in place — O(bytes dirtied) instead of a
-  /// 37 MiB SimMemory reconstruction plus a module re-layout. Restore is
-  /// bitwise equivalent to reconstruction (vm/Snapshot.h), so outcomes,
-  /// books, and soak digests are identical either way at any worker count
-  /// — the snapshot differential suite (ctest label `snapshot`) proves
-  /// it. Off = legacy full reconstruction, kept as the differential
-  /// oracle.
-  bool SnapshotRestore = true;
   /// Terminal-state hook: invoked once per request, the moment it reaches
   /// its terminal state (completed, trapped, or poisoned) — the socket
   /// front-end's response path (DESIGN.md §13). Runs on whichever thread
@@ -411,9 +400,9 @@ private:
     std::mutex StashMutex;
     std::optional<Pending> Stash;
 
-    // Carried across rebuilds: a fresh Interpreter/RequestRng starts its
-    // counters at zero, so the pre-crash books are banked here and merged
-    // back at finish().
+    // Carried across rebuilds: a restored Interpreter/RequestRng restarts
+    // its counters at zero, so the pre-crash books are banked here and
+    // merged back at finish().
     struct {
       uint64_t Requests = 0;
       uint64_t Traps = 0;
@@ -430,10 +419,12 @@ private:
   void workerMain(Worker &W);
   ServeVerdict serveRequest(Worker &W, Pending &Item);
   /// Banks W's VM/RNG books into its carries and returns its Interpreter
-  /// and RequestRng to their fresh state — via the shared snapshot
-  /// (SnapshotRestore, the fast-path: in-place restore + RNG reset) or by
-  /// constructing replacements (the legacy path; shared program + cancel
-  /// flag rewired). Called on the worker's own thread after a contained
+  /// and RequestRng to their fresh state in place: the VM is restored from
+  /// the shared post-load snapshot and the RNG is reset. Both are
+  /// equivalent to constructing replacements (vm/Snapshot.h; SnapshotTest
+  /// and RequestRngTest pin it), at O(bytes dirtied) instead of a 37 MiB
+  /// SimMemory reconstruction plus a module re-layout. Called on the
+  /// worker's own thread after a contained
   /// crash, or on the supervisor thread after joining a dead worker (join
   /// + relaunch give the necessary happens-before edges); the snapshot is
   /// immutable, so concurrent restores of different workers are safe.
@@ -446,12 +437,11 @@ private:
                       uint32_t Attempts,
                       const RequestBooks *Delta = nullptr);
 
-  Module &M;
   PoolOptions Opts;
   DecodedProgram Shared;
   /// Post-load VM image shared read-only by every worker's crash rebuild
-  /// (captured in the constructor; null when SnapshotRestore is off).
-  std::unique_ptr<const VmSnapshot> Snapshot;
+  /// (captured in the constructor).
+  VmSnapshot Snapshot;
   MpmcQueue<Pending> Queue;
   std::vector<std::unique_ptr<Worker>> Workers;
   std::unique_ptr<Supervisor> Super;

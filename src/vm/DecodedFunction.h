@@ -21,8 +21,9 @@
 ///    are split at decode time so the dispatch switch stays branch-lean.
 ///
 /// Decoding is strictly 1:1 — one DecodedInst per IR instruction, no fusion
-/// — so fuel accounting and ExecResult::Steps match the tree-walking engine
-/// bit for bit, which the differential tests rely on.
+/// — so fuel accounting charges one step per IR instruction executed, and
+/// ExecResult::Steps matches the frozen reference table of
+/// tests/vm/DecodedDifferentialTest.cpp bit for bit.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -113,9 +114,8 @@ struct DecodedFunction;
 /// DecodedFunction::CallArgRegs[ArgStart .. ArgStart+NumArgs).
 struct DecodedCallSite {
   Function *Callee = nullptr;
-  /// The callee's decoded form, resolved once by the DecodedProgram that
-  /// owns both functions. nullptr for builtins and for per-interpreter
-  /// decodes, which resolve through Interpreter::getDecoded instead.
+  /// The callee's decoded form, bound once by the DecodedProgram that owns
+  /// both functions; every direct call site has one. nullptr for builtins.
   const DecodedFunction *CalleeDF = nullptr;
   uint32_t ArgStart = 0;
   uint32_t NumArgs = 0;
@@ -125,7 +125,7 @@ struct DecodedCallSite {
 };
 
 /// A function lowered for the decoded engine. Immutable after decode; one
-/// per (Interpreter, Function) pair, produced lazily on first call.
+/// per (DecodedProgram, Function) pair.
 struct DecodedFunction {
   Function *F = nullptr;
   /// F's position in its module, the dense key of the JIT code cache.
@@ -139,7 +139,7 @@ struct DecodedFunction {
   std::vector<DecodedCallSite> CallSites;
   std::vector<uint32_t> CallArgRegs;
   /// Per-argument mask width in bytes (0 = floating point, not masked),
-  /// mirroring the tree-walk engine's setValue on entry.
+  /// applied to each argument on entry.
   std::vector<uint8_t> ArgWidths;
   uint32_t NumMutable = 0; ///< Arguments + value-producing instructions.
   uint32_t NumSlots = 0;   ///< NumMutable + ConstPool.size().

@@ -17,10 +17,8 @@ using namespace smokestack;
 
 namespace {
 
-Statistic NumSharedPrograms("vm.shared-programs",
-                            "DecodedPrograms built for sharing");
-Statistic NumSharedDecodes("vm.shared-decoded-functions",
-                           "Functions decoded into a shared DecodedProgram");
+Statistic NumPrograms("vm.decoded-programs",
+                      "DecodedPrograms built (pool-shared or VM-owned)");
 
 } // namespace
 
@@ -60,7 +58,6 @@ DecodedProgram::DecodedProgram(Module &M)
       continue;
     Decoded.emplace(F, decodeFunction(*F, GlobalAddresses,
                                       static_cast<uint32_t>(I)));
-    ++NumSharedDecodes;
   }
   // Every definition is decoded now, so direct calls can bind their
   // callee's decoded form once instead of looking it up on every call.
@@ -68,5 +65,5 @@ DecodedProgram::DecodedProgram(Module &M)
     for (DecodedCallSite &CS : Entry.second->CallSites)
       if (CS.Builtin == BuiltinId::None)
         CS.CalleeDF = find(CS.Callee);
-  ++NumSharedPrograms;
+  ++NumPrograms;
 }

@@ -6,11 +6,12 @@
 ///
 /// \file
 /// An immutable, shareable pre-decoded form of a Module: the deterministic
-/// global address map plus one DecodedFunction per definition. The worker
-/// pool builds a DecodedProgram once and publishes it read-only to every
-/// interpreter worker, so the decode cost is paid once per module instead
-/// of once per worker, and the hot path performs zero synchronization —
-/// workers only ever read it.
+/// global address map plus one DecodedFunction per definition, with every
+/// direct call site bound to its callee's. It is the only decode path: the
+/// worker pool builds one and publishes it read-only to every interpreter
+/// worker, so the decode cost is paid once per module instead of once per
+/// worker, and the hot path performs zero synchronization — workers only
+/// ever read it; a standalone Interpreter builds its own on its first run.
 ///
 /// Sharing is sound because global layout is a pure function of the module
 /// (globals are placed by declaration order at fixed segment bases; see

@@ -357,7 +357,7 @@ std::unique_ptr<DecodedFunction> FunctionDecoder::decode() {
   DF->Index = Index;
 
   // Register numbering: arguments first, then value-producing instructions
-  // in block order — identical to the tree-walk engine's Numbering.
+  // in block order.
   for (unsigned I = 0, E = F.getNumArgs(); I != E; ++I) {
     RegIndex[F.getArg(I)] = DF->NumMutable++;
     DF->ArgWidths.push_back(maskWidthFor(F.getArg(I)->getType()));

@@ -89,16 +89,11 @@ struct InterpreterOptions {
   uint64_t StackBaseOffset = 0;
   /// Maximum simulated call depth.
   unsigned MaxCallDepth = 512;
-  /// Execute through the pre-decoded engine (flat DecodedInst arrays with
-  /// resolved operand indices; see vm/DecodedFunction.h). The tree-walking
-  /// engine remains available as a differential-testing oracle; both
-  /// produce bit-identical ExecResults including Steps.
-  bool UseDecodedEngine = true;
-  /// Compile hot decoded functions to native x86-64 code (jit/). Implies
-  /// the decoded engine; silently ignored (decoded fallback) on hosts
-  /// where jitAvailable() is false. The JIT preserves the decoded engine's
-  /// results bit for bit — ExecResult including Steps, trap points and
-  /// messages, RNG draw order, and memory touched-range accounting.
+  /// Compile hot decoded functions to native x86-64 code (jit/); silently
+  /// ignored (decoded fallback) on hosts where jitAvailable() is false.
+  /// The JIT preserves the decoded engine's results bit for bit —
+  /// ExecResult including Steps, trap points and messages, RNG draw order,
+  /// and memory touched-range accounting.
   bool UseJit = false;
   /// Invocations of a function before it is compiled (0 = first call).
   unsigned JitThreshold = 8;
@@ -160,24 +155,25 @@ public:
   /// Binds the randomness source consumed by the smokestack.rand builtin.
   void setRandomSource(RandomSource *Source) { Rng = Source; }
 
-  /// Binds a cooperative cancellation flag. Both execution engines poll it
-  /// every CancelCheckInterval steps inside their fuel loops; once it reads
-  /// true the run stops with a recoverable TrapKind::WorkerCrash, so a
-  /// supervisor tearing a pool down can abort an in-flight request without
-  /// killing the thread. nullptr (the default) disables the check; the
+  /// Binds a cooperative cancellation flag. The decoded engine and the JIT
+  /// poll it every CancelCheckInterval steps inside their fuel loops; once
+  /// it reads true the run stops with a recoverable TrapKind::WorkerCrash,
+  /// so a supervisor tearing a pool down can abort an in-flight request
+  /// without killing the thread. nullptr (the default) disables the check; the
   /// polled load is relaxed, so the hot path cost is one predictable branch.
   void setCancelFlag(const std::atomic<bool> *Flag) { CancelFlag = Flag; }
 
   /// Publishes a shared, immutable pre-decoded program (see
-  /// vm/DecodedProgram.h). Functions found there are executed from the
-  /// shared form instead of this interpreter's private decode cache, so N
-  /// pool workers pay the decode cost once. The program must outlive this
-  /// interpreter and must have been built from the same Module.
+  /// vm/DecodedProgram.h), so N pool workers pay the decode cost once. The
+  /// program must outlive this interpreter and must have been built from
+  /// the same Module. Without one, the first run() decodes the whole
+  /// module into a program this interpreter owns; the Module must not
+  /// change after that.
   ///
   /// Changing the program invalidates the JIT code cache (its entries are
   /// keyed on the old program's DecodedFunctions); out-of-line so the
   /// header does not need the cache type.
-  void setSharedProgram(const DecodedProgram *Program);
+  void setSharedProgram(const DecodedProgram *Shared);
 
   /// Number of functions this VM has compiled to native code (0 when the
   /// JIT is disabled or unavailable). Tier-promotion observability.
@@ -206,30 +202,10 @@ private:
   /// compiled execution bit-identical to the decoded engine.
   friend struct JitShims;
 
-  /// Per-function value numbering (registers).
-  struct Numbering {
-    std::unordered_map<const Value *, unsigned> Index;
-    unsigned Count = 0;
-  };
-
-  struct Frame {
-    Function *F = nullptr;
-    /// The numbering for F, cached so operand access is one map lookup.
-    const Numbering *N = nullptr;
-    std::vector<uint64_t> Registers;
-    uint64_t SavedStackPointer = 0;
-  };
-
-  const Numbering &getNumbering(Function *F);
-
-  /// The decoded form of \p F, lowered on first use (after globals load).
-  const DecodedFunction &getDecoded(Function *F);
-
   void loadGlobals();
-  uint64_t callFunction(Function *F, const std::vector<uint64_t> &Args,
-                        ExecResult &Result, unsigned Depth);
-  /// Decoded-engine twin of callFunction; dispatches over flat DecodedInst
-  /// arrays with zero per-operand map lookups.
+  /// Runs \p DF at call depth \p Depth: dispatches over its flat
+  /// DecodedInst array with zero per-operand map lookups, or enters its
+  /// compiled code once the JIT has promoted it.
   uint64_t callDecoded(const DecodedFunction &DF,
                        std::span<const uint64_t> Args, ExecResult &Result,
                        unsigned Depth);
@@ -249,13 +225,10 @@ private:
   /// Post-trap cleanup behind runRequest().
   void recoverRequestState();
 
-  uint64_t getValue(const Frame &Fr, const Value *V) const;
-  void setValue(Frame &Fr, const Value *V, uint64_t Bits);
-
   // Builtin helpers.
   /// smokestack.rand: one draw from the bound source, failing closed.
-  /// Shared by dispatchBuiltin and the JIT's rand shim, so both engines
-  /// draw, and trap, through the same statements.
+  /// Shared by dispatchBuiltin and the JIT's rand shim, so the decoded
+  /// engine and compiled code draw, and trap, through the same statements.
   bool builtinRand(uint64_t &RetValue, ExecResult &Result);
   bool builtinSnprintf(std::span<const uint64_t> Args, uint64_t &RetValue,
                        ExecResult &Result);
@@ -264,7 +237,7 @@ private:
   SimMemory Memory;
   RandomSource *Rng;
   InterpreterOptions Opts;
-  /// Cooperative cancellation flag polled by both fuel loops (see
+  /// Cooperative cancellation flag polled by the fuel loops (see
   /// setCancelFlag); nullptr when cancellation is not wired up.
   const std::atomic<bool> *CancelFlag = nullptr;
   /// The cancel flag is polled when FuelLeft is a multiple of this power of
@@ -283,12 +256,10 @@ private:
   uint64_t RequestsServed = 0;
   uint64_t RequestTraps = 0;
   uint64_t RequestRecoveries = 0;
-  std::unordered_map<const Function *, Numbering> Numberings;
-  std::unordered_map<const Function *, std::unique_ptr<DecodedFunction>>
-      DecodedCache;
-  /// Shared read-only decode cache consulted before DecodedCache (set by
-  /// the worker pool; nullptr for standalone interpreters).
-  const DecodedProgram *SharedProgram = nullptr;
+  /// The decoded module every call executes from: the pool's shared
+  /// program, or OwnedProgram, built by the first run() when none was set.
+  const DecodedProgram *Program = nullptr;
+  std::unique_ptr<DecodedProgram> OwnedProgram;
   /// Tiered native-code cache (jit/JitCache.h); null unless Opts.UseJit on
   /// a jitAvailable() host. Derived state: survives snapshot restore,
   /// cleared when the shared program changes.

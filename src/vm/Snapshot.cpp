@@ -27,12 +27,12 @@ namespace {
 
 Statistic NumSnapshotCaptures("vm.snapshot-captures",
                               "VM snapshots captured");
-Statistic NumSnapshotRestores("vm.snapshot-restores",
-                              "VM states restored from a snapshot");
-Histogram SnapshotRestoreBytes(
+Statistic NumRestores("vm.snapshot-restores",
+                      "VM states restored from a snapshot");
+Histogram RestoreBytes(
     "vm.snapshot-restore-bytes",
     "Bytes zeroed + copied per snapshot restore");
-Histogram SnapshotRestoreNanos(
+Histogram RestoreNanos(
     "vm.snapshot-restore-nanos",
     "Wall-clock nanoseconds per snapshot restore (obs timing only)");
 
@@ -119,9 +119,10 @@ void Interpreter::restoreFromSnapshot(const VmSnapshot &S) {
   // globals are loaded: the address map comes from the snapshot (same
   // module, same deterministic layout), the request counters restart at
   // zero (callers bank them first, exactly as across a full rebuild), and
-  // the per-run state is cleared. Numberings and the private decode cache
-  // survive deliberately — they are pure functions of the module, so
-  // keeping them changes nothing observable and skips re-decoding.
+  // the per-run state is cleared. The decoded program (shared or owned)
+  // and the JIT code cache survive deliberately — they are pure functions
+  // of the module, so keeping them changes nothing observable and skips
+  // re-decoding.
   GlobalAddresses = S.GlobalAddresses;
   GlobalsLoaded = true;
   for (std::vector<uint64_t> &Regs : RegisterPool)
@@ -135,8 +136,8 @@ void Interpreter::restoreFromSnapshot(const VmSnapshot &S) {
   RequestTraps = 0;
   RequestRecoveries = 0;
 
-  ++NumSnapshotRestores;
-  SnapshotRestoreBytes.record(Written);
+  ++NumRestores;
+  RestoreBytes.record(Written);
   if (Timed)
-    SnapshotRestoreNanos.record(obsNowNanos() - Start);
+    RestoreNanos.record(obsNowNanos() - Start);
 }

@@ -18,9 +18,10 @@
 /// touched range and copying the captured image back therefore reproduces
 /// the post-load byte image exactly; restoring the captured address map
 /// reproduces the layout a rebuilt interpreter would recompute. The
-/// snapshot differential suite (ctest label `snapshot`) pins this down:
-/// outcome digests and pool books are identical with the fast-path on or
-/// off, at any worker count, under chaos.
+/// snapshot suite (ctest label `snapshot`) pins this down: SnapshotTest
+/// compares a restored VM with a freshly constructed one byte for byte and
+/// request for request, and the pool campaigns of SnapshotDifferentialTest
+/// keep outcomes and books identical at any worker count, under chaos.
 ///
 /// Lifecycle: capture once after construction (WorkerPool captures from
 /// its first worker and shares the snapshot read-only across all workers

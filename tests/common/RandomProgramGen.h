@@ -6,10 +6,12 @@
 ///
 /// \file
 /// Shared generator of random (but memory-safe) Mini-IR programs with
-/// stack-heavy dataflow, used by the instrumentation differential fuzzer
-/// and the decoded-vs-tree-walk engine differential test. Same seed, same
-/// program — byte for byte — so independent modules built from one seed can
-/// be compared across passes and engines.
+/// stack-heavy dataflow, used by the instrumentation differential fuzzer,
+/// the JIT differential test and the decoded engine's frozen-table test.
+/// Same seed, same program — byte for byte — so independent modules built
+/// from one seed can be compared across passes and engines. The frozen
+/// table (tests/vm/DecodedDifferentialTest.cpp) records seeds 1-40, so a
+/// change to what a seed generates invalidates its rows.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -6,31 +6,26 @@
 ///
 /// \file
 /// Differential testing of the copy-and-patch JIT against the decoded
-/// engine, mirroring vm/DecodedDifferentialTest.cpp one tier up: with
-/// JitThreshold=0 every function runs as native code from its first call,
-/// and the results must be bit-identical to pure decoded execution — trap
-/// kind and message, return value, step count, call count, and builtin
-/// output — across the shipped examples (plain and Smokestack-hardened),
-/// the randomized fuzz corpus, and handcrafted trap scenarios.
+/// engine, over the corpus vm/DecodedDifferentialTest.cpp checks the
+/// decoded engine on: with JitThreshold=0 every function runs as native
+/// code from its first call, and the results must be bit-identical to pure
+/// decoded execution — trap kind and message, return value, step count,
+/// call count, and builtin output — across the shipped examples (plain and
+/// Smokestack-hardened), the randomized fuzz corpus, and handcrafted trap
+/// scenarios (common/EngineCorpus.h), plus JIT-specific edge cases.
 ///
 /// The whole suite GTEST_SKIPs on hosts where jitAvailable() is false.
 ///
 //===----------------------------------------------------------------------===//
 
+#include "common/EngineCorpus.h"
 #include "common/RandomProgramGen.h"
-#include "core/SmokestackPass.h"
-#include "ir/Parser.h"
-#include "ir/Verifier.h"
 #include "jit/JitAbi.h"
 #include "rng/AesCtr.h"
 #include "rng/RdRand.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
-
-#include <filesystem>
-#include <fstream>
-#include <sstream>
 
 using namespace smokestack;
 
@@ -54,7 +49,6 @@ void expectJitParity(Module &M, const std::string &FuncName,
                      InterpreterOptions BaseOpts = InterpreterOptions(),
                      const std::string &Scheme = "aes10") {
   InterpreterOptions DecodedOpts = BaseOpts;
-  DecodedOpts.UseDecodedEngine = true;
   DecodedOpts.UseJit = false;
   InterpreterOptions JitOpts = BaseOpts;
   JitOpts.UseJit = true;
@@ -82,61 +76,25 @@ void expectJitParity(Module &M, const std::string &FuncName,
   EXPECT_EQ(DecodedVM.output(), JitVM.output()) << FuncName;
 }
 
-std::vector<std::filesystem::path> exampleModules() {
-  std::vector<std::filesystem::path> Paths;
-  for (const auto &Entry :
-       std::filesystem::directory_iterator(SMOKESTACK_EXAMPLES_DIR))
-    if (Entry.path().extension() == ".ir")
-      Paths.push_back(Entry.path());
-  return Paths;
-}
-
-ParseResult parseFile(const std::filesystem::path &Path) {
-  std::ifstream In(Path);
-  std::ostringstream Buf;
-  Buf << In.rdbuf();
-  return parseModule(Buf.str(), Path.filename().string());
-}
-
 } // namespace
 
 TEST(JitDifferentialTest, ExampleModulesMatchPlain) {
   SKIP_WITHOUT_JIT();
-  std::vector<std::filesystem::path> Paths = exampleModules();
-  ASSERT_FALSE(Paths.empty()) << "no examples/*.ir modules found";
-  unsigned FunctionsRun = 0;
-  for (const auto &Path : Paths) {
-    ParseResult Parsed = parseFile(Path);
-    ASSERT_TRUE(Parsed.ok()) << Path << ": " << Parsed.Error;
-    Module &M = *Parsed.M;
-    for (size_t I = 0, E = M.getNumFunctions(); I != E; ++I) {
-      Function *F = M.getFunctionAt(I);
-      if (F->isDeclaration() || F->getNumArgs() != 0)
-        continue;
-      expectJitParity(M, F->getName());
-      ++FunctionsRun;
-    }
-  }
+  unsigned FunctionsRun = forEachExampleFunction(
+      /*Hardened=*/false,
+      [](Module &M, const std::string &Fn, const std::string &) {
+        expectJitParity(M, Fn);
+      });
   EXPECT_GT(FunctionsRun, 0u) << "no zero-argument definitions exercised";
 }
 
 TEST(JitDifferentialTest, ExampleModulesMatchHardened) {
   SKIP_WITHOUT_JIT();
-  for (const auto &Path : exampleModules()) {
-    ParseResult Parsed = parseFile(Path);
-    ASSERT_TRUE(Parsed.ok()) << Path << ": " << Parsed.Error;
-    Module &M = *Parsed.M;
-    PassManager PM;
-    PM.addPass(std::make_unique<SmokestackPass>());
-    PM.run(M);
-    ASSERT_TRUE(verifyModule(M));
-    for (size_t I = 0, E = M.getNumFunctions(); I != E; ++I) {
-      Function *F = M.getFunctionAt(I);
-      if (F->isDeclaration() || F->getNumArgs() != 0)
-        continue;
-      expectJitParity(M, F->getName(), /*Seed=*/0xD1FF);
-    }
-  }
+  forEachExampleFunction(
+      /*Hardened=*/true,
+      [](Module &M, const std::string &Fn, const std::string &) {
+        expectJitParity(M, Fn, /*Seed=*/0xD1FF);
+      });
 }
 
 // The randomized corpus of the instrumentation fuzzer, replayed one tier
@@ -166,12 +124,7 @@ INSTANTIATE_TEST_SUITE_P(Seeds, JitDifferentialFuzz,
 TEST(JitDifferentialTest, DivisionByZeroParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  AllocaInst *Zero = B.alloca_(B.i64(), "z");
-  B.store(B.constI64(0), Zero);
-  B.ret(B.udiv(B.constI64(7), B.load(B.i64(), Zero)));
+  buildDivisionByZero(M);
   expectJitParity(M, "main");
 }
 
@@ -197,25 +150,14 @@ TEST(JitDifferentialTest, SignedDivisionOverflowParity) {
 TEST(JitDifferentialTest, UnmappedAccessParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  Value *Bad = B.cast_(CastInst::CastOp::IntToPtr, B.ptr(), B.constI64(64));
-  B.ret(B.load(B.i64(), Bad));
+  buildUnmappedAccess(M);
   expectJitParity(M, "main");
 }
 
 TEST(JitDifferentialTest, OutOfFuelParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  BasicBlock *Entry = F->createBlock("entry");
-  BasicBlock *Loop = F->createBlock("loop");
-  B.setInsertPoint(Entry);
-  B.br(Loop);
-  B.setInsertPoint(Loop);
-  B.br(Loop);
+  buildEndlessLoop(M);
   InterpreterOptions Opts;
   Opts.Fuel = 100;
   expectJitParity(M, "main", /*Seed=*/0, Opts);
@@ -224,62 +166,35 @@ TEST(JitDifferentialTest, OutOfFuelParity) {
 TEST(JitDifferentialTest, VlaSizeOverflowParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  AllocaInst *CountSlot = B.alloca_(B.i64(), "n");
-  B.store(B.constI64(uint64_t(1) << 62), CountSlot);
-  AllocaInst *VLA = B.allocaVLA(B.i64(), B.load(B.i64(), CountSlot), "vla");
-  B.store(B.constI64(1), VLA);
-  B.ret(B.constI64(0));
+  buildVlaSizeOverflow(M);
   expectJitParity(M, "main");
 }
 
 TEST(JitDifferentialTest, UnreachableParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  B.unreachable_();
+  buildUnreachable(M);
   expectJitParity(M, "main");
 }
 
 TEST(JitDifferentialTest, CallDepthLimitParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  B.ret(B.call(F, {}, "again"));
+  buildUnboundedRecursion(M);
   expectJitParity(M, "main");
 }
 
 TEST(JitDifferentialTest, UnknownBuiltinParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *Mystery = M.getOrInsertDeclaration("no.such.builtin", B.i64(), {});
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  B.ret(B.call(Mystery, {}));
+  buildUnknownBuiltinCall(M);
   expectJitParity(M, "main");
 }
 
 TEST(JitDifferentialTest, BuiltinsAndInputParity) {
   SKIP_WITHOUT_JIT();
   Module M("t");
-  IRBuilder B(M);
-  Function *GetInput =
-      M.getOrInsertDeclaration("get_input", B.i64(), {B.ptr(), B.i64()});
-  Function *Print =
-      M.getOrInsertDeclaration("print_i64", B.voidTy(), {B.i64()});
-  Function *F = M.createFunction("main", B.i64(), {});
-  B.setInsertPoint(F->createBlock("entry"));
-  AllocaInst *Buf = B.alloca_(B.getContext().getArrayTy(B.i8(), 16), "buf");
-  Value *Got = B.call(GetInput, {Buf, B.constI64(16)});
-  B.call(Print, {Got});
-  B.ret(B.add(Got, B.load(B.i64(), Buf)));
+  buildInputAndPrint(M);
 
   InterpreterOptions DecodedOpts, JitOpts;
   JitOpts.UseJit = true;

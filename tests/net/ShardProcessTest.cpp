@@ -15,6 +15,7 @@
 
 #include "net/ShardProcess.h"
 
+#include "common/PoolRuns.h"
 #include "ir/IRBuilder.h"
 #include "net/Client.h"
 #include "net/SocketServer.h"
@@ -27,19 +28,6 @@
 using namespace smokestack;
 
 namespace {
-
-/// driver(): folds two smokestack.rand draws into a byte — the per-request
-/// RNG chain makes every response a pure function of (RootSeed, Index),
-/// which is what thread-vs-process and kill-and-replay comparisons key on.
-void buildRandModule(Module &M) {
-  IRBuilder B(M);
-  Function *Rand = M.getOrInsertDeclaration("smokestack.rand", B.i64(), {});
-  Function *Driver = M.createFunction("driver", B.i64(), {});
-  B.setInsertPoint(Driver->createBlock("entry"));
-  Value *A = B.call(Rand, {});
-  Value *C = B.call(Rand, {});
-  B.ret(B.and_(B.add(A, C), B.constI64(0xff)));
-}
 
 ServerOptions shardServerOptions(unsigned Shards, ShardMode Mode) {
   ServerOptions Opts;

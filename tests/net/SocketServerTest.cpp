@@ -16,6 +16,7 @@
 
 #include "net/SocketServer.h"
 
+#include "common/PoolRuns.h"
 #include "ir/IRBuilder.h"
 #include "net/Client.h"
 #include "net/ShardRouter.h"
@@ -32,41 +33,6 @@ namespace {
 
 void sleepMillis(unsigned Ms) {
   std::this_thread::sleep_for(std::chrono::milliseconds(Ms));
-}
-
-/// driver(): folds two smokestack.rand draws into a byte — the per-request
-/// RNG chain makes the return value a pure function of (RootSeed, Index),
-/// which is what the wire-vs-in-process comparisons key on.
-void buildRandModule(Module &M) {
-  IRBuilder B(M);
-  Function *Rand = M.getOrInsertDeclaration("smokestack.rand", B.i64(), {});
-  Function *Driver = M.createFunction("driver", B.i64(), {});
-  B.setInsertPoint(Driver->createBlock("entry"));
-  Value *A = B.call(Rand, {});
-  Value *C = B.call(Rand, {});
-  B.ret(B.and_(B.add(A, C), B.constI64(0xff)));
-}
-
-/// spin(): a counted loop; with a huge count it hangs until the fuel
-/// budget or a cooperative cancel ends it (the drain-timeout test).
-void buildSpinModule(Module &M, uint64_t Iterations) {
-  IRBuilder B(M);
-  Function *F = M.createFunction("spin", B.i64(), {});
-  BasicBlock *Entry = F->createBlock("entry");
-  BasicBlock *Loop = F->createBlock("loop");
-  BasicBlock *Done = F->createBlock("done");
-  B.setInsertPoint(Entry);
-  AllocaInst *Ctr = B.alloca_(B.i64(), "ctr");
-  B.store(B.constI64(0), Ctr);
-  B.br(Loop);
-  B.setInsertPoint(Loop);
-  Value *V = B.load(B.i64(), Ctr);
-  Value *Next = B.add(V, B.constI64(1));
-  B.store(Next, Ctr);
-  B.condBr(B.icmp(ICmpInst::Predicate::ULT, Next, B.constI64(Iterations)),
-           Loop, Done);
-  B.setInsertPoint(Done);
-  B.ret(B.constI64(13));
 }
 
 ServerOptions randServerOptions(unsigned Shards) {

@@ -15,8 +15,7 @@
 
 #include "runtime/WorkerPool.h"
 
-#include "ir/IRBuilder.h"
-#include "rng/RdRand.h"
+#include "common/PoolRuns.h"
 
 #include "gtest/gtest.h"
 
@@ -29,107 +28,6 @@ using namespace smokestack;
 
 namespace {
 
-/// driver(): folds two smokestack.rand draws into a byte (the same shape
-/// the WorkerPool determinism tests use).
-void buildRandModule(Module &M) {
-  IRBuilder B(M);
-  Function *Rand = M.getOrInsertDeclaration("smokestack.rand", B.i64(), {});
-  Function *Driver = M.createFunction("driver", B.i64(), {});
-  B.setInsertPoint(Driver->createBlock("entry"));
-  Value *A = B.call(Rand, {});
-  Value *C = B.call(Rand, {});
-  B.ret(B.and_(B.add(A, C), B.constI64(0xff)));
-}
-
-/// spin(): a counted loop long enough that the interpreter's cooperative
-/// cancel poll (every 1024 fuel steps) is guaranteed to fire mid-run.
-void buildSpinModule(Module &M, uint64_t Iterations) {
-  IRBuilder B(M);
-  Function *F = M.createFunction("spin", B.i64(), {});
-  BasicBlock *Entry = F->createBlock("entry");
-  BasicBlock *Loop = F->createBlock("loop");
-  BasicBlock *Done = F->createBlock("done");
-  B.setInsertPoint(Entry);
-  AllocaInst *Ctr = B.alloca_(B.i64(), "ctr");
-  B.store(B.constI64(0), Ctr);
-  B.br(Loop);
-  B.setInsertPoint(Loop);
-  Value *V = B.load(B.i64(), Ctr);
-  Value *Next = B.add(V, B.constI64(1));
-  B.store(Next, Ctr);
-  B.condBr(B.icmp(ICmpInst::Predicate::ULT, Next, B.constI64(Iterations)),
-           Loop, Done);
-  B.setInsertPoint(Done);
-  B.ret(B.constI64(13));
-}
-
-PoolOptions chaosOptions(uint64_t RootSeed = 7) {
-  PoolOptions Opts;
-  Opts.RootSeed = RootSeed;
-  Opts.Function = "driver";
-  Opts.QueueCapacity = 32;
-  Opts.InjectFaults = true;
-  Opts.FaultTemplate.site(FaultSite::RdRandStep) = {0.15,
-                                                    RdRandSource::RetryLimit,
-                                                    0};
-  Opts.FaultTemplate.site(FaultSite::RekeyEntropy) = {0.4, 1, 0};
-  Opts.FaultTemplate.site(FaultSite::WorkerCrash) = {0.2, 1, 0};
-  Opts.FaultTemplate.site(FaultSite::WorkerDeath) = {0.05, 1, 0};
-  Opts.Supervision.AttemptsMin = 2;
-  Opts.Supervision.AttemptsMax = 5;
-  Opts.Supervision.HeartbeatMillis = 5;
-  return Opts;
-}
-
-struct RunResult {
-  std::vector<PoolOutcome> Outcomes;
-  PoolBooks Books;
-};
-
-RunResult runChaos(Module &M, PoolOptions Opts, unsigned Workers,
-                   uint64_t NumRequests) {
-  Opts.Workers = Workers;
-  WorkerPool Pool(M, Opts);
-  Pool.start();
-  for (uint64_t I = 0; I != NumRequests; ++I)
-    EXPECT_TRUE(Pool.submit({I, {}}));
-  RunResult R;
-  R.Outcomes = Pool.finish();
-  R.Books = Pool.books();
-  return R;
-}
-
-void expectIdenticalChaos(const RunResult &A, const RunResult &B,
-                          const char *What) {
-  ASSERT_EQ(A.Outcomes.size(), B.Outcomes.size()) << What;
-  for (size_t I = 0; I != A.Outcomes.size(); ++I) {
-    EXPECT_EQ(A.Outcomes[I].Index, B.Outcomes[I].Index) << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].Trap, B.Outcomes[I].Trap) << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].ReturnValue, B.Outcomes[I].ReturnValue)
-        << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].Steps, B.Outcomes[I].Steps) << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].Attempts, B.Outcomes[I].Attempts)
-        << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].Poisoned, B.Outcomes[I].Poisoned)
-        << What << " @" << I;
-  }
-  EXPECT_EQ(A.Books.Requests, B.Books.Requests) << What;
-  EXPECT_EQ(A.Books.RequestTraps, B.Books.RequestTraps) << What;
-  EXPECT_EQ(A.Books.Rng.DrawsServed, B.Books.Rng.DrawsServed) << What;
-  EXPECT_EQ(A.Books.Completed, B.Books.Completed) << What;
-  EXPECT_EQ(A.Books.Poisoned, B.Books.Poisoned) << What;
-  EXPECT_EQ(A.Books.CrashesContained, B.Books.CrashesContained) << What;
-  EXPECT_EQ(A.Books.WorkerDeaths, B.Books.WorkerDeaths) << What;
-  EXPECT_EQ(A.Books.Retries, B.Books.Retries) << What;
-  EXPECT_EQ(A.Books.PoisonedIndices, B.Books.PoisonedIndices) << What;
-  for (unsigned S = 0; S != NumFaultSites; ++S) {
-    EXPECT_EQ(A.Books.InjectedProbes[S], B.Books.InjectedProbes[S])
-        << What << " site " << S;
-    EXPECT_EQ(A.Books.InjectedEvents[S], B.Books.InjectedEvents[S])
-        << What << " site " << S;
-  }
-}
-
 TEST(SupervisorTest, CrashesAreContainedAndRetriedToCompletion) {
   Module M("chaos");
   buildRandModule(M);
@@ -140,7 +38,7 @@ TEST(SupervisorTest, CrashesAreContainedAndRetriedToCompletion) {
   Opts.Supervision.AttemptsMin = 6;
   Opts.Supervision.AttemptsMax = 6;
 
-  RunResult R = runChaos(M, Opts, 4, 128);
+  PoolRun R = runPool(M, Opts, 4, 128);
   EXPECT_TRUE(R.Books.accountingIdentityHolds());
   EXPECT_EQ(R.Books.Submitted, 128u);
   EXPECT_EQ(R.Outcomes.size(), 128u) << "every request reached a terminal state";
@@ -174,7 +72,7 @@ TEST(SupervisorTest, PoisonRequestsAreQuarantinedAfterBudget) {
   };
 
   constexpr uint64_t N = 70;
-  RunResult R = runChaos(M, Opts, 3, N);
+  PoolRun R = runPool(M, Opts, 3, N);
   EXPECT_TRUE(R.Books.accountingIdentityHolds());
   ASSERT_EQ(R.Outcomes.size(), N);
 
@@ -206,7 +104,7 @@ TEST(SupervisorTest, WorkerDeathsAreRepairedBySupervisor) {
   Opts.FaultTemplate.site(FaultSite::WorkerDeath) = {0.08, 1, 0};
 
   constexpr uint64_t N = 96;
-  RunResult R = runChaos(M, Opts, 3, N);
+  PoolRun R = runPool(M, Opts, 3, N);
   EXPECT_TRUE(R.Books.accountingIdentityHolds());
   EXPECT_EQ(R.Outcomes.size(), N) << "deaths must not lose requests";
   EXPECT_GT(R.Books.WorkerDeaths, 0u) << "no death landed: vacuous test";
@@ -220,19 +118,19 @@ TEST(SupervisorTest, ChaosOutcomesInvariantUnderWorkerCountAndRerun) {
   PoolOptions Opts = chaosOptions();
 
   constexpr uint64_t N = 96;
-  RunResult One = runChaos(M, Opts, 1, N);
-  RunResult Two = runChaos(M, Opts, 2, N);
-  RunResult Eight = runChaos(M, Opts, 8, N);
-  RunResult Again = runChaos(M, Opts, 2, N);
+  PoolRun One = runPool(M, Opts, 1, N);
+  PoolRun Two = runPool(M, Opts, 2, N);
+  PoolRun Eight = runPool(M, Opts, 8, N);
+  PoolRun Again = runPool(M, Opts, 2, N);
 
   // The chaos must actually bite for the invariance to mean anything.
   EXPECT_GT(One.Books.CrashesContained, 0u);
   EXPECT_GT(One.Books.WorkerDeaths, 0u);
   EXPECT_TRUE(One.Books.accountingIdentityHolds());
 
-  expectIdenticalChaos(One, Two, "workers=1 vs workers=2");
-  expectIdenticalChaos(One, Eight, "workers=1 vs workers=8");
-  expectIdenticalChaos(Two, Again, "rerun with same root seed");
+  expectIdenticalRuns(One, Two, "workers=1 vs workers=2");
+  expectIdenticalRuns(One, Eight, "workers=1 vs workers=8");
+  expectIdenticalRuns(Two, Again, "rerun with same root seed");
 }
 
 TEST(SupervisorTest, UnrecoverablePoolDeathFailsSubmitInsteadOfDeadlocking) {
@@ -298,7 +196,7 @@ TEST(SupervisorTest, EscapedHookExceptionIsContainedAndQuarantined) {
   };
 
   constexpr uint64_t N = 24;
-  RunResult R;
+  PoolRun R;
   {
     WorkerPool Pool(M, Opts);
     Pool.start();

@@ -13,8 +13,7 @@
 
 #include "runtime/WorkerPool.h"
 
-#include "ir/IRBuilder.h"
-#include "rng/RdRand.h"
+#include "common/PoolRuns.h"
 
 #include "gtest/gtest.h"
 
@@ -22,29 +21,11 @@ using namespace smokestack;
 
 namespace {
 
-/// driver(): folds two smokestack.rand draws into a byte. Under an
-/// injected whole-chain blackout the first draw raises a recoverable
-/// RandomnessFailure trap.
-void buildRandModule(Module &M) {
-  IRBuilder B(M);
-  Function *Rand = M.getOrInsertDeclaration("smokestack.rand", B.i64(), {});
-  Function *Driver = M.createFunction("driver", B.i64(), {});
-  B.setInsertPoint(Driver->createBlock("entry"));
-  Value *A = B.call(Rand, {});
-  Value *C = B.call(Rand, {});
-  B.ret(B.and_(B.add(A, C), B.constI64(0xff)));
-}
-
-/// One pool run over NumRequests with a faulted tail; returns outcomes
-/// (sorted by the pool) and the aggregate books.
-struct RunResult {
-  std::vector<PoolOutcome> Outcomes;
-  PoolBooks Books;
-};
-
-RunResult runPool(Module &M, unsigned Workers, uint64_t NumRequests) {
+/// RNG faults over driver(), plus permanent DRNG death for the last
+/// quarter of the request space: with rekey entropy also failing, some of
+/// those requests fail closed.
+PoolOptions faultedTailOptions(uint64_t NumRequests) {
   PoolOptions Opts;
-  Opts.Workers = Workers;
   Opts.RootSeed = 7;
   Opts.Function = "driver";
   Opts.InjectFaults = true;
@@ -52,49 +33,16 @@ RunResult runPool(Module &M, unsigned Workers, uint64_t NumRequests) {
                                                     RdRandSource::RetryLimit,
                                                     0};
   Opts.FaultTemplate.site(FaultSite::RekeyEntropy) = {0.4, 1, 0};
-  // Permanent DRNG death for the last quarter of the request space: with
-  // rekey entropy also failing, some of those requests fail closed.
   Opts.PlanForRequest = [NumRequests](uint64_t Index, FaultPlan &Plan) {
     if (Index >= NumRequests - NumRequests / 4)
       Plan.site(FaultSite::RdRandDeath) = {0.0, 1, 1};
   };
-
-  WorkerPool Pool(M, Opts);
-  Pool.start();
-  for (uint64_t I = 0; I != NumRequests; ++I)
-    Pool.submit({I, {}});
-  RunResult R;
-  R.Outcomes = Pool.finish();
-  R.Books = Pool.books();
-  return R;
+  return Opts;
 }
 
-void expectIdentical(const RunResult &A, const RunResult &B,
-                     const char *What) {
-  ASSERT_EQ(A.Outcomes.size(), B.Outcomes.size()) << What;
-  for (size_t I = 0; I != A.Outcomes.size(); ++I) {
-    EXPECT_EQ(A.Outcomes[I].Index, B.Outcomes[I].Index) << What;
-    EXPECT_EQ(A.Outcomes[I].Trap, B.Outcomes[I].Trap) << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].ReturnValue, B.Outcomes[I].ReturnValue)
-        << What << " @" << I;
-    EXPECT_EQ(A.Outcomes[I].Steps, B.Outcomes[I].Steps) << What << " @" << I;
-  }
-  EXPECT_EQ(A.Books.Requests, B.Books.Requests) << What;
-  EXPECT_EQ(A.Books.RequestTraps, B.Books.RequestTraps) << What;
-  EXPECT_EQ(A.Books.RequestRecoveries, B.Books.RequestRecoveries) << What;
-  EXPECT_EQ(A.Books.Rng.DrawsServed, B.Books.Rng.DrawsServed) << What;
-  EXPECT_EQ(A.Books.Rng.DegradedDraws, B.Books.Rng.DegradedDraws) << What;
-  EXPECT_EQ(A.Books.Rng.FallbackDraws, B.Books.Rng.FallbackDraws) << What;
-  EXPECT_EQ(A.Books.Rng.FailClosedDraws, B.Books.Rng.FailClosedDraws)
-      << What;
-  EXPECT_EQ(A.Books.Rng.AesRekeys, B.Books.Rng.AesRekeys) << What;
-  EXPECT_EQ(A.Books.Rng.FailedRekeys, B.Books.Rng.FailedRekeys) << What;
-  for (unsigned S = 0; S != NumFaultSites; ++S) {
-    EXPECT_EQ(A.Books.InjectedProbes[S], B.Books.InjectedProbes[S])
-        << What << " site " << S;
-    EXPECT_EQ(A.Books.InjectedEvents[S], B.Books.InjectedEvents[S])
-        << What << " site " << S;
-  }
+/// One pool run over NumRequests with a faulted tail.
+PoolRun runPool(Module &M, unsigned Workers, uint64_t NumRequests) {
+  return runPool(M, faultedTailOptions(NumRequests), Workers, NumRequests);
 }
 
 TEST(WorkerPoolTest, AggregateBooksInvariantUnderWorkerCount) {
@@ -102,9 +50,9 @@ TEST(WorkerPoolTest, AggregateBooksInvariantUnderWorkerCount) {
   buildRandModule(M);
   constexpr uint64_t N = 64;
 
-  RunResult One = runPool(M, 1, N);
-  RunResult Two = runPool(M, 2, N);
-  RunResult Eight = runPool(M, 8, N);
+  PoolRun One = runPool(M, 1, N);
+  PoolRun Two = runPool(M, 2, N);
+  PoolRun Eight = runPool(M, 8, N);
 
   // The run must actually exercise the interesting paths, or the
   // invariance claim is vacuous.
@@ -113,23 +61,23 @@ TEST(WorkerPoolTest, AggregateBooksInvariantUnderWorkerCount) {
   EXPECT_GT(One.Books.RequestTraps, 0u) << "no fail-closed trap landed";
   EXPECT_EQ(One.Books.RequestTraps, One.Books.RequestRecoveries);
 
-  expectIdentical(One, Two, "workers=1 vs workers=2");
-  expectIdentical(One, Eight, "workers=1 vs workers=8");
+  expectIdenticalRuns(One, Two, "workers=1 vs workers=2");
+  expectIdenticalRuns(One, Eight, "workers=1 vs workers=8");
 }
 
 TEST(WorkerPoolTest, RerunWithSameRootSeedIsBitIdentical) {
   Module M("pool");
   buildRandModule(M);
-  RunResult A = runPool(M, 4, 48);
-  RunResult B = runPool(M, 4, 48);
-  expectIdentical(A, B, "rerun");
+  PoolRun A = runPool(M, 4, 48);
+  PoolRun B = runPool(M, 4, 48);
+  expectIdenticalRuns(A, B, "rerun");
 }
 
 TEST(WorkerPoolTest, OutcomesAreSortedAndComplete) {
   Module M("pool");
   buildRandModule(M);
   constexpr uint64_t N = 32;
-  RunResult R = runPool(M, 3, N);
+  PoolRun R = runPool(M, 3, N);
   ASSERT_EQ(R.Outcomes.size(), N);
   for (uint64_t I = 0; I != N; ++I)
     EXPECT_EQ(R.Outcomes[I].Index, I);

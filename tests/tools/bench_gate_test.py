@@ -10,7 +10,10 @@
     a Python traceback;
   * the interp_jit call kernels: a JIT digest off the decoded one, a
     hardened kernel under the 2.0x floor (even just, at 1.9x), or no
-    call_kernels at all must each be a REGRESSION.
+    call_kernels at all must each be a REGRESSION;
+  * interp_throughput: a 10% decoded_steps_per_sec drop passes, a drop of
+    more than 25% on one kernel or a kernel without the field is a
+    REGRESSION.
 
 Usage: bench_gate_test.py REPO_ROOT
 """
@@ -144,6 +147,31 @@ def main():
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json", drop_call_kernels),
                           "an interp_jit file without call_kernels is a "
+                          "REGRESSION line, not a traceback")
+
+        interp_path = os.path.join(ROOT, "BENCH_interp.json")
+
+        def decoded_rate_times(factor, kernels=None):
+            def mutate(d):
+                for k in d["kernels"][:kernels]:
+                    k["decoded_steps_per_sec"] *= factor
+            return mutate
+
+        def drop_decoded_rate(d):
+            del d["kernels"][0]["decoded_steps_per_sec"]
+
+        rc, out = gate(interp_path,
+                       mutated("BENCH_interp.json", decoded_rate_times(0.9)))
+        expect(rc == 0 and "REGRESSION" not in out,
+               "a 10% decoded_steps_per_sec drop passes the 25% gate", out)
+        expect_regression(interp_path,
+                          mutated("BENCH_interp.json",
+                                  decoded_rate_times(0.7, kernels=1)),
+                          "a 30% decoded_steps_per_sec drop on one kernel "
+                          "is a REGRESSION")
+        expect_regression(interp_path,
+                          mutated("BENCH_interp.json", drop_decoded_rate),
+                          "a kernel without decoded_steps_per_sec is a "
                           "REGRESSION line, not a traceback")
 
         old = write("old_soak_chaos.json", {

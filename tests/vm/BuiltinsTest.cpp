@@ -301,15 +301,12 @@ TEST(BuiltinsTest, TooFewArgumentsTrapBadCallUnderEveryEngineAndInAPool) {
 
     struct Engine {
       const char *Name;
-      bool Decoded, Jit;
+      bool Jit;
     };
-    for (Engine E : {Engine{"decoded", true, false},
-                     Engine{"jit", true, true},
-                     Engine{"treewalk", false, false}}) {
+    for (Engine E : {Engine{"decoded", false}, Engine{"jit", true}}) {
       if (E.Jit && !jitAvailable())
         continue;
       InterpreterOptions Opts;
-      Opts.UseDecodedEngine = E.Decoded;
       Opts.UseJit = E.Jit;
       Opts.JitThreshold = 0;
       Interpreter VM(M, nullptr, Opts);

@@ -6,8 +6,10 @@
 
 #include "vm/Interpreter.h"
 
+#include "common/RandomProgramGen.h"
 #include "ir/IRBuilder.h"
 #include "ir/Verifier.h"
+#include "support/Statistics.h"
 
 #include <gtest/gtest.h>
 #include <map>
@@ -309,4 +311,39 @@ TEST(InterpreterTest, UnknownFunctionIsBadCall) {
   Module M("t");
   Interpreter VM(M);
   EXPECT_EQ(VM.run("missing").Trap, TrapKind::BadCall);
+}
+
+TEST(InterpreterTest, RepeatedRunsReuseDecodeCache) {
+  // The first run decodes the whole module into a program the VM owns;
+  // the second must reuse it, not decode again, and agree with the first
+  // (guards cache-invalidation bugs).
+  Module M("t");
+  buildRandomProgram(M, 7);
+  const Statistic *Programs = findStatistic("vm.decoded-programs");
+  ASSERT_NE(Programs, nullptr);
+  Interpreter VM(M);
+  uint64_t Before = Programs->value();
+  ExecResult First = VM.run("main");
+  ExecResult Second = VM.run("main");
+  EXPECT_EQ(Programs->value(), Before + 1);
+  EXPECT_EQ(First.Trap, Second.Trap);
+  EXPECT_EQ(First.ReturnValue, Second.ReturnValue);
+  EXPECT_EQ(First.Steps, Second.Steps);
+}
+
+TEST(InterpreterTest, FunctionAddedAfterFirstRunTrapsBadCall) {
+  // The first run decodes the module as it is then; a function added
+  // later is not in that program and must trap, not crash or run stale.
+  Module M("t");
+  buildSumTo(M);
+  Interpreter VM(M);
+  ASSERT_TRUE(VM.run("sumTo", {4}).ok());
+  IRBuilder B(M);
+  Function *Late = M.createFunction("late", B.i64(), {});
+  B.setInsertPoint(Late->createBlock("entry"));
+  B.ret(B.constI64(1));
+  ExecResult R = VM.run("late");
+  EXPECT_EQ(R.Trap, TrapKind::BadCall);
+  EXPECT_EQ(R.Message, "'late' is not in the decoded program");
+  EXPECT_EQ(R.Steps, 0u);
 }

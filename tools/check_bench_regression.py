@@ -27,12 +27,13 @@ Supported bench kinds (selected by the "bench"/"benchmark" key):
                     parameters, the exact digest. Shard mode is not part of
                     the match, so process-mode runs are digest-compared
                     against a thread-mode baseline
-  interp_throughput gates max_speedup (a machine-relative ratio, so it
-                    transfers across runner generations better than raw
-                    steps/sec)
+  interp_throughput gates every kernel's decoded_steps_per_sec (matched
+                    to the baseline by kernel name; a baseline kernel
+                    missing from the candidate is a REGRESSION)
   request_reset     gates restore_speedup_vs_rebuild (snapshot restore vs
-                    full VM reconstruction — machine-relative like
-                    max_speedup)
+                    full VM reconstruction — a machine-relative ratio, so
+                    it transfers across runner generations better than
+                    raw ns/op)
   interp_jit        gates per-kernel JIT-vs-decoded digest identity (any
                     mismatch is a correctness bug, not noise), the
                     min_jit_speedup_vs_decoded ratio, and its >= 2x floor;
@@ -188,12 +189,23 @@ def check_soak(base, cand, max_drop_pct):
 
 
 def check_interp(base, cand, max_drop_pct):
-    return check_drop(
-        "max_speedup",
-        require(base, "max_speedup", "baseline"),
-        require(cand, "max_speedup", "candidate"),
-        max_drop_pct,
-    )
+    cand_kernels = {}
+    for kernel in require(cand, "kernels", "candidate"):
+        cand_kernels[require(kernel, "name", "candidate kernel")] = kernel
+    rc = 0
+    for kernel in require(base, "kernels", "baseline"):
+        name = require(kernel, "name", "baseline kernel")
+        if name not in cand_kernels:
+            rc |= fail(f"{name}: kernel missing from the candidate")
+            continue
+        rc |= check_drop(
+            f"{name} decoded_steps_per_sec",
+            require(kernel, "decoded_steps_per_sec", f"baseline kernel {name}"),
+            require(cand_kernels[name], "decoded_steps_per_sec",
+                    f"candidate kernel {name}"),
+            max_drop_pct,
+        )
+    return rc
 
 
 # JIT-over-decoded floor of every hardened call kernel with a seeded RNG:

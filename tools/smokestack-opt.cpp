@@ -172,7 +172,7 @@ int usage(const char *Argv0) {
                "usage: %s [-smokestack] [-static-perm[=SEED]] "
                "[-entry-pad[=SEED]] [-canary[=GUARD]]\n"
                "          [-run=FUNC] [-rng=pseudo|aes1|aes10|rdrand] "
-               "[-engine=jit|decoded|treewalk]\n"
+               "[-engine=jit|decoded]\n"
                "          [-resilient] [-faults=SEED:RATE]\n"
                "          [-workers=N] [-requests=M] [-seed=S] "
                "[-chaos=RATE] [-metrics=FILE]\n"
@@ -323,10 +323,13 @@ int main(int argc, char **argv) {
 
   // Apply the requested passes in order.
   PassManager PM;
+  std::vector<const SmokestackPass *> Hardeners;
   for (const std::string &Spec : Opts.PassSpecs) {
-    if (Spec == "-smokestack")
-      PM.addPass(std::make_unique<SmokestackPass>());
-    else if (Spec.rfind("-static-perm", 0) == 0)
+    if (Spec == "-smokestack") {
+      auto Pass = std::make_unique<SmokestackPass>();
+      Hardeners.push_back(Pass.get());
+      PM.addPass(std::move(Pass));
+    } else if (Spec.rfind("-static-perm", 0) == 0)
       PM.addPass(std::make_unique<StaticPermutationPass>(specSeed(Spec, 1)));
     else if (Spec.rfind("-entry-pad", 0) == 0)
       PM.addPass(std::make_unique<EntryPaddingPass>(specSeed(Spec, 1)));
@@ -336,6 +339,17 @@ int main(int argc, char **argv) {
   }
   if (PM.size())
     PM.run(M);
+  if (Opts.Stats && !Hardeners.empty()) {
+    // A frame the P-BOX's 32-bit offsets cannot describe is diagnosed and
+    // skipped by the pass, never miscompiled; say how many were.
+    unsigned Skipped = 0;
+    for (const SmokestackPass *Pass : Hardeners)
+      Skipped += Pass->framesTooLarge();
+    std::printf("smokestack: %u frame(s) left unhardened (worst-case frame "
+                ">= 2^32 bytes)\n",
+                Skipped);
+    std::fflush(stdout);
+  }
 
   if (Opts.Stats && Opts.RunFunction.empty()) {
     RawFdOStream OS(stdout);
@@ -353,8 +367,7 @@ int main(int argc, char **argv) {
   }
 
   if (!Opts.RunFunction.empty()) {
-    if (Opts.Engine != "jit" && Opts.Engine != "decoded" &&
-        Opts.Engine != "treewalk") {
+    if (Opts.Engine != "jit" && Opts.Engine != "decoded") {
       std::fprintf(stderr, "error: unknown engine '%s'\n", Opts.Engine.c_str());
       return 1;
     }
@@ -365,7 +378,6 @@ int main(int argc, char **argv) {
     }
 
     InterpreterOptions VMOpts;
-    VMOpts.UseDecodedEngine = Opts.Engine != "treewalk";
     VMOpts.UseJit = Opts.Engine == "jit";
     if (Opts.Fuel)
       VMOpts.Fuel = Opts.Fuel;
