@@ -27,10 +27,13 @@
 /// per RNG scheme), timed on the decoded engine and the JIT. They land in
 /// BENCH_interp_jit.json's call_kernels array with per-engine
 /// hardened/plain overheads; the gate demands decoded == JIT digests and
-/// >= 2x JIT-over-decoded on every hardened kernel with a seeded RNG. On
-/// hosts with RDRAND an RDRAND kernel runs too: its draws cannot be
-/// seeded, so its digest leaves the RNG stream out and it is gated on
-/// digest identity alone.
+/// >= 3x JIT-over-decoded on every hardened kernel with a seeded RNG. The
+/// bare-scheme kernels bind the scheme's source directly; the chain kernel
+/// draws from a RequestRng configured like a pool worker's (simulated
+/// RDRAND, AES-CTR fallback, fail-closed decorator), the source the served
+/// path uses. On hosts with RDRAND an RDRAND kernel runs too: its draws
+/// cannot be seeded, so its digest leaves the RNG stream out and it is
+/// gated on digest identity alone.
 ///
 /// On hosts without jitAvailable() the JIT is skipped and
 /// BENCH_interp_jit.json records jit_available=false.
@@ -45,13 +48,16 @@
 #include "rng/Entropy.h"
 #include "rng/RandomSource.h"
 #include "rng/RdRand.h"
+#include "runtime/RequestRng.h"
 #include "vm/Interpreter.h"
 
 #include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
+#include <cstring>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -369,7 +375,9 @@ constexpr uint64_t CallKernelCalls = 2000;
 /// One call-kernel variant: plain (Rng empty) or hardened with \p Rng.
 struct CallKernelSpec {
   const char *Name;
-  const char *Rng; ///< "" (plain), "pseudo", "aes1", "aes10" or "rdrand".
+  /// "" (plain), a makeRandomSource scheme ("pseudo", "aes1", "aes10",
+  /// "rdrand"), or "chain" for a pool worker's RequestRng.
+  const char *Rng;
   /// False for hardware randomness: the digest then covers the result
   /// pair only, not the source's next draw.
   bool Seeded = true;
@@ -382,6 +390,7 @@ std::vector<CallKernelSpec> callKernels() {
       {"calls.leaf3.smokestack_pseudo", "pseudo"},
       {"calls.leaf3.smokestack_aes1", "aes1"},
       {"calls.leaf3.smokestack_aes10", "aes10"},
+      {"calls.leaf3.smokestack_chain", "chain"},
   };
   if (rdRandAvailable())
     Specs.push_back({"calls.leaf3.smokestack_rdrand", "rdrand", false});
@@ -481,7 +490,12 @@ struct CallRun {
   std::unique_ptr<Module> M;
   DeterministicEntropySource Entropy{0xF163};
   std::unique_ptr<RandomSource> Rng;
+  /// The "chain" kernel's source: a pool worker's default chain, seeded
+  /// as request 0 of root seed 0xF163.
+  std::optional<RequestRng> Chain;
   std::unique_ptr<Interpreter> VM;
+
+  RandomSource *source() { return Chain ? &Chain->source() : Rng.get(); }
   std::vector<double> Times;
   EngineResult R;
 };
@@ -503,11 +517,16 @@ measureCallKernels(const std::vector<CallKernelSpec> &Specs, bool WantJit,
         continue;
       auto Run = std::make_unique<CallRun>();
       Run->M = buildCallKernel(Spec.Rng[0] != '\0');
-      Run->Rng = makeRandomSource(Spec.Rng, Run->Entropy); // null: plain
+      if (std::strcmp(Spec.Rng, "chain") == 0) {
+        Run->Chain.emplace(RequestRng::Config());
+        Run->Chain->reseed(0xF163, 0);
+      } else {
+        Run->Rng = makeRandomSource(Spec.Rng, Run->Entropy); // null: plain
+      }
       InterpreterOptions Opts;
       Opts.UseJit = Jit;
       Opts.JitThreshold = 0;
-      Run->VM = std::make_unique<Interpreter>(*Run->M, Run->Rng.get(), Opts);
+      Run->VM = std::make_unique<Interpreter>(*Run->M, Run->source(), Opts);
       Runs.push_back(std::move(Run));
     }
   for (int Rep = -1; Rep != Reps; ++Rep) // rep -1 warms up, untimed
@@ -534,8 +553,8 @@ measureCallKernels(const std::vector<CallKernelSpec> &Specs, bool WantJit,
       std::sort(Run.Times.begin(), Run.Times.end());
       Run.R.SecondsPerRun = Run.Times[Run.Times.size() / 2];
       Run.R.Digest = digestResult(Run.R.Steps, Run.R.ReturnValue);
-      if (Run.Rng && Specs[K].Seeded)
-        Run.R.Digest = digestMore(Run.R.Digest, Run.Rng->next());
+      if (Run.source() && Specs[K].Seeded)
+        Run.R.Digest = digestMore(Run.R.Digest, Run.source()->next());
       Pair[J] = Run.R;
     }
     Results.push_back({Pair[0], WantJit ? Pair[1] : Pair[0]});

@@ -10,7 +10,8 @@
 
 using namespace smokestack;
 
-thread_local FaultInjector *smokestack::detail::ThreadInjector = nullptr;
+constinit thread_local FaultInjector *smokestack::detail::ThreadInjector =
+    nullptr;
 std::atomic<FaultInjector *> smokestack::detail::ProcessInjector{nullptr};
 
 namespace {

@@ -156,8 +156,9 @@ namespace detail {
 /// Per-thread injector slot (nullptr = none installed on this thread).
 /// Each pool worker installs its own injector through FaultScope, so one
 /// worker's probes never consume — or even observe — another worker's
-/// decision stream.
-extern thread_local FaultInjector *ThreadInjector;
+/// decision stream. constinit: the slot is statically zero, so reading it
+/// is a plain TLS load, with no call to a lazy-initialization wrapper.
+extern constinit thread_local FaultInjector *ThreadInjector;
 
 /// Process-wide fallback slot, consulted only by threads with no
 /// thread-local scope. Published with release semantics and read with
@@ -168,7 +169,10 @@ extern std::atomic<FaultInjector *> ProcessInjector;
 
 /// Probe helper the production code calls at each fault site. Compiles to
 /// two loads + null checks when no injector is installed: the thread-local
-/// slot wins, the process-wide slot is the fallback.
+/// slot wins, the process-wide slot is the fallback. With neither
+/// installed a probe is a constant false with no side effect, which is
+/// what lets a hot path test faultInjectionActive() once and skip its
+/// probes (the healthy draw of rng/RdRand.h).
 inline bool faultProbe(FaultSite Site) {
   if (FaultInjector *Injector = detail::ThreadInjector)
     return Injector->shouldFail(Site);

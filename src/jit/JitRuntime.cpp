@@ -19,7 +19,8 @@
 // and must never arrive here. Fuel for the instruction was already charged,
 // either by its fuel segment's head or by ssJitInterpSegment (the head's
 // slow path, which runs a segment with the decoded loop's per-instruction
-// fuel order). ssJitRand is the direct path of smokestack.rand call sites.
+// fuel order). ssJitRand is the direct path of smokestack.rand call sites;
+// direct calls of compiled callees never come here (see JitAbi.h).
 //
 //===----------------------------------------------------------------------===//
 
@@ -37,6 +38,10 @@
 static smokestack::Statistic
     NumSlowSegments("jit.slow-segments",
                     "Fuel segments run through the per-instruction path");
+static smokestack::Statistic
+    NumShimCalls("jit.shim-calls",
+                 "Calls from compiled code through the interpreter shim "
+                 "(builtins, and native calls that fell back)");
 
 namespace smokestack {
 
@@ -293,8 +298,11 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
     Regs[DI.Dest] = Regs[DI.A] ? Regs[DI.B] : Regs[DI.C];
     return 0;
   case DecodedOp::Call: {
-    // A direct call re-enters callDecoded, so a hot callee runs its own
-    // compiled body and a cold one stays interpreted — tiering nests.
+    // The native call path's fallback (no code for the callee yet, an
+    // observer bound, the depth limit) and every builtin but
+    // smokestack.rand: re-enter callDecoded, which counts a cold callee's
+    // invocations toward its tier-up — tiering nests.
+    ++NumShimCalls;
     uint64_t RetValue = 0;
     if (!I.callSite(DF, DF.CallSites[DI.A], Regs,
                     static_cast<unsigned>(Ctx->Depth), RetValue, Result))

@@ -66,10 +66,12 @@ drawRdRandHardware(uint64_t &Out, uint64_t &RetryFailures) {
 #endif
 
 RdRandSource::RdRandSource(EntropySource &Fallback, bool ForceFallback)
-    : Fallback(Fallback),
-      UseHardware(!ForceFallback && rdRandAvailable()) {}
+    : Fallback(Fallback), UseHardware(!ForceFallback && rdRandAvailable()),
+      Simulated(UseHardware
+                    ? nullptr
+                    : dynamic_cast<DeterministicEntropySource *>(&Fallback)) {}
 
-bool RdRandSource::drawFromDrng(uint64_t &Out) {
+bool RdRandSource::drawProbed(uint64_t &Out) {
   // Permanent-death fault: the whole DRNG is gone; no retry helps.
   if (faultProbe(FaultSite::RdRandDeath)) {
     ++FailureEvents;

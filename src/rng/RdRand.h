@@ -26,6 +26,7 @@
 #ifndef SMOKESTACK_RNG_RDRAND_H
 #define SMOKESTACK_RNG_RDRAND_H
 
+#include "faults/FaultInjector.h"
 #include "rng/Entropy.h"
 #include "rng/RandomSource.h"
 
@@ -63,10 +64,29 @@ public:
 private:
   /// One DRNG draw (hardware RDRAND or the simulated stand-in), including
   /// the bounded retry loop and the fault probes. Honest: false = failure.
-  bool drawFromDrng(uint64_t &Out);
+  bool drawFromDrng(uint64_t &Out) {
+    // The healthy simulated draw. With no injector installed, the death
+    // probe, the first step probe and the entropy read's probe of
+    // drawProbed are all constant false with no side effect, and the draw
+    // is one SplitMix64 step of the fallback: take it directly. An
+    // installed injector sends every draw down the probed path, so its
+    // decision streams advance exactly as before.
+    if (Simulated && !faultInjectionActive()) {
+      Out = Simulated->nextUnprobed();
+      return true;
+    }
+    return drawProbed(Out);
+  }
+  /// The draw with every probe consumed in order (out of line, so the
+  /// healthy draw stays a leaf).
+  [[gnu::noinline]] bool drawProbed(uint64_t &Out);
 
   EntropySource &Fallback;
   bool UseHardware;
+  /// Fallback as a deterministic source when it is one and the DRNG is
+  /// simulated: the healthy draw's direct SplitMix64 path. nullptr
+  /// otherwise.
+  DeterministicEntropySource *Simulated;
   uint64_t RetryFailures = 0;
   uint64_t FailureEvents = 0;
   uint64_t EmergencyDraws = 0;

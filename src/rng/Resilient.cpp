@@ -54,6 +54,7 @@ ResilientRandomSource::ResilientRandomSource(
     this->Opts.RetriesPerSource = 1;
   if (this->Opts.ReprobeInterval == 0)
     this->Opts.ReprobeInterval = 1;
+  ReprobeLeft = this->Opts.ReprobeInterval;
   for (size_t I = 0; I != Length; ++I)
     Chain[I] = Sources[I];
   adopt(0);
@@ -70,15 +71,17 @@ void ResilientRandomSource::resetHealth() {
 }
 
 bool ResilientRandomSource::drawFromSource(size_t Index, uint64_t &Out) {
-  for (unsigned Attempt = 0; Attempt != Opts.RetriesPerSource; ++Attempt) {
-    if (Attempt != 0) {
-      uint64_t Spins = static_cast<uint64_t>(Opts.BackoffBase)
-                       << (Attempt - 1);
-      BackoffSpins += Spins;
-      backoffSpin(Spins);
-      ++RetriesUsed;
-      ++NumRetries;
-    }
+  // The first attempt stays on the draw path; retries are out of line.
+  return Chain[Index]->tryNext(Out) || retrySource(Index, Out);
+}
+
+bool ResilientRandomSource::retrySource(size_t Index, uint64_t &Out) {
+  for (unsigned Attempt = 1; Attempt < Opts.RetriesPerSource; ++Attempt) {
+    uint64_t Spins = static_cast<uint64_t>(Opts.BackoffBase) << (Attempt - 1);
+    BackoffSpins += Spins;
+    backoffSpin(Spins);
+    ++RetriesUsed;
+    ++NumRetries;
     if (Chain[Index]->tryNext(Out))
       return true;
   }
@@ -86,11 +89,14 @@ bool ResilientRandomSource::drawFromSource(size_t Index, uint64_t &Out) {
 }
 
 bool ResilientRandomSource::tryNext(uint64_t &Out) {
-  ++DrawIndex;
   // Sticky failover with periodic recovery probes: normally start at the
-  // active source; every ReprobeInterval draws start from the top so a
+  // active source; every ReprobeInterval-th draw starts from the top so a
   // healed primary is re-adopted.
-  size_t Start = (DrawIndex % Opts.ReprobeInterval == 0) ? 0 : Active;
+  size_t Start = Active;
+  if (--ReprobeLeft == 0) {
+    ReprobeLeft = Opts.ReprobeInterval;
+    Start = 0;
+  }
   for (size_t I = Start; I != Length; ++I) {
     if (!drawFromSource(I, Out))
       continue;

@@ -42,7 +42,7 @@
 namespace smokestack {
 
 /// Decorator serving draws from the first healthy source of a chain.
-class ResilientRandomSource : public RandomSource {
+class ResilientRandomSource final : public RandomSource {
 public:
   /// What to do when every source in the chain fails a draw.
   enum class FailPolicy : uint8_t {
@@ -123,13 +123,18 @@ public:
 
 private:
   bool drawFromSource(size_t Index, uint64_t &Out);
+  /// Attempts 2..RetriesPerSource of a draw, each after its backoff.
+  [[gnu::noinline]] bool retrySource(size_t Index, uint64_t &Out);
   void adopt(size_t Index);
 
   RandomSource *Chain[MaxChain];
   size_t Length;
   Options Opts;
   size_t Active = 0;
-  uint64_t DrawIndex = 0;
+  /// Draws left until the next recovery probe: counts down from
+  /// Opts.ReprobeInterval, so every ReprobeInterval-th draw starts from
+  /// the top of the chain without a division on the draw path.
+  uint64_t ReprobeLeft;
   char Name[64];
 
   uint64_t DrawsServed = 0;

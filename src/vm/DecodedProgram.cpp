@@ -13,6 +13,8 @@
 #include "vm/Decoder.h"
 #include "vm/SimMemory.h"
 
+#include <algorithm>
+
 using namespace smokestack;
 
 namespace {
@@ -61,9 +63,11 @@ DecodedProgram::DecodedProgram(Module &M)
   }
   // Every definition is decoded now, so direct calls can bind their
   // callee's decoded form once instead of looking it up on every call.
-  for (auto &Entry : Decoded)
+  for (auto &Entry : Decoded) {
+    MaxSlots = std::max(MaxSlots, Entry.second->NumSlots);
     for (DecodedCallSite &CS : Entry.second->CallSites)
       if (CS.Builtin == BuiltinId::None)
         CS.CalleeDF = find(CS.Callee);
+  }
   ++NumPrograms;
 }

@@ -61,7 +61,12 @@ public:
 
   size_t numFunctions() const { return Decoded.size(); }
 
+  /// The largest register file (DecodedFunction::NumSlots) of any
+  /// function, at least 1: the stride of the interpreter's register stack.
+  uint32_t maxSlots() const { return MaxSlots; }
+
 private:
+  uint32_t MaxSlots = 1;
   std::unordered_map<std::string, uint64_t> GlobalAddresses;
   std::unordered_map<const Function *, std::unique_ptr<DecodedFunction>>
       Decoded;

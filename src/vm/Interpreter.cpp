@@ -132,11 +132,16 @@ ExecResult Interpreter::run(const std::string &FuncName,
   StackLowWater = StackPointer;
   FuelLeft = Opts.Fuel;
   CallCount = 0;
-  // Size the depth-indexed register pool up front: callDecoded holds a
-  // reference into it across recursive calls, so it must never resize
-  // mid-run. Depth is bounded by MaxCallDepth before indexing.
-  if (RegisterPool.size() < Opts.MaxCallDepth + 1)
-    RegisterPool.resize(Opts.MaxCallDepth + 1);
+  // Size the register stack up front: frames hold pointers into it across
+  // recursive calls, so it must never move mid-run. Depth is bounded by
+  // MaxCallDepth before indexing. The words are left uninitialized (and
+  // their pages untouched) until a frame at that depth is entered.
+  FrameSlots = Program->maxSlots();
+  size_t Slots = (static_cast<size_t>(Opts.MaxCallDepth) + 1) * FrameSlots;
+  if (Slots > RegisterStackSlots) {
+    RegisterStack = std::make_unique_for_overwrite<uint64_t[]>(Slots);
+    RegisterStackSlots = Slots;
+  }
   Result.ReturnValue = callDecoded(*DF, Args, Result, 0);
   if (Jit)
     Jit->flushStats();
@@ -218,10 +223,6 @@ void Interpreter::recoverRequestState() {
                       ? StackLowWater - ScrubSlack
                       : MemoryMap::StackBase;
   ScrubStackBytes.record(Memory.scrubStack(From));
-  // Drop the decoded-engine frame pools: registers are assigned on entry,
-  // but a recovered server must not keep stale register images around.
-  for (std::vector<uint64_t> &Regs : RegisterPool)
-    Regs.clear();
   InputQueue.clear();
   Memory.clearTrap();
 }
@@ -263,12 +264,12 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
   }
   ++CallCount;
   // One register file per depth, reused across calls: [mutable | constants].
-  // Only one frame is live per depth at a time, and run() pre-sized the
-  // pool, so this reference stays valid through recursive calls.
-  std::vector<uint64_t> &Regs = RegisterPool[Depth];
-  Regs.assign(DF.NumSlots, 0);
+  // Only one frame is live per depth at a time, and run() sized the stack
+  // for MaxCallDepth, so Regs stays valid through recursive calls.
+  uint64_t *Regs = registerFile(Depth);
+  std::memset(Regs, 0, DF.NumMutable * sizeof(uint64_t));
   if (!DF.ConstPool.empty()) // an empty pool's data() may be null
-    std::memcpy(Regs.data() + DF.NumMutable, DF.ConstPool.data(),
+    std::memcpy(Regs + DF.NumMutable, DF.ConstPool.data(),
                 DF.ConstPool.size() * sizeof(uint64_t));
   assert(Args.size() == F->getNumArgs() && "argument count mismatch");
   for (size_t I = 0, E = Args.size(); I != E; ++I)
@@ -283,7 +284,8 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
   // (depth check, call accounting, register-file image, observer) and the
   // exit below (stack-pointer restore, trap propagation) are shared with
   // the decoded engine verbatim, so only the dispatch loop differs — and
-  // the compiled loop keeps the same books (see jit/JitAbi.h).
+  // the compiled loop keeps the same books (see jit/JitAbi.h). Compiled
+  // code repeats this entry sequence itself when it calls compiled code.
   if (Jit) {
     if (JitFn Fn = Jit->onCall(DF)) {
       SimMemory::JitStackView SV = Memory.jitStackView();
@@ -292,6 +294,9 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       Ctx.DF = &DF;
       Ctx.Result = &Result;
       Ctx.Depth = Depth;
+      Ctx.MaxDepth = Opts.MaxCallDepth;
+      Ctx.CallCount = &CallCount;
+      Ctx.FrameBytes = FrameSlots * sizeof(uint64_t);
       Ctx.FuelLeft = &FuelLeft;
       Ctx.StackHost = SV.Host;
       Ctx.StackTouchedLo = SV.TouchedLo;
@@ -300,7 +305,7 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       Ctx.StackPointer = &StackPointer;
       Ctx.StackLowWater = &StackLowWater;
       Ctx.Observed = TheObserver != nullptr;
-      uint64_t Trapped = Fn(&Ctx, Regs.data());
+      uint64_t Trapped = Fn(&Ctx, Regs);
       StackPointer = SavedStackPointer;
       return Trapped ? 0 : Ctx.RetValue;
     }
@@ -559,8 +564,7 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       continue;
     case DecodedOp::Call: {
       uint64_t RetValue = 0;
-      if (!callSite(DF, DF.CallSites[DI.A], Regs.data(), Depth, RetValue,
-                    Result))
+      if (!callSite(DF, DF.CallSites[DI.A], Regs, Depth, RetValue, Result))
         break;
       if (DI.Dest != DecodedInst::NoReg)
         Regs[DI.Dest] = DI.Width ? maskToWidth(RetValue, DI.Width) : RetValue;

@@ -114,11 +114,12 @@ public:
   /// request's output, resets the heap arena, runs \p FuncName, and — if
   /// the execution trapped (detection trap, segfault, randomness failure)
   /// — confines the damage to this request: the touched stack region is
-  /// scrubbed from the run's low-water mark, the frame register pools are
-  /// dropped, leftover input records are discarded, and the memory trap
-  /// state is cleared. The trap stays visible in the returned ExecResult;
-  /// it is recoverable, not ignored, so the same Interpreter can keep
-  /// serving requests after a defeated attack or an injected fault.
+  /// scrubbed from the run's low-water mark, leftover input records are
+  /// discarded, and the memory trap state is cleared (register files are
+  /// rebuilt on every function entry, so none carries over). The trap
+  /// stays visible in the returned ExecResult; it is recoverable, not
+  /// ignored, so the same Interpreter can keep serving requests after a
+  /// defeated attack or an injected fault.
   ExecResult runRequest(const std::string &FuncName,
                         const std::vector<uint64_t> &Args = {});
 
@@ -190,9 +191,9 @@ public:
   /// Restores this VM to \p S's capture-time state: memory becomes bitwise
   /// identical to "freshly constructed + globals loaded", the request
   /// counters restart at zero (bank them first, as across a full rebuild),
-  /// and per-run state (register pools, input queue, output, trap) is
-  /// cleared. Wiring (random source, cancel flag, shared program, layout
-  /// observer) is preserved. Cost is O(bytes dirtied since capture), the
+  /// and per-run state (input queue, output, trap) is cleared. Wiring
+  /// (random source, cancel flag, shared program, layout observer) is
+  /// preserved. Cost is O(bytes dirtied since capture), the
   /// crash-rebuild fast-path of runtime/WorkerPool.h.
   void restoreFromSnapshot(const VmSnapshot &S);
 
@@ -264,9 +265,19 @@ private:
   /// a jitAvailable() host. Derived state: survives snapshot restore,
   /// cleared when the shared program changes.
   std::unique_ptr<JitCache> Jit;
-  /// Depth-indexed register files reused across decoded calls; sized once
-  /// per run so references stay stable through recursion.
-  std::vector<std::vector<uint64_t>> RegisterPool;
+  /// Depth-indexed register files, FrameSlots apart: the frame at depth D
+  /// is registerFile(D), and its callee's is FrameSlots words above it,
+  /// which compiled code relies on for native-to-native calls (see
+  /// jit/JitAbi.h). run() sizes it for MaxCallDepth, so it never moves
+  /// mid-run. Every entry rebuilds its file, so nothing carries over
+  /// between calls or requests.
+  std::unique_ptr<uint64_t[]> RegisterStack;
+  size_t RegisterStackSlots = 0;
+  /// Program->maxSlots() of the current run.
+  uint32_t FrameSlots = 1;
+  uint64_t *registerFile(unsigned Depth) {
+    return RegisterStack.get() + static_cast<size_t>(Depth) * FrameSlots;
+  }
   std::unordered_map<std::string, uint64_t> GlobalAddresses;
   std::deque<std::vector<uint8_t>> InputQueue;
   std::string Output;

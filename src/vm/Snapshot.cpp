@@ -125,8 +125,6 @@ void Interpreter::restoreFromSnapshot(const VmSnapshot &S) {
   // re-decoding.
   GlobalAddresses = S.GlobalAddresses;
   GlobalsLoaded = true;
-  for (std::vector<uint64_t> &Regs : RegisterPool)
-    Regs.clear();
   InputQueue.clear();
   Output.clear();
   StackPointer = 0;

@@ -17,6 +17,11 @@
 /// that takes the shim and succeeds, a function longer than the segment
 /// cap, a block that is a lone `br`, and a loop back-edge.
 ///
+/// Compiled callers enter compiled callees natively (jit/JitAbi.h), so
+/// the sweeps also cross native call boundaries: the leaf-call kernel, a
+/// mutually recursive pair, and a callee that traps mid-segment, each
+/// checked to have taken the native path and not the shim.
+///
 /// Because a conservative head (slow path where the fast one was safe)
 /// cannot change a result, the segmentation rules and the fast path's
 /// exact boundary are pinned separately.
@@ -179,11 +184,92 @@ void buildStraightLine(Module &M, unsigned Adds) {
   B.ret(V);
 }
 
-uint64_t slowSegments() {
-  Statistic *S = findStatistic("jit.slow-segments");
-  EXPECT_NE(S, nullptr);
+uint64_t statValue(const char *Name) {
+  Statistic *S = findStatistic(Name);
+  EXPECT_NE(S, nullptr) << Name;
   return S ? S->value() : 0;
 }
+
+uint64_t slowSegments() { return statValue("jit.slow-segments"); }
+
+/// Runs \p M's `main` on the JIT at full fuel after a warm-up run (which
+/// compiles every function) and returns {native calls, shim calls}.
+std::pair<uint64_t, uint64_t> callPaths(Module &M) {
+  SweepVM Jit(M, true, "");
+  Jit.run(InterpreterOptions().Fuel, false);
+  uint64_t Native = statValue("jit.native-calls");
+  uint64_t Shim = statValue("jit.shim-calls");
+  Jit.run(InterpreterOptions().Fuel, false);
+  return {statValue("jit.native-calls") - Native,
+          statValue("jit.shim-calls") - Shim};
+}
+
+/// even(n)/odd(n) recursing into each other down to 0, each with a stack
+/// slot and a few instructions on both sides of its call; main() calls
+/// even(24) and odd(17). (Built, not parsed: the parser needs a callee
+/// defined before its first call.)
+void buildMutualRecursion(Module &M) {
+  IRBuilder B(M);
+  Function *Even = M.createFunction("even", B.i64(), {B.i64()});
+  Function *Odd = M.createFunction("odd", B.i64(), {B.i64()});
+  for (Function *F : {Even, Odd}) {
+    Function *Other = F == Even ? Odd : Even;
+    BasicBlock *Entry = F->createBlock("entry");
+    BasicBlock *Base = F->createBlock("base");
+    BasicBlock *Rec = F->createBlock("rec");
+    B.setInsertPoint(Entry);
+    Value *N = F->getArg(0);
+    AllocaInst *Slot = B.alloca_(B.i64(), "s");
+    B.store(N, Slot);
+    B.condBr(B.icmp(ICmpInst::Predicate::EQ, N, B.constI64(0)), Base, Rec);
+    B.setInsertPoint(Base);
+    B.ret(B.constI64(F == Even ? 1 : 0));
+    B.setInsertPoint(Rec);
+    Value *R = B.call(Other, {B.sub(N, B.constI64(1))});
+    Value *V = B.load(B.i64(), Slot);
+    B.ret(F == Even ? B.xor_(R, V) : B.add(R, V));
+  }
+  Function *Main = M.createFunction("main", B.i64(), {});
+  B.setInsertPoint(Main->createBlock("entry"));
+  Value *A = B.call(Even, {B.constI64(24)});
+  Value *C = B.call(Odd, {B.constI64(17)});
+  B.ret(B.add(B.mul(A, B.constI64(3)), C));
+}
+
+/// main() calls f(i) for i = 0, 1, ...; f divides by 5 - i in the middle
+/// of a segment, so the sixth call traps inside native code with three
+/// instructions of its segment charged but not run.
+constexpr const char *TrappingCalleeIR = R"(
+define i64 @f(i64 %i) {
+entry:
+  %s = alloca i64, align 8
+  store i64 %i, ptr %s
+  %v = load i64, ptr %s
+  %d = sub i64 5, i64 %v
+  %q = sdiv i64 100, i64 %d
+  %r = add i64 %q, i64 %v
+  %t = mul i64 %r, i64 7
+  ret i64 %t
+}
+
+define i64 @main() {
+entry:
+  %i = alloca i64, align 8
+  %acc = alloca i64, align 8
+  store i64 0, ptr %i
+  store i64 0, ptr %acc
+  br label %loop
+loop:
+  %c = load i64, ptr %i
+  %r = call i64 @f(i64 %c)
+  %a0 = load i64, ptr %acc
+  %a1 = add i64 %a0, i64 %r
+  store i64 %a1, ptr %acc
+  %c1 = add i64 %c, i64 1
+  store i64 %c1, ptr %i
+  br label %loop
+}
+)";
 
 } // namespace
 
@@ -196,6 +282,34 @@ TEST(JitFuelSegmentTest, HardenedCallKernelEveryBudget) {
     SCOPED_TRACE(Scheme);
     expectFuelParity(*Hard, Scheme);
   }
+}
+
+TEST(JitFuelSegmentTest, NativeCallsLeafKernelEveryBudget) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(CallKernelIR);
+  expectFuelParity(*M);
+  // main entered from C++, its 40 leaf calls native-to-native.
+  EXPECT_EQ(callPaths(*M), std::make_pair(uint64_t{41}, uint64_t{0}));
+}
+
+TEST(JitFuelSegmentTest, NativeCallsMutualRecursionEveryBudget) {
+  SKIP_WITHOUT_JIT();
+  Module M("mutual");
+  buildMutualRecursion(M);
+  ASSERT_TRUE(verifyModule(M));
+  expectFuelParity(M);
+  // main, then 25 + 18 frames of the pair, nested natively.
+  EXPECT_EQ(callPaths(M), std::make_pair(uint64_t{44}, uint64_t{0}));
+}
+
+TEST(JitFuelSegmentTest, NativeCalleeTrapsMidSegmentEveryBudget) {
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(TrappingCalleeIR);
+  expectFuelParity(*M);
+  ExecResult R = runAt(*M, true, 100000, false);
+  EXPECT_EQ(R.Trap, TrapKind::DivisionByZero);
+  EXPECT_EQ(R.Message, "division by zero in f");
+  EXPECT_EQ(callPaths(*M), std::make_pair(uint64_t{7}, uint64_t{0}));
 }
 
 TEST(JitFuelSegmentTest, TrappingLoadMidSegment) {

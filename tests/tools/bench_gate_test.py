@@ -9,8 +9,9 @@
   * an old-shape per-mode soak file must be a clear REGRESSION line, not
     a Python traceback;
   * the interp_jit call kernels: a JIT digest off the decoded one, a
-    hardened kernel under the 2.0x floor (even just, at 1.9x), or no
-    call_kernels at all must each be a REGRESSION;
+    hardened kernel under the 3.0x floor (even just, at 2.9x), or no
+    call_kernels at all must each be a REGRESSION, and hardened kernels
+    exactly at the floor pass;
   * interp_throughput: a 10% decoded_steps_per_sec drop passes, a drop of
     more than 25% on one kernel or a kernel without the field is a
     REGRESSION.
@@ -142,8 +143,16 @@ def main():
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json",
                                   hardened_calls_at(1.9)),
-                          "a hardened call kernel at 1.9x (under the 2.0x "
+                          "a hardened call kernel at 1.9x is a REGRESSION")
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json",
+                                  hardened_calls_at(2.9)),
+                          "a hardened call kernel at 2.9x (under the 3.0x "
                           "floor) is a REGRESSION")
+        rc, out = gate(jit_path, mutated("BENCH_interp_jit.json",
+                                         hardened_calls_at(3.0)))
+        expect(rc == 0 and "REGRESSION" not in out,
+               "hardened call kernels exactly at the 3.0x floor pass", out)
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json", drop_call_kernels),
                           "an interp_jit file without call_kernels is a "
