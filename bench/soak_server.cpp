@@ -1438,8 +1438,7 @@ int main(int argc, char **argv) {
   }
   // Harness-side signal hygiene, same as any long-lived server entry
   // point: SIGPIPE must be an errno (client threads write to sockets the
-  // server may have torn down), and in process shard mode the SIGCHLD
-  // fan-out handler must be installed before the first fork.
+  // server may have torn down).
   installServerSignalDefaults();
 
   if (!Net && !Chaos && !Scaling && !Pool)

@@ -84,9 +84,9 @@ bool BlockingClient::sendRequest(const WireRequest &Req) {
 bool BlockingClient::recvResponse(WireResponse &Out, unsigned TimeoutMillis) {
   std::vector<uint8_t> Payload;
   FrameError Err;
-  // Wall-clock deadline rather than a per-poll() budget: in a process that
-  // reaps shard children, SIGCHLD interrupts poll() with EINTR at any time,
-  // and each retry must wait only the *remaining* budget.
+  // Wall-clock deadline rather than a per-poll() budget: any signal the
+  // embedding process handles can interrupt poll() with EINTR, and each
+  // retry must wait only the *remaining* budget.
   const auto Deadline =
       std::chrono::steady_clock::now() + std::chrono::milliseconds(TimeoutMillis);
   for (;;) {
@@ -105,7 +105,7 @@ bool BlockingClient::recvResponse(WireResponse &Out, unsigned TimeoutMillis) {
     int R = ::poll(&Pfd, 1, static_cast<int>(Left.count()));
     if (R < 0) {
       if (errno == EINTR)
-        continue; // signal (e.g. a shard child's SIGCHLD); budget unchanged
+        continue; // interrupted by a signal; the deadline is unchanged
       return false;
     }
     if (R == 0)

@@ -16,6 +16,7 @@
 #include <fcntl.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
+#include <sys/wait.h>
 #include <unistd.h>
 
 using namespace smokestack;
@@ -59,12 +60,12 @@ namespace {
 /// never the parent's destructors, atexit handlers, or sanitizer leak
 /// pass, all of which belong to the process image it was cloned from.
 [[noreturn]] void shardChildMain(Module &M, PoolOptions PO, int Channel) {
-  // Shed the parent's identity: signal handlers (SIGPIPE stays ignored —
-  // writes to a dead parent must be EPIPE, not death), the fault-injector
-  // slots inherited from the forking thread, and every inherited fd
-  // except stdio and the channel (the parent's epoll, listener, client
-  // connections, and sibling-shard channels must not survive in here).
-  resetSignalDefaultsInChild();
+  // Shed the parent's identity: the fault-injector slots inherited from
+  // the forking thread, and every inherited fd except stdio and the
+  // channel (the parent's epoll, listener, client connections, and
+  // sibling-shard channels and pidfds must not survive in here). SIGPIPE
+  // stays ignored, as inherited: writes to a dead parent must be EPIPE,
+  // not death.
   detail::ProcessInjector.store(nullptr, std::memory_order_release);
   detail::ThreadInjector = nullptr;
   if (Channel != 3) {
@@ -178,20 +179,15 @@ namespace {
 
 ChildProcessShard::ChildProcessShard(Module &M, PoolOptions Opts,
                                      unsigned Index, unsigned RestartBudget,
-                                     ShardSupervisor &Reaper, NetBooks &Net,
-                                     ShardHooks Hooks)
+                                     NetBooks &Net, ShardHooks Hooks)
     : M(M), Opts(std::move(Opts)), Idx(Index), RestartBudget(RestartBudget),
-      Reaper(Reaper), Net(Net), Hooks(std::move(Hooks)) {}
+      Net(Net), Hooks(std::move(Hooks)) {}
 
 ChildProcessShard::~ChildProcessShard() {
   // No outcome delivery from a destructor: the owning server may be mid-
   // teardown. drain() already ran in every normal lifecycle.
   Hooks.DeliverOutcome = nullptr;
   abortInline();
-  if (ChannelFd >= 0) {
-    ::close(ChannelFd);
-    ChannelFd = -1;
-  }
 }
 
 bool ChildProcessShard::start(std::string *Err) { return launch(Err); }
@@ -216,6 +212,19 @@ bool ChildProcessShard::launch(std::string *Err) {
     shardChildMain(M, Opts, Sv[1]); // noreturn
   }
   ::close(Sv[1]);
+  // The child stays unreaped until the loop waits on this pidfd, so its
+  // pid cannot be recycled in between. glibc 2.36's <sys/pidfd.h> is not
+  // C++-safe, hence the raw syscall (pidfd_open needs Linux >= 5.3 and
+  // waitid(P_PIDFD) >= 5.4).
+  int Fd = static_cast<int>(::syscall(SYS_pidfd_open, Child, 0u));
+  if (Fd < 0) {
+    if (Err)
+      *Err = std::string("pidfd_open: ") + std::strerror(errno);
+    ::close(Sv[0]); // the child reads EOF and exits
+    ::waitpid(Child, nullptr, 0);
+    return false;
+  }
+  PidFd = Fd;
   int Flags = ::fcntl(Sv[0], F_GETFL, 0);
   ::fcntl(Sv[0], F_SETFL, Flags | O_NONBLOCK);
   ::fcntl(Sv[0], F_SETFD, FD_CLOEXEC);
@@ -225,23 +234,27 @@ bool ChildProcessShard::launch(std::string *Err) {
   Outbound.clear();
   OutPos = 0;
   ChannelBroken = false;
-  {
-    std::lock_guard<std::mutex> Lock(Mtx);
-    Pid = Child;
-    Reaped = false;
-  }
-  // The monitor thread only records the death and wakes the loop; all
-  // heavy processing stays on the loop thread (processDeath).
-  Reaper.watch(Child, [this](const ShardDeath &D) {
-    {
-      std::lock_guard<std::mutex> Lock(Mtx);
-      Reaped = true;
-      PendingDeath = D;
-    }
-    if (Hooks.WakeLoop)
-      Hooks.WakeLoop();
-  });
   return true;
+}
+
+bool ChildProcessShard::reapChild() {
+  // Blocks only until the child is gone: the loop calls this once the
+  // pidfd is readable, abortInline() right after a SIGKILL. An embedder
+  // that reaps children itself, or has the kernel auto-reap them, makes
+  // waitid fail with ECHILD; the child is gone all the same, cause
+  // unknown.
+  siginfo_t Info = {};
+  while (::waitid(P_PIDFD, static_cast<id_t>(PidFd), &Info, WEXITED) < 0 &&
+         errno == EINTR) {
+  }
+  ::close(PidFd);
+  PidFd = -1;
+  return Info.si_code == CLD_KILLED || Info.si_code == CLD_DUMPED;
+}
+
+void ChildProcessShard::onExited() {
+  if (PidFd >= 0)
+    processDeath(reapChild());
 }
 
 bool ChildProcessShard::submit(PoolRequest Req) {
@@ -390,35 +403,28 @@ void ChildProcessShard::handleChildFrame(const std::vector<uint8_t> &Payload) {
   }
   if (parseShardControlPayload(Payload.data(), Payload.size(), Ctl) &&
       Ctl.Op == ShardControlOp::DrainAck) {
+    // The child exits right after its ack; reaping that exit is what
+    // makes the shard Drained (processDeath), so drain() never leaves a
+    // zombie behind.
+    Acked = true;
     std::lock_guard<std::mutex> Lock(Mtx);
     CleanAck = Ctl.Clean;
-    St = State::Drained;
-    Cv.notify_all();
     return;
   }
   killNow(); // schema nonsense from the child: same as a corrupt stream
 }
 
 void ChildProcessShard::service() {
-  std::optional<ShardDeath> D;
   bool NeedKill = false;
   bool NeedDrain = false;
   unsigned Budget = 0;
   {
     std::lock_guard<std::mutex> Lock(Mtx);
-    if (PendingDeath) {
-      D = *PendingDeath;
-      PendingDeath.reset();
-    }
     NeedKill = KillPending && !KillIssued;
-    if (!D && !NeedKill && St == State::DrainRequested) {
+    if (!NeedKill && St == State::DrainRequested) {
       NeedDrain = true;
       Budget = DrainBudgetMillis;
     }
-  }
-  if (D) {
-    processDeath(*D);
-    return;
   }
   if (NeedKill) {
     killNow();
@@ -441,36 +447,40 @@ void ChildProcessShard::sendDrainCmd(unsigned BudgetMillis) {
   flushOutbound();
 }
 
+void ChildProcessShard::sendKill() {
+  // Through the pidfd, never the pid: a pidfd names one process for good,
+  // so a kill racing the child's exit hits the zombie or nothing, never a
+  // recycled pid.
+  if (PidFd >= 0)
+    (void)::syscall(SYS_pidfd_send_signal, PidFd, SIGKILL, nullptr, 0u);
+}
+
 void ChildProcessShard::injectKill() {
   // A chaos kill, not an escalation: deliberately does NOT set KillIssued,
   // so the death path re-forks and replays instead of retiring — the whole
   // point is proving that a SIGKILLed shard costs the digest nothing.
-  std::unique_lock<std::mutex> Lock(Mtx);
-  if (Reaped || Pid <= 0 || KillIssued || St != State::Running)
-    return; // already dying, draining, or down
-  pid_t P = Pid;
-  Lock.unlock();
-  ::kill(P, SIGKILL);
+  {
+    std::lock_guard<std::mutex> Lock(Mtx);
+    if (KillIssued || St != State::Running)
+      return; // escalated or draining
+  }
+  sendKill();
 }
 
 void ChildProcessShard::killNow() {
-  std::unique_lock<std::mutex> Lock(Mtx);
-  KillPending = true;
-  if (KillIssued || Reaped || Pid <= 0) {
-    // Nothing left to kill. If the child is gone and its death already
-    // processed without retiring (can't normally happen), make the state
-    // terminal so drain()/finish() cannot hang.
-    if (Pid <= 0 && St != State::Drained && St != State::Retired)
-      retireLocked(Lock); // unlocks
-    return;
+  {
+    std::lock_guard<std::mutex> Lock(Mtx);
+    KillPending = true;
+    // With no child (mid-death), the reap decides: service() kills the
+    // replacement once the death has re-forked it.
+    if (KillIssued || PidFd < 0)
+      return;
+    KillIssued = true;
   }
-  KillIssued = true;
-  pid_t P = Pid;
-  Lock.unlock();
-  ::kill(P, SIGKILL);
+  sendKill();
 }
 
-void ChildProcessShard::processDeath(const ShardDeath &D) {
+void ChildProcessShard::processDeath(bool Signaled) {
   // Drain the dead channel to EOF first: outcomes the child wrote before
   // dying are real — processing them erases their cache entries, so they
   // are never replayed (counted exactly once). The child is reaped, so
@@ -500,15 +510,15 @@ void ChildProcessShard::processDeath(const ShardDeath &D) {
   ChannelBroken = false;
 
   std::unique_lock<std::mutex> Lock(Mtx);
-  Pid = -1;
-  if (St == State::Drained) {
+  if (Acked) {
     // The expected drain-time exit (the ack was processed above or
     // earlier). Not a death in the books' sense.
+    St = State::Drained;
     Cv.notify_all();
     return;
   }
   ++Net.ShardDeaths;
-  if (D.Signaled)
+  if (Signaled)
     ++Net.ShardDeathsBySignal;
   if (KillIssued || RestartsUsed >= RestartBudget) {
     retireLocked(Lock); // unlocks
@@ -605,8 +615,8 @@ std::vector<PoolOutcome> ChildProcessShard::finish() {
     return St == State::Drained || St == State::Retired;
   });
   if (!Done) {
-    // No cooperating loop (a failed start(), or an abandoned server):
-    // take the child down inline. Only reached when the loop thread is
+    // No cooperating loop (its epoll_wait failed and it returned): take
+    // the child down inline. Only reached when the loop thread is
     // not running, so touching loop state here is safe.
     Lock.unlock();
     abortInline();
@@ -616,16 +626,14 @@ std::vector<PoolOutcome> ChildProcessShard::finish() {
 }
 
 void ChildProcessShard::abortInline() {
-  pid_t P = -1;
-  {
-    std::lock_guard<std::mutex> Lock(Mtx);
-    if (!Reaped && Pid > 0 && !KillIssued) {
+  if (PidFd >= 0) {
+    {
+      std::lock_guard<std::mutex> Lock(Mtx);
       KillIssued = true;
-      P = Pid;
     }
+    sendKill();
+    reapChild();
   }
-  if (P > 0)
-    ::kill(P, SIGKILL);
   if (ChannelFd >= 0) {
     ::close(ChannelFd);
     ChannelFd = -1;

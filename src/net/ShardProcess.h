@@ -26,13 +26,14 @@
 /// when its SHO1 frame is processed, exactly once, because the in-flight
 /// cache entry that triggers replay is erased by that same processing.
 ///
-/// Threading. submit(), the channel handlers, and service() run on the
-/// server's loop thread, which owns all heavy shard state (cache, codec
-/// buffers, parent-side books). drainWithin()/shutdownNow()/finish() run
-/// on the drain() caller's thread and communicate with the loop through a
-/// small mutex-guarded command block + condition variable. The
-/// ShardSupervisor's monitor thread only records a pending death and wakes
-/// the loop.
+/// Threading. submit(), the channel handlers, onExited() and service()
+/// run on the server's loop thread, which owns all heavy shard state
+/// (cache, codec buffers, the child's pidfd, parent-side books). The loop
+/// watches each child's pidfd in its epoll set, so a child's exit wakes
+/// the loop directly and the loop reaps it; no other thread ever waits
+/// for a child. drainWithin()/shutdownNow()/finish() run on the drain()
+/// caller's thread and communicate with the loop through a small
+/// mutex-guarded command block + condition variable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -40,7 +41,6 @@
 #define SMOKESTACK_NET_SHARDPROCESS_H
 
 #include "net/FrameCodec.h"
-#include "runtime/ShardSupervisor.h"
 #include "runtime/WorkerPool.h"
 
 #include <condition_variable>
@@ -49,7 +49,6 @@
 #include <map>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,9 +118,10 @@ private:
 };
 
 /// A shard forked into its own process. The parent end holds: the
-/// nonblocking socketpair channel (registered in the server's epoll under
-/// the shard-id namespace), the in-flight request cache that powers
-/// replay, and the parent-assembled PoolBooks.
+/// nonblocking socketpair channel and the child's pidfd (both registered
+/// in the server's epoll, under the shard-channel and shard-pid id
+/// namespaces), the in-flight request cache that powers replay, and the
+/// parent-assembled PoolBooks.
 class ChildProcessShard final : public Shard {
 public:
   /// \p Opts is the per-shard pool template; the child rebuilds a fresh
@@ -129,8 +129,8 @@ public:
   /// parent's in-flight cap is the real backpressure point, so the child
   /// never sheds and never blocks for long).
   ChildProcessShard(Module &M, PoolOptions Opts, unsigned Index,
-                    unsigned RestartBudget, ShardSupervisor &Reaper,
-                    NetBooks &Net, ShardHooks Hooks);
+                    unsigned RestartBudget, NetBooks &Net,
+                    ShardHooks Hooks);
   ~ChildProcessShard() override;
 
   bool start(std::string *Err) override;
@@ -146,11 +146,15 @@ public:
   /// after service(): a re-fork changes it.
   int channelFd() const { return ChannelFd; }
 
+  /// The running child's pidfd (-1 while down). It becomes readable when
+  /// the child exits; a re-fork swaps it together with the channel.
+  int pidFd() const { return PidFd; }
+
   /// Bumped by every successful launch (including the first). The server
-  /// keys epoll re-registration off this, NOT off the fd value: a re-fork
-  /// routinely reuses the number of the channel fd it just closed, which
-  /// would make fd comparison miss the swap and strand the new channel
-  /// outside epoll.
+  /// keys epoll re-registration of the channel and the pidfd off this,
+  /// NOT off the fd values: a re-fork routinely reuses the numbers of the
+  /// fds it just closed, which would make fd comparison miss the swap and
+  /// strand the new child outside epoll.
   uint32_t channelEpoch() const { return ChannelEpoch; }
 
   /// True while unsent IPC bytes are buffered (EPOLLOUT wanted).
@@ -160,9 +164,12 @@ public:
   void onReadable();
   void onWritable();
 
-  /// Runs pending cross-thread commands: a reaped death (book, re-fork,
-  /// replay or retire), a requested drain (send the SCT1 command), a
-  /// requested kill. Called by the loop every wake.
+  /// The pidfd became readable: reap the child and handle its exit (end
+  /// the drain, or book the death and re-fork + replay or retire).
+  void onExited();
+
+  /// Runs pending cross-thread commands: a requested kill, a requested
+  /// drain (send the SCT1 command). Called by the loop every wake.
   void service();
 
   /// Seeded ShardKill fault: SIGKILL the child outright (loop thread).
@@ -175,14 +182,16 @@ private:
   enum class State : int {
     Running = 0,
     DrainRequested, ///< drainWithin() called; SCT1 cmd not yet sent.
-    DrainSent,      ///< SCT1 cmd on the wire; awaiting the ack.
-    Drained,        ///< Ack processed; child exited (or is exiting).
+    DrainSent,      ///< SCT1 cmd on the wire; awaiting ack and exit.
+    Drained,        ///< Ack processed and the exited child reaped.
     Retired,        ///< Dead for good: budget exhausted or killed.
   };
 
   bool launch(std::string *Err);
-  void processDeath(const ShardDeath &D);
+  bool reapChild();
+  void processDeath(bool Signaled);
   void sendDrainCmd(unsigned BudgetMillis);
+  void sendKill();
   void killNow();
   void appendFrame(const std::vector<uint8_t> &Frame);
   void flushOutbound();
@@ -194,14 +203,14 @@ private:
   PoolOptions Opts;
   unsigned Idx = 0;
   unsigned RestartBudget = 0;
-  ShardSupervisor &Reaper;
   NetBooks &Net;
   ShardHooks Hooks;
 
   // ---- Loop-thread state ------------------------------------------------
   int ChannelFd = -1;
   uint32_t ChannelEpoch = 0;
-  pid_t Pid = -1;
+  int PidFd = -1;
+  bool Acked = false; ///< DrainAck processed: the child's exit ends the drain.
   FrameDecoder Decoder;
   std::vector<uint8_t> Outbound;
   size_t OutPos = 0;
@@ -216,8 +225,6 @@ private:
   mutable std::mutex Mtx;
   std::condition_variable Cv;
   State St = State::Running;
-  std::optional<ShardDeath> PendingDeath;
-  bool Reaped = false;       ///< Child pid has been waitpid'ed (monitor).
   bool KillPending = false;  ///< shutdownNow()/injectKill asked for SIGKILL.
   bool KillIssued = false;   ///< SIGKILL sent; the next death retires.
   bool DrainWanted = false;  ///< A drain survives deaths: re-forks re-send.

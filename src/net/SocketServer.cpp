@@ -9,9 +9,11 @@
 #include "net/ShardRouter.h"
 #include "obs/MetricsRegistry.h"
 #include "obs/Trace.h"
+#include "vm/Interpreter.h"
 
 #include <algorithm>
 #include <cerrno>
+#include <csignal>
 #include <cstring>
 
 #include <fcntl.h>
@@ -29,17 +31,20 @@ namespace {
 /// epoll user-data slots for the two non-connection fds.
 constexpr uint64_t ListenerId = 0;
 constexpr uint64_t WakeId = 1;
-/// Shard IPC channels live in their own id namespace, far above any
-/// connection id (NextConnId would need 2^48 accepts to collide): the low
-/// bits are the shard index. A re-fork swaps the fd under the same id.
+/// Shard IPC channels and shard children's pidfds live in their own id
+/// namespaces, far above any connection id (NextConnId would need 2^48
+/// accepts to collide): the low bits are the shard index. A re-fork swaps
+/// both fds under the same ids.
+constexpr uint64_t ShardPidIdBase = 0xFFFE'0000'0000'0000ull;
 constexpr uint64_t ShardIdBase = 0xFFFF'0000'0000'0000ull;
 
 constexpr uint64_t MillisToNanos = 1000u * 1000u;
 
-/// epoll_wait timeout. The eventfd carries every real wake (completions,
-/// stop/drain requests, shard deaths), so the timeout is only a sampling
-/// fallback: long by default, short while wall-clock state needs polling
-/// (connection reaping timeouts, the drain flush deadline).
+/// epoll_wait timeout. The eventfd carries every cross-thread wake
+/// (completions, stop/drain requests) and each shard child's pidfd its
+/// exit, so the timeout is only a sampling fallback: long by default,
+/// short while wall-clock state needs polling (connection reaping
+/// timeouts, the drain flush deadline).
 int loopTimeoutMillis(bool Polling) { return Polling ? 50 : 500; }
 
 } // namespace
@@ -101,6 +106,12 @@ void NetBooks::exportMetrics(MetricsRegistry &R) const {
     ResponsesDelivered);
   G("net.books.responses-orphaned", "Responses whose connection died first",
     ResponsesOrphaned);
+}
+
+void smokestack::installServerSignalDefaults() {
+  // Every write path to a dying peer — client sockets, shard socketpairs —
+  // must fail with EPIPE instead of killing the server.
+  ::signal(SIGPIPE, SIG_IGN);
 }
 
 void smokestack::mergePoolBooks(PoolBooks &Into, const PoolBooks &From) {
@@ -174,8 +185,6 @@ SocketServer::SocketServer(Module &M, ServerOptions Opts)
 SocketServer::~SocketServer() {
   if (Started && !Drained)
     drain();
-  if (Reaper)
-    Reaper->stop();
   for (int *Fd : {&EpollFd, &ListenFd, &WakeEventFd})
     if (*Fd >= 0) {
       ::close(*Fd);
@@ -199,36 +208,41 @@ bool SocketServer::netProbe(FaultSite Site) {
 }
 
 bool SocketServer::start(std::string *Err) {
-  auto Fail = [&](const char *What) {
+  auto Fail = [&](std::string Why) {
     if (Err)
-      *Err = std::string(What) + ": " + std::strerror(errno);
+      *Err = std::move(Why);
     for (int *Fd : {&EpollFd, &ListenFd, &WakeEventFd})
       if (*Fd >= 0) {
         ::close(*Fd);
         *Fd = -1;
       }
-    if (Reaper)
-      Reaper->stop();
-    for (auto &S : Shards)
-      S->finish();
-    Shards.clear();
+    // Shard destructors stop their pools and kill and reap their children.
     ProcShards.clear();
-    Reaper.reset();
+    Shards.clear();
     return false;
+  };
+  auto SysFail = [&](const char *What) {
+    return Fail(std::string(What) + ": " + std::strerror(errno));
   };
 
   if (Started)
     return false;
 
+  // Every request calls the entry point with no arguments: refuse one
+  // that cannot take that call before anything is bound or forked,
+  // instead of answering every request with a BadCall trap.
+  std::string Why;
+  if (!findEntryPoint(M, Opts.Pool.Function, 0, Why))
+    return Fail("entry point: " + Why);
+
   // SIGPIPE must be ignored process-wide (peer teardown during a write is
-  // an EPIPE, never death) and SIGCHLD needs its fan-out handler before
-  // the first shard fork. Idempotent, and also called by the entry-point
+  // an EPIPE, never death). Idempotent, and also called by the entry-point
   // binaries — this is the backstop for embedders.
   installServerSignalDefaults();
 
   ListenFd = ::socket(AF_INET, SOCK_STREAM | SOCK_NONBLOCK | SOCK_CLOEXEC, 0);
   if (ListenFd < 0)
-    return Fail("socket");
+    return SysFail("socket");
   int One = 1;
   ::setsockopt(ListenFd, SOL_SOCKET, SO_REUSEADDR, &One, sizeof One);
   sockaddr_in Addr = {};
@@ -236,31 +250,31 @@ bool SocketServer::start(std::string *Err) {
   Addr.sin_addr.s_addr = htonl(INADDR_LOOPBACK);
   Addr.sin_port = htons(Opts.Port);
   if (::bind(ListenFd, reinterpret_cast<sockaddr *>(&Addr), sizeof Addr) < 0)
-    return Fail("bind");
+    return SysFail("bind");
   if (::listen(ListenFd, 128) < 0)
-    return Fail("listen");
+    return SysFail("listen");
   socklen_t AddrLen = sizeof Addr;
   if (::getsockname(ListenFd, reinterpret_cast<sockaddr *>(&Addr), &AddrLen) <
       0)
-    return Fail("getsockname");
+    return SysFail("getsockname");
   BoundPort = ntohs(Addr.sin_port);
 
   WakeEventFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
   if (WakeEventFd < 0)
-    return Fail("eventfd");
+    return SysFail("eventfd");
 
   EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
   if (EpollFd < 0)
-    return Fail("epoll_create1");
+    return SysFail("epoll_create1");
   epoll_event Ev = {};
   Ev.events = EPOLLIN;
   Ev.data.u64 = ListenerId;
   if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, ListenFd, &Ev) < 0)
-    return Fail("epoll_ctl(listener)");
+    return SysFail("epoll_ctl(listener)");
   ListenerArmed = true;
   Ev.data.u64 = WakeId;
   if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, WakeEventFd, &Ev) < 0)
-    return Fail("epoll_ctl(wake)");
+    return SysFail("epoll_ctl(wake)");
 
   if (Opts.InjectNetFaults)
     NetInjector = std::make_unique<FaultInjector>(Opts.NetFaultPlan);
@@ -283,32 +297,20 @@ bool SocketServer::start(std::string *Err) {
   };
   ShardOpts.OnOutcome = Deliver;
   if (Opts.Mode == ShardMode::Process) {
-    Reaper = std::make_unique<ShardSupervisor>();
-    Reaper->start();
     ShardHooks Hooks;
     Hooks.DeliverOutcome = Deliver;
     Hooks.Probe = [this](FaultSite S) { return netProbe(S); };
     Hooks.WakeLoop = [this] { wakeLoop(); };
     for (unsigned I = 0; I != Opts.Shards; ++I) {
       auto C = std::make_unique<ChildProcessShard>(
-          M, ShardOpts, I, Opts.ShardRestartBudget, *Reaper, Net, Hooks);
+          M, ShardOpts, I, Opts.ShardRestartBudget, Net, Hooks);
       std::string ChildErr;
-      if (!C->start(&ChildErr)) {
-        if (Err)
-          *Err = ChildErr;
-        Shards.push_back(std::move(C)); // Fail() finishes it
-        return Fail("shard fork");
-      }
-      epoll_event SEv = {};
-      SEv.events = EPOLLIN;
-      SEv.data.u64 = ShardIdBase | I;
-      if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, C->channelFd(), &SEv) < 0) {
-        Shards.push_back(std::move(C));
-        return Fail("epoll_ctl(shard)");
-      }
-      ShardEpochs.push_back(C->channelEpoch());
-      ShardFds.push_back(C->channelFd());
-      ShardArmed.push_back(EPOLLIN);
+      if (!C->start(&ChildErr))
+        return Fail(ChildErr);
+      // Epoch 0 precedes every launch: the loop's first serviceShards()
+      // registers the channel and the pidfd.
+      ShardEpochs.push_back(0);
+      ShardArmed.push_back(-1);
       ProcShards.push_back(C.get());
       Shards.push_back(std::move(C));
     }
@@ -674,20 +676,21 @@ void SocketServer::serviceShards() {
     S.service();
     int Fd = S.channelFd();
     if (S.channelEpoch() != ShardEpochs[I]) {
-      // A re-fork swapped the channel. The old fd's epoll entry died with
-      // its close; register the new one under the same shard id. The new
-      // fd usually has the same number as the old (first-free-slot fd
-      // allocation), which is why the epoch, not the fd, is compared.
+      // A launch (the first, or a re-fork) brought a new channel and a new
+      // pidfd. The old fds' epoll entries died with their close; register
+      // the new ones under the shard's ids. The new fds usually get the
+      // numbers of the old (first-free-slot fd allocation), which is why
+      // the epoch, not the fd, is compared.
       ShardEpochs[I] = S.channelEpoch();
-      ShardFds[I] = Fd;
       ShardArmed[I] = -1;
-      if (Fd >= 0) {
-        epoll_event Ev = {};
-        Ev.events = EPOLLIN;
-        Ev.data.u64 = ShardIdBase | I;
-        if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) == 0)
-          ShardArmed[I] = EPOLLIN;
-      }
+      epoll_event Ev = {};
+      Ev.events = EPOLLIN;
+      Ev.data.u64 = ShardPidIdBase | I;
+      if (S.pidFd() >= 0)
+        ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, S.pidFd(), &Ev);
+      Ev.data.u64 = ShardIdBase | I;
+      if (Fd >= 0 && ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) == 0)
+        ShardArmed[I] = EPOLLIN;
     }
     if (Fd < 0)
       continue;
@@ -782,14 +785,19 @@ void SocketServer::loopMain() {
         drainCompletions();
         continue;
       }
-      if (Id >= ShardIdBase) {
+      if (Id >= ShardPidIdBase) {
         size_t SIdx = static_cast<size_t>(Id & 0xFFFF);
-        if (SIdx < ProcShards.size()) {
-          if (Ev & (EPOLLIN | EPOLLHUP | EPOLLERR))
-            ProcShards[SIdx]->onReadable();
-          if (Ev & EPOLLOUT)
-            ProcShards[SIdx]->onWritable();
+        if (SIdx >= ProcShards.size())
+          continue;
+        ChildProcessShard &S = *ProcShards[SIdx];
+        if (Id < ShardIdBase) {
+          S.onExited(); // the pidfd: the child exited
+          continue;
         }
+        if (Ev & (EPOLLIN | EPOLLHUP | EPOLLERR))
+          S.onReadable();
+        if (Ev & EPOLLOUT)
+          S.onWritable();
         continue;
       }
       auto It = Conns.find(Id);
@@ -850,8 +858,6 @@ DrainReport SocketServer::drain() {
   wakeLoop();
   if (LoopThread.joinable())
     LoopThread.join();
-  if (Reaper)
-    Reaper->stop();
 
   for (const PoolBooks &B : Report.PerShard)
     mergePoolBooks(Report.Pool, B);

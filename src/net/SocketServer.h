@@ -14,7 +14,8 @@
 /// backpressure, and deadline machinery here is mode-blind.
 ///
 /// Threading model. The loop thread owns the listener, every Connection,
-/// the in-flight request map, the shard IPC channels, and the NetBooks —
+/// the in-flight request map, the shard IPC channels and the shard
+/// children's pidfds (it reaps its own children), and the NetBooks —
 /// none of it is locked, because nothing else touches it. The only
 /// cross-thread traffic is the completion path: shard workers (or the
 /// loop's own shard-channel reads) fire a delivery hook that appends the
@@ -57,7 +58,6 @@
 
 #include "net/FrameCodec.h"
 #include "net/ShardProcess.h"
-#include "runtime/ShardSupervisor.h"
 #include "runtime/WorkerPool.h"
 
 #include <atomic>
@@ -148,6 +148,13 @@ struct NetBooks {
   void exportMetrics(MetricsRegistry &R) const;
 };
 
+/// Ignores SIGPIPE process-wide, idempotently: a peer closing mid-write
+/// must surface as EPIPE on the write, never kill the process —
+/// MSG_NOSIGNAL only covers send() call sites, not pipe/socketpair
+/// writes. Server entry points (smokestack-opt -serve, soak_server) and
+/// SocketServer::start() all call this.
+void installServerSignalDefaults();
+
 /// Sums shard books into an aggregate. Every PoolBooks field except
 /// StallAlarms is a sum of per-request deltas, so the aggregate over a
 /// deterministic shard split equals the single-pool books — the property
@@ -169,7 +176,8 @@ struct ServerOptions {
   unsigned Shards = 1;
   /// Shard isolation level. Process mode is digest-neutral: the wire
   /// outcome stream and the aggregate books are bit-identical to thread
-  /// mode, including across injected SIGKILLs (kill-and-replay).
+  /// mode, including across injected SIGKILLs (kill-and-replay). It
+  /// needs pidfds (Linux >= 5.4); without them start() fails.
   ShardMode Mode = ShardMode::Thread;
   /// Per-shard re-fork budget (process mode). Past it the shard retires:
   /// its in-flight requests are poisoned and later submits shed.
@@ -196,7 +204,8 @@ struct ServerOptions {
   FaultPlan NetFaultPlan;
   /// Template for every shard's pool. Workers is per shard. Admission
   /// policy is forced to ShedNewest — the loop thread must never block on
-  /// a full shard queue. OnOutcome is owned by the server.
+  /// a full shard queue. OnOutcome is owned by the server. Function must
+  /// name a zero-argument definition, or start() fails.
   PoolOptions Pool;
 };
 
@@ -226,8 +235,10 @@ public:
   SocketServer(const SocketServer &) = delete;
   SocketServer &operator=(const SocketServer &) = delete;
 
-  /// Binds, listens, starts the shards and the loop thread. Returns false
-  /// with \p Err set on socket-layer failure. Not restartable.
+  /// Checks the entry point, then binds, listens, starts the shards and
+  /// the loop thread. Returns false with \p Err set on a bad entry point
+  /// (before any shard starts) or a socket-layer or fork failure. Not
+  /// restartable.
   bool start(std::string *Err = nullptr);
 
   /// The bound port (valid after start()).
@@ -273,14 +284,13 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
   /// Non-owning process-mode view of Shards (empty in thread mode).
   std::vector<ChildProcessShard *> ProcShards;
-  /// Per-process-shard epoll bookkeeping: registered channel epoch, fd,
-  /// and armed event mask. Re-registration keys off the epoch — a re-fork
-  /// swaps the channel under the same shard id and routinely reuses the
-  /// just-closed fd number, so fd comparison cannot detect the swap.
+  /// Per-process-shard epoll bookkeeping: registered channel epoch and
+  /// the channel's armed event mask. Re-registration keys off the epoch —
+  /// a re-fork swaps the channel and the pidfd under the same shard ids
+  /// and routinely reuses the just-closed fd numbers, so fd comparison
+  /// cannot detect the swap.
   std::vector<uint32_t> ShardEpochs;
-  std::vector<int> ShardFds;
   std::vector<int> ShardArmed;
-  std::unique_ptr<ShardSupervisor> Reaper;
 
   int EpollFd = -1;
   int ListenFd = -1;

@@ -93,24 +93,32 @@ uint64_t Interpreter::getGlobalAddress(const std::string &Name) const {
   return It == GlobalAddresses.end() ? 0 : It->second;
 }
 
+const Function *smokestack::findEntryPoint(const Module &M,
+                                           const std::string &FuncName,
+                                           size_t NumArgs, std::string &Why) {
+  const Function *F = M.getFunction(FuncName);
+  if (!F || F->isDeclaration()) {
+    Why = "no function definition named '" + FuncName + "'";
+    return nullptr;
+  }
+  if (NumArgs != F->getNumArgs()) {
+    Why = formatString("'%s' takes %u argument(s), %zu given",
+                       FuncName.c_str(), F->getNumArgs(), NumArgs);
+    return nullptr;
+  }
+  return F;
+}
+
 ExecResult Interpreter::run(const std::string &FuncName,
                             const std::vector<uint64_t> &Args) {
   loadGlobals();
-  Function *F = M.getFunction(FuncName);
   ExecResult Result;
-  if (!F || F->isDeclaration()) {
-    Result.Trap = TrapKind::BadCall;
-    Result.Message = "no such function definition: " + FuncName;
-    return Result;
-  }
   // The engine reads Args by parameter index without a bound check: too
   // few would read past the vector, too many would write past the
   // callee's register file.
-  if (Args.size() != F->getNumArgs()) {
+  const Function *F = findEntryPoint(M, FuncName, Args.size(), Result.Message);
+  if (!F) {
     Result.Trap = TrapKind::BadCall;
-    Result.Message = formatString("'%s' takes %u argument(s), %zu given",
-                                  FuncName.c_str(), F->getNumArgs(),
-                                  Args.size());
     return Result;
   }
   if (!Program) {

@@ -99,6 +99,14 @@ struct InterpreterOptions {
   unsigned JitThreshold = 8;
 };
 
+/// Looks up \p FuncName in \p M as an entry point called with \p NumArgs
+/// arguments. Returns the function definition, or null with \p Why set
+/// when there is none or it takes a different number of arguments.
+/// Interpreter::run traps BadCall with that reason; servers, whose
+/// requests call their entry point with no arguments, refuse to start.
+const Function *findEntryPoint(const Module &M, const std::string &FuncName,
+                               size_t NumArgs, std::string &Why);
+
 /// The Mini-IR virtual machine.
 class Interpreter {
 public:

@@ -8,8 +8,9 @@
 // shard child processes is bit-identical to serving through in-process
 // WorkerPool shards; a SIGKILLed shard child is re-forked and its
 // in-flight requests replayed with no observable effect beyond the shard
-// lifecycle counters; and when the restart budget is exhausted the
-// stranded requests are poisoned with exact books instead of being lost.
+// lifecycle counters; when the restart budget is exhausted the stranded
+// requests are poisoned with exact books instead of being lost; and the
+// server reaps its own children from the loop thread, leaving no zombie.
 //
 //===----------------------------------------------------------------------===//
 
@@ -19,10 +20,13 @@
 #include "ir/IRBuilder.h"
 #include "net/Client.h"
 #include "net/SocketServer.h"
-#include "runtime/ShardSupervisor.h"
 
 #include "gtest/gtest.h"
 
+#include <sys/wait.h>
+
+#include <cerrno>
+#include <filesystem>
 #include <map>
 
 using namespace smokestack;
@@ -59,6 +63,23 @@ std::map<uint64_t, WireResponse> serveAll(uint16_t Port, uint64_t N) {
     ByIndex[R.Index] = R;
   }
   return ByIndex;
+}
+
+/// Threads in this process, counted from /proc/self/task.
+unsigned countThreads() {
+  unsigned N = 0;
+  for (const auto &Task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    (void)Task;
+    ++N;
+  }
+  return N;
+}
+
+/// True when this process has no child left, running or zombie.
+bool noChildrenLeft() {
+  errno = 0;
+  return ::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD;
 }
 
 TEST(ShardProcessTest, ProcessModeMatchesThreadModeBitForBit) {
@@ -215,6 +236,44 @@ TEST(ShardProcessTest, ExhaustedRestartBudgetPoisonsInFlightWithExactBooks) {
   EXPECT_EQ(Rep.Pool.PoisonedPoolDeath, Poisoned);
   EXPECT_EQ(Rep.Pool.Completed + Rep.Pool.Shed + Rep.Pool.Poisoned,
             Rep.Pool.Submitted);
+}
+
+TEST(ShardProcessTest, LoopThreadReapsEveryChildWithoutHelperThreads) {
+  constexpr uint64_t N = 48;
+  Module M("shardproc");
+  buildRandModule(M);
+  installServerSignalDefaults();
+
+  // Each shard child's pidfd sits in the loop's epoll set and the loop
+  // thread reaps the child itself: start() adds the loop thread and no
+  // other, and drain() returns only after every child is reaped — after
+  // a clean drain, and after the scripted-SIGKILL replay campaign whose
+  // children die and re-fork mid-pipeline.
+  ServerOptions Killed = shardServerOptions(1, ShardMode::Process);
+  Killed.InjectNetFaults = true;
+  Killed.NetFaultPlan.Seed = 99;
+  Killed.NetFaultPlan.site(FaultSite::ShardKill) = {0.0, 1,
+                                                    /*FailFromProbe=*/32};
+  const ServerOptions Campaigns[] = {shardServerOptions(2, ShardMode::Process),
+                                     Killed};
+  for (const ServerOptions &SO : Campaigns) {
+    SCOPED_TRACE(SO.InjectNetFaults ? "scripted SIGKILL" : "clean drain");
+    unsigned Before = countThreads();
+    SocketServer Server(M, SO);
+    std::string Err;
+    ASSERT_TRUE(Server.start(&Err)) << Err;
+    EXPECT_EQ(countThreads(), Before + 1)
+        << "start() must add the loop thread and nothing else";
+    EXPECT_EQ(serveAll(Server.port(), N).size(), N);
+    DrainReport Rep = Server.drain();
+    EXPECT_TRUE(Rep.Clean);
+    EXPECT_TRUE(Rep.IdentityOk);
+    if (SO.InjectNetFaults) {
+      EXPECT_GE(Rep.Net.ShardRestarts, 1u) << "the scripted kill never fired";
+    }
+    EXPECT_TRUE(noChildrenLeft()) << "drain() left a shard child unreaped";
+    EXPECT_EQ(countThreads(), Before);
+  }
 }
 
 } // namespace

@@ -9,8 +9,9 @@
 // count; every malformed byte stream is an accounted protocol error that
 // kills one connection and nothing else; deadlines reject at admission;
 // backpressure sheds with exact books; a hung request is poisoned by the
-// drain-timeout escalation; and the wire accounting identity holds at the
-// end of every scenario, friendly or hostile.
+// drain-timeout escalation; the wire accounting identity holds at the
+// end of every scenario, friendly or hostile; and an entry point no
+// request can call is refused before anything starts.
 //
 //===----------------------------------------------------------------------===//
 
@@ -21,8 +22,13 @@
 #include "net/Client.h"
 #include "net/ShardRouter.h"
 
+#include "support/Statistics.h"
+
 #include "gtest/gtest.h"
 
+#include <sys/wait.h>
+
+#include <cerrno>
 #include <chrono>
 #include <map>
 #include <thread>
@@ -491,6 +497,57 @@ TEST(SocketServerTest, DrainIsIdempotent) {
   EXPECT_EQ(A.Net.FramesDecoded, B.Net.FramesDecoded);
   EXPECT_EQ(A.Outcomes.size(), B.Outcomes.size());
   EXPECT_TRUE(B.IdentityOk);
+}
+
+/// Every request calls Pool.Function with no arguments, so start() must
+/// refuse one that is missing, only declared, or takes arguments — and
+/// refuse it before any shard starts: no pool worker, no shard child, no
+/// bound port.
+void expectBadEntryPointsRefused(ShardMode Mode) {
+  Module M("net");
+  buildRandModule(M); // driver() plus the smokestack.rand declaration
+  IRBuilder B(M);
+  Function *Leaf = M.createFunction("leaf", B.i64(), {B.i64()});
+  B.setInsertPoint(Leaf->createBlock("entry"));
+  B.ret(B.constI64(3));
+
+  const struct {
+    const char *Function;
+    const char *Err;
+  } Cases[] = {
+      {"nosuch", "entry point: no function definition named 'nosuch'"},
+      {"smokestack.rand",
+       "entry point: no function definition named 'smokestack.rand'"},
+      {"leaf", "entry point: 'leaf' takes 1 argument(s), 0 given"},
+  };
+  const Statistic *Launched = findStatistic("pool.workers-launched");
+  ASSERT_NE(Launched, nullptr);
+  for (const auto &C : Cases) {
+    SCOPED_TRACE(C.Function);
+    ServerOptions Opts = randServerOptions(2);
+    Opts.Mode = Mode;
+    Opts.Pool.Function = C.Function;
+    uint64_t WorkersBefore = Launched->value();
+    SocketServer Server(M, Opts);
+    std::string Err;
+    EXPECT_FALSE(Server.start(&Err));
+    EXPECT_EQ(Err, C.Err);
+    EXPECT_EQ(Server.port(), 0u) << "nothing may be bound";
+    EXPECT_EQ(Launched->value(), WorkersBefore) << "no shard pool may start";
+    errno = 0;
+    EXPECT_TRUE(::waitpid(-1, nullptr, WNOHANG) == -1 && errno == ECHILD)
+        << "no shard child may be forked";
+    DrainReport Rep = Server.drain(); // a no-op on a server never started
+    EXPECT_TRUE(Rep.Outcomes.empty());
+  }
+}
+
+TEST(SocketServerTest, BadEntryPointFailsStartInThreadMode) {
+  expectBadEntryPointsRefused(ShardMode::Thread);
+}
+
+TEST(SocketServerTest, BadEntryPointFailsStartInProcessMode) {
+  expectBadEntryPointsRefused(ShardMode::Process);
 }
 
 } // namespace

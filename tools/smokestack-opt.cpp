@@ -391,20 +391,12 @@ int main(int argc, char **argv) {
       // Every pool and wire request calls the entry point with no
       // arguments, so an entry point that cannot take that call would
       // only serve bad-call traps: refuse it before anything starts.
-      const Function *Entry = M.getFunction(Opts.RunFunction);
-      if (!Entry || Entry->isDeclaration()) {
+      std::string Why;
+      if (!findEntryPoint(M, Opts.RunFunction, 0, Why)) {
         std::fprintf(stderr,
-                     "error: -run=%s: no function definition named '%s'; "
-                     "-workers/-serve need a zero-argument entry point\n",
-                     Opts.RunFunction.c_str(), Opts.RunFunction.c_str());
-        return 1;
-      }
-      if (Entry->getNumArgs() != 0) {
-        std::fprintf(stderr,
-                     "error: -run=%s: '%s' takes %u argument(s); "
-                     "-workers/-serve call it with none\n",
-                     Opts.RunFunction.c_str(), Opts.RunFunction.c_str(),
-                     Entry->getNumArgs());
+                     "error: -run=%s: %s; -workers/-serve call a "
+                     "zero-argument entry point\n",
+                     Opts.RunFunction.c_str(), Why.c_str());
         return 1;
       }
 
@@ -452,8 +444,7 @@ int main(int argc, char **argv) {
         SO.Mode = Opts.Mode;
         SO.DrainTimeoutMillis = Opts.DrainTimeoutMillis;
         SO.Pool = PO;
-        // Before any fork or socket write: SIGPIPE must be an errno and
-        // the SIGCHLD fan-out handler must predate the first shard child.
+        // Before any socket write: SIGPIPE must be an errno.
         installServerSignalDefaults();
         SocketServer Server(M, SO);
         ServeInstance = &Server;
