@@ -127,7 +127,6 @@ void smokestack::mergePoolBooks(PoolBooks &Into, const PoolBooks &From) {
   Into.Accepted += From.Accepted;
   Into.Completed += From.Completed;
   Into.Shed += From.Shed;
-  Into.ShedByBreaker += From.ShedByBreaker;
   Into.ShedQueueFull += From.ShedQueueFull;
   Into.ShedClosed += From.ShedClosed;
   Into.Poisoned += From.Poisoned;
@@ -136,7 +135,6 @@ void smokestack::mergePoolBooks(PoolBooks &Into, const PoolBooks &From) {
   Into.WorkerDeaths += From.WorkerDeaths;
   Into.WorkerRestarts += From.WorkerRestarts;
   Into.Retries += From.Retries;
-  Into.StallAlarms += From.StallAlarms;
   Into.PoisonedIndices.insert(Into.PoisonedIndices.end(),
                               From.PoisonedIndices.begin(),
                               From.PoisonedIndices.end());

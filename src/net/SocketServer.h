@@ -155,10 +155,9 @@ struct NetBooks {
 /// SocketServer::start() all call this.
 void installServerSignalDefaults();
 
-/// Sums shard books into an aggregate. Every PoolBooks field except
-/// StallAlarms is a sum of per-request deltas, so the aggregate over a
-/// deterministic shard split equals the single-pool books — the property
-/// the scaling soak pins.
+/// Sums shard books into an aggregate. Every PoolBooks field is a sum of
+/// per-request deltas, so the aggregate over a deterministic shard split
+/// equals the single-pool books — the property the scaling soak pins.
 void mergePoolBooks(PoolBooks &Into, const PoolBooks &From);
 
 /// How each shard is isolated from the server (DESIGN.md §15).

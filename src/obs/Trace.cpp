@@ -87,12 +87,6 @@ TraceRing &TraceRecorder::ringFor(unsigned WorkerId) {
   return *Rings[WorkerId];
 }
 
-void TraceRecorder::recordExternal(const TraceSpan &S) {
-  std::lock_guard<std::mutex> Lock(Mutex);
-  Store.push_back(S);
-  ++PerDisposition[static_cast<unsigned>(S.Disposition)];
-}
-
 size_t TraceRecorder::collect() {
   std::lock_guard<std::mutex> Lock(Mutex);
   size_t Moved = 0;

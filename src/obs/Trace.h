@@ -11,16 +11,16 @@
 /// cancelled / poisoned), how long it waited in the queue, how long the
 /// RNG reseed and the VM run took, the fuel it burned, and the RNG words
 /// it drew. Spans land in per-worker single-producer/single-consumer ring
-/// buffers and are drained by the supervisor thread each wake (and by
-/// finish()), so steady-state collection is lossless without any lock on
-/// the hot path; if a ring ever fills between drains the newest span is
-/// dropped and counted, never blocked on.
+/// buffers. A worker whose ring is half full drains every ring itself
+/// (and finish() drains them last), so collection is lossless without a
+/// timer thread and without any lock on the common path; if a ring ever
+/// fills anyway the newest span is dropped and counted, never blocked on.
 ///
 /// Zero-cost-when-off follows the FaultInjector probe pattern: tracing is
 /// enabled by installing a TraceRecorder pointer in PoolOptions, so the
 /// disabled hot path pays exactly one null-pointer test per request.
 /// Wall-clock reads for the global histograms (vm.request-nanos,
-/// rng.reseed-nanos, pool.restart-nanos) are separately gated on the
+/// rng.reseed-nanos, pool.rebuild-nanos) are separately gated on the
 /// process-wide obs-timing flag below, so a build that never enables
 /// timing never calls the clock.
 ///
@@ -111,10 +111,10 @@ struct TraceSpan {
 };
 
 /// Bounded single-producer/single-consumer span ring. The producer is one
-/// worker thread; the consumer is whoever currently holds drain rights
-/// (the supervisor while the pool serves, finish() after it stops — the
-/// join/stop edges serialize them). push() never blocks: a full ring
-/// drops the new span and counts it.
+/// worker thread; the consumer is whichever thread is inside
+/// TraceRecorder::collect() (any worker while the pool serves, finish()
+/// after the joins — the recorder's mutex serializes them). push() never
+/// blocks: a full ring drops the new span and counts it.
 class TraceRing {
 public:
   explicit TraceRing(size_t CapacityPow2);
@@ -125,6 +125,13 @@ public:
   /// Consumer side: moves every currently-visible span into \p Out.
   /// Returns the number drained.
   size_t drainInto(std::vector<TraceSpan> &Out);
+
+  /// Spans pushed and not yet drained. Exact on the producer's thread up
+  /// to a concurrent drain, which only shrinks it.
+  size_t size() const {
+    return static_cast<size_t>(Tail.load(std::memory_order_relaxed) -
+                               Head.load(std::memory_order_acquire));
+  }
 
   uint64_t dropped() const { return Dropped.load(std::memory_order_relaxed); }
   size_t capacity() const { return Slots.size(); }
@@ -139,8 +146,8 @@ private:
   std::atomic<uint64_t> Dropped{0};
 };
 
-/// Owns the per-worker rings plus a central store the supervisor drains
-/// them into. Install a recorder via PoolOptions::Tracer to enable pool
+/// Owns the per-worker rings plus a central store collect() drains them
+/// into. Install a recorder via PoolOptions::Tracer to enable pool
 /// tracing; leave it null for the zero-cost path.
 class TraceRecorder {
 public:
@@ -152,13 +159,9 @@ public:
   /// (cold path, mutex-guarded); subsequent calls are lookups.
   TraceRing &ringFor(unsigned WorkerId);
 
-  /// Records a span produced off the worker threads (supervisor salvage,
-  /// pool-death drains). Mutex-guarded; cold path only.
-  void recordExternal(const TraceSpan &S);
-
-  /// Drains every ring into the central store. Single consumer at a time
-  /// (supervisor wakes while serving; finish() after the supervisor
-  /// stopped). Returns the number of spans moved.
+  /// Drains every ring into the central store. Callable from any thread:
+  /// the mutex makes the caller the single consumer of every ring for the
+  /// duration. Returns the number of spans moved.
   size_t collect();
 
   /// collect() + hand over the central store, sorted by (RequestIndex,
@@ -180,8 +183,7 @@ private:
 
   mutable std::mutex Mutex;
   /// Indexed by worker id; slots are never reused for a different worker,
-  /// so a relaunched worker keeps its predecessor's ring (the thread
-  /// join/create edges transfer the producer role).
+  /// and a rebuilt worker keeps its ring.
   std::vector<std::unique_ptr<TraceRing>> Rings;
   std::vector<TraceSpan> Store;
   uint64_t PerDisposition[NumSpanDispositions] = {};

@@ -122,7 +122,7 @@ public:
   }
 
   /// Non-blocking pop over both lanes (priority first). Also marks the
-  /// item in flight; used by the supervisor to drain a dead pool.
+  /// item in flight; used to drain the backlog of a dead pool.
   std::optional<T> tryPop() {
     std::unique_lock<std::mutex> Lock(Mutex);
     return popLocked(Lock);
@@ -140,25 +140,16 @@ public:
     }
     if (NowIdle) {
       // Wake consumers blocked on "closed but something in flight" and any
-      // waitIdle() caller.
+      // waitIdleFor() caller.
       NotEmpty.notify_all();
       Idle.notify_all();
     }
   }
 
-  /// Blocks until both lanes are drained and nothing is in flight. The
-  /// caller is responsible for having stopped admissions first (close()),
-  /// or this can wait forever by design.
-  void waitIdle() {
-    std::unique_lock<std::mutex> Lock(Mutex);
-    Idle.wait(Lock, [this] {
-      return Items.empty() && Priority.empty() && InFlight == 0;
-    });
-  }
-
-  /// waitIdle() with a deadline: returns false when the queue still holds
-  /// queued or in-flight work after \p Millis — the graceful-drain-timeout
-  /// hook (the caller then escalates to cancellation instead of hanging).
+  /// Waits up to \p Millis until both lanes are drained and nothing is in
+  /// flight. Returns false when the queue still holds queued or in-flight
+  /// work — the graceful-drain-timeout hook (the caller then escalates to
+  /// cancellation instead of hanging).
   bool waitIdleFor(unsigned Millis) {
     std::unique_lock<std::mutex> Lock(Mutex);
     return Idle.wait_for(Lock, std::chrono::milliseconds(Millis), [this] {

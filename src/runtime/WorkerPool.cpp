@@ -10,7 +10,6 @@
 #include "obs/MetricsRegistry.h"
 #include "obs/Trace.h"
 #include "runtime/DeriveSeed.h"
-#include "runtime/Supervisor.h"
 #include "support/Format.h"
 #include "support/Statistics.h"
 
@@ -28,7 +27,7 @@ Statistic NumPoolWorkers("pool.workers-launched",
 Statistic NumPoolCrashes("pool.crashes-contained",
                          "Worker crashes contained by the supervision layer");
 Statistic NumPoolRestarts("pool.worker-restarts",
-                          "Dead workers rebuilt and relaunched");
+                          "Dead workers rebuilt to serve again");
 Statistic NumPoolRetries("pool.retries",
                          "Requests requeued after a worker crash or death");
 Statistic NumPoolShed("pool.requests-shed",
@@ -123,8 +122,6 @@ void PoolBooks::exportMetrics(MetricsRegistry &R) const {
   G("pool.books.completed", "Requests served to a terminal outcome",
     Completed);
   G("pool.books.shed", "Requests rejected at admission", Shed);
-  G("pool.books.shed-by-breaker", "Sheds by the trap-rate circuit breaker",
-    ShedByBreaker);
   G("pool.books.shed-queue-full", "Sheds by ShedNewest on a full queue",
     ShedQueueFull);
   G("pool.books.shed-closed", "Sheds because the queue was closed",
@@ -134,13 +131,11 @@ void PoolBooks::exportMetrics(MetricsRegistry &R) const {
     "Poisoned subset abandoned on pool death", PoisonedPoolDeath);
   G("pool.books.crashes-contained", "Worker crashes contained",
     CrashesContained);
-  G("pool.books.worker-deaths", "Worker threads that died outright",
+  G("pool.books.worker-deaths", "Simulated hard worker deaths",
     WorkerDeaths);
-  G("pool.books.worker-restarts", "Dead workers rebuilt and relaunched",
+  G("pool.books.worker-restarts", "Dead workers rebuilt to serve again",
     WorkerRestarts);
   G("pool.books.retries", "Requeues after a crash or death", Retries);
-  G("pool.books.stall-alarms", "Heartbeat stalls observed (wall clock)",
-    StallAlarms);
   G("pool.books.rng.draws-served", "Words drawn from the resilient chains",
     Rng.DrawsServed);
   G("pool.books.rng.degraded-draws", "Draws served degraded",
@@ -201,7 +196,8 @@ WorkerPool::WorkerPool(Module &M, PoolOptions Opts)
   // lazily on its first run, with the identical deterministic layout) and
   // shared read-only by every crash rebuild.
   Snapshot = Workers.front()->VM->captureSnapshot();
-  Super = std::make_unique<Supervisor>(*this);
+  LiveWorkers.store(Workers.size(), std::memory_order_relaxed);
+  findEntryPoint(M, this->Opts.Function, 0, EntryError);
 }
 
 WorkerPool::~WorkerPool() {
@@ -209,38 +205,33 @@ WorkerPool::~WorkerPool() {
     finish();
 }
 
-void WorkerPool::start() {
+bool WorkerPool::start(std::string *Err) {
   if (Started || Finished)
-    return;
+    return Started;
+  // Every request calls the entry point with no arguments: refuse one
+  // that cannot take that call instead of trapping BadCall per request.
+  if (!EntryError.empty()) {
+    if (Err)
+      *Err = "entry point: " + EntryError;
+    Queue.close();
+    return false;
+  }
   Started = true;
-  Super->start();
   for (auto &W : Workers) {
     W->Thread = std::thread([this, Raw = W.get()] { workerMain(*Raw); });
     ++NumPoolWorkers;
   }
+  return true;
 }
 
 bool WorkerPool::submit(PoolRequest Request) {
   SubmittedCount.fetch_add(1, std::memory_order_relaxed);
 
-  const AdmissionOptions &A = Opts.Admission;
-  if (A.BreakerTrapRate > 0.0) {
-    uint64_t Done = CompletedCount.load(std::memory_order_relaxed);
-    uint64_t Traps = TrappedCount.load(std::memory_order_relaxed);
-    if (Done >= A.BreakerMinSamples &&
-        static_cast<double>(Traps) >
-            A.BreakerTrapRate * static_cast<double>(Done)) {
-      ShedBreakerCount.fetch_add(1, std::memory_order_relaxed);
-      ++NumPoolShed;
-      return false;
-    }
-  }
-
   Pending Item;
   Item.Req = std::move(Request);
   if (Opts.Tracer)
     Item.EnqueueNs = obsNowNanos();
-  if (A.Policy == AdmissionOptions::ShedPolicy::ShedNewest) {
+  if (Opts.Admission.Policy == AdmissionOptions::ShedPolicy::ShedNewest) {
     switch (Queue.tryPush(Item)) {
     case QueuePush::Ok:
       AcceptedCount.fetch_add(1, std::memory_order_relaxed);
@@ -291,8 +282,7 @@ uint32_t WorkerPool::attemptBudget(uint64_t Index) const {
 }
 
 void WorkerPool::recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
-                                uint32_t Attempts,
-                                const RequestBooks *Delta) {
+                                uint32_t Attempts, const RequestBooks &Delta) {
   PoolOutcome O;
   O.Index = Index;
   O.Trap = TrapKind::WorkerCrash;
@@ -302,10 +292,16 @@ void WorkerPool::recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
   ++NumPoolPoisoned;
   if (Opts.OnOutcome)
     Opts.OnOutcome(O);
-  if (Opts.OnOutcomeBooks) {
-    static const RequestBooks Empty;
-    Opts.OnOutcomeBooks(O, Delta ? *Delta : Empty);
-  }
+  if (Opts.OnOutcomeBooks)
+    Opts.OnOutcomeBooks(O, Delta);
+}
+
+void WorkerPool::pushSpan(Worker &W, const TraceSpan &S) {
+  if (!W.Ring)
+    return;
+  W.Ring->push(S);
+  if (W.Ring->size() >= W.Ring->capacity() / 2)
+    Opts.Tracer->collect();
 }
 
 void WorkerPool::rebuildWorker(Worker &W) {
@@ -322,8 +318,8 @@ void WorkerPool::rebuildWorker(Worker &W) {
   // Restore the existing VM to the shared post-load image and reset the
   // RNG in place: bitwise equivalent to constructing both anew, at
   // O(bytes dirtied) instead of a 37 MiB SimMemory rebuild — under chaos
-  // this is the dominant cost of a contained crash or a worker-death
-  // restart. Wiring (shared program, cancel flag) survives the restore.
+  // this is the dominant cost of a contained crash or a repaired death.
+  // Wiring (shared program, cancel flag) survives the restore.
   W.VM->restoreFromSnapshot(Snapshot);
   W.Rng->reset();
   ++NumPoolRestores;
@@ -331,72 +327,93 @@ void WorkerPool::rebuildWorker(Worker &W) {
     RebuildNanos.record(obsNowNanos() - Start);
 }
 
+void WorkerPool::retryOrQuarantine(Worker &W, Pending &Item) {
+  uint32_t Burned = Item.Attempt + 1;
+  if (Burned < attemptBudget(Item.Req.Index)) {
+    ++W.Retries;
+    // The retry carries the failed attempts' accounting forward in
+    // Item.Delta; a fresh Pending here would silently zero it.
+    Item.Delta.Retries += 1;
+    Item.Attempt = Burned;
+    if (Opts.Tracer)
+      Item.EnqueueNs = obsNowNanos();
+    Queue.pushPriority(std::move(Item));
+  } else {
+    recordPoisoned(W.Outcomes, Item.Req.Index, Burned, Item.Delta);
+    pushSpan(W, {Item.Req.Index, W.Id, Burned, SpanDisposition::Poisoned, 0,
+                 0, 0, 0, 0});
+  }
+  Queue.taskDone();
+}
+
+void WorkerPool::abandonBacklog(Worker &W) {
+  while (std::optional<Pending> Item = Queue.tryPop()) {
+    Item->Delta.PoisonedPoolDeath += 1;
+    recordPoisoned(W.Outcomes, Item->Req.Index, Item->Attempt, Item->Delta);
+    ++W.PoisonedPoolDeath;
+    pushSpan(W, {Item->Req.Index, W.Id, Item->Attempt,
+                 SpanDisposition::Poisoned, 0, 0, 0, 0, 0});
+    Queue.taskDone();
+  }
+}
+
 void WorkerPool::workerMain(Worker &W) {
   while (std::optional<Pending> Item = Queue.pop()) {
-    W.Heartbeat.fetch_add(1, std::memory_order_relaxed);
-    W.State.store(WorkerState::Serving, std::memory_order_relaxed);
-
     ServeVerdict Verdict;
-    bool Crashed = false;
     try {
       Verdict = serveRequest(W, *Item);
     } catch (...) {
       // Containment: any exception escaping the serve path — injected or
       // real — costs this worker its attempt, never its thread.
-      Crashed = true;
-      Verdict = ServeVerdict::Served; // placate -Wmaybe-uninitialized
+      Verdict = ServeVerdict::Crashed;
     }
 
-    if (Crashed) {
+    switch (Verdict) {
+    case ServeVerdict::Served:
+      Queue.taskDone();
+      break;
+    case ServeVerdict::Crashed:
       ++W.CrashEvents;
       Item->Delta.CrashesContained += 1;
       rebuildWorker(W);
-      uint32_t Burned = Item->Attempt + 1;
-      if (W.Ring)
-        W.Ring->push({Item->Req.Index, W.Id, Burned, SpanDisposition::Crashed,
-                      0, 0, 0, 0, 0});
-      if (Burned < attemptBudget(Item->Req.Index)) {
-        ++W.Retries;
-        Item->Delta.Retries += 1;
-        Pending Retry;
-        Retry.Req = std::move(Item->Req);
-        Retry.Attempt = Burned;
-        // The retry carries the crashed attempts' accounting forward; a
-        // fresh Pending here would silently zero the request's delta.
-        Retry.Delta = std::move(Item->Delta);
-        if (Opts.Tracer)
-          Retry.EnqueueNs = obsNowNanos();
-        Queue.pushPriority(std::move(Retry));
-      } else {
-        recordPoisoned(W.Outcomes, Item->Req.Index, Burned, &Item->Delta);
-        if (W.Ring)
-          W.Ring->push({Item->Req.Index, W.Id, Burned,
-                        SpanDisposition::Poisoned, 0, 0, 0, 0, 0});
+      pushSpan(W, {Item->Req.Index, W.Id, Item->Attempt + 1,
+                   SpanDisposition::Crashed, 0, 0, 0, 0, 0});
+      retryOrQuarantine(W, *Item);
+      break;
+    case ServeVerdict::Died: {
+      // A simulated hard death, repaired on this thread. The death, and
+      // the restart it earns if the pool-wide budget allows one, are
+      // attributed to the request the worker died holding, so aggregate
+      // books stay an exact sum of per-request deltas.
+      pushSpan(W, {Item->Req.Index, W.Id, Item->Attempt + 1,
+                   SpanDisposition::Died, 0, 0, 0, 0, 0});
+      ++W.Deaths;
+      Item->Delta.WorkerDeaths += 1;
+      bool Restart = RestartsUsed.fetch_add(1, std::memory_order_relaxed) <
+                     Opts.Supervision.MaxWorkerRestarts;
+      if (Restart) {
+        ++W.Restarts;
+        Item->Delta.WorkerRestarts += 1;
       }
-      Queue.taskDone();
-    } else if (Verdict == ServeVerdict::Died) {
-      // Simulated hard death: stash the request for the supervisor and
-      // fall off the thread. Deliberately NO taskDone — the request is
-      // still in flight until the supervisor salvages the stash, which
-      // keeps sibling workers (and finish()) from declaring the queue
-      // drained under it.
-      if (W.Ring)
-        W.Ring->push({Item->Req.Index, W.Id, Item->Attempt + 1,
-                      SpanDisposition::Died, 0, 0, 0, 0, 0});
-      {
-        std::lock_guard<std::mutex> Lock(W.StashMutex);
-        W.Stash = std::move(*Item);
+      retryOrQuarantine(W, *Item);
+      if (Restart) {
+        rebuildWorker(W);
+        break;
       }
-      W.State.store(WorkerState::Dead, std::memory_order_release);
-      Super->notifyDeath(W.Id);
+      // Out of restart budget: this worker retires. The last one to go
+      // leaves nobody to serve, so it declares the pool dead: cancel any
+      // run still in flight, close the queue so blocked and future
+      // submitters fail fast instead of deadlocking, and drain the
+      // backlog as poisoned — the accounting identity outlives the pool.
+      if (LiveWorkers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+        CancelAll.store(true, std::memory_order_relaxed);
+        Queue.close();
+        abandonBacklog(W);
+      }
       return;
-    } else {
-      Queue.taskDone();
     }
-
-    W.State.store(WorkerState::Idle, std::memory_order_relaxed);
+    }
   }
-  W.State.store(WorkerState::Exited, std::memory_order_relaxed);
 }
 
 WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
@@ -511,12 +528,12 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
     // book it as poisoned-by-pool-death.
     FoldDelta();
     Item.Delta.PoisonedPoolDeath += 1;
-    recordPoisoned(W.Outcomes, Request.Index, Item.Attempt + 1, &Item.Delta);
+    recordPoisoned(W.Outcomes, Request.Index, Item.Attempt + 1, Item.Delta);
     W.Outcomes.back().Steps = E.Steps;
     ++W.PoisonedPoolDeath;
     if (Ring) {
       Span.Disposition = SpanDisposition::Cancelled;
-      Ring->push(Span);
+      pushSpan(W, Span);
     }
     return ServeVerdict::Served;
   }
@@ -525,8 +542,6 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
       {Request.Index, E.Trap, E.ReturnValue, E.Steps, Item.Attempt + 1, false});
   ++NumPoolRequests;
   CompletedCount.fetch_add(1, std::memory_order_relaxed);
-  if (E.Trap != TrapKind::None)
-    TrappedCount.fetch_add(1, std::memory_order_relaxed);
   FoldDelta();
   if (Opts.OnOutcome)
     Opts.OnOutcome(W.Outcomes.back());
@@ -535,7 +550,7 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
   if (Ring) {
     Span.Disposition = E.Trap != TrapKind::None ? SpanDisposition::Trapped
                                                 : SpanDisposition::Completed;
-    Ring->push(Span);
+    pushSpan(W, Span);
   }
   return ServeVerdict::Served;
 }
@@ -548,35 +563,21 @@ std::vector<PoolOutcome> WorkerPool::finish() {
   Queue.close();
 
   if (Started) {
-    // Order matters: the backlog (including retries and death stashes)
-    // must reach terminal states before the supervisor stops — an
-    // unjoined death event holds an in-flight item, so waitIdle() also
-    // proves the supervisor's inbox is empty. Workers are joined last;
-    // after close + drain they exit their serve loops on their own.
-    Queue.waitIdle();
-    Super->stop();
+    // After close, every worker leaves its serve loop once the backlog
+    // (retries included) has reached terminal states; a retired worker
+    // has already returned.
     for (auto &W : Workers)
-      if (W->Thread.joinable())
-        W->Thread.join();
+      W->Thread.join();
   } else {
-    // finish() before start(): nobody ever served, but submit() may have
-    // queued work. Quarantine it so the accounting identity holds rather
-    // than silently dropping accepted requests.
-    while (std::optional<Pending> Item = Queue.tryPop()) {
-      Item->Delta.PoisonedPoolDeath += 1;
-      recordPoisoned(Outcomes, Item->Req.Index, Item->Attempt, &Item->Delta);
-      Books.PoisonedPoolDeath += 1;
-      if (Opts.Tracer)
-        Opts.Tracer->recordExternal({Item->Req.Index, 0, Item->Attempt,
-                                     SpanDisposition::Poisoned, 0, 0, 0, 0,
-                                     0});
-      Queue.taskDone();
-    }
-    Super->stop();
+    // finish() before start(), or after a failed one: nobody ever served,
+    // but submit() may have queued work. Quarantine it so the accounting
+    // identity holds rather than silently dropping accepted requests.
+    // Worker 0's thread never ran, so its books and ring are ours.
+    abandonBacklog(*Workers.front());
   }
 
-  // Final lossless drain: the workers (and the supervisor) are gone, so
-  // every span they produced is visible and the rings go quiescent here.
+  // Final lossless drain: the workers are gone, so every span they
+  // produced is visible and the rings go quiescent here.
   if (Opts.Tracer)
     Opts.Tracer->collect();
 
@@ -592,27 +593,18 @@ std::vector<PoolOutcome> WorkerPool::finish() {
       Books.InjectedEvents[S] += W->InjectedEvents[S];
     }
     Books.CrashesContained += W->CrashEvents;
+    Books.WorkerDeaths += W->Deaths;
+    Books.WorkerRestarts += W->Restarts;
     Books.Retries += W->Retries;
     Books.PoisonedPoolDeath += W->PoisonedPoolDeath;
-  }
-
-  {
-    std::vector<PoolOutcome> FromSuper = Super->takeOutcomes();
-    Outcomes.insert(Outcomes.end(), FromSuper.begin(), FromSuper.end());
-    Books.WorkerDeaths += Super->deathsHandled();
-    Books.WorkerRestarts += Super->restartsUsed();
-    Books.Retries += Super->retries();
-    Books.StallAlarms += Super->stallAlarms();
-    Books.PoisonedPoolDeath += Super->poisonedPoolDeath();
   }
 
   Books.Submitted = SubmittedCount.load(std::memory_order_relaxed);
   Books.Accepted = AcceptedCount.load(std::memory_order_relaxed);
   Books.Completed = CompletedCount.load(std::memory_order_relaxed);
-  Books.ShedByBreaker = ShedBreakerCount.load(std::memory_order_relaxed);
   Books.ShedQueueFull = ShedFullCount.load(std::memory_order_relaxed);
   Books.ShedClosed = ShedClosedCount.load(std::memory_order_relaxed);
-  Books.Shed = Books.ShedByBreaker + Books.ShedQueueFull + Books.ShedClosed;
+  Books.Shed = Books.ShedQueueFull + Books.ShedClosed;
 
   for (const PoolOutcome &O : Outcomes)
     if (O.Poisoned) {

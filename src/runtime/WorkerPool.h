@@ -6,10 +6,9 @@
 ///
 /// \file
 /// The multi-worker request engine: N interpreter workers serve requests
-/// from a bounded MPMC queue over one shared, immutable module, under a
-/// supervision layer that contains worker crashes, retries crashed
-/// requests, quarantines poison requests, and sheds load deterministically
-/// (DESIGN.md §10).
+/// from a bounded MPMC queue over one shared, immutable module. Every
+/// worker repairs its own failures, so a pool of N workers runs exactly N
+/// threads (DESIGN.md §10).
 ///
 /// Ownership map (the concurrency model, DESIGN.md §9):
 ///
@@ -25,7 +24,7 @@
 ///       thread-local FaultScope
 ///   synchronized
 ///     - the request queue (mutex + condvars; see MpmcQueue.h)
-///     - the supervisor's event inbox (worker-death notifications)
+///     - the restart budget and the live-worker count (atomics)
 ///     - process-wide Statistic counters (sharded relaxed atomics)
 ///     - the pool's per-request admission/completion atomics
 ///
@@ -36,19 +35,20 @@
 /// is requeued on the queue's priority lane with a bounded, per-request
 /// attempt budget derived from (RootSeed, Index, SeedLane::RetryBudget);
 /// once the budget is exhausted the request is recorded as *poisoned* and
-/// never retried again (quarantine). A worker thread that dies outright
+/// never retried again (quarantine). A simulated hard death
 /// (FaultSite::WorkerDeath — models a segfaulting or OS-killed worker) is
-/// detected by the supervisor thread, which joins the corpse, salvages the
-/// request it held, and relaunches a rebuilt worker while the pool has
-/// restart budget. When the pool dies unrecoverably (every worker retired)
-/// the supervisor cancels in-flight runs, closes the queue — so submit()
-/// returns false instead of deadlocking — and drains the backlog as
-/// poisoned, keeping the books exact.
+/// repaired the same way on the dying worker's own thread: the death is
+/// booked, the request is requeued or quarantined, and the worker is
+/// rebuilt while the pool's restart budget lasts. Past the budget the
+/// worker retires. The last worker to retire declares the pool dead: it
+/// cancels in-flight runs, closes the queue — so submit() returns false
+/// instead of deadlocking — and drains the backlog as poisoned, keeping
+/// the books exact.
 ///
 /// Accounting identity, exact at finish():
 ///
 ///   Submitted == Completed + Shed + Poisoned
-///   Shed      == ShedByBreaker + ShedQueueFull + ShedClosed
+///   Shed      == ShedQueueFull + ShedClosed
 ///
 /// Every submitted request reaches exactly one terminal state; nothing is
 /// dropped silently, nothing is double-counted.
@@ -63,12 +63,11 @@
 /// ANY worker count and any scheduling, and identical across reruns.
 /// Preconditions: the served function must not carry state across requests
 /// through writable globals, all workers use the same InterpreterOptions,
-/// shedding is disabled (the breaker and ShedNewest decide from racy
-/// cumulative counters and are deterministic only per-run), and the
-/// restart budget exceeds the injected deaths (a retired worker changes
-/// nothing per-request, but an unrecoverable pool poisons the backlog,
-/// which depends on queue depth at death time). StallAlarms is the one
-/// wall-clock-driven counter and is excluded from the contract.
+/// shedding is disabled (ShedNewest decides from the racy queue depth and
+/// is deterministic only per-run), and the restart budget exceeds the
+/// injected deaths (a retired worker changes nothing per-request, but an
+/// unrecoverable pool poisons the backlog, which depends on queue depth at
+/// death time).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -86,8 +85,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
-#include <optional>
 #include <string>
 #include <thread>
 #include <vector>
@@ -95,9 +92,9 @@
 namespace smokestack {
 
 class MetricsRegistry;
-class Supervisor;
 class TraceRecorder;
 class TraceRing;
+struct TraceSpan;
 
 /// One unit of work: run the pool's function once, with these input
 /// records queued for the get_input builtins. Index is the request's
@@ -158,9 +155,9 @@ struct RequestBooks {
   void addTo(PoolBooks &B) const;
 };
 
-/// Aggregate accounting across all workers. Every field except
-/// StallAlarms is a sum of per-request deltas, so it is invariant under
-/// worker count (given shedding off and sufficient restart budget).
+/// Aggregate accounting across all workers. Every field is a sum of
+/// per-request deltas, so it is invariant under worker count (given
+/// shedding off and sufficient restart budget).
 struct PoolBooks {
   // VM request boundary.
   uint64_t Requests = 0;
@@ -178,8 +175,7 @@ struct PoolBooks {
   uint64_t Submitted = 0;     ///< submit() calls.
   uint64_t Accepted = 0;      ///< Admitted into the queue.
   uint64_t Completed = 0;     ///< Served to a terminal outcome (incl. traps).
-  uint64_t Shed = 0;          ///< Rejected at admission; sum of the three below.
-  uint64_t ShedByBreaker = 0; ///< Rejected by the trap-rate circuit breaker.
+  uint64_t Shed = 0;          ///< Rejected at admission; sum of the two below.
   uint64_t ShedQueueFull = 0; ///< Rejected by ShedNewest on a full queue.
   uint64_t ShedClosed = 0;    ///< Rejected because the queue was closed.
   uint64_t Poisoned = 0;      ///< Quarantined after exhausting retries or pool death.
@@ -187,10 +183,9 @@ struct PoolBooks {
 
   // Supervision events.
   uint64_t CrashesContained = 0; ///< Exceptions caught on the serve path.
-  uint64_t WorkerDeaths = 0;     ///< Worker threads that died outright.
-  uint64_t WorkerRestarts = 0;   ///< Dead workers rebuilt and relaunched.
+  uint64_t WorkerDeaths = 0;     ///< Simulated hard worker deaths.
+  uint64_t WorkerRestarts = 0;   ///< Dead workers rebuilt to serve again.
   uint64_t Retries = 0;          ///< Requeues after a crash or death.
-  uint64_t StallAlarms = 0;      ///< Heartbeat stalls observed (wall-clock; diagnostic).
 
   /// Indices of quarantined requests, sorted (the quarantine list).
   std::vector<uint64_t> PoisonedIndices;
@@ -199,7 +194,7 @@ struct PoolBooks {
   /// one terminal state.
   bool accountingIdentityHolds() const {
     return Submitted == Completed + Shed + Poisoned &&
-           Shed == ShedByBreaker + ShedQueueFull + ShedClosed &&
+           Shed == ShedQueueFull + ShedClosed &&
            Accepted == Completed + Poisoned;
   }
 
@@ -222,12 +217,11 @@ struct SupervisionOptions {
   /// budget is a pure function of the request index. Min is clamped to 1.
   uint32_t AttemptsMin = 3;
   uint32_t AttemptsMax = 3;
-  /// Dead workers the supervisor may replace before retiring corpses.
-  /// Keep this above the expected injected deaths: cross-worker-count
-  /// determinism of the *backlog* needs the pool to stay alive.
+  /// Worker deaths the pool repairs; past this budget a dying worker
+  /// retires. Keep this above the expected injected deaths:
+  /// cross-worker-count determinism of the *backlog* needs the pool to
+  /// stay alive.
   uint64_t MaxWorkerRestarts = 1u << 20;
-  /// Supervisor wake/heartbeat-sampling period.
-  unsigned HeartbeatMillis = 25;
 };
 
 /// Load-shedding policy at submit().
@@ -237,13 +231,6 @@ struct AdmissionOptions {
     ShedNewest ///< submit() rejects immediately on a full queue.
   };
   ShedPolicy Policy = ShedPolicy::Block;
-  /// Trap-rate circuit breaker: when > 0, submit() rejects new work while
-  /// Traps > BreakerTrapRate * Completed (given BreakerMinSamples
-  /// completions). Driven only by the pool's own cumulative per-request
-  /// counters — no wall clock — so a single run's shed decisions follow
-  /// the workload, not the machine.
-  double BreakerTrapRate = 0.0;
-  uint64_t BreakerMinSamples = 64;
 };
 
 struct PoolOptions {
@@ -274,8 +261,8 @@ struct PoolOptions {
   /// Terminal-state hook: invoked once per request, the moment it reaches
   /// its terminal state (completed, trapped, or poisoned) — the socket
   /// front-end's response path (DESIGN.md §13). Runs on whichever thread
-  /// recorded the outcome (a worker, the supervisor, or the finisher), so
-  /// it must be thread-safe; it observes only, and must never submit back
+  /// recorded the outcome (a worker, or the caller of finish()), so it
+  /// must be thread-safe; it observes only, and must never submit back
   /// into the pool. Shed requests never reach a worker and are NOT
   /// reported here — submit()'s false return is the shed signal.
   std::function<void(const PoolOutcome &)> OnOutcome;
@@ -296,10 +283,11 @@ struct PoolOptions {
 };
 
 /// The pool. Lifecycle: construct → start() → submit()… → finish().
-/// Misuse is hardened, not UB: finish() before start() drains anything
-/// already queued as poisoned; double start()/finish() are no-ops; and
-/// submit() after finish() (or after unrecoverable pool death) returns
-/// false and books the request under ShedClosed.
+/// Misuse is hardened, not UB: finish() before start() (or after a failed
+/// start()) drains anything already queued as poisoned; double
+/// start()/finish() are no-ops; and submit() after finish() (or after a
+/// failed start() or unrecoverable pool death) returns false and books the
+/// request under ShedClosed.
 class WorkerPool {
 public:
   WorkerPool(Module &M, PoolOptions Opts);
@@ -307,14 +295,17 @@ public:
 
   unsigned workerCount() const { return static_cast<unsigned>(Workers.size()); }
 
-  /// Launches the supervisor and the worker threads. Idempotent; a no-op
-  /// after finish().
-  void start();
+  /// Launches the worker threads, the only threads the pool ever runs.
+  /// Returns false with \p Err set to "entry point: <reason>" when
+  /// Opts.Function cannot be called with no arguments (see
+  /// findEntryPoint); a failed start launches nothing and closes the
+  /// queue. Idempotent; a no-op returning false after finish().
+  bool start(std::string *Err = nullptr);
 
   /// Enqueues one request through the admission controller. Returns false
-  /// when the request was shed (breaker open, queue full under ShedNewest,
-  /// or queue closed by finish()/pool death); the shed is booked, so the
-  /// accounting identity still covers it.
+  /// when the request was shed (queue full under ShedNewest, or queue
+  /// closed by finish(), a failed start() or pool death); the shed is
+  /// booked, so the accounting identity still covers it.
   bool submit(PoolRequest Request);
 
   /// Requests cooperative cancellation of in-flight runs and closes the
@@ -329,13 +320,9 @@ public:
   /// stragglers so finish() books them as poisoned instead of hanging).
   bool drainWithin(unsigned Millis);
 
-  /// Requests queued but not yet being served (racy diagnostic; the socket
-  /// front-end's backpressure signal).
-  size_t queueDepth() const { return Queue.size(); }
-
   /// Closes the queue, waits for the backlog (including retries) to reach
-  /// terminal states, stops the supervisor, joins every worker, and
-  /// returns all outcomes sorted by request index. Idempotent; the second
+  /// terminal states, joins every worker, and returns all outcomes sorted
+  /// by request index. Idempotent; the second
   /// call returns an empty vector.
   std::vector<PoolOutcome> finish();
 
@@ -346,8 +333,6 @@ public:
   const DecodedProgram &sharedProgram() const { return Shared; }
 
 private:
-  friend class Supervisor;
-
   /// A queued request plus how many serve attempts it has burned.
   struct Pending {
     PoolRequest Req;
@@ -363,17 +348,9 @@ private:
 
   /// Where one serve attempt ended up.
   enum class ServeVerdict {
-    Served, ///< Terminal outcome recorded (success, trap, or cancelled).
-    Died,   ///< Injected worker death: the thread must fall over now.
-  };
-
-  /// Observable worker lifecycle state (written by the worker thread,
-  /// read by the supervisor).
-  enum class WorkerState : uint8_t {
-    Idle,    ///< Between requests (or not yet launched).
-    Serving, ///< Inside a serve attempt.
-    Dead,    ///< Fell over with a stashed request; awaiting the supervisor.
-    Exited,  ///< Left the serve loop normally (queue closed and drained).
+    Served,  ///< Terminal outcome recorded (success, trap, or cancelled).
+    Crashed, ///< An exception escaped the serve path; contained.
+    Died,    ///< Injected worker death: the worker repairs or retires.
   };
 
   struct Worker {
@@ -385,20 +362,11 @@ private:
     std::unique_ptr<Interpreter> VM;
     std::unique_ptr<RequestRng> Rng;
     /// This worker's span ring (null = tracing off). The pointer survives
-    /// rebuilds and relaunches: the supervisor's join/create edges hand
-    /// the producer role to the replacement thread.
+    /// rebuilds; the worker thread is its only producer.
     TraceRing *Ring = nullptr;
     std::vector<PoolOutcome> Outcomes;
     uint64_t InjectedProbes[NumFaultSites] = {};
     uint64_t InjectedEvents[NumFaultSites] = {};
-
-    // Supervision state.
-    std::atomic<uint64_t> Heartbeat{0};
-    std::atomic<WorkerState> State{WorkerState::Idle};
-    /// The request a dying worker was holding; harvested by the
-    /// supervisor after joining the corpse.
-    std::mutex StashMutex;
-    std::optional<Pending> Stash;
 
     // Carried across rebuilds: a restored Interpreter/RequestRng restarts
     // its counters at zero, so the pre-crash books are banked here and
@@ -412,6 +380,8 @@ private:
 
     // Per-worker supervision tallies (merged at finish()).
     uint64_t CrashEvents = 0;
+    uint64_t Deaths = 0;
+    uint64_t Restarts = 0;
     uint64_t Retries = 0;
     uint64_t PoisonedPoolDeath = 0;
   };
@@ -424,18 +394,29 @@ private:
   /// equivalent to constructing replacements (vm/Snapshot.h; SnapshotTest
   /// and RequestRngTest pin it), at O(bytes dirtied) instead of a 37 MiB
   /// SimMemory reconstruction plus a module re-layout. Called on the
-  /// worker's own thread after a contained
-  /// crash, or on the supervisor thread after joining a dead worker (join
-  /// + relaunch give the necessary happens-before edges); the snapshot is
-  /// immutable, so concurrent restores of different workers are safe.
+  /// worker's own thread after a contained crash or a repaired death; the
+  /// snapshot is immutable, so concurrent restores of different workers
+  /// are safe.
   void rebuildWorker(Worker &W);
   /// Deterministic per-request attempt budget (>= 1).
   uint32_t attemptBudget(uint64_t Index) const;
+  /// After a crashed or dead attempt: requeues \p Item on the priority
+  /// lane while its attempt budget lasts, quarantines it otherwise, then
+  /// declares the popped item done. Requeue comes first, so the queue
+  /// never looks idle while the request's fate is undecided.
+  void retryOrQuarantine(Worker &W, Pending &Item);
+  /// Drains both queue lanes as poisoned-by-pool-death into W's books:
+  /// the backlog of a dead pool, or of one finished without ever serving.
+  void abandonBacklog(Worker &W);
   /// Records a quarantined request into \p Sink and fires OnOutcome (and
-  /// OnOutcomeBooks with \p Delta, or an all-zero delta when null).
+  /// OnOutcomeBooks with \p Delta).
   void recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
-                      uint32_t Attempts,
-                      const RequestBooks *Delta = nullptr);
+                      uint32_t Attempts, const RequestBooks &Delta);
+  /// Pushes \p S onto W's ring (no-op with tracing off). A ring at least
+  /// half full is drained on the spot: TraceRecorder::collect() serializes
+  /// consumers under its mutex, so collection stays lossless without a
+  /// timer.
+  void pushSpan(Worker &W, const TraceSpan &S);
 
   PoolOptions Opts;
   DecodedProgram Shared;
@@ -444,25 +425,29 @@ private:
   VmSnapshot Snapshot;
   MpmcQueue<Pending> Queue;
   std::vector<std::unique_ptr<Worker>> Workers;
-  std::unique_ptr<Supervisor> Super;
   PoolBooks Books;
+  /// Why Opts.Function cannot serve (empty = it can); start() refuses.
+  std::string EntryError;
   bool Started = false;
   bool Finished = false;
 
   /// Cooperative-cancel flag wired into every Interpreter; set by
-  /// shutdownNow() and by the supervisor on unrecoverable pool death.
+  /// shutdownNow() and by the last worker to retire (pool death).
   std::atomic<bool> CancelAll{false};
+  /// Restarts handed out so far; a death earns one while this stays
+  /// below Supervision.MaxWorkerRestarts.
+  std::atomic<uint64_t> RestartsUsed{0};
+  /// Workers not retired; the one that takes it to zero declares the
+  /// pool dead.
+  std::atomic<size_t> LiveWorkers{0};
 
   // Admission/terminal accounting. Submit-side counters are written by
-  // the submitting thread; Completed/Trapped by workers (and read racily
-  // by the breaker — per-run determinism only, as documented).
+  // the submitting thread, CompletedCount by workers.
   std::atomic<uint64_t> SubmittedCount{0};
   std::atomic<uint64_t> AcceptedCount{0};
-  std::atomic<uint64_t> ShedBreakerCount{0};
   std::atomic<uint64_t> ShedFullCount{0};
   std::atomic<uint64_t> ShedClosedCount{0};
   std::atomic<uint64_t> CompletedCount{0};
-  std::atomic<uint64_t> TrappedCount{0};
 };
 
 } // namespace smokestack

@@ -167,8 +167,8 @@ public:
   /// Binds a cooperative cancellation flag. The decoded engine and the JIT
   /// poll it every CancelCheckInterval steps inside their fuel loops; once
   /// it reads true the run stops with a recoverable TrapKind::WorkerCrash,
-  /// so a supervisor tearing a pool down can abort an in-flight request
-  /// without killing the thread. nullptr (the default) disables the check; the
+  /// so a pool being torn down (shutdownNow, pool death) can abort an
+  /// in-flight request without killing the thread. nullptr (the default) disables the check; the
   /// polled load is relaxed, so the hot path cost is one predictable branch.
   void setCancelFlag(const std::atomic<bool> *Flag) { CancelFlag = Flag; }
 

@@ -80,7 +80,6 @@ inline PoolOptions chaosOptions(uint64_t RootSeed = 7) {
   Opts.FaultTemplate.site(FaultSite::WorkerDeath) = {0.05, 1, 0};
   Opts.Supervision.AttemptsMin = 2;
   Opts.Supervision.AttemptsMax = 5;
-  Opts.Supervision.HeartbeatMillis = 5;
   return Opts;
 }
 
@@ -123,8 +122,7 @@ inline void expectSameRngBooks(const RequestRng::Books &A,
   EXPECT_EQ(A.BufferRefills, B.BufferRefills) << What;
 }
 
-/// Every outcome field and every PoolBooks field but the wall-clock
-/// StallAlarms must match.
+/// Every outcome field and every PoolBooks field must match.
 inline void expectIdenticalRuns(const PoolRun &A, const PoolRun &B,
                                 const char *What) {
   ASSERT_EQ(A.Outcomes.size(), B.Outcomes.size()) << What;
@@ -150,7 +148,6 @@ inline void expectIdenticalRuns(const PoolRun &A, const PoolRun &B,
   EXPECT_EQ(X.Accepted, Y.Accepted) << What;
   EXPECT_EQ(X.Completed, Y.Completed) << What;
   EXPECT_EQ(X.Shed, Y.Shed) << What;
-  EXPECT_EQ(X.ShedByBreaker, Y.ShedByBreaker) << What;
   EXPECT_EQ(X.ShedQueueFull, Y.ShedQueueFull) << What;
   EXPECT_EQ(X.ShedClosed, Y.ShedClosed) << What;
   EXPECT_EQ(X.Poisoned, Y.Poisoned) << What;

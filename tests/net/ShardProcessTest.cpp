@@ -17,6 +17,7 @@
 #include "net/ShardProcess.h"
 
 #include "common/PoolRuns.h"
+#include "common/Threads.h"
 #include "ir/IRBuilder.h"
 #include "net/Client.h"
 #include "net/SocketServer.h"
@@ -26,7 +27,6 @@
 #include <sys/wait.h>
 
 #include <cerrno>
-#include <filesystem>
 #include <map>
 
 using namespace smokestack;
@@ -63,17 +63,6 @@ std::map<uint64_t, WireResponse> serveAll(uint16_t Port, uint64_t N) {
     ByIndex[R.Index] = R;
   }
   return ByIndex;
-}
-
-/// Threads in this process, counted from /proc/self/task.
-unsigned countThreads() {
-  unsigned N = 0;
-  for (const auto &Task :
-       std::filesystem::directory_iterator("/proc/self/task")) {
-    (void)Task;
-    ++N;
-  }
-  return N;
 }
 
 /// True when this process has no child left, running or zombie.

@@ -117,14 +117,13 @@ TEST(TraceRingTest, ConcurrentProducerConsumerIsLossless) {
 
 TEST(TraceRecorderTest, CollectDrainsEveryRingAndTakeSorts) {
   TraceRecorder Rec;
-  // Two workers' rings plus one supervisor-side record, interleaved across
-  // request indices and attempts.
+  // Three workers' rings, interleaved across request indices and attempts.
   Rec.ringFor(0).push(span(3, SpanDisposition::Completed));
   Rec.ringFor(1).push(span(1, SpanDisposition::Crashed, /*Attempt=*/1));
   Rec.ringFor(1).push(span(1, SpanDisposition::Completed, /*Attempt=*/2));
-  Rec.recordExternal(span(0, SpanDisposition::Poisoned, /*Attempt=*/2));
+  Rec.ringFor(2).push(span(0, SpanDisposition::Poisoned, /*Attempt=*/2));
 
-  EXPECT_EQ(Rec.collect(), 3u);
+  EXPECT_EQ(Rec.collect(), 4u);
   EXPECT_EQ(Rec.collectedSpans(), 4u);
 
   std::vector<TraceSpan> Spans = Rec.take();
@@ -143,8 +142,8 @@ TEST(TraceRecorderTest, CollectDrainsEveryRingAndTakeSorts) {
 }
 
 TEST(TraceRecorderTest, RelaunchedWorkerKeepsItsRing) {
-  // Worker slots are never reused for a different worker, so a relaunch
-  // (same id, new thread) keeps producing into the same ring.
+  // Worker slots are never reused for a different worker, so a rebuilt
+  // worker keeps producing into the same ring.
   TraceRecorder Rec;
   TraceRing *First = &Rec.ringFor(2);
   EXPECT_EQ(&Rec.ringFor(2), First);
@@ -166,7 +165,7 @@ TEST(TraceRecorderTest, ExportMetricsTalliesDispositions) {
   Rec.ringFor(0).push(span(0, SpanDisposition::Completed));
   Rec.ringFor(0).push(span(1, SpanDisposition::Trapped));
   Rec.ringFor(0).push(span(2, SpanDisposition::Crashed));
-  Rec.recordExternal(span(2, SpanDisposition::Poisoned, /*Attempt=*/2));
+  Rec.ringFor(1).push(span(2, SpanDisposition::Poisoned, /*Attempt=*/2));
   Rec.collect();
   // The tallies are cumulative at collect() time: handing the spans out
   // does not zero the gauges.

@@ -140,8 +140,7 @@ TEST(MpmcQueueTest, WaitIdleWaitsForTaskDone) {
 
   std::atomic<bool> Idle{false};
   std::thread Waiter([&Q, &Idle] {
-    Q.waitIdle();
-    Idle.store(true, std::memory_order_relaxed);
+    Idle.store(Q.waitIdleFor(60'000), std::memory_order_relaxed);
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(20));
   EXPECT_FALSE(Idle.load()) << "an in-flight item holds waitIdle";

@@ -68,8 +68,8 @@ TEST(SnapshotDifferentialTest, FastPathInvariantUnderWorkerCountAndRerun) {
   buildRandModule(M);
   std::vector<PoolRun> Runs =
       expectInvariantUnderWorkersAndRerun(M, chaosOptions(), 96);
-  // Both repair sites fire: contained crashes on the worker's own thread
-  // and hard deaths through the supervisor.
+  // Both repair paths fire, each on the failing worker's own thread:
+  // contained crashes and repaired hard deaths.
   EXPECT_GT(Runs[0].Books.CrashesContained, 0u);
   EXPECT_GT(Runs[0].Books.WorkerDeaths, 0u);
   EXPECT_GT(Runs[0].Books.WorkerRestarts, 0u);
@@ -99,8 +99,8 @@ TEST(SnapshotDifferentialTest,
   Module M("chaos");
   buildRandModule(M);
   PoolOptions Opts = chaosOptions();
-  // Hard deaths only: every repair flows through the supervisor's
-  // handleDeath → rebuildWorker.
+  // Hard deaths only: every repair is the dying worker's own death
+  // repair → rebuildWorker.
   Opts.FaultTemplate.site(FaultSite::WorkerCrash) = {};
   Opts.FaultTemplate.site(FaultSite::WorkerDeath) = {0.08, 1, 0};
   std::vector<PoolRun> Runs =

@@ -7,15 +7,20 @@
 // The worker pool's replay contract: the sorted outcome stream and the
 // aggregate books are a pure function of (module, options, root seed,
 // request stream) — bit-identical for any worker count and across reruns.
-// Also covers the shared decoded program and queue shutdown semantics.
+// Also covers the shared decoded program, queue shutdown semantics, the
+// pool's thread budget, and the entry-point check at start().
 //
 //===----------------------------------------------------------------------===//
 
 #include "runtime/WorkerPool.h"
 
 #include "common/PoolRuns.h"
+#include "common/Threads.h"
 
 #include "gtest/gtest.h"
+
+#include <string>
+#include <thread>
 
 using namespace smokestack;
 
@@ -116,6 +121,84 @@ TEST(WorkerPoolTest, SubmitAfterFinishIsRejected) {
   EXPECT_TRUE(Pool.submit({0, {}}));
   EXPECT_EQ(Pool.finish().size(), 1u);
   EXPECT_FALSE(Pool.submit({1, {}})) << "the queue is closed after finish()";
+}
+
+TEST(WorkerPoolTest, StartAddsExactlyOneThreadPerWorker) {
+  // Workers repair their own crashes and deaths, so the pool never runs a
+  // thread beyond its workers — not at start(), and not after deaths.
+  Module M("pool");
+  buildRandModule(M);
+  PoolOptions Opts = chaosOptions();
+  Opts.Workers = 3;
+  // A sanitizer runtime may add a helper thread at the process's first
+  // thread creation; get that out of the way before counting.
+  std::thread([] {}).join();
+  unsigned Before = settledThreadCount();
+  {
+    WorkerPool Pool(M, Opts);
+    ASSERT_TRUE(Pool.start());
+    EXPECT_EQ(settledThreadCount(), Before + 3)
+        << "one thread per worker, no more";
+    for (uint64_t I = 0; I != 96; ++I)
+      EXPECT_TRUE(Pool.submit({I, {}}));
+    // No worker leaves its loop before the queue closes in finish().
+    EXPECT_EQ(settledThreadCount(), Before + 3);
+    EXPECT_EQ(Pool.finish().size(), 96u);
+    EXPECT_GT(Pool.books().WorkerDeaths, 0u) << "no death landed: vacuous";
+    EXPECT_EQ(Pool.books().WorkerRestarts, Pool.books().WorkerDeaths);
+  }
+  EXPECT_EQ(settledThreadCount(), Before);
+}
+
+/// Every request calls Opts.Function with no arguments, so start() must
+/// refuse one that cannot take that call: it launches nothing and closes
+/// the queue. A request queued before start() is quarantined by finish();
+/// one submitted after is shed as ShedClosed.
+void expectStartRefused(const char *Entry, const std::string &Why) {
+  Module M("pool");
+  buildRandModule(M); // also declares smokestack.rand
+  IRBuilder B(M);
+  Function *Leaf = M.createFunction("leaf", B.i64(), {B.i64()});
+  B.setInsertPoint(Leaf->createBlock("entry"));
+  B.ret(B.constI64(3));
+
+  PoolOptions Opts;
+  Opts.Workers = 2;
+  Opts.Function = Entry;
+  unsigned Before = settledThreadCount();
+  WorkerPool Pool(M, Opts);
+  EXPECT_TRUE(Pool.submit({0, {}}));
+  std::string Err;
+  EXPECT_FALSE(Pool.start(&Err));
+  EXPECT_EQ(Err, "entry point: " + Why);
+  EXPECT_EQ(settledThreadCount(), Before)
+      << "a refused start launches nothing";
+  EXPECT_FALSE(Pool.start()) << "a second start is refused the same way";
+  EXPECT_FALSE(Pool.submit({1, {}})) << "a refused start closes the queue";
+
+  std::vector<PoolOutcome> Outcomes = Pool.finish();
+  const PoolBooks &Books = Pool.books();
+  EXPECT_TRUE(Books.accountingIdentityHolds());
+  EXPECT_EQ(Books.Submitted, 2u);
+  EXPECT_EQ(Books.ShedClosed, 1u);
+  EXPECT_EQ(Books.Completed, 0u);
+  EXPECT_EQ(Books.PoisonedPoolDeath, 1u);
+  ASSERT_EQ(Outcomes.size(), 1u);
+  EXPECT_EQ(Outcomes[0].Index, 0u);
+  EXPECT_TRUE(Outcomes[0].Poisoned);
+}
+
+TEST(WorkerPoolTest, StartRefusesMissingEntryPoint) {
+  expectStartRefused("nosuch", "no function definition named 'nosuch'");
+}
+
+TEST(WorkerPoolTest, StartRefusesDeclarationOnlyEntryPoint) {
+  expectStartRefused("smokestack.rand",
+                     "no function definition named 'smokestack.rand'");
+}
+
+TEST(WorkerPoolTest, StartRefusesEntryPointWithArguments) {
+  expectStartRefused("leaf", "'leaf' takes 1 argument(s), 0 given");
 }
 
 } // namespace
