@@ -402,22 +402,16 @@ SequentialResult runSequentialPass(uint64_t Seed, uint64_t NumRequests,
   FaultScope Scope(Inj);
 
   // The randomness stack under test: simulated RDRAND primary, AES-10
-  // fallback, fail-closed decorator. RetriesPerSource=1 and
-  // ReprobeInterval=1 give the strictest accounting: every primary-draw
-  // failure is exactly one injected event, and the primary is reprobed on
-  // every draw.
+  // fallback, fail-closed decorator. One attempt per source, from the top
+  // on every draw, gives the strictest accounting: every primary-draw
+  // failure is exactly one injected event.
   DeterministicEntropySource RdEntropy(Seed ^ 0x1111);
   RdRandSource Primary(RdEntropy, /*ForceFallback=*/true);
   DeterministicEntropySource AesEntropy(Seed ^ 0x2222);
   AesCtrRandomSource Fallback(AesEntropy, /*NumRounds=*/10,
                               /*RekeyInterval=*/1024);
   RandomSource *Chain[] = {&Primary, &Fallback};
-  ResilientRandomSource::Options RO;
-  RO.RetriesPerSource = 1;
-  RO.BackoffBase = 0;
-  RO.ReprobeInterval = 1;
-  RO.Policy = ResilientRandomSource::FailPolicy::FailClosed;
-  ResilientRandomSource Rng({Chain, 2}, RO);
+  ResilientRandomSource Rng({Chain, 2});
 
   InterpreterOptions ServerOpts = Deployed.InterpOpts;
   ServerOpts.UseJit = Jit;
@@ -451,7 +445,7 @@ SequentialResult runSequentialPass(uint64_t Seed, uint64_t NumRequests,
     RdRandSource DeadPrimary(DeadEntropy, /*ForceFallback=*/true);
     AesCtrRandomSource DeadAes(DeadEntropy, /*NumRounds=*/10); // never keys
     RandomSource *DeadChain[] = {&DeadPrimary, &DeadAes};
-    ResilientRandomSource DeadRng({DeadChain, 2}, RO);
+    ResilientRandomSource DeadRng({DeadChain, 2});
 
     Server.setRandomSource(&DeadRng);
     for (uint64_t I = 0; I != BlackoutLen; ++I) {

@@ -7,9 +7,11 @@
 #include "ir/Verifier.h"
 
 #include "ir/Module.h"
+#include "support/Align.h"
 #include "support/Casting.h"
 #include "support/Format.h"
 
+#include <cstdint>
 #include <set>
 
 using namespace smokestack;
@@ -118,10 +120,16 @@ void FunctionVerifier::checkInstruction(const BasicBlock &Block,
     if (Inst.getType()->isVoid() || Inst.getType()->isAggregate())
       error("load must produce a scalar value");
     break;
-  case Instruction::Opcode::Gep:
-    if (!cast<GepInst>(Inst).getBase()->getType()->isPointer())
+  case Instruction::Opcode::Gep: {
+    const auto &Gep = cast<GepInst>(Inst);
+    if (!Gep.getBase()->getType()->isPointer())
       error("gep base is not of pointer type");
+    // The engines decode an index scale into 32 bits.
+    if (Gep.getIndex() && Gep.getScale() > UINT32_MAX)
+      error(formatString("gep scale %llu does not fit in 32 bits",
+                         static_cast<unsigned long long>(Gep.getScale())));
     break;
+  }
   case Instruction::Opcode::BinOp: {
     const auto &Bin = cast<BinaryInst>(Inst);
     if (Bin.getLHS()->getType() != Bin.getRHS()->getType())
@@ -168,6 +176,10 @@ void FunctionVerifier::checkInstruction(const BasicBlock &Block,
     const auto &Alloca = cast<AllocaInst>(Inst);
     if (Alloca.getAllocatedType()->isVoid())
       error("alloca of void type");
+    // Frame layout rounds offsets with power-of-two mask arithmetic.
+    if (!isPowerOf2(Alloca.getAlign()))
+      error(formatString("alloca alignment %llu is not a power of two",
+                         static_cast<unsigned long long>(Alloca.getAlign())));
     break;
   }
   case Instruction::Opcode::Cast:

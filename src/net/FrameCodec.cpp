@@ -82,8 +82,6 @@ template <typename Fn> void eachBooksField(RequestBooks &B, Fn &&F) {
   F(B.Rng.FailClosedDraws);
   F(B.Rng.Failovers);
   F(B.Rng.Recoveries);
-  F(B.Rng.RetriesUsed);
-  F(B.Rng.EmergencyDraws);
   F(B.Rng.DrngRetryFailures);
   F(B.Rng.DrngFailureEvents);
   F(B.Rng.AesRekeys);

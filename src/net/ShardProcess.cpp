@@ -14,6 +14,7 @@
 #include <cstring>
 
 #include <fcntl.h>
+#include <sys/epoll.h>
 #include <sys/socket.h>
 #include <sys/syscall.h>
 #include <sys/wait.h>
@@ -179,9 +180,12 @@ namespace {
 
 ChildProcessShard::ChildProcessShard(Module &M, PoolOptions Opts,
                                      unsigned Index, unsigned RestartBudget,
-                                     NetBooks &Net, ShardHooks Hooks)
+                                     NetBooks &Net, ShardHooks Hooks,
+                                     int EpollFd, uint64_t ChannelId,
+                                     uint64_t PidId)
     : M(M), Opts(std::move(Opts)), Idx(Index), RestartBudget(RestartBudget),
-      Net(Net), Hooks(std::move(Hooks)) {}
+      Net(Net), Hooks(std::move(Hooks)), EpollFd(EpollFd),
+      ChannelId(ChannelId), PidId(PidId) {}
 
 ChildProcessShard::~ChildProcessShard() {
   // No outcome delivery from a destructor: the owning server may be mid-
@@ -229,32 +233,64 @@ bool ChildProcessShard::launch(std::string *Err) {
   ::fcntl(Sv[0], F_SETFL, Flags | O_NONBLOCK);
   ::fcntl(Sv[0], F_SETFD, FD_CLOEXEC);
   ChannelFd = Sv[0];
-  ++ChannelEpoch;
-  Decoder = FrameDecoder(); // a fresh epoch: no partial frame carries over
+  ChannelWantsOut = false;
+  Decoder = FrameDecoder(); // a fresh channel: no partial frame carries over
   Outbound.clear();
   OutPos = 0;
   ChannelBroken = false;
+  // This shard owns both epoll entries: added here, deleted before every
+  // close (reapChild, closeChannel).
+  epoll_event Ev = {};
+  Ev.events = EPOLLIN;
+  Ev.data.u64 = PidId;
+  bool Watched = ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, PidFd, &Ev) == 0;
+  Ev.data.u64 = ChannelId;
+  if (!Watched || ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, ChannelFd, &Ev) != 0) {
+    if (Err)
+      *Err = std::string("epoll_ctl: ") + std::strerror(errno);
+    sendKill();
+    reapChild(0);
+    closeChannel();
+    return false;
+  }
   return true;
 }
 
-bool ChildProcessShard::reapChild() {
-  // Blocks only until the child is gone: the loop calls this once the
-  // pidfd is readable, abortInline() right after a SIGKILL. An embedder
-  // that reaps children itself, or has the kernel auto-reap them, makes
-  // waitid fail with ECHILD; the child is gone all the same, cause
-  // unknown.
+std::optional<bool> ChildProcessShard::reapChild(int Options) {
+  // The loop reaps with WNOHANG once the pidfd is readable, abortInline()
+  // blocking right after a SIGKILL. An embedder that reaps children
+  // itself, or has the kernel auto-reap them, makes waitid fail with
+  // ECHILD; the child is gone all the same, cause unknown.
   siginfo_t Info = {};
-  while (::waitid(P_PIDFD, static_cast<id_t>(PidFd), &Info, WEXITED) < 0 &&
+  int R;
+  while ((R = ::waitid(P_PIDFD, static_cast<id_t>(PidFd), &Info,
+                       WEXITED | Options)) < 0 &&
          errno == EINTR) {
   }
+  if (R == 0 && Info.si_pid == 0)
+    return std::nullopt; // WNOHANG and the child still runs
+  // DEL before close: a sibling child forked a moment ago may still hold
+  // a dup of this pidfd, and then the close alone would leave the entry
+  // in epoll, forever readable, under this shard's id.
+  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, PidFd, nullptr);
   ::close(PidFd);
   PidFd = -1;
   return Info.si_code == CLD_KILLED || Info.si_code == CLD_DUMPED;
 }
 
+void ChildProcessShard::closeChannel() {
+  // DEL before close, for the same reason as the pidfd in reapChild().
+  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, ChannelFd, nullptr);
+  ::close(ChannelFd);
+  ChannelFd = -1;
+}
+
 void ChildProcessShard::onExited() {
-  if (PidFd >= 0)
-    processDeath(reapChild());
+  // A wake with the child still running is spurious: nothing to reap.
+  if (PidFd < 0)
+    return;
+  if (std::optional<bool> Signaled = reapChild(WNOHANG))
+    processDeath(*Signaled);
 }
 
 bool ChildProcessShard::submit(PoolRequest Req) {
@@ -314,7 +350,7 @@ void ChildProcessShard::flushOutbound() {
       if (errno == EINTR)
         continue;
       if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break; // the server arms EPOLLOUT off wantWrite()
+        break; // EPOLLOUT is armed below
       // EPIPE etc.: the child is dying. Stop writing; the death path
       // clears this buffer and replays from the cache.
       ChannelBroken = true;
@@ -325,6 +361,14 @@ void ChildProcessShard::flushOutbound() {
   if (OutPos == Outbound.size()) {
     Outbound.clear();
     OutPos = 0;
+  }
+  bool WantOut = OutPos < Outbound.size();
+  if (WantOut != ChannelWantsOut) {
+    epoll_event Ev = {};
+    Ev.events = EPOLLIN | (WantOut ? uint32_t(EPOLLOUT) : 0u);
+    Ev.data.u64 = ChannelId;
+    ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, ChannelFd, &Ev);
+    ChannelWantsOut = WantOut;
   }
 }
 
@@ -501,8 +545,7 @@ void ChildProcessShard::processDeath(bool Signaled) {
         continue;
       break;
     }
-    ::close(ChannelFd);
-    ChannelFd = -1;
+    closeChannel();
   }
   Decoder = FrameDecoder(); // a torn mid-write frame dies with the child
   Outbound.clear();
@@ -632,12 +675,10 @@ void ChildProcessShard::abortInline() {
       KillIssued = true;
     }
     sendKill();
-    reapChild();
+    reapChild(0);
   }
-  if (ChannelFd >= 0) {
-    ::close(ChannelFd);
-    ChannelFd = -1;
-  }
+  if (ChannelFd >= 0)
+    closeChannel();
   std::unique_lock<std::mutex> Lock(Mtx);
   if (St != State::Drained && St != State::Retired)
     retireLocked(Lock); // unlocks

@@ -28,12 +28,15 @@
 ///
 /// Threading. submit(), the channel handlers, onExited() and service()
 /// run on the server's loop thread, which owns all heavy shard state
-/// (cache, codec buffers, the child's pidfd, parent-side books). The loop
-/// watches each child's pidfd in its epoll set, so a child's exit wakes
-/// the loop directly and the loop reaps it; no other thread ever waits
-/// for a child. drainWithin()/shutdownNow()/finish() run on the drain()
-/// caller's thread and communicate with the loop through a small
-/// mutex-guarded command block + condition variable.
+/// (cache, codec buffers, the child's pidfd, parent-side books). The
+/// shard adds its channel and its child's pidfd to the loop's epoll set
+/// at every launch and deletes both entries before it closes either fd,
+/// so no entry outlives the fd it names, even while a sibling child still
+/// holds a dup of it. A child's exit wakes the loop directly and the loop
+/// reaps it without blocking; no other thread waits for a running child.
+/// drainWithin()/shutdownNow()/finish() run on the drain() caller's
+/// thread and communicate with the loop through a small mutex-guarded
+/// command block + condition variable.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -49,6 +52,7 @@
 #include <map>
 #include <memory>
 #include <mutex>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -119,18 +123,19 @@ private:
 
 /// A shard forked into its own process. The parent end holds: the
 /// nonblocking socketpair channel and the child's pidfd (both registered
-/// in the server's epoll, under the shard-channel and shard-pid id
-/// namespaces), the in-flight request cache that powers replay, and the
-/// parent-assembled PoolBooks.
+/// in the server's epoll by the shard itself), the in-flight request
+/// cache that powers replay, and the parent-assembled PoolBooks.
 class ChildProcessShard final : public Shard {
 public:
   /// \p Opts is the per-shard pool template; the child rebuilds a fresh
   /// WorkerPool from it after fork (admission switched to Block — the
   /// parent's in-flight cap is the real backpressure point, so the child
-  /// never sheds and never blocks for long).
+  /// never sheds and never blocks for long). Every launch adds the channel
+  /// to \p EpollFd under \p ChannelId and the pidfd under \p PidId; the
+  /// epoll fd must outlive the shard.
   ChildProcessShard(Module &M, PoolOptions Opts, unsigned Index,
-                    unsigned RestartBudget, NetBooks &Net,
-                    ShardHooks Hooks);
+                    unsigned RestartBudget, NetBooks &Net, ShardHooks Hooks,
+                    int EpollFd, uint64_t ChannelId, uint64_t PidId);
   ~ChildProcessShard() override;
 
   bool start(std::string *Err) override;
@@ -142,30 +147,13 @@ public:
 
   // ---- Loop-thread service surface -------------------------------------
 
-  /// Parent end of the IPC channel (-1 while down). The server re-checks
-  /// after service(): a re-fork changes it.
-  int channelFd() const { return ChannelFd; }
-
-  /// The running child's pidfd (-1 while down). It becomes readable when
-  /// the child exits; a re-fork swaps it together with the channel.
-  int pidFd() const { return PidFd; }
-
-  /// Bumped by every successful launch (including the first). The server
-  /// keys epoll re-registration of the channel and the pidfd off this,
-  /// NOT off the fd values: a re-fork routinely reuses the numbers of the
-  /// fds it just closed, which would make fd comparison miss the swap and
-  /// strand the new child outside epoll.
-  uint32_t channelEpoch() const { return ChannelEpoch; }
-
-  /// True while unsent IPC bytes are buffered (EPOLLOUT wanted).
-  bool wantWrite() const { return OutPos < Outbound.size(); }
-
   /// Channel events from the server's epoll loop.
   void onReadable();
   void onWritable();
 
-  /// The pidfd became readable: reap the child and handle its exit (end
-  /// the drain, or book the death and re-fork + replay or retire).
+  /// The pidfd became readable: reap the child without blocking and
+  /// handle its exit (end the drain, or book the death and re-fork +
+  /// replay or retire). A wake with the child still running is ignored.
   void onExited();
 
   /// Runs pending cross-thread commands: a requested kill, a requested
@@ -188,7 +176,11 @@ private:
   };
 
   bool launch(std::string *Err);
-  bool reapChild();
+  /// Reaps the child (waitid flags WEXITED | \p Options) and drops its
+  /// pidfd. Returns whether a signal killed it, or nullopt when WNOHANG
+  /// found it still running.
+  std::optional<bool> reapChild(int Options);
+  void closeChannel();
   void processDeath(bool Signaled);
   void sendDrainCmd(unsigned BudgetMillis);
   void sendKill();
@@ -205,10 +197,12 @@ private:
   unsigned RestartBudget = 0;
   NetBooks &Net;
   ShardHooks Hooks;
+  int EpollFd;
+  uint64_t ChannelId, PidId;
 
   // ---- Loop-thread state ------------------------------------------------
   int ChannelFd = -1;
-  uint32_t ChannelEpoch = 0;
+  bool ChannelWantsOut = false; ///< EPOLLOUT armed (the channel was full).
   int PidFd = -1;
   bool Acked = false; ///< DrainAck processed: the child's exit ends the drain.
   FrameDecoder Decoder;

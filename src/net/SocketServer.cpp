@@ -13,6 +13,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <climits>
 #include <csignal>
 #include <cstring>
 
@@ -33,19 +34,12 @@ constexpr uint64_t ListenerId = 0;
 constexpr uint64_t WakeId = 1;
 /// Shard IPC channels and shard children's pidfds live in their own id
 /// namespaces, far above any connection id (NextConnId would need 2^48
-/// accepts to collide): the low bits are the shard index. A re-fork swaps
-/// both fds under the same ids.
+/// accepts to collide): the low bits are the shard index. Each shard adds
+/// and deletes its own two entries (ChildProcessShard).
 constexpr uint64_t ShardPidIdBase = 0xFFFE'0000'0000'0000ull;
 constexpr uint64_t ShardIdBase = 0xFFFF'0000'0000'0000ull;
 
 constexpr uint64_t MillisToNanos = 1000u * 1000u;
-
-/// epoll_wait timeout. The eventfd carries every cross-thread wake
-/// (completions, stop/drain requests) and each shard child's pidfd its
-/// exit, so the timeout is only a sampling fallback: long by default,
-/// short while wall-clock state needs polling (connection reaping
-/// timeouts, the drain flush deadline).
-int loopTimeoutMillis(bool Polling) { return Polling ? 50 : 500; }
 
 } // namespace
 
@@ -61,9 +55,6 @@ void NetBooks::exportMetrics(MetricsRegistry &R) const {
     ConnectionsRefused);
   G("net.books.connections-reset", "Connections lost to reset/EPIPE",
     ConnectionsReset);
-  G("net.books.idle-reaped", "Connections reaped on idle timeout", IdleReaped);
-  G("net.books.stall-reaped", "Connections reaped on write-stall timeout",
-    StallReaped);
   G("net.books.accept-faults", "Injected accept failures", AcceptFaults);
   G("net.books.partial-io-faults", "Injected one-byte short I/Os",
     PartialIoFaults);
@@ -158,8 +149,6 @@ struct SocketServer::Conn {
   uint64_t OutTotalFlushed = 0;
   std::deque<uint64_t> RespEnds;
 
-  uint64_t LastActivityNs = 0; ///< Last byte read (idle reaping).
-  uint64_t LastProgressNs = 0; ///< Last write progress (stall reaping).
   /// First byte of the frame currently being assembled (deadline base);
   /// 0 = not mid-frame.
   uint64_t FrameStartNs = 0;
@@ -183,6 +172,15 @@ SocketServer::SocketServer(Module &M, ServerOptions Opts)
 SocketServer::~SocketServer() {
   if (Started && !Drained)
     drain();
+  closeAll();
+}
+
+void SocketServer::closeAll() {
+  // Shards first: a process shard deletes its epoll entries before it
+  // closes its fds. Shard destructors stop their pools and kill and reap
+  // their children.
+  ProcShards.clear();
+  Shards.clear();
   for (int *Fd : {&EpollFd, &ListenFd, &WakeEventFd})
     if (*Fd >= 0) {
       ::close(*Fd);
@@ -209,14 +207,7 @@ bool SocketServer::start(std::string *Err) {
   auto Fail = [&](std::string Why) {
     if (Err)
       *Err = std::move(Why);
-    for (int *Fd : {&EpollFd, &ListenFd, &WakeEventFd})
-      if (*Fd >= 0) {
-        ::close(*Fd);
-        *Fd = -1;
-      }
-    // Shard destructors stop their pools and kill and reap their children.
-    ProcShards.clear();
-    Shards.clear();
+    closeAll();
     return false;
   };
   auto SysFail = [&](const char *What) {
@@ -301,14 +292,11 @@ bool SocketServer::start(std::string *Err) {
     Hooks.WakeLoop = [this] { wakeLoop(); };
     for (unsigned I = 0; I != Opts.Shards; ++I) {
       auto C = std::make_unique<ChildProcessShard>(
-          M, ShardOpts, I, Opts.ShardRestartBudget, Net, Hooks);
+          M, ShardOpts, I, Opts.ShardRestartBudget, Net, Hooks, EpollFd,
+          ShardIdBase | I, ShardPidIdBase | I);
       std::string ChildErr;
       if (!C->start(&ChildErr))
         return Fail(ChildErr);
-      // Epoch 0 precedes every launch: the loop's first serviceShards()
-      // registers the channel and the pidfd.
-      ShardEpochs.push_back(0);
-      ShardArmed.push_back(-1);
       ProcShards.push_back(C.get());
       Shards.push_back(std::move(C));
     }
@@ -369,7 +357,6 @@ void SocketServer::handleAccept() {
     auto C = std::make_unique<Conn>();
     C->Fd = Fd;
     C->Id = NextConnId++;
-    C->LastActivityNs = C->LastProgressNs = obsNowNanos();
     epoll_event Ev = {};
     Ev.events = EPOLLIN;
     Ev.data.u64 = C->Id;
@@ -451,7 +438,6 @@ void SocketServer::flushConn(Conn &C) {
     C.OutPos += static_cast<size_t>(W);
     C.OutTotalFlushed += static_cast<uint64_t>(W);
     Net.BytesOut += static_cast<uint64_t>(W);
-    C.LastProgressNs = obsNowNanos();
     while (!C.RespEnds.empty() && C.RespEnds.front() <= C.OutTotalFlushed) {
       C.RespEnds.pop_front();
       ++Net.ResponsesDelivered;
@@ -588,11 +574,10 @@ void SocketServer::handleReadable(Conn &C) {
       return;
     }
     Net.BytesIn += static_cast<uint64_t>(R);
-    C.LastActivityNs = obsNowNanos();
     bool WasMidFrame = C.Decoder.midFrame();
     C.Decoder.feed(Buf, static_cast<size_t>(R));
     if (!WasMidFrame)
-      C.FrameStartNs = C.LastActivityNs;
+      C.FrameStartNs = obsNowNanos();
     pumpDecoder(C);
     if (!C.Decoder.midFrame())
       C.FrameStartNs = 0;
@@ -641,65 +626,6 @@ void SocketServer::drainCompletions() {
     }
     enqueueResponse(C, R, /*Booked=*/true);
     flushConn(C);
-  }
-}
-
-void SocketServer::reapTimeouts(uint64_t NowNs) {
-  if (!Opts.IdleTimeoutMillis && !Opts.StallTimeoutMillis)
-    return;
-  std::vector<uint64_t> Idle, Stalled;
-  for (auto &[Id, C] : Conns) {
-    if (Opts.IdleTimeoutMillis && C->InFlightCount == 0 &&
-        C->pendingOut() == 0 && !C->Decoder.midFrame() &&
-        NowNs - C->LastActivityNs > Opts.IdleTimeoutMillis * MillisToNanos)
-      Idle.push_back(Id);
-    else if (Opts.StallTimeoutMillis && C->pendingOut() > 0 &&
-             NowNs - C->LastProgressNs >
-                 Opts.StallTimeoutMillis * MillisToNanos)
-      Stalled.push_back(Id);
-  }
-  for (uint64_t Id : Idle) {
-    ++Net.IdleReaped;
-    closeConn(Id, false);
-  }
-  for (uint64_t Id : Stalled) {
-    ++Net.StallReaped;
-    closeConn(Id, false);
-  }
-}
-
-void SocketServer::serviceShards() {
-  for (size_t I = 0, E = ProcShards.size(); I != E; ++I) {
-    ChildProcessShard &S = *ProcShards[I];
-    S.service();
-    int Fd = S.channelFd();
-    if (S.channelEpoch() != ShardEpochs[I]) {
-      // A launch (the first, or a re-fork) brought a new channel and a new
-      // pidfd. The old fds' epoll entries died with their close; register
-      // the new ones under the shard's ids. The new fds usually get the
-      // numbers of the old (first-free-slot fd allocation), which is why
-      // the epoch, not the fd, is compared.
-      ShardEpochs[I] = S.channelEpoch();
-      ShardArmed[I] = -1;
-      epoll_event Ev = {};
-      Ev.events = EPOLLIN;
-      Ev.data.u64 = ShardPidIdBase | I;
-      if (S.pidFd() >= 0)
-        ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, S.pidFd(), &Ev);
-      Ev.data.u64 = ShardIdBase | I;
-      if (Fd >= 0 && ::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) == 0)
-        ShardArmed[I] = EPOLLIN;
-    }
-    if (Fd < 0)
-      continue;
-    int Want = int(EPOLLIN) | (S.wantWrite() ? int(EPOLLOUT) : 0);
-    if (Want != ShardArmed[I]) {
-      epoll_event Ev = {};
-      Ev.events = static_cast<uint32_t>(Want);
-      Ev.data.u64 = ShardIdBase | I;
-      ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, Fd, &Ev);
-      ShardArmed[I] = Want;
-    }
   }
 }
 
@@ -756,14 +682,21 @@ void SocketServer::loopMain() {
       }
     }
 
-    serviceShards();
+    for (ChildProcessShard *S : ProcShards)
+      S->service();
 
-    // The eventfd carries every cross-thread wake; the timeout is only a
-    // wall-clock sampler (reap timeouts, flush deadline), long otherwise.
-    bool Polling = AppliedPhase == static_cast<int>(Phase::Flush) ||
-                   Opts.IdleTimeoutMillis || Opts.StallTimeoutMillis;
+    // Every wake is an fd: the eventfd carries completions, stop and drain
+    // requests, a shard's pidfd its child's exit. The one wall-clock
+    // deadline is the drain's final flush.
+    int TimeoutMillis = -1;
+    if (AppliedPhase == static_cast<int>(Phase::Flush)) {
+      uint64_t Now = obsNowNanos();
+      uint64_t Left = Now < FlushDeadlineNs ? FlushDeadlineNs - Now : 0;
+      TimeoutMillis = static_cast<int>(std::min<uint64_t>(
+          (Left + MillisToNanos - 1) / MillisToNanos, INT_MAX));
+    }
     epoll_event Events[64];
-    int N = ::epoll_wait(EpollFd, Events, 64, loopTimeoutMillis(Polling));
+    int N = ::epoll_wait(EpollFd, Events, 64, TimeoutMillis);
     if (N < 0) {
       if (errno == EINTR)
         continue;
@@ -814,8 +747,6 @@ void SocketServer::loopMain() {
       if ((Ev & (EPOLLHUP | EPOLLERR)) && !(Ev & (EPOLLIN | EPOLLOUT)))
         closeConn(Id, true);
     }
-    if (AppliedPhase == static_cast<int>(Phase::Running))
-      reapTimeouts(obsNowNanos());
   }
 }
 

@@ -22,7 +22,9 @@
 /// outcome to a mutex-protected vector and pokes the wake eventfd; the
 /// loop drains the vector on its own thread and writes responses.
 /// Requests therefore flow loop → shard and outcomes flow shard → loop
-/// with exactly one synchronization point each way.
+/// with exactly one synchronization point each way. The loop sleeps in
+/// epoll_wait until an fd is ready; it keeps no timer except the drain's
+/// final flush deadline.
 ///
 /// Robustness posture:
 ///  - a malformed frame (hardened decoder) or payload is an accounted
@@ -35,7 +37,6 @@
 ///    reads once its response backlog passes MaxConnBacklogBytes, and the
 ///    shards run ShedNewest admission so overload is shed with exact
 ///    books, not buffered without bound;
-///  - idle and stalled connections are reaped on wall-clock timeouts;
 ///  - network fault sites (accept failure, short I/O, connection reset,
 ///    stalled peer) inject at the socket layer and degrade *delivery*
 ///    only: the serving layer below stays deterministic in (RootSeed,
@@ -83,8 +84,6 @@ struct NetBooks {
   uint64_t ConnectionsClosed = 0; ///< Every close, whatever the reason.
   uint64_t ConnectionsRefused = 0; ///< Over MaxConnections; closed at accept.
   uint64_t ConnectionsReset = 0;  ///< Subset of Closed: ECONNRESET/EPIPE.
-  uint64_t IdleReaped = 0;        ///< Subset of Closed: idle timeout.
-  uint64_t StallReaped = 0;       ///< Subset of Closed: write-stall timeout.
 
   // Injected network faults (booked at the probe that fired).
   uint64_t AcceptFaults = 0;
@@ -183,11 +182,6 @@ struct ServerOptions {
   unsigned ShardRestartBudget = 1u << 20;
   /// Connection cap; accepts beyond it are closed immediately (Refused).
   unsigned MaxConnections = 256;
-  /// Reap connections idle this long with nothing in flight (0 = never).
-  unsigned IdleTimeoutMillis = 0;
-  /// Reap connections whose pending responses made no write progress for
-  /// this long — the slow-client guard (0 = never).
-  unsigned StallTimeoutMillis = 0;
   /// Per-connection pending-response cap: past it, the connection's reads
   /// pause until the backlog flushes below half (read-side backpressure).
   size_t MaxConnBacklogBytes = 1u << 22;
@@ -271,11 +265,10 @@ private:
   void flushConn(Conn &C);
   void closeConn(uint64_t Id, bool CountReset);
   void drainCompletions();
-  void reapTimeouts(uint64_t NowNs);
   void updateEpoll(Conn &C);
   bool netProbe(FaultSite Site);
   void wakeLoop();
-  void serviceShards();
+  void closeAll();
 
   Module &M;
   ServerOptions Opts;
@@ -283,13 +276,6 @@ private:
   std::vector<std::unique_ptr<Shard>> Shards;
   /// Non-owning process-mode view of Shards (empty in thread mode).
   std::vector<ChildProcessShard *> ProcShards;
-  /// Per-process-shard epoll bookkeeping: registered channel epoch and
-  /// the channel's armed event mask. Re-registration keys off the epoch —
-  /// a re-fork swaps the channel and the pidfd under the same shard ids
-  /// and routinely reuses the just-closed fd numbers, so fd comparison
-  /// cannot detect the swap.
-  std::vector<uint32_t> ShardEpochs;
-  std::vector<int> ShardArmed;
 
   int EpollFd = -1;
   int ListenFd = -1;

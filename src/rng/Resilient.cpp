@@ -19,42 +19,19 @@ Statistic NumDegradedDraws("resilient.degraded-draws",
                            "Draws not served by a healthy primary");
 Statistic NumFallbackDraws("resilient.fallback-draws",
                            "Draws served by a non-primary chain source");
-Statistic NumRetries("resilient.retries",
-                     "Failed per-source draw attempts beyond the first");
 Statistic NumFailovers("resilient.failovers",
                        "Transitions to a worse chain position");
 Statistic NumRecoveries("resilient.recoveries",
                         "Transitions back to a better chain position");
 Statistic NumFailClosed("resilient.failclosed-draws",
                         "Whole-chain failures reported as Failed");
-Statistic NumEmergency("resilient.emergency-draws",
-                       "Whole-chain failures served by the emergency stream");
-
-/// Busy-wait that the optimizer cannot elide; models the recommended
-/// RDRAND retry pause without sleeping (draws happen in prologues).
-void backoffSpin(uint64_t Spins) {
-  volatile uint64_t Sink = 0;
-  for (uint64_t I = 0; I != Spins; ++I)
-    Sink = I;
-  (void)Sink;
-}
 
 } // namespace
 
 ResilientRandomSource::ResilientRandomSource(
     std::span<RandomSource *const> Sources)
-    : ResilientRandomSource(Sources, Options()) {}
-
-ResilientRandomSource::ResilientRandomSource(
-    std::span<RandomSource *const> Sources, Options Opts)
-    : Length(Sources.size() < MaxChain ? Sources.size() : MaxChain),
-      Opts(Opts) {
+    : Length(Sources.size() < MaxChain ? Sources.size() : MaxChain) {
   assert(!Sources.empty() && "resilient chain needs at least one source");
-  if (this->Opts.RetriesPerSource == 0)
-    this->Opts.RetriesPerSource = 1;
-  if (this->Opts.ReprobeInterval == 0)
-    this->Opts.ReprobeInterval = 1;
-  ReprobeLeft = this->Opts.ReprobeInterval;
   for (size_t I = 0; I != Length; ++I)
     Chain[I] = Sources[I];
   adopt(0);
@@ -70,35 +47,11 @@ void ResilientRandomSource::resetHealth() {
     adopt(0);
 }
 
-bool ResilientRandomSource::drawFromSource(size_t Index, uint64_t &Out) {
-  // The first attempt stays on the draw path; retries are out of line.
-  return Chain[Index]->tryNext(Out) || retrySource(Index, Out);
-}
-
-bool ResilientRandomSource::retrySource(size_t Index, uint64_t &Out) {
-  for (unsigned Attempt = 1; Attempt < Opts.RetriesPerSource; ++Attempt) {
-    uint64_t Spins = static_cast<uint64_t>(Opts.BackoffBase) << (Attempt - 1);
-    BackoffSpins += Spins;
-    backoffSpin(Spins);
-    ++RetriesUsed;
-    ++NumRetries;
-    if (Chain[Index]->tryNext(Out))
-      return true;
-  }
-  return false;
-}
-
 bool ResilientRandomSource::tryNext(uint64_t &Out) {
-  // Sticky failover with periodic recovery probes: normally start at the
-  // active source; every ReprobeInterval-th draw starts from the top so a
-  // healed primary is re-adopted.
-  size_t Start = Active;
-  if (--ReprobeLeft == 0) {
-    ReprobeLeft = Opts.ReprobeInterval;
-    Start = 0;
-  }
-  for (size_t I = Start; I != Length; ++I) {
-    if (!drawFromSource(I, Out))
+  // One attempt per source, from the top: a healed primary is re-adopted
+  // by the first draw it serves.
+  for (size_t I = 0; I != Length; ++I) {
+    if (!Chain[I]->tryNext(Out))
       continue;
     if (I < Active) {
       ++Recoveries;
@@ -121,16 +74,6 @@ bool ResilientRandomSource::tryNext(uint64_t &Out) {
       ++NumFallbackDraws;
     }
     setDrawStatus(Degraded ? DrawStatus::Degraded : DrawStatus::Ok);
-    return true;
-  }
-  if (Opts.Policy == FailPolicy::Degrade) {
-    Out = Emergency.next();
-    ++DrawsServed;
-    ++DegradedDraws;
-    ++NumDegradedDraws;
-    ++EmergencyDraws;
-    ++NumEmergency;
-    setDrawStatus(DrawStatus::Degraded);
     return true;
   }
   ++FailClosedDraws;

@@ -27,8 +27,6 @@ RequestRng::Books &RequestRng::Books::operator+=(const Books &O) {
   FailClosedDraws += O.FailClosedDraws;
   Failovers += O.Failovers;
   Recoveries += O.Recoveries;
-  RetriesUsed += O.RetriesUsed;
-  EmergencyDraws += O.EmergencyDraws;
   DrngRetryFailures += O.DrngRetryFailures;
   DrngFailureEvents += O.DrngFailureEvents;
   AesRekeys += O.AesRekeys;
@@ -46,8 +44,6 @@ RequestRng::Books &RequestRng::Books::operator-=(const Books &O) {
   FailClosedDraws -= O.FailClosedDraws;
   Failovers -= O.Failovers;
   Recoveries -= O.Recoveries;
-  RetriesUsed -= O.RetriesUsed;
-  EmergencyDraws -= O.EmergencyDraws;
   DrngRetryFailures -= O.DrngRetryFailures;
   DrngFailureEvents -= O.DrngFailureEvents;
   AesRekeys -= O.AesRekeys;
@@ -68,8 +64,6 @@ RequestRng::Books RequestRng::liveBooks() const {
   B.FailClosedDraws = Chain->failClosedDraws();
   B.Failovers = Chain->failovers();
   B.Recoveries = Chain->recoveries();
-  B.RetriesUsed = Chain->retriesUsed();
-  B.EmergencyDraws = Chain->emergencyDraws();
   B.DrngRetryFailures = Primary->retryFailures();
   B.DrngFailureEvents = Primary->drngFailureEvents();
   B.AesRekeys = Fallback->rekeyCount();
@@ -117,7 +111,7 @@ void RequestRng::reseed(uint64_t RootSeed, uint64_t Index) {
   Primary.emplace(*DrngEntropy, /*ForceFallback=*/true);
   Fallback.emplace(*AesEntropy, Cfg.AesRounds, Cfg.RekeyInterval);
   RandomSource *Sources[] = {&*Primary, &*Fallback};
-  Chain.emplace(std::span<RandomSource *const>(Sources, 2), Cfg.Chain);
+  Chain.emplace(std::span<RandomSource *const>(Sources, 2));
   if (Cfg.BatchSize > 1)
     Chain->setBatchSize(Cfg.BatchSize);
 

@@ -44,20 +44,7 @@ public:
     uint64_t RekeyInterval = 1024;
     /// nextBuffered() batch on the decorator (1 = unbuffered).
     unsigned BatchSize = 1;
-    ResilientRandomSource::Options Chain = strictAccounting();
   };
-
-  /// The options under which the resilience books map 1:1 onto injected
-  /// fault events: one attempt per source per draw, no backoff, reprobe
-  /// from the top on every draw, fail closed.
-  static ResilientRandomSource::Options strictAccounting() {
-    ResilientRandomSource::Options O;
-    O.RetriesPerSource = 1;
-    O.BackoffBase = 0;
-    O.ReprobeInterval = 1;
-    O.Policy = ResilientRandomSource::FailPolicy::FailClosed;
-    return O;
-  }
 
   /// Sum of the chain's degradation/failure counters, accumulated across
   /// reseeds. Every field is a per-request pure function of the request
@@ -69,8 +56,6 @@ public:
     uint64_t FailClosedDraws = 0;
     uint64_t Failovers = 0;
     uint64_t Recoveries = 0;
-    uint64_t RetriesUsed = 0;
-    uint64_t EmergencyDraws = 0;
     uint64_t DrngRetryFailures = 0;
     uint64_t DrngFailureEvents = 0;
     uint64_t AesRekeys = 0;

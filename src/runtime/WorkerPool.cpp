@@ -148,10 +148,6 @@ void PoolBooks::exportMetrics(MetricsRegistry &R) const {
     Rng.Failovers);
   G("pool.books.rng.recoveries", "Failbacks to the primary",
     Rng.Recoveries);
-  G("pool.books.rng.retries-used", "Per-source retry attempts burned",
-    Rng.RetriesUsed);
-  G("pool.books.rng.emergency-draws", "Accounted emergency-pool draws",
-    Rng.EmergencyDraws);
   G("pool.books.rng.drng-retry-failures", "RDRAND step failures",
     Rng.DrngRetryFailures);
   G("pool.books.rng.drng-failure-events", "Whole-draw DRNG failures",

@@ -111,8 +111,6 @@ inline void expectSameRngBooks(const RequestRng::Books &A,
   EXPECT_EQ(A.FailClosedDraws, B.FailClosedDraws) << What;
   EXPECT_EQ(A.Failovers, B.Failovers) << What;
   EXPECT_EQ(A.Recoveries, B.Recoveries) << What;
-  EXPECT_EQ(A.RetriesUsed, B.RetriesUsed) << What;
-  EXPECT_EQ(A.EmergencyDraws, B.EmergencyDraws) << What;
   EXPECT_EQ(A.DrngRetryFailures, B.DrngRetryFailures) << What;
   EXPECT_EQ(A.DrngFailureEvents, B.DrngFailureEvents) << What;
   EXPECT_EQ(A.AesRekeys, B.AesRekeys) << What;

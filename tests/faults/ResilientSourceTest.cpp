@@ -4,8 +4,8 @@
 //
 //===----------------------------------------------------------------------===//
 //
-// ResilientRandomSource contract tests: fallback ordering, retry/backoff,
-// reprobe recovery, both fail policies, worst-of-batch fill status, and the
+// ResilientRandomSource contract tests: fallback ordering, reprobe
+// recovery, failing closed, worst-of-batch fill status, and the
 // decorator's accounting. Plus scheme-level fault-plan replay: every
 // randomness scheme must produce a bit-identical draw/status sequence when
 // the same plan is replayed, and batched draws must equal serial draws
@@ -66,19 +66,11 @@ private:
   SecurityLevel Level;
 };
 
-ResilientRandomSource::Options quickOpts() {
-  ResilientRandomSource::Options O;
-  O.RetriesPerSource = 1;
-  O.BackoffBase = 0;
-  O.ReprobeInterval = 1;
-  return O;
-}
-
 TEST(ResilientSourceTest, HealthyPrimaryServesEveryDraw) {
   ScriptedSource Primary({DrawStatus::Ok}, "primary");
   ScriptedSource Backup({DrawStatus::Ok}, "backup", 1000);
   RandomSource *Chain[] = {&Primary, &Backup};
-  ResilientRandomSource R({Chain, 2}, quickOpts());
+  ResilientRandomSource R({Chain, 2});
 
   for (uint64_t I = 1; I <= 10; ++I)
     EXPECT_EQ(R.next(), I);
@@ -95,9 +87,7 @@ TEST(ResilientSourceTest, FailoverFollowsChainOrder) {
   ScriptedSource Primary({DrawStatus::Failed}, "primary");
   ScriptedSource Backup({DrawStatus::Ok}, "backup", 1000);
   RandomSource *Chain[] = {&Primary, &Backup};
-  ResilientRandomSource::Options O = quickOpts();
-  O.ReprobeInterval = 1024; // keep the failover sticky for this test
-  ResilientRandomSource R({Chain, 2}, O);
+  ResilientRandomSource R({Chain, 2});
 
   for (uint64_t I = 1; I <= 5; ++I)
     EXPECT_EQ(R.next(), 1000 + I);
@@ -106,43 +96,23 @@ TEST(ResilientSourceTest, FailoverFollowsChainOrder) {
   EXPECT_EQ(R.failovers(), 1u);
   EXPECT_EQ(R.fallbackDraws(), 5u);
   EXPECT_EQ(R.degradedDraws(), 5u);
-  // Sticky: the dead primary was only probed on the draw that failed over.
-  EXPECT_EQ(Primary.calls(), 1u);
+  // Every draw reprobes the dead primary once, then the backup serves; only
+  // the first draw changed the chain position.
+  EXPECT_EQ(Primary.calls(), 5u);
   EXPECT_STREQ(R.name(), "resilient[backup]");
-}
-
-TEST(ResilientSourceTest, RetriesRecoverTransientFailures) {
-  // Every draw fails once and succeeds on the retry: the primary keeps
-  // serving, at the cost of one retry (plus backoff) per draw.
-  ScriptedSource Primary({DrawStatus::Failed, DrawStatus::Ok}, "primary");
-  RandomSource *Chain[] = {&Primary};
-  ResilientRandomSource::Options O;
-  O.RetriesPerSource = 2;
-  O.BackoffBase = 4;
-  ResilientRandomSource R({Chain, 1}, O);
-
-  for (uint64_t I = 1; I <= 8; ++I)
-    EXPECT_EQ(R.next(), I);
-  EXPECT_EQ(R.retriesUsed(), 8u);
-  EXPECT_GT(R.backoffSpins(), 0u);
-  EXPECT_EQ(R.failovers(), 0u);
-  EXPECT_EQ(R.fallbackDraws(), 0u);
-  EXPECT_EQ(Primary.calls(), 16u);
 }
 
 TEST(ResilientSourceTest, ReprobeReadoptsRecoveredPrimary) {
   ScriptedSource Primary({DrawStatus::Failed}, "primary");
   ScriptedSource Backup({DrawStatus::Ok}, "backup", 1000);
   RandomSource *Chain[] = {&Primary, &Backup};
-  ResilientRandomSource::Options O = quickOpts();
-  O.ReprobeInterval = 4;
-  ResilientRandomSource R({Chain, 2}, O);
+  ResilientRandomSource R({Chain, 2});
 
   (void)R.next(); // draw 1: fail over to backup
-  (void)R.next(); // draws 2-3: sticky on backup, primary not probed
+  (void)R.next(); // draws 2-3: the primary is reprobed and fails again
   (void)R.next();
   EXPECT_EQ(R.activeIndex(), 1u);
-  EXPECT_EQ(Primary.calls(), 1u);
+  EXPECT_EQ(Primary.calls(), 3u);
 
   Primary.setScript({DrawStatus::Ok}); // the DRNG comes back
   uint64_t V = R.next();               // draw 4: reprobe from the top
@@ -156,52 +126,29 @@ TEST(ResilientSourceTest, FailClosedPolicyFailsTheDraw) {
   ScriptedSource A({DrawStatus::Failed}, "a");
   ScriptedSource B({DrawStatus::Failed}, "b");
   RandomSource *Chain[] = {&A, &B};
-  ResilientRandomSource R({Chain, 2}, quickOpts()); // FailClosed default
+  ResilientRandomSource R({Chain, 2});
 
   uint64_t Out = 0xdead;
   EXPECT_FALSE(R.tryNext(Out));
   EXPECT_EQ(R.lastDrawStatus(), DrawStatus::Failed);
   EXPECT_EQ(R.health(), ResilientRandomSource::Health::Failed);
   EXPECT_EQ(R.failClosedDraws(), 1u);
-  EXPECT_EQ(R.emergencyDraws(), 0u);
   EXPECT_EQ(R.next(), 0u);
   EXPECT_EQ(R.lastDrawStatus(), DrawStatus::Failed);
-}
-
-TEST(ResilientSourceTest, DegradePolicyServesAccountedEmergencyDraws) {
-  ScriptedSource A({DrawStatus::Failed}, "a");
-  RandomSource *Chain[] = {&A};
-  ResilientRandomSource::Options O = quickOpts();
-  O.Policy = ResilientRandomSource::FailPolicy::Degrade;
-  ResilientRandomSource R({Chain, 1}, O);
-
-  uint64_t Out = 0;
-  EXPECT_TRUE(R.tryNext(Out));
-  EXPECT_EQ(R.lastDrawStatus(), DrawStatus::Degraded);
-  EXPECT_EQ(R.emergencyDraws(), 1u);
-  EXPECT_EQ(R.degradedDraws(), 1u);
-  EXPECT_EQ(R.failClosedDraws(), 0u);
-  // Emergency draws replay deterministically (fixed-seed stream).
-  ScriptedSource A2({DrawStatus::Failed}, "a");
-  RandomSource *Chain2[] = {&A2};
-  ResilientRandomSource R2({Chain2, 1}, O);
-  uint64_t Out2 = 0;
-  EXPECT_TRUE(R2.tryNext(Out2));
-  EXPECT_EQ(Out, Out2);
 }
 
 TEST(ResilientSourceTest, FillReportsWorstStatusOfBatch) {
   ScriptedSource A({DrawStatus::Ok, DrawStatus::Degraded, DrawStatus::Ok},
                    "a");
   RandomSource *Chain[] = {&A};
-  ResilientRandomSource R({Chain, 1}, quickOpts());
+  ResilientRandomSource R({Chain, 1});
   uint64_t Words[3];
   R.fill(Words);
   EXPECT_EQ(R.lastDrawStatus(), DrawStatus::Degraded);
 
   ScriptedSource B({DrawStatus::Ok, DrawStatus::Failed, DrawStatus::Ok}, "b");
   RandomSource *Chain2[] = {&B};
-  ResilientRandomSource R2({Chain2, 1}, quickOpts());
+  ResilientRandomSource R2({Chain2, 1});
   R2.fill(Words);
   EXPECT_EQ(R2.lastDrawStatus(), DrawStatus::Failed)
       << "one failed word must poison the whole refill";
@@ -211,7 +158,7 @@ TEST(ResilientSourceTest, DelegatesDisclosureSurfaceToActiveSource) {
   DeterministicEntropySource E(11);
   PseudoRandomSource Pseudo(E);
   RandomSource *Chain[] = {&Pseudo};
-  ResilientRandomSource R({Chain, 1}, quickOpts());
+  ResilientRandomSource R({Chain, 1});
   EXPECT_EQ(R.securityLevel(), SecurityLevel::None);
   EXPECT_EQ(R.disclosableState().size(), Pseudo.disclosableState().size());
   EXPECT_EQ(R.mutableDisclosableState().data(),
@@ -232,7 +179,7 @@ TEST(ResilientSourceTest, RealChainOrderingRdRandThenAesThenFailClosed) {
     RdRandSource Primary(RdE, /*ForceFallback=*/true);
     AesCtrRandomSource Aes(AesE, 10, 1024);
     RandomSource *Chain[] = {&Primary, &Aes};
-    ResilientRandomSource R({Chain, 2}, quickOpts());
+    ResilientRandomSource R({Chain, 2});
 
     for (unsigned I = 0; I != 32; ++I) {
       uint64_t Out = 0;
@@ -257,7 +204,7 @@ TEST(ResilientSourceTest, RealChainOrderingRdRandThenAesThenFailClosed) {
     RdRandSource Primary(RdE, /*ForceFallback=*/true);
     AesCtrRandomSource Aes(AesE, 10, 1024); // initial keying fails
     RandomSource *Chain[] = {&Primary, &Aes};
-    ResilientRandomSource R({Chain, 2}, quickOpts());
+    ResilientRandomSource R({Chain, 2});
 
     uint64_t Out = 0;
     EXPECT_FALSE(R.tryNext(Out));

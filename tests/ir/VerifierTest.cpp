@@ -6,9 +6,15 @@
 
 #include "ir/Verifier.h"
 
+#include "defenses/Deploy.h"
 #include "ir/IRBuilder.h"
+#include "ir/Parser.h"
+#include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
+
+#include <fstream>
+#include <sstream>
 
 using namespace smokestack;
 
@@ -22,7 +28,52 @@ bool hasErrorContaining(const std::vector<std::string> &Errors,
   return false;
 }
 
+/// What the smokestack-opt pipeline makes of a tests/tools module: parse,
+/// verify, deploy \p Kind, run @main on the chosen engine. Errors holds
+/// the verifier's complaints; the module ran only when it is empty.
+struct PipelineRun {
+  std::vector<std::string> Errors;
+  ExecResult Result;
+};
+
+PipelineRun runThroughPipeline(const std::string &File, DefenseKind Kind,
+                               bool Jit) {
+  std::ifstream In(std::string(SMOKESTACK_TOOL_INPUTS_DIR) + "/" + File);
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  PipelineRun Run;
+  ParseResult Parsed = parseModule(Text.str(), File);
+  EXPECT_TRUE(Parsed.ok()) << File << ": " << Parsed.Error;
+  if (!Parsed.ok() || !verifyModule(*Parsed.M, &Run.Errors))
+    return Run;
+  DeployedDefense D = deployDefense(*Parsed.M, Kind, /*BuildSeed=*/9);
+  D.InterpOpts.UseJit = Jit;
+  Interpreter VM(*Parsed.M, nullptr, D.InterpOpts);
+  Run.Result = VM.run("main");
+  return Run;
+}
+
 } // namespace
+
+TEST(VerifierTest, ParsedHostileModulesFailUnderEveryDefenseAndEngine) {
+  // Both modules parse. Unverified, `align 3` reaches the frame layout's
+  // power-of-two mask arithmetic (an assert in a Debug build), and a gep
+  // scale of 2^32 is narrowed to 0 by the engines' 32-bit decoded operand,
+  // so the far store hits the buffer and @main returns 7.
+  const std::pair<const char *, const char *> Hostile[] = {
+      {"bad_align.ir", "alloca alignment 3 is not a power of two"},
+      {"wide_gep_scale.ir", "gep scale 4294967296 does not fit in 32 bits"}};
+  for (const auto &[File, Rule] : Hostile)
+    for (DefenseKind Kind : allDefenseKinds())
+      for (bool Jit : {false, true}) {
+        SCOPED_TRACE(testing::Message() << File << " under "
+                                        << defenseKindName(Kind)
+                                        << (Jit ? ", JIT" : ", decoded"));
+        PipelineRun Run = runThroughPipeline(File, Kind, Jit);
+        EXPECT_TRUE(hasErrorContaining(Run.Errors, Rule))
+            << "the module verified and ran: -> " << Run.Result.ReturnValue;
+      }
+}
 
 TEST(VerifierTest, EmptyFunctionDefinitionIsInvalid) {
   Module M("test");

@@ -10,7 +10,8 @@
 // in-flight requests replayed with no observable effect beyond the shard
 // lifecycle counters; when the restart budget is exhausted the stranded
 // requests are poisoned with exact books instead of being lost; and the
-// server reaps its own children from the loop thread, leaving no zombie.
+// server reaps its own children from the loop thread, leaving no zombie
+// and never blocking on a live one.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,8 +26,12 @@
 #include "gtest/gtest.h"
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
+#include <filesystem>
+#include <fstream>
 #include <map>
 
 using namespace smokestack;
@@ -63,6 +68,26 @@ std::map<uint64_t, WireResponse> serveAll(uint16_t Port, uint64_t N) {
     ByIndex[R.Index] = R;
   }
   return ByIndex;
+}
+
+/// The pid named by this process's one open pidfd, and that fd; {-1, -1}
+/// unless exactly one fd links to "anon_inode:[pidfd]".
+std::pair<int, pid_t> soleOpenPidfd() {
+  std::pair<int, pid_t> Found = {-1, -1};
+  unsigned Count = 0;
+  for (const auto &E : std::filesystem::directory_iterator("/proc/self/fd")) {
+    std::error_code EC;
+    if (std::filesystem::read_symlink(E.path(), EC).string() !=
+        "anon_inode:[pidfd]")
+      continue;
+    ++Count;
+    Found.first = std::stoi(E.path().filename().string());
+    std::ifstream Info("/proc/self/fdinfo/" + E.path().filename().string());
+    for (std::string Line; std::getline(Info, Line);)
+      if (Line.rfind("Pid:", 0) == 0)
+        Found.second = static_cast<pid_t>(std::stol(Line.substr(4)));
+  }
+  return Count == 1 ? Found : std::pair<int, pid_t>{-1, -1};
 }
 
 /// True when this process has no child left, running or zombie.
@@ -263,6 +288,57 @@ TEST(ShardProcessTest, LoopThreadReapsEveryChildWithoutHelperThreads) {
     EXPECT_TRUE(noChildrenLeft()) << "drain() left a shard child unreaped";
     EXPECT_EQ(countThreads(), Before);
   }
+}
+
+TEST(ShardProcessTest, HeldPidfdDupDoesNotStallTheLoopAfterARestart) {
+  constexpr uint64_t Warmup = 8;
+  constexpr uint64_t After = 128;
+  Module M("shardproc");
+  buildRandModule(M);
+  installServerSignalDefaults();
+
+  SocketServer Server(M, shardServerOptions(1, ShardMode::Process));
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+  BlockingClient Client;
+  ASSERT_TRUE(Client.connectTo(Server.port()));
+  auto ServeRange = [&Client](uint64_t First, uint64_t N) {
+    for (uint64_t I = First; I != First + N; ++I) {
+      WireRequest Req;
+      Req.Index = I;
+      EXPECT_TRUE(Client.sendRequest(Req));
+    }
+    uint64_t Answered = 0;
+    WireResponse R;
+    while (Answered != N && Client.recvResponse(R, /*TimeoutMillis=*/10000))
+      ++Answered;
+    return Answered;
+  };
+  ASSERT_EQ(ServeRange(0, Warmup), Warmup);
+
+  // A sibling shard child forked a moment earlier holds dups of the
+  // parent's fds until it closes them; hold one of the pidfd the same way,
+  // then kill the child it names. The dup keeps the old pidfd's file
+  // alive past the parent's close, so its epoll entry survives unless the
+  // shard removes it before closing; that stale, forever-readable entry
+  // would report the re-forked live child as exited, and reaping that
+  // child would block the loop.
+  auto [PidFd, Pid] = soleOpenPidfd();
+  ASSERT_GE(PidFd, 0) << "not exactly one anon_inode:[pidfd] fd open";
+  ASSERT_GT(Pid, 0) << "no Pid: line in the pidfd's fdinfo";
+  int Held = ::dup(PidFd);
+  ASSERT_GE(Held, 0);
+  ASSERT_EQ(::kill(Pid, SIGKILL), 0);
+
+  EXPECT_EQ(ServeRange(Warmup, After), After)
+      << "the loop stopped answering after the shard's re-fork";
+  DrainReport Rep = Server.drain();
+  ::close(Held);
+  EXPECT_TRUE(Rep.Clean);
+  EXPECT_TRUE(Rep.IdentityOk);
+  EXPECT_EQ(Rep.Net.ShardDeaths, 1u);
+  EXPECT_EQ(Rep.Net.ShardRestarts, 1u);
+  EXPECT_TRUE(noChildrenLeft());
 }
 
 } // namespace

@@ -416,32 +416,6 @@ TEST(SocketServerTest, DrainTimeoutPoisonsHungRequests) {
   }
 }
 
-TEST(SocketServerTest, IdleConnectionsAreReaped) {
-  Module M("net");
-  buildRandModule(M);
-  ServerOptions Opts = randServerOptions(1);
-  Opts.IdleTimeoutMillis = 50;
-  SocketServer Server(M, Opts);
-  std::string Err;
-  ASSERT_TRUE(Server.start(&Err)) << Err;
-
-  BlockingClient C;
-  ASSERT_TRUE(C.connectTo(Server.port()));
-  // Say nothing; the reaper should close us within a few sweep periods.
-  WireResponse R;
-  bool Closed = false;
-  for (unsigned I = 0; I != 40 && !Closed; ++I) {
-    (void)C.recvResponse(R, 100);
-    Closed = C.peerClosed();
-  }
-  EXPECT_TRUE(Closed);
-
-  DrainReport Rep = Server.drain();
-  EXPECT_TRUE(Rep.IdentityOk);
-  EXPECT_EQ(Rep.Net.IdleReaped, 1u);
-  EXPECT_EQ(Rep.Net.ConnectionsClosed, 1u);
-}
-
 TEST(SocketServerTest, ClientResetOrphansItsResponses) {
   // The client dies (RST) while its request is being served: the
   // completion finds no connection and is booked Orphaned, keeping

@@ -146,7 +146,6 @@ constexpr FaultSite TracedSites[] = {FaultSite::RdRandStep,
 /// (none when empty) and draws LongRequestDraws values the way
 /// smokestack.rand does.
 DrawTrace drawLong(uint64_t RootSeed, uint64_t Index,
-                   uint64_t ReprobeInterval,
                    const std::optional<FaultPlan> &Plan) {
   std::optional<FaultInjector> Injector;
   std::optional<FaultScope> Scope;
@@ -154,9 +153,7 @@ DrawTrace drawLong(uint64_t RootSeed, uint64_t Index,
     Injector.emplace(*Plan);
     Scope.emplace(*Injector);
   }
-  RequestRng::Config Cfg;
-  Cfg.Chain.ReprobeInterval = ReprobeInterval;
-  RequestRng R(Cfg);
+  RequestRng R(RequestRng::Config{});
   R.reseed(RootSeed, Index);
   DrawTrace T;
   ResilientRandomSource &Chain = R.source();
@@ -198,23 +195,21 @@ TEST(RequestRngTest, HealthyDrawsEqualWithAndWithoutInjector) {
   // the unprobed path serves.
   FaultPlan NeverFails;
   NeverFails.Seed = 0x0FF;
-  for (auto [RootSeed, Index] : LongRequests)
-    for (uint64_t Interval : {1u, 4u, 1024u}) {
-      SCOPED_TRACE(testing::Message() << RootSeed << "/" << Index
-                                      << " reprobe " << Interval);
-      DrawTrace Bare = drawLong(RootSeed, Index, Interval, std::nullopt);
-      DrawTrace Probed = drawLong(RootSeed, Index, Interval, NeverFails);
-      EXPECT_EQ(Bare.Values, Probed.Values);
-      EXPECT_EQ(Bare.Statuses, Probed.Statuses);
-      expectSameRngBooks(Bare.Books, Probed.Books, "bare vs probed");
-      EXPECT_EQ(Bare.Books.DrawsServed, LongRequestDraws);
-      EXPECT_EQ(Bare.Books.DegradedDraws, 0u);
-      // One probe per draw at each DRNG site; the entropy site also saw
-      // the AES keying reads of the reseed.
-      EXPECT_EQ(Probed.Probes[0], LongRequestDraws);
-      EXPECT_EQ(Probed.Probes[1], LongRequestDraws);
-      EXPECT_GT(Probed.Probes[2], LongRequestDraws);
-    }
+  for (auto [RootSeed, Index] : LongRequests) {
+    SCOPED_TRACE(testing::Message() << RootSeed << "/" << Index);
+    DrawTrace Bare = drawLong(RootSeed, Index, std::nullopt);
+    DrawTrace Probed = drawLong(RootSeed, Index, NeverFails);
+    EXPECT_EQ(Bare.Values, Probed.Values);
+    EXPECT_EQ(Bare.Statuses, Probed.Statuses);
+    expectSameRngBooks(Bare.Books, Probed.Books, "bare vs probed");
+    EXPECT_EQ(Bare.Books.DrawsServed, LongRequestDraws);
+    EXPECT_EQ(Bare.Books.DegradedDraws, 0u);
+    // One probe per draw at each DRNG site; the entropy site also saw
+    // the AES keying reads of the reseed.
+    EXPECT_EQ(Probed.Probes[0], LongRequestDraws);
+    EXPECT_EQ(Probed.Probes[1], LongRequestDraws);
+    EXPECT_GT(Probed.Probes[2], LongRequestDraws);
+  }
 }
 
 /// DRNG step streaks long enough to exhaust the retry loop, a DRNG that
@@ -230,7 +225,8 @@ FaultPlan failingPlan(uint64_t Index) {
 
 /// One row of the failing-plan table: per-site probe counts, the number
 /// of failovers and recoveries, and FNV-1a digests of the draws at which
-/// they happened and of the served values.
+/// they happened and of the served values. Interval is the reprobe
+/// interval, 1 for every row: every draw starts from the top of the chain.
 struct FailingRow {
   uint64_t RootSeed, Index, Interval;
   uint64_t StepProbes, DeathProbes, FillProbes;
@@ -242,63 +238,56 @@ struct FailingRow {
 // clang-format off
 constexpr FailingRow FailingTable[] = {
     {0x7, 0, 1, 7493, 10000, 7038, 30, 29, 0xfe21dfa44632ce55ull, 0x8df257b9d7bbc4b1ull},
-    {0x7, 0, 4, 7493, 7741, 7038, 30, 29, 0x7740db583835ee13ull, 0xae2df80bf8e19351ull},
-    {0x7, 0, 1024, 2094, 1935, 1958, 10, 9, 0xe1e4c5c4cd6c4437ull, 0xd997c143fb557ab1ull},
     {0x7, 12345, 1, 7519, 10000, 7032, 32, 31, 0xddebe5f82a6fe36cull, 0x1ff5971282242716ull},
-    {0x7, 12345, 4, 7519, 7736, 7032, 32, 31, 0xaf12a90a37362851ull, 0xfb498820967b2376ull},
-    {0x7, 12345, 1024, 2334, 2169, 2198, 10, 9, 0xab7b4d72b4f5facfull, 0xbe79fa2c9fe6ec53ull},
     {0xc0ffee, 3, 1, 7525, 10000, 7038, 32, 31, 0x90d1752dbda37cb2ull, 0x37ce28b806b27c30ull},
-    {0xc0ffee, 3, 4, 7525, 7740, 7038, 32, 31, 0x9336b1ca1dd4083ull, 0x67c307b23eff313cull},
-    {0xc0ffee, 3, 1024, 2980, 2806, 2844, 10, 9, 0x1405348f7c01bf16ull, 0xc3edc16da02e15d1ull},
 };
 // clang-format on
 
 TEST(RequestRngTest, FailingPlanProbesAndTransitionsMatchRecordedTable) {
   unsigned Row = 0, Unhealthy = 0;
-  for (auto [RootSeed, Index] : LongRequests)
-    for (uint64_t Interval : {1u, 4u, 1024u}) {
-      DrawTrace T = drawLong(RootSeed, Index, Interval, failingPlan(Index));
-      std::vector<uint64_t> Transitions = T.FailoverAt;
-      Transitions.push_back(~0ull); // separator
-      Transitions.insert(Transitions.end(), T.RecoveryAt.begin(),
-                         T.RecoveryAt.end());
-      std::vector<uint64_t> Served = T.Values;
-      for (DrawStatus St : T.Statuses) {
-        Served.push_back(static_cast<uint64_t>(St));
-        Unhealthy += St != DrawStatus::Ok;
-      }
-      FailingRow Got{RootSeed,
-                     Index,
-                     Interval,
-                     T.Probes[0],
-                     T.Probes[1],
-                     T.Probes[2],
-                     T.FailoverAt.size(),
-                     T.RecoveryAt.size(),
-                     fnv(Transitions),
-                     fnv(Served)};
-      char Line[256];
-      std::snprintf(Line, sizeof(Line),
-                    "    {%#" PRIx64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
-                    ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
-                    ", %#" PRIx64 "ull, %#" PRIx64 "ull},",
-                    Got.RootSeed, Got.Index, Got.Interval, Got.StepProbes,
-                    Got.DeathProbes, Got.FillProbes, Got.Failovers,
-                    Got.Recoveries, Got.TransitionDigest, Got.ValueDigest);
-      ASSERT_LT(Row, std::size(FailingTable)) << "unrecorded row:\n" << Line;
-      const FailingRow &Want = FailingTable[Row++];
-      EXPECT_TRUE(Want.RootSeed == Got.RootSeed && Want.Index == Got.Index &&
-                  Want.Interval == Got.Interval &&
-                  Want.StepProbes == Got.StepProbes &&
-                  Want.DeathProbes == Got.DeathProbes &&
-                  Want.FillProbes == Got.FillProbes &&
-                  Want.Failovers == Got.Failovers &&
-                  Want.Recoveries == Got.Recoveries &&
-                  Want.TransitionDigest == Got.TransitionDigest &&
-                  Want.ValueDigest == Got.ValueDigest)
-          << "row " << Row - 1 << " is now\n" << Line;
-      EXPECT_GT(T.FailoverAt.size(), 0u) << "the plan never failed over";
+  for (auto [RootSeed, Index] : LongRequests) {
+    DrawTrace T = drawLong(RootSeed, Index, failingPlan(Index));
+    std::vector<uint64_t> Transitions = T.FailoverAt;
+    Transitions.push_back(~0ull); // separator
+    Transitions.insert(Transitions.end(), T.RecoveryAt.begin(),
+                       T.RecoveryAt.end());
+    std::vector<uint64_t> Served = T.Values;
+    for (DrawStatus St : T.Statuses) {
+      Served.push_back(static_cast<uint64_t>(St));
+      Unhealthy += St != DrawStatus::Ok;
     }
+    FailingRow Got{RootSeed,
+                   Index,
+                   1,
+                   T.Probes[0],
+                   T.Probes[1],
+                   T.Probes[2],
+                   T.FailoverAt.size(),
+                   T.RecoveryAt.size(),
+                   fnv(Transitions),
+                   fnv(Served)};
+    char Line[256];
+    std::snprintf(Line, sizeof(Line),
+                  "    {%#" PRIx64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", %" PRIu64 ", %" PRIu64 ", %" PRIu64 ", %" PRIu64
+                  ", %#" PRIx64 "ull, %#" PRIx64 "ull},",
+                  Got.RootSeed, Got.Index, Got.Interval, Got.StepProbes,
+                  Got.DeathProbes, Got.FillProbes, Got.Failovers,
+                  Got.Recoveries, Got.TransitionDigest, Got.ValueDigest);
+    ASSERT_LT(Row, std::size(FailingTable)) << "unrecorded row:\n" << Line;
+    const FailingRow &Want = FailingTable[Row++];
+    EXPECT_TRUE(Want.RootSeed == Got.RootSeed && Want.Index == Got.Index &&
+                Want.Interval == Got.Interval &&
+                Want.StepProbes == Got.StepProbes &&
+                Want.DeathProbes == Got.DeathProbes &&
+                Want.FillProbes == Got.FillProbes &&
+                Want.Failovers == Got.Failovers &&
+                Want.Recoveries == Got.Recoveries &&
+                Want.TransitionDigest == Got.TransitionDigest &&
+                Want.ValueDigest == Got.ValueDigest)
+        << "row " << Row - 1 << " is now\n" << Line;
+    EXPECT_GT(T.FailoverAt.size(), 0u) << "the plan never failed over";
+  }
   EXPECT_EQ(Row, std::size(FailingTable));
   EXPECT_GT(Unhealthy, 0u);
 }

@@ -353,8 +353,6 @@ TEST(SupervisorTest, PerRequestDeltasSumToAggregateBooks) {
   EXPECT_EQ(R.Rng.FailClosedDraws, B.Rng.FailClosedDraws);
   EXPECT_EQ(R.Rng.Failovers, B.Rng.Failovers);
   EXPECT_EQ(R.Rng.Recoveries, B.Rng.Recoveries);
-  EXPECT_EQ(R.Rng.RetriesUsed, B.Rng.RetriesUsed);
-  EXPECT_EQ(R.Rng.EmergencyDraws, B.Rng.EmergencyDraws);
   EXPECT_EQ(R.Rng.DrngRetryFailures, B.Rng.DrngRetryFailures);
   EXPECT_EQ(R.Rng.DrngFailureEvents, B.Rng.DrngFailureEvents);
   EXPECT_EQ(R.Rng.AesRekeys, B.Rng.AesRekeys);
