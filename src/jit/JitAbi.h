@@ -22,7 +22,8 @@
 /// once per *fuel segment* instead of once per instruction.
 ///
 /// Fuel segments. A segment is a maximal run of decoded instructions that
-/// no branch enters mid-way: it ends after a terminator, a Call or an
+/// no branch enters mid-way: it ends after a terminator, a call of a
+/// defined function (not a builtin, which runs no instructions) or an
 /// Unreachable, and after JitMaxSegment instructions. Its head tests the
 /// fuel cell once:
 ///
@@ -40,8 +41,9 @@
 /// one subtraction of N leaves FuelLeft where the loop would. Three rules
 /// keep every observer of FuelLeft exact:
 ///
-///  * Nothing inside a segment reads FuelLeft except a Call, and a Call
-///    ends its segment, so a callee always starts from exact fuel.
+///  * Nothing inside a segment reads FuelLeft except a call of a defined
+///    function, and such a call ends its segment, so a callee always
+///    starts from exact fuel.
 ///  * A trap at the k-th instruction of a fast-path segment first refunds
 ///    the N - k - 1 units charged for instructions that never ran, so
 ///    FuelLeft (and Steps) at the trap equal the decoded engine's.
@@ -54,21 +56,48 @@
 /// With a mask of 1023 and segments of at most 256 instructions, the slow
 /// path runs for about N/1024 of the segments a run enters.
 ///
-/// Loads that miss the stack segment retry inline against the read-only
-/// data segment (JitContext::RODataHost) before taking the shim, and —
-/// while no LayoutObserver is bound — static allocas and observed geps
-/// run inline too, so a Smokestack prologue leaves native code only for
-/// its smokestack.rand call, which goes straight to ssJitRand.
+/// The hardened prologue runs native end to end. While no LayoutObserver
+/// is bound, static allocas and observed geps run inline; the rest is
+/// the draw and the P-BOX loads:
+///
+///  * The draw. A smokestack.rand call site calls ssJitDraw, which is
+///    ResilientRandomSource::tryHealthyDraw on the chain bound to the
+///    interpreter (JitContext::Chain): one step of the simulated DRNG's
+///    stream plus the chain's books, no virtual call. That healthy path
+///    applies only while the primary is the active source, no fault
+///    injector is installed and the batch size is 1; it then has exactly
+///    the effect of Interpreter::builtinRand (value, DrawStatus, every
+///    RequestRng::Books field and statistic). Anything else — no chain
+///    bound, a failover, an injector, a batch — makes ssJitDraw return
+///    without side effects, and the site takes ssJitRand, which draws
+///    through builtinRand and fails closed exactly as it does.
+///  * P-BOX rows. A row is the loads of one fuel segment whose addresses
+///    are geps, earlier in the segment, off one constant base that lies
+///    in the read-only data segment with one index register and scale
+///    (the prologue's `gep @__ss_pbox, %ss.rowoff, 1, col`), while the
+///    index is not redefined between the row's first gep and last load.
+///    The row's first load checks once that every address of the row lies
+///    inside [RODataBase, RODataBase + RODataSize) and then each load reads
+///    JitContext::RODataHost directly. When the check fails — only a
+///    module whose row offset runs off the segment — ssJitInterpRange
+///    runs the rest of the segment through the interpreter, which traps
+///    where the decoded engine does. A segment's last instruction is never
+///    in a row (the head's slow path resumes native code there).
+///
+/// Other loads try the stack segment inline, then the read-only segment
+/// out of line, then the shim.
 ///
 /// Native calls. A direct call of a defined function enters the callee's
 /// compiled code without leaving native code. The call site repeats
 /// callDecoded's entry sequence inline: it bumps Interpreter::CallCount
 /// and the jit.native-calls count, writes the callee's register file one
 /// frame above its own (JitContext::FrameBytes: masked arguments from its
-/// registers, zeroed mutable slots, the callee's constants), saves the
-/// stack pointer, points JitContext::DF and Depth at the callee, and calls
-/// it with the same context; on return it restores the stack pointer, DF
-/// and Depth, and propagates a trap. The callee's entry address is read
+/// registers, zeroes for the slots DecodedFunction::ReadFirstSlots lists,
+/// the callee's constants), saves the stack pointer, points
+/// JitContext::DF and Depth at the callee, and calls the callee's native
+/// entry with the same context (see the register conventions below); on
+/// return it restores the stack pointer, DF and Depth, and propagates a
+/// trap. The callee's entry address is read
 /// from a data cell that the JitCache fills when it compiles the callee
 /// (JitCache::entryCell), so a callee compiled after its caller is picked
 /// up without writing sealed code. The call takes ssJitInterpOne instead,
@@ -83,11 +112,23 @@
 ///
 /// jit.shim-calls counts the calls that took the shim.
 ///
+/// The callee's file sits on the interpreter's flat register stack, where
+/// an earlier frame at the same depth left its values. Zeroing only the
+/// slots that some path reads before writing (a sound decode-time
+/// analysis; see DecodedFunction::ReadFirstSlots) is enough to keep those
+/// stale values unobservable: every other slot is written by its defining
+/// instruction before any read, so a module whose use is not dominated by
+/// its def still reads 0, as under the decoded engine.
+///
 /// Register conventions inside compiled code (System V x86-64; all six
 /// callee-saved registers are pinned for the function's whole body, so
 /// shim calls and native calls need no save/restore; the stack slot the
-/// prologue reserves for alignment holds a native call's saved stack
-/// pointer):
+/// native entry reserves for alignment holds a native call's saved stack
+/// pointer). Every compiled function starts with the same C entry (the
+/// JitFn), which saves and pins them and calls the native entry that
+/// follows it; a native call site enters a compiled callee at its native
+/// entry (at the same offset in every function) with the registers still
+/// pinned, moving rbx to the callee's register file for the call:
 ///
 ///   rbx  register file base (uint64_t *Regs)
 ///   r13  JitContext *
@@ -110,6 +151,7 @@
 namespace smokestack {
 
 class Interpreter;
+class ResilientRandomSource;
 struct DecodedFunction;
 struct ExecResult;
 
@@ -141,10 +183,10 @@ struct JitContext {
   uint8_t *StackHost = nullptr;
   uint64_t *StackTouchedLo = nullptr;
   uint64_t *StackTouchedHi = nullptr;
-  /// Read-only data segment bytes (SimMemory::jitRODataHost): a load that
-  /// misses the stack fast path retries against [RODataBase, RODataBase +
-  /// RODataSize) inline before taking the interpreter shim, which keeps
-  /// the hardened prologue's P-BOX loads in native code.
+  /// Read-only data segment bytes (SimMemory::jitRODataHost): P-BOX row
+  /// loads read it directly, and any other load that misses the stack
+  /// fast path retries against [RODataBase, RODataBase + RODataSize)
+  /// before taking the interpreter shim.
   const uint8_t *RODataHost = nullptr;
   /// &Interpreter::StackPointer and &Interpreter::StackLowWater, which the
   /// inline static-alloca stencil bumps exactly like materializeAlloca.
@@ -153,6 +195,17 @@ struct JitContext {
   /// Nonzero when a LayoutObserver is bound: allocas and observed geps then
   /// take the shim, which makes the observer callbacks.
   uint64_t Observed = 0;
+  /// The interpreter's RandomSource when it is a fallback chain, else
+  /// null: smokestack.rand call sites try its healthy draw (ssJitDraw)
+  /// before ssJitRand.
+  ResilientRandomSource *Chain = nullptr;
+};
+
+/// ssJitDraw's result, returned in rax:rdx: the value and whether the
+/// healthy draw applied (Ok = 0: nothing happened, take ssJitRand).
+struct JitDraw {
+  uint64_t Value;
+  uint64_t Ok;
 };
 
 /// Entry point of a compiled function: (context, register file) -> status.
@@ -206,6 +259,18 @@ uint64_t ssJitInterpSegment(smokestack::JitContext *Ctx, uint64_t *Regs,
 /// interpreter's own draw (Interpreter::builtinRand). Same contract as
 /// ssJitInterpOne.
 uint64_t ssJitRand(smokestack::JitContext *Ctx, uint64_t *Regs, uint64_t IP);
+
+/// The healthy draw of \p Chain (ResilientRandomSource::tryHealthyDraw):
+/// {value, 1}, or {0, 0} with nothing changed when it does not apply.
+smokestack::JitDraw ssJitDraw(smokestack::ResilientRandomSource *Chain);
+
+/// Runs DF->Insts[Start, End) through ssJitInterpOne, fuel already charged
+/// (the fallback of a P-BOX row whose bounds check failed; End is the
+/// segment's last instruction, where native code resumes). A trap at IP
+/// first refunds the End - IP charged instructions that never ran.
+/// Returns 0 to continue at End's body, 1 on trap.
+uint64_t ssJitInterpRange(smokestack::JitContext *Ctx, uint64_t *Regs,
+                          uint64_t Start, uint64_t End);
 
 } // extern "C"
 

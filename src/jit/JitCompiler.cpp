@@ -52,6 +52,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <tuple>
 
 using namespace smokestack;
 
@@ -69,8 +70,11 @@ std::vector<uint32_t> smokestack::fuelSegmentEnds(const DecodedFunction &DF) {
       break;
     case DecodedOp::Ret:
     case DecodedOp::RetVoid:
-    case DecodedOp::Call:
     case DecodedOp::Unreachable:
+      break;
+    case DecodedOp::Call:
+      if (DF.CallSites[DI.A].Builtin != BuiltinId::None)
+        continue; // a builtin runs no instructions: same segment
       break;
     default:
       continue; // falls through to the next instruction, same segment
@@ -300,24 +304,32 @@ public:
     u8(0x89);
     mem(Src, Base, Disp);
   }
-  /// Zero-extending W-byte load into rax from [Base + rcx].
-  void loadIndexed(unsigned W, uint8_t Base) {
-    if (W == 1) { // movzx eax, byte [Base + rcx]
-      rex(false, RAX, RCX, Base);
+  /// Zero-extending W-byte load into rax from [Base + Index + Disp].
+  void loadIndexed(unsigned W, uint8_t Base, uint8_t Index = RCX,
+                   int32_t Disp = 0) {
+    if (W == 1) { // movzx eax, byte [..]
+      rex(false, RAX, Index, Base);
       u8(0x0F);
       u8(0xB6);
-    } else if (W == 2) { // movzx eax, word [Base + rcx]
-      rex(false, RAX, RCX, Base);
+    } else if (W == 2) { // movzx eax, word [..]
+      rex(false, RAX, Index, Base);
       u8(0x0F);
       u8(0xB7);
-    } else if (W == 4) { // mov eax, dword [Base + rcx]
-      rex(false, RAX, RCX, Base);
+    } else if (W == 4) { // mov eax, dword [..]
+      rex(false, RAX, Index, Base);
       u8(0x8B);
-    } else { // mov rax, qword [Base + rcx]
-      rex(true, RAX, RCX, Base);
+    } else { // mov rax, qword [..]
+      rex(true, RAX, Index, Base);
       u8(0x8B);
     }
-    memIndex(RAX, Base, RCX);
+    if (Disp == 0) {
+      memIndex(RAX, Base, Index);
+      return;
+    }
+    // ModRM mod=10 rm=SIB, SIB scale 1, disp32.
+    u8(static_cast<uint8_t>((2 << 6) | ((RAX & 7) << 3) | 4));
+    u8(static_cast<uint8_t>(((Index & 7) << 3) | (Base & 7)));
+    u32(static_cast<uint32_t>(Disp));
   }
   /// 81 /Ext qword [Base], imm32 (sign-extended): 0=add 5=sub.
   void aluMemImm32(uint8_t Ext, uint8_t Base, uint32_t V) {
@@ -504,7 +516,92 @@ struct OolBlock {
   std::vector<size_t> JccHoles; ///< rel32 holes of the fast path's exits.
   size_t Resume = 0;            ///< Code offset to jump back to.
   uint32_t IP = 0;              ///< Decoded-instruction index for the shim.
+  /// Nonzero for a P-BOX row's failed bounds check: run [IP, RangeEnd)
+  /// through ssJitInterpRange, then resume at RangeEnd's body.
+  uint32_t RangeEnd = 0;
 };
+
+/// The P-BOX rows of a function (JitAbi.h, "P-BOX rows").
+struct RowPlan {
+  static constexpr uint32_t NoRow = 0xFFFFFFFFu;
+  struct Row {
+    uint32_t First = 0;   ///< The row's first load, which checks the bounds.
+    int64_t FirstImm = 0; ///< The gep offset of First's address.
+    int64_t Lo = 0;       ///< Least gep offset of the row.
+    int64_t Span = 0;     ///< Bytes from Lo to the end of the farthest load.
+  };
+  std::vector<Row> Rows;
+  /// Per instruction: the index of the row a load belongs to, or NoRow.
+  std::vector<uint32_t> RowOf;
+};
+
+/// Finds the P-BOX rows of \p DF: loads of one fuel segment, never its
+/// last instruction, whose address is a GepIndex earlier in the segment
+/// off one constant base inside the read-only data segment, with one
+/// index register and scale, while the index register is not redefined
+/// between the row's first gep and its last load. So every address of a
+/// row is base + index * scale + its gep's offset, for one index value.
+RowPlan planRows(const DecodedFunction &DF,
+                 const std::vector<uint32_t> &SegEnd) {
+  const uint32_t Size = static_cast<uint32_t>(DF.Insts.size());
+  constexpr uint32_t NoDef = 0xFFFFFFFFu;
+  std::vector<uint32_t> DefAt(DF.NumMutable, NoDef);
+  for (uint32_t IP = 0; IP != Size; ++IP)
+    if (DF.Insts[IP].Dest != DecodedInst::NoReg)
+      DefAt[DF.Insts[IP].Dest] = IP;
+
+  struct Key {
+    uint32_t End, Base, Index, Scale;
+    bool operator<(const Key &O) const {
+      return std::tie(End, Base, Index, Scale) <
+             std::tie(O.End, O.Base, O.Index, O.Scale);
+    }
+  };
+  struct Members {
+    uint32_t FirstGep = NoDef;
+    int64_t FirstImm = 0;
+    int64_t Lo = std::numeric_limits<int64_t>::max();
+    int64_t Hi = std::numeric_limits<int64_t>::min();
+    std::vector<uint32_t> Loads; ///< Ascending.
+  };
+  std::map<Key, Members> Found;
+  RowPlan P;
+  P.RowOf.assign(Size, RowPlan::NoRow);
+  for (uint32_t IP = 0; IP != Size; ++IP) {
+    const DecodedInst &DI = DF.Insts[IP];
+    if (DI.Op != DecodedOp::Load || IP + 1 == SegEnd[IP] ||
+        DI.A >= DF.NumMutable || DefAt[DI.A] == NoDef)
+      continue;
+    uint32_t G = DefAt[DI.A];
+    const DecodedInst &Gep = DF.Insts[G];
+    if (G > IP || SegEnd[G] != SegEnd[IP] || Gep.Op != DecodedOp::GepIndex ||
+        Gep.A < DF.NumMutable || Gep.Imm < -(int64_t(1) << 30) ||
+        Gep.Imm > (int64_t(1) << 30))
+      continue;
+    uint64_t Base = DF.ConstPool[Gep.A - DF.NumMutable];
+    if (Base - MemoryMap::RODataBase >= MemoryMap::RODataSize)
+      continue;
+    Members &M = Found[{SegEnd[IP], Gep.A, Gep.B, Gep.C}];
+    if (M.Loads.empty())
+      M.FirstImm = Gep.Imm;
+    M.FirstGep = std::min(M.FirstGep, G);
+    M.Lo = std::min(M.Lo, Gep.Imm);
+    M.Hi = std::max(M.Hi, Gep.Imm + DI.Width);
+    M.Loads.push_back(IP);
+  }
+  for (const auto &[K, M] : Found) {
+    uint32_t IndexDef = K.Index < DF.NumMutable ? DefAt[K.Index] : NoDef;
+    if (IndexDef != NoDef && IndexDef >= M.FirstGep &&
+        IndexDef <= M.Loads.back())
+      continue;
+    if (M.Hi - M.Lo > static_cast<int64_t>(MemoryMap::RODataSize))
+      continue;
+    for (uint32_t IP : M.Loads)
+      P.RowOf[IP] = static_cast<uint32_t>(P.Rows.size());
+    P.Rows.push_back({M.Loads.front(), M.FirstImm, M.Lo, M.Hi - M.Lo});
+  }
+  return P;
+}
 
 /// One pending slow path of a segment head (ssJitInterpSegment).
 struct SegmentSlowPath {
@@ -513,7 +610,56 @@ struct SegmentSlowPath {
   uint32_t N = 0;
 };
 
+/// Jumps to the body of instruction \p IP, the last of its segment, from
+/// a path that ran the rest of the segment through the interpreter: first
+/// reloads the slot the native body expects in rax (\p InRax, or none).
+void resumeAtLast(Emitter &E, size_t BodyOff, uint32_t InRax) {
+  if (InRax != DecodedInst::NoReg)
+    E.loadSlot(RAX, InRax);
+  E.patchRel32(E.jmpHole(), BodyOff);
+}
+
 int32_t ctxOffset(size_t Off) { return static_cast<int32_t>(Off); }
+
+/// The JitFn entry, from C++ (rdi = JitContext*, rsi = Regs): pins the six
+/// callee-saved registers per JitAbi.h, calls the native entry right
+/// after it (rsp is 16-byte aligned at the call), and restores them. The
+/// same bytes start every compiled function.
+void emitCEntry(Emitter &E) {
+  E.u8(0x55);             // push rbp
+  E.u8(0x53);             // push rbx
+  E.u8(0x41); E.u8(0x54); // push r12
+  E.u8(0x41); E.u8(0x55); // push r13
+  E.u8(0x41); E.u8(0x56); // push r14
+  E.u8(0x41); E.u8(0x57); // push r15
+  E.u8(0x48); E.u8(0x83); E.u8(0xEC); E.u8(0x08); // sub rsp, 8
+  E.movRR(RBX, RSI); // rbx = Regs
+  E.movRR(R13, RDI); // r13 = Ctx
+  E.loadMem(R14, RDI, ctxOffset(offsetof(JitContext, FuelLeft)));
+  E.loadMem(R15, RDI, ctxOffset(offsetof(JitContext, StackHost)));
+  E.loadMem(R12, RDI, ctxOffset(offsetof(JitContext, StackTouchedLo)));
+  E.loadMem(RBP, RDI, ctxOffset(offsetof(JitContext, StackTouchedHi)));
+  E.u8(0xE8); // call rel32: the native entry, right after this stub
+  size_t Hole = E.pos();
+  E.u32(0);
+  E.u8(0x48); E.u8(0x83); E.u8(0xC4); E.u8(0x08); // add rsp, 8
+  E.u8(0x41); E.u8(0x5F); // pop r15
+  E.u8(0x41); E.u8(0x5E); // pop r14
+  E.u8(0x41); E.u8(0x5D); // pop r13
+  E.u8(0x41); E.u8(0x5C); // pop r12
+  E.u8(0x5B);             // pop rbx
+  E.u8(0x5D);             // pop rbp
+  E.u8(0xC3);             // ret
+  E.patchRel32(Hole, E.pos());
+}
+
+/// Offset of the native entry: where compiled callers enter, with the
+/// registers already pinned and rbx at the callee's register file.
+const size_t JitNativeEntryOffset = [] {
+  Emitter E;
+  emitCEntry(E);
+  return E.pos();
+}();
 
 bool fitsImm32(uint64_t V) {
   int64_t S = static_cast<int64_t>(V);
@@ -523,10 +669,11 @@ bool fitsImm32(uint64_t V) {
 
 /// Interpreter::callDecoded's entry sequence for a compiled callee, in
 /// native code: with the callee file's base in rsi, writes the file
-/// [args | zeros | constants] that the decoded entry builds (masked
-/// arguments from the caller's registers, zeroed mutable slots, the
-/// callee's constant pool), one store per slot or slot pair. Clobbers rax,
-/// rcx and xmm0.
+/// [args | results | constants] that the decoded entry builds (masked
+/// arguments from the caller's registers, the callee's constant pool),
+/// zeroing only the result slots some path reads before writing
+/// (DecodedFunction::ReadFirstSlots) — one store per slot or adjacent
+/// slot pair. Clobbers rax, rcx and xmm0.
 void emitCalleeFile(Emitter &E, const DecodedFunction &Caller,
                     const DecodedCallSite &CS,
                     const DecodedFunction &Callee) {
@@ -537,17 +684,22 @@ void emitCalleeFile(Emitter &E, const DecodedFunction &Caller,
       E.maskAcc(W);
     E.storeMem(RSI, static_cast<int32_t>(I * 8), RAX);
   }
-  uint32_t I = CS.NumArgs;
-  if (Callee.NumMutable - I >= 2) {
-    E.u8(0x0F); E.u8(0x57); E.u8(0xC0); // xorps xmm0, xmm0
+  const std::vector<uint32_t> &Zero = Callee.ReadFirstSlots;
+  bool XmmZeroed = false;
+  for (size_t Z = 0; Z != Zero.size(); ++Z) {
+    auto Off = static_cast<int32_t>(Zero[Z] * 8);
+    if (Z + 1 == Zero.size() || Zero[Z + 1] != Zero[Z] + 1) {
+      E.storeMemImm32(RSI, Off, 0);
+      continue;
+    }
+    if (!XmmZeroed) {
+      E.u8(0x0F); E.u8(0x57); E.u8(0xC0); // xorps xmm0, xmm0
+      XmmZeroed = true;
+    }
+    E.u8(0x0F); E.u8(0x11); // movups [rsi+Off], xmm0
+    E.mem(0, RSI, Off);
+    ++Z;
   }
-  for (; I + 2 <= Callee.NumMutable; I += 2) { // movups [rsi+I*8], xmm0
-    E.u8(0x0F);
-    E.u8(0x11);
-    E.mem(0, RSI, static_cast<int32_t>(I * 8));
-  }
-  if (I != Callee.NumMutable)
-    E.storeMemImm32(RSI, static_cast<int32_t>(I * 8), 0);
   const std::vector<uint64_t> &Pool = Callee.ConstPool;
   for (size_t C = 0; C != Pool.size(); ++C) {
     auto Off = static_cast<int32_t>((Callee.NumMutable + C) * 8);
@@ -575,29 +727,20 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
   std::vector<size_t> HeadOff(DF.Insts.size(), 0);
   std::vector<size_t> BodyOff(DF.Insts.size(), 0);
   std::vector<uint32_t> SegEnd = fuelSegmentEnds(DF);
+  const RowPlan Rows = planRows(DF, SegEnd);
   std::vector<OolBlock> Ools;
   std::vector<SegmentSlowPath> SlowPaths;
 
   const auto InterpOne = reinterpret_cast<uint64_t>(&ssJitInterpOne);
   const auto InterpSegment = reinterpret_cast<uint64_t>(&ssJitInterpSegment);
   const auto Rand = reinterpret_cast<uint64_t>(&ssJitRand);
+  const auto Draw = reinterpret_cast<uint64_t>(&ssJitDraw);
+  const auto InterpRange = reinterpret_cast<uint64_t>(&ssJitInterpRange);
 
-  //===--- prologue ------------------------------------------------------===//
-  // Entry: rdi = JitContext*, rsi = Regs. Pin the six callee-saved
-  // registers per JitAbi.h; sub rsp,8 keeps calls 16-byte aligned.
-  E.u8(0x55);             // push rbp
-  E.u8(0x53);             // push rbx
-  E.u8(0x41); E.u8(0x54); // push r12
-  E.u8(0x41); E.u8(0x55); // push r13
-  E.u8(0x41); E.u8(0x56); // push r14
-  E.u8(0x41); E.u8(0x57); // push r15
+  //===--- entries -------------------------------------------------------===//
+  emitCEntry(E);
+  assert(E.pos() == JitNativeEntryOffset && "C entry changed size");
   E.u8(0x48); E.u8(0x83); E.u8(0xEC); E.u8(0x08); // sub rsp, 8
-  E.movRR(RBX, RSI); // rbx = Regs
-  E.movRR(R13, RDI); // r13 = Ctx
-  E.loadMem(R14, RDI, ctxOffset(offsetof(JitContext, FuelLeft)));
-  E.loadMem(R15, RDI, ctxOffset(offsetof(JitContext, StackHost)));
-  E.loadMem(R12, RDI, ctxOffset(offsetof(JitContext, StackTouchedLo)));
-  E.loadMem(RBP, RDI, ctxOffset(offsetof(JitContext, StackTouchedHi)));
 
   // After a shim call for instruction IP: on status 1, give back the fuel
   // charged for the rest of IP's segment, then take the trap exit.
@@ -658,8 +801,12 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
     E.storeMem(RSP, 0, RCX);
     if (DI.Dest != DecodedInst::NoReg) // a RetVoid leaves it untouched
       E.storeMemImm32(R13, ctxOffset(offsetof(JitContext, RetValue)), 0);
-    E.movRR(RDI, R13);
+    // Enter natively: the pinned registers stay, rbx moves to the
+    // callee's file for the call.
+    E.movRR(RBX, RSI);
+    E.aluImm32(0, R11, static_cast<uint32_t>(JitNativeEntryOffset));
     E.u8(0x41); E.u8(0xFF); E.u8(0xD3); // call r11
+    E.aluRegMem(0x2B, RBX, R13, ctxOffset(offsetof(JitContext, FrameBytes)));
     // Exit: restore the stack pointer and this frame's context, then
     // propagate a trap.
     E.loadMem(RCX, R13, ctxOffset(offsetof(JitContext, StackPointer)));
@@ -681,9 +828,40 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
   };
 
   //===--- per-instruction stencils --------------------------------------===//
+  // The slot whose value rax still holds from the previous stencil, which
+  // then needs no reload (NoReg: none). Only a stencil that ends with
+  // `mov [slot], rax` on every path that reaches its end sets it; it is
+  // dropped at every segment head, where branches jump in. The paths that
+  // jump to a segment's last instruction (the head's slow path, a row's
+  // fallback) reload it first: RaxAtLast records it.
+  uint32_t InRax = DecodedInst::NoReg;
+  std::vector<uint32_t> RaxAtLast(DF.Insts.size(), DecodedInst::NoReg);
+  auto loadRax = [&](uint32_t Idx) {
+    if (Idx != InRax)
+      E.loadSlot(RAX, Idx);
+  };
+  // Loads slot Idx into Dst (not rax); must come before rax is written.
+  auto loadOther = [&](uint8_t Dst, uint32_t Idx) {
+    if (Idx == InRax)
+      E.movRR(Dst, RAX);
+    else
+      E.loadSlot(Dst, Idx);
+  };
+
   for (uint32_t IP = 0; IP != DF.Insts.size(); ++IP) {
     const DecodedInst &DI = DF.Insts[IP];
     unsigned W = DI.Width;
+    if (IP == 0 || SegEnd[IP - 1] == IP)
+      InRax = DecodedInst::NoReg;
+    if (SegEnd[IP] == IP + 1)
+      RaxAtLast[IP] = InRax;
+    // Set by a stencil that leaves DI.Dest's value in rax.
+    uint32_t Out = DecodedInst::NoReg;
+    // The stencil's last step: store the result from rax, which keeps it.
+    auto storeRax = [&] {
+      E.storeSlot(DI.Dest, RAX);
+      Out = DI.Dest;
+    };
 
     if (IP == 0 || SegEnd[IP - 1] == IP) {
       // Segment head: charge all N instructions at once when
@@ -706,13 +884,13 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
     case DecodedOp::Add:
     case DecodedOp::Sub:
     case DecodedOp::Mul: {
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       if (DI.Op == DecodedOp::Mul)
         E.imulRegSlot(RAX, DI.B);
       else
         E.aluRegSlot(DI.Op == DecodedOp::Add ? 0x03 : 0x2B, RAX, DI.B);
       E.maskAcc(W);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::And:
@@ -723,35 +901,35 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       uint8_t Op = DI.Op == DecodedOp::And ? 0x23
                    : DI.Op == DecodedOp::Or ? 0x0B
                                             : 0x33;
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       E.aluRegSlot(Op, RAX, DI.B);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::Shl: {
-      E.loadSlot(RCX, DI.B);
-      E.loadSlot(RAX, DI.A);
+      loadOther(RCX, DI.B);
+      loadRax(DI.A);
       E.shiftCl(RAX, 4); // shl rax, cl
       E.maskAcc(W);
       E.u8(0x31); E.u8(0xD2); // xor edx, edx
       E.cmpImm32(RCX, W * 8u);
       E.cmovRR(CC_AE, RAX, RDX); // width-exceeding shift -> 0
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::LShr: {
-      E.loadSlot(RCX, DI.B);
-      E.loadSlot(RAX, DI.A);
+      loadOther(RCX, DI.B);
+      loadRax(DI.A);
       E.shiftCl(RAX, 5); // shr rax, cl
       E.u8(0x31); E.u8(0xD2); // xor edx, edx
       E.cmpImm32(RCX, W * 8u);
       E.cmovRR(CC_AE, RAX, RDX);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::AShr: {
-      E.loadSlot(RCX, DI.B);
-      E.loadSlot(RAX, DI.A);
+      loadOther(RCX, DI.B);
+      loadRax(DI.A);
       E.sext(RAX, W);
       E.movRR(RDX, RAX);
       E.sarImm(RDX, 63); // rdx = SL < 0 ? -1 : 0 (the saturated result)
@@ -759,7 +937,7 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       E.cmpImm32(RCX, W * 8u);
       E.cmovRR(CC_AE, RAX, RDX);
       E.maskAcc(W);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::ICmpInt: {
@@ -770,8 +948,8 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
         exitOnTrap(IP);
         break;
       }
-      E.loadSlot(RAX, DI.A);
-      E.loadSlot(RDX, DI.B);
+      loadOther(RDX, DI.B);
+      loadRax(DI.A);
       if (isSignedPredicate(P)) {
         E.sext(RAX, W);
         E.sext(RDX, W);
@@ -779,37 +957,37 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       E.cmpRR(RAX, RDX);
       E.setccAl(Cc);
       E.u8(0x0F); E.u8(0xB6); E.u8(0xC0); // movzx eax, al
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::CastCopy: {
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       E.maskAcc(W);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::CastSExt: {
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       E.sext(RAX, DI.C); // source width
       E.maskAcc(W);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::Select: {
-      E.loadSlot(RAX, DI.B); // true value
-      E.loadSlot(RDX, DI.C); // false value
+      loadOther(RDX, DI.C); // false value
+      loadRax(DI.B);        // true value
       E.cmpSlotZero(DI.A);
       E.cmovRR(CC_E, RAX, RDX);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       break;
     }
     case DecodedOp::GepConst:
     case DecodedOp::GepConstObs: {
       if (DI.Op == DecodedOp::GepConstObs)
         exitIfObserved(IP);
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       E.addImm(RAX, DI.Imm, RDX);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       if (DI.Op == DecodedOp::GepConstObs)
         Ools.back().Resume = E.pos();
       break;
@@ -818,11 +996,14 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
     case DecodedOp::GepIndexObs: {
       if (DI.Op == DecodedOp::GepIndexObs)
         exitIfObserved(IP);
-      E.loadSlot(RAX, DI.A);
-      E.loadSlot(RDX, DI.B);
-      if (DI.C <= static_cast<uint32_t>(std::numeric_limits<int32_t>::max()))
+      loadOther(RDX, DI.B);
+      loadRax(DI.A);
+      if (DI.C == 1) {
+        // index * 1: nothing to scale
+      } else if (DI.C <=
+                 static_cast<uint32_t>(std::numeric_limits<int32_t>::max())) {
         E.imulImm32(RDX, RDX, DI.C);
-      else { // scale would sign-extend as imm32; go through a register
+      } else { // scale would sign-extend as imm32; go through a register
         E.movImm64(RCX, DI.C);
         E.rex(true, RDX, 0, RCX); // imul rdx, rcx
         E.u8(0x0F); E.u8(0xAF);
@@ -830,7 +1011,7 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       }
       E.addRR(RAX, RDX);
       E.addImm(RAX, DI.Imm, RDX);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       if (DI.Op == DecodedOp::GepIndexObs)
         Ools.back().Resume = E.pos();
       break;
@@ -864,27 +1045,53 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       E.cmpRegMem(RAX, RSI, 0); // if (SP < LowWater) LowWater = SP
       E.jccRel8(CC_AE, 3);
       E.storeMem(RSI, 0, RAX); // 3 bytes
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       Ools.back().Resume = E.pos();
       break;
     }
     case DecodedOp::Load: {
+      if (uint32_t R = Rows.RowOf[IP]; R != RowPlan::NoRow) {
+        // A P-BOX row load: its row's first load checks that the whole
+        // row lies in the read-only segment, else the rest of the segment
+        // runs through the interpreter; every row load then reads the
+        // segment's host bytes directly.
+        const RowPlan::Row &Row = Rows.Rows[R];
+        loadRax(DI.A);
+        if (Row.First == IP) {
+          E.rex(true, RCX, 0, RAX); // lea rcx, [rax + Lo - Imm - RODataBase]
+          E.u8(0x8D);
+          E.mem(RCX, RAX,
+                static_cast<int32_t>(Row.Lo - Row.FirstImm -
+                                     static_cast<int64_t>(
+                                         MemoryMap::RODataBase)));
+          E.cmpImm32(RCX, static_cast<uint32_t>(MemoryMap::RODataSize -
+                                                static_cast<uint64_t>(
+                                                    Row.Span)));
+          oolExit(CC_A, IP);
+          Ools.back().RangeEnd = SegEnd[IP] - 1;
+        }
+        E.loadMem(RSI, R13, ctxOffset(offsetof(JitContext, RODataHost)));
+        E.loadIndexed(W, RSI, RAX,
+                      -static_cast<int32_t>(MemoryMap::RODataBase));
+        storeRax();
+        break;
+      }
       // Stack-segment fast path; anything else (globals, heap, rodata,
       // unmapped) takes the interpreter shim out of line.
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       E.rex(true, RCX, 0, RAX); // lea rcx, [rax - StackBase]
       E.u8(0x8D);
       E.mem(RCX, RAX, -static_cast<int32_t>(MemoryMap::StackBase));
       E.cmpImm32(RCX, static_cast<uint32_t>(MemoryMap::StackSize - W));
       oolExit(CC_A, IP);
       E.loadIndexed(W, R15);
-      E.storeSlot(DI.Dest, RAX);
+      storeRax();
       Ools.back().Resume = E.pos();
       break;
     }
     case DecodedOp::Store: {
-      E.loadSlot(RDX, DI.A); // value
-      E.loadSlot(RAX, DI.B); // address
+      loadOther(RDX, DI.A); // value
+      loadRax(DI.B);        // address
       E.rex(true, RCX, 0, RAX); // lea rcx, [rax - StackBase]
       E.u8(0x8D);
       E.mem(RCX, RAX, -static_cast<int32_t>(MemoryMap::StackBase));
@@ -928,15 +1135,24 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       break;
     }
     case DecodedOp::Br:
-      E.jmpLabel(Label::Inst, DI.A);
+      if (DI.A != IP + 1) // else the target's head comes next
+        E.jmpLabel(Label::Inst, DI.A);
       break;
     case DecodedOp::CondBr:
-      E.cmpSlotZero(DI.A);
-      E.jccLabel(CC_NE, Label::Inst, DI.B);
-      E.jmpLabel(Label::Inst, DI.C);
+      if (DI.A == InRax)
+        E.testRR(RAX);
+      else
+        E.cmpSlotZero(DI.A);
+      if (DI.B == IP + 1) {
+        E.jccLabel(CC_E, Label::Inst, DI.C);
+      } else {
+        E.jccLabel(CC_NE, Label::Inst, DI.B);
+        if (DI.C != IP + 1)
+          E.jmpLabel(Label::Inst, DI.C);
+      }
       break;
     case DecodedOp::Ret:
-      E.loadSlot(RAX, DI.A);
+      loadRax(DI.A);
       E.rex(true, RAX, 0, R13); // mov [r13 + RetValue], rax
       E.u8(0x89);
       E.mem(RAX, R13, static_cast<int32_t>(offsetof(JitContext, RetValue)));
@@ -948,8 +1164,20 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
     case DecodedOp::Call: {
       const DecodedCallSite &CS = DF.CallSites[DI.A];
       if (CS.Builtin == BuiltinId::Rand) {
-        E.callShim3(Rand, IP);
-        exitOnTrap(IP);
+        // The chain's healthy draw, else ssJitRand out of line.
+        E.loadMem(RDI, R13, ctxOffset(offsetof(JitContext, Chain)));
+        E.testRR(RDI);
+        oolExit(CC_Z, IP);
+        E.movImm64(RAX, Draw);
+        E.u8(0xFF); E.u8(0xD0); // call rax
+        E.testRR(RDX);
+        oolExit(CC_Z, IP);
+        if (DI.Dest != DecodedInst::NoReg) {
+          if (W)
+            E.maskAcc(W);
+          storeRax();
+        }
+        Ools.back().Resume = E.pos();
       } else if (CS.Builtin == BuiltinId::None && CS.CalleeDF &&
                  CS.NumArgs == CS.CalleeDF->ArgWidths.size()) {
         nativeCall(IP, DI, CS);
@@ -967,6 +1195,7 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       exitOnTrap(IP);
       break;
     }
+    InRax = Out;
   }
 
   //===--- out-of-line slow paths ----------------------------------------===//
@@ -974,6 +1203,14 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
     for (size_t Hole : B.JccHoles)
       E.patchRel32(Hole, E.pos());
     const DecodedInst &DI = DF.Insts[B.IP];
+    if (B.RangeEnd) {
+      E.movImm32(RCX, B.RangeEnd);
+      E.callShim3(InterpRange, B.IP);
+      E.testEax();
+      E.jccLabel(CC_NZ, Label::TrapExit); // the shim refunded
+      resumeAtLast(E, BodyOff[B.RangeEnd], RaxAtLast[B.RangeEnd]);
+      continue;
+    }
     if (DI.Op == DecodedOp::Load) {
       // Off the stack: retry against the read-only segment, where the
       // hardened prologue's P-BOX lives. rax still holds the address.
@@ -989,8 +1226,14 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
       E.patchRel32(E.jmpHole(), B.Resume);
       E.patchRel32(NotRO, E.pos());
     }
-    E.callShim3(InterpOne, B.IP);
+    // A smokestack.rand site takes its full draw, anything else the
+    // interpreter's case.
+    bool IsRand = DI.Op == DecodedOp::Call &&
+                  DF.CallSites[DI.A].Builtin == BuiltinId::Rand;
+    E.callShim3(IsRand ? Rand : InterpOne, B.IP);
     exitOnTrap(B.IP);
+    if (DI.Dest != DecodedInst::NoReg) // the stencil leaves Dest in rax
+      E.loadSlot(RAX, DI.Dest);
     E.patchRel32(E.jmpHole(), B.Resume);
   }
   for (const SegmentSlowPath &P : SlowPaths) {
@@ -999,7 +1242,8 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
     E.callShim3(InterpSegment, P.Start);
     E.testEax();
     E.jccLabel(CC_NZ, Label::TrapExit);
-    E.patchRel32(E.jmpHole(), BodyOff[P.Start + P.N - 1]);
+    uint32_t Last = P.Start + P.N - 1;
+    resumeAtLast(E, BodyOff[Last], RaxAtLast[Last]);
   }
 
   //===--- refund stubs ---------------------------------------------------===//
@@ -1014,19 +1258,13 @@ std::vector<uint8_t> smokestack::compileDecoded(const DecodedFunction &DF,
   }
 
   //===--- shared exits ---------------------------------------------------===//
+  // Back to the C entry or the native caller, status in eax.
   size_t TrapOff = E.pos();
   E.movImm32(RAX, 1);
   E.jmpRel8(2); // over the ok exit's xor
   size_t OkOff = E.pos();
   E.u8(0x31); E.u8(0xC0); // xor eax, eax
-  // restore (trap path falls in via the jmpRel8 landing here):
   E.u8(0x48); E.u8(0x83); E.u8(0xC4); E.u8(0x08); // add rsp, 8
-  E.u8(0x41); E.u8(0x5F); // pop r15
-  E.u8(0x41); E.u8(0x5E); // pop r14
-  E.u8(0x41); E.u8(0x5D); // pop r13
-  E.u8(0x41); E.u8(0x5C); // pop r12
-  E.u8(0x5B);             // pop rbx
-  E.u8(0x5D);             // pop rbp
   E.u8(0xC3);             // ret
 
   //===--- patch all recorded holes ---------------------------------------===//

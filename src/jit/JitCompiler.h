@@ -38,7 +38,8 @@ std::vector<uint8_t> compileDecoded(const DecodedFunction &DF,
 /// Splits \p DF into fuel segments (JitAbi.h): returns, for every
 /// instruction, the index one past the last instruction of its segment.
 /// A segment starts at instruction 0, at every branch target, after every
-/// terminator, Call and Unreachable, and after JitMaxSegment instructions.
+/// terminator, call of a defined function and Unreachable, and after
+/// JitMaxSegment instructions.
 std::vector<uint32_t> fuelSegmentEnds(const DecodedFunction &DF);
 
 } // namespace smokestack

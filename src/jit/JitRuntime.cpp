@@ -19,13 +19,16 @@
 // and must never arrive here. Fuel for the instruction was already charged,
 // either by its fuel segment's head or by ssJitInterpSegment (the head's
 // slow path, which runs a segment with the decoded loop's per-instruction
-// fuel order). ssJitRand is the direct path of smokestack.rand call sites;
-// direct calls of compiled callees never come here (see JitAbi.h).
+// fuel order). ssJitDraw is the healthy draw of smokestack.rand call
+// sites and ssJitRand their full draw; ssJitInterpRange is the fallback of
+// a P-BOX row whose bounds check failed; direct calls of compiled callees
+// never come here (see JitAbi.h).
 //
 //===----------------------------------------------------------------------===//
 
 #include "ir/Instructions.h"
 #include "jit/JitAbi.h"
+#include "rng/Resilient.h"
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
 #include "support/Statistics.h"
@@ -59,6 +62,8 @@ struct JitShims {
   static uint64_t interpSegment(JitContext *Ctx, uint64_t *Regs,
                                 uint64_t Start, uint64_t N);
   static uint64_t rand(JitContext *Ctx, uint64_t *Regs, uint64_t IP);
+  static uint64_t interpRange(JitContext *Ctx, uint64_t *Regs,
+                              uint64_t Start, uint64_t End);
 };
 
 uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
@@ -298,10 +303,14 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
     Regs[DI.Dest] = Regs[DI.A] ? Regs[DI.B] : Regs[DI.C];
     return 0;
   case DecodedOp::Call: {
+    // A segment's slow path runs a smokestack.rand site here (a builtin
+    // call does not end its segment): the site's own full draw.
+    if (DF.CallSites[DI.A].Builtin == BuiltinId::Rand)
+      return rand(Ctx, Regs, IP);
     // The native call path's fallback (no code for the callee yet, an
-    // observer bound, the depth limit) and every builtin but
-    // smokestack.rand: re-enter callDecoded, which counts a cold callee's
-    // invocations toward its tier-up — tiering nests.
+    // observer bound, the depth limit) and every other builtin:
+    // re-enter callDecoded, which counts a cold callee's invocations
+    // toward its tier-up — tiering nests.
     ++NumShimCalls;
     uint64_t RetValue = 0;
     if (!I.callSite(DF, DF.CallSites[DI.A], Regs,
@@ -363,6 +372,16 @@ uint64_t JitShims::rand(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
   return 0;
 }
 
+uint64_t JitShims::interpRange(JitContext *Ctx, uint64_t *Regs,
+                               uint64_t Start, uint64_t End) {
+  for (uint64_t IP = Start; IP != End; ++IP)
+    if (interpOne(Ctx, Regs, IP)) {
+      Ctx->Interp->FuelLeft += End - IP;
+      return 1;
+    }
+  return 0;
+}
+
 } // namespace smokestack
 
 using namespace smokestack;
@@ -379,4 +398,15 @@ extern "C" uint64_t ssJitInterpSegment(JitContext *Ctx, uint64_t *Regs,
 
 extern "C" uint64_t ssJitRand(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
   return JitShims::rand(Ctx, Regs, IP);
+}
+
+extern "C" JitDraw ssJitDraw(ResilientRandomSource *Chain) {
+  JitDraw D{0, 0};
+  D.Ok = Chain->tryHealthyDraw(D.Value);
+  return D;
+}
+
+extern "C" uint64_t ssJitInterpRange(JitContext *Ctx, uint64_t *Regs,
+                                     uint64_t Start, uint64_t End) {
+  return JitShims::interpRange(Ctx, Regs, Start, End);
 }

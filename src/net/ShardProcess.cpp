@@ -652,15 +652,30 @@ void ChildProcessShard::shutdownNow() {
     Hooks.WakeLoop();
 }
 
+void ChildProcessShard::loopExited() {
+  std::lock_guard<std::mutex> Lock(Mtx);
+  LoopGone = true;
+  Cv.notify_all();
+}
+
 std::vector<PoolOutcome> ChildProcessShard::finish() {
   std::unique_lock<std::mutex> Lock(Mtx);
-  bool Done = Cv.wait_for(Lock, std::chrono::seconds(5), [this] {
-    return St == State::Drained || St == State::Retired;
-  });
-  if (!Done) {
-    // No cooperating loop (its epoll_wait failed and it returned): take
-    // the child down inline. Only reached when the loop thread is
-    // not running, so touching loop state here is safe.
+  auto Done = [this] { return St == State::Drained || St == State::Retired; };
+  // Every 5 s without Drained/Retired, a loop that is alive but late is
+  // asked (again) to kill the child; its reap retires the shard and books
+  // the one death. Only a loop that has returned leaves the child to this
+  // thread.
+  while (!Cv.wait_for(Lock, std::chrono::seconds(5),
+                      [&] { return Done() || LoopGone; })) {
+    KillPending = true;
+    Lock.unlock();
+    if (Hooks.WakeLoop)
+      Hooks.WakeLoop();
+    Lock.lock();
+  }
+  if (!Done()) {
+    // The loop returned (its epoll_wait failed) without reaping: nothing
+    // else touches the loop-thread state any more.
     Lock.unlock();
     abortInline();
     Lock.lock();

@@ -36,7 +36,10 @@
 /// reaps it without blocking; no other thread waits for a running child.
 /// drainWithin()/shutdownNow()/finish() run on the drain() caller's
 /// thread and communicate with the loop through a small mutex-guarded
-/// command block + condition variable.
+/// command block + condition variable. They never touch loop-thread
+/// state while the loop runs: a finish() whose shard is not done after
+/// its guard asks the loop to kill the child and keeps waiting, and takes
+/// the child down itself only once the loop has returned (loopExited).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -163,6 +166,11 @@ public:
   /// Seeded ShardKill fault: SIGKILL the child outright (loop thread).
   void injectKill();
 
+  /// The serving loop has returned and will not service this shard again
+  /// (called on the loop thread as it exits). Only then may finish() take
+  /// the child down on its own thread.
+  void loopExited();
+
   unsigned index() const { return Idx; }
   uint32_t restartsUsed() const { return RestartsUsed; }
 
@@ -224,6 +232,7 @@ private:
   bool DrainWanted = false;  ///< A drain survives deaths: re-forks re-send.
   unsigned DrainBudgetMillis = 0;
   bool CleanAck = false;     ///< The ack's Clean flag.
+  bool LoopGone = false;     ///< loopExited(): no loop services the shard.
   PoolBooks Books;           ///< Parent-assembled (loop writes under Mtx).
   std::vector<PoolOutcome> Outcomes;
 };

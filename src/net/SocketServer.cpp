@@ -41,6 +41,10 @@ constexpr uint64_t ShardIdBase = 0xFFFF'0000'0000'0000ull;
 
 constexpr uint64_t MillisToNanos = 1000u * 1000u;
 
+/// The server whose loop runs on this thread (null elsewhere): an outcome
+/// delivered on its own loop thread needs no hand-off.
+thread_local const SocketServer *LoopOf = nullptr;
+
 } // namespace
 
 void NetBooks::exportMetrics(MetricsRegistry &R) const {
@@ -278,6 +282,10 @@ bool SocketServer::start(std::string *Err) {
   PoolOptions ShardOpts = Opts.Pool;
   ShardOpts.Admission.Policy = AdmissionOptions::ShedPolicy::ShedNewest;
   auto Deliver = [this](const PoolOutcome &O) {
+    if (LoopOf == this) {
+      completeOutcome(O);
+      return;
+    }
     {
       std::lock_guard<std::mutex> Lock(CompletionMutex);
       Completions.push_back(O);
@@ -308,7 +316,15 @@ bool SocketServer::start(std::string *Err) {
   }
 
   Started = true;
-  LoopThread = std::thread([this] { loopMain(); });
+  LoopThread = std::thread([this] {
+    LoopOf = this;
+    loopMain();
+    LoopOf = nullptr;
+    // From here on nothing services the shards: a drain that still
+    // waits on one may take its child down itself.
+    for (ChildProcessShard *S : ProcShards)
+      S->loopExited();
+  });
   return true;
 }
 
@@ -597,36 +613,39 @@ void SocketServer::drainCompletions() {
     std::lock_guard<std::mutex> Lock(CompletionMutex);
     Batch.swap(Completions);
   }
-  for (const PoolOutcome &O : Batch) {
-    auto It = InFlight.find(O.Index);
-    if (It == InFlight.end())
-      continue; // not a wire request (defensive; should not happen)
-    InFlightReq Entry = It->second;
-    InFlight.erase(It);
-    auto ConnIt = Conns.find(Entry.ConnId);
-    if (ConnIt == Conns.end()) {
-      // The connection died while the request was being served.
-      ++Net.ResponsesOrphaned;
-      continue;
-    }
-    Conn &C = *ConnIt->second;
-    --C.InFlightCount;
-    WireResponse R;
-    R.Index = O.Index;
-    R.Status = O.Poisoned ? WireStatus::Poisoned
-               : O.Trap != TrapKind::None ? WireStatus::Trapped
-                                          : WireStatus::Ok;
-    R.Trap = O.Trap;
-    R.Attempts = O.Attempts;
-    R.ReturnValue = O.ReturnValue;
-    R.Steps = O.Steps;
-    if (Entry.DeadlineNs && obsNowNanos() > Entry.DeadlineNs) {
-      R.Flags |= RespFlagDeadlineMissed;
-      ++Net.DeadlineMissed;
-    }
-    enqueueResponse(C, R, /*Booked=*/true);
-    flushConn(C);
+  for (const PoolOutcome &O : Batch)
+    completeOutcome(O);
+}
+
+void SocketServer::completeOutcome(const PoolOutcome &O) {
+  auto It = InFlight.find(O.Index);
+  if (It == InFlight.end())
+    return; // not a wire request (defensive; should not happen)
+  InFlightReq Entry = It->second;
+  InFlight.erase(It);
+  auto ConnIt = Conns.find(Entry.ConnId);
+  if (ConnIt == Conns.end()) {
+    // The connection died while the request was being served.
+    ++Net.ResponsesOrphaned;
+    return;
   }
+  Conn &C = *ConnIt->second;
+  --C.InFlightCount;
+  WireResponse R;
+  R.Index = O.Index;
+  R.Status = O.Poisoned ? WireStatus::Poisoned
+             : O.Trap != TrapKind::None ? WireStatus::Trapped
+                                        : WireStatus::Ok;
+  R.Trap = O.Trap;
+  R.Attempts = O.Attempts;
+  R.ReturnValue = O.ReturnValue;
+  R.Steps = O.Steps;
+  if (Entry.DeadlineNs && obsNowNanos() > Entry.DeadlineNs) {
+    R.Flags |= RespFlagDeadlineMissed;
+    ++Net.DeadlineMissed;
+  }
+  enqueueResponse(C, R, /*Booked=*/true);
+  flushConn(C);
 }
 
 void SocketServer::loopMain() {

@@ -265,6 +265,8 @@ private:
   void flushConn(Conn &C);
   void closeConn(uint64_t Id, bool CountReset);
   void drainCompletions();
+  /// Answers one shard outcome on its connection (loop thread).
+  void completeOutcome(const PoolOutcome &O);
   void updateEpoll(Conn &C);
   bool netProbe(FaultSite Site);
   void wakeLoop();
@@ -292,7 +294,9 @@ private:
   enum class Phase : int { Running = 0, Quiesce = 1, Flush = 2, Exit = 3 };
   std::atomic<int> PhaseFlag{0};
 
-  /// Completion hand-off (the one shard→loop channel).
+  /// Completion hand-off from other threads (pool workers, a drain-time
+  /// abort); an outcome delivered on the loop thread itself (a process
+  /// shard's channel handler) is answered inline instead.
   std::mutex CompletionMutex;
   std::vector<PoolOutcome> Completions;
 

@@ -54,6 +54,19 @@ public:
   /// True when draws come from the hardware instruction.
   bool usingHardware() const { return UseHardware; }
 
+  /// True when the DRNG is simulated by a deterministic entropy stream,
+  /// the case nextHealthy() serves.
+  bool simulated() const { return Simulated != nullptr; }
+
+  /// tryNext() on its healthy path, with no virtual call: one step of the
+  /// simulated stream, DrawStatus::Ok. Only valid while simulated() holds
+  /// and no fault injector is installed (faultInjectionActive() false);
+  /// then it has exactly tryNext()'s effect.
+  uint64_t nextHealthy() {
+    setDrawStatus(DrawStatus::Ok);
+    return Simulated->nextUnprobed();
+  }
+
   /// Individual retry attempts that failed (CF=0, real or injected).
   uint64_t retryFailures() const { return RetryFailures; }
   /// Draws on which the DRNG failed outright (retry exhaustion or death).

@@ -34,6 +34,9 @@ ResilientRandomSource::ResilientRandomSource(
   assert(!Sources.empty() && "resilient chain needs at least one source");
   for (size_t I = 0; I != Length; ++I)
     Chain[I] = Sources[I];
+  auto *Primary = dynamic_cast<RdRandSource *>(Chain[0]);
+  if (Primary && Primary->simulated())
+    SimulatedPrimary = Primary;
   adopt(0);
 }
 

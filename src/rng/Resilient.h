@@ -28,7 +28,9 @@
 #ifndef SMOKESTACK_RNG_RESILIENT_H
 #define SMOKESTACK_RNG_RESILIENT_H
 
+#include "faults/FaultInjector.h"
 #include "rng/RandomSource.h"
+#include "rng/RdRand.h"
 
 #include <cstddef>
 
@@ -52,6 +54,24 @@ public:
 
   uint64_t next() override;
   [[nodiscard]] bool tryNext(uint64_t &Out) override;
+
+  /// The draw of a healthy chain with no virtual call, for callers that
+  /// want the common case cheap (the JIT's smokestack.rand call sites).
+  /// It applies while the primary is active and a simulated DRNG, no
+  /// fault injector is installed, and the batch size is 1; then it draws
+  /// exactly what nextBuffered() would, with the same DrawStatus (Ok, on
+  /// the chain and on the primary) and the same books (one more draw
+  /// served). Otherwise it returns false having changed nothing, and the
+  /// caller takes nextBuffered().
+  [[nodiscard]] bool tryHealthyDraw(uint64_t &Out) {
+    if (Active != 0 || !SimulatedPrimary || batchSize() != 1 ||
+        faultInjectionActive())
+      return false;
+    Out = SimulatedPrimary->nextHealthy();
+    ++DrawsServed;
+    setDrawStatus(DrawStatus::Ok);
+    return true;
+  }
 
   /// Per-draw policy must apply to every buffered word, so fill() loops
   /// next() and reports the *worst* status of the batch (one failed draw
@@ -94,6 +114,8 @@ private:
 
   RandomSource *Chain[MaxChain];
   size_t Length;
+  /// Chain[0] when it is a simulated DRNG (tryHealthyDraw), else null.
+  RdRandSource *SimulatedPrimary = nullptr;
   /// The source that served the last good draw.
   size_t Active = 0;
   char Name[64];

@@ -143,6 +143,16 @@ struct DecodedFunction {
   std::vector<uint8_t> ArgWidths;
   uint32_t NumMutable = 0; ///< Arguments + value-producing instructions.
   uint32_t NumSlots = 0;   ///< NumMutable + ConstPool.size().
+  /// The instruction-result slots some path may read before the slot's
+  /// defining instruction writes it, ascending. The verifier only asks
+  /// that a value be defined somewhere, so a module can read a value on a
+  /// path its definition does not dominate; such a read sees the zero the
+  /// frame entry wrote. Every other result slot is written before any
+  /// read on every path (a decode-time def-dominates-use analysis,
+  /// Decoder.cpp), so an entry that writes the arguments and zeroes only
+  /// these slots behaves exactly like one that zeroes the whole file. A
+  /// slot the analysis cannot prove stays in this list.
+  std::vector<uint32_t> ReadFirstSlots;
 };
 
 } // namespace smokestack

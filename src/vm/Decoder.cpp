@@ -11,6 +11,7 @@
 #include "support/ErrorHandling.h"
 #include "support/Statistics.h"
 
+#include <algorithm>
 #include <cassert>
 #include <cstring>
 #include <limits>
@@ -65,6 +66,215 @@ uint8_t maskWidthFor(const Type *Ty) {
 uint8_t fpWidthFor(const Type *Ty) {
   assert(Ty->isFloatingPoint() && "not a floating-point type");
   return Ty->getKind() == Type::Kind::Float ? 4 : 8;
+}
+
+/// Calls \p Read on every register \p DI reads (constants included).
+template <typename ReadFn>
+void forEachRead(const DecodedFunction &DF, const DecodedInst &DI,
+                 ReadFn Read) {
+  switch (DI.Op) {
+  case DecodedOp::AllocaStatic:
+  case DecodedOp::Br:
+  case DecodedOp::RetVoid:
+  case DecodedOp::Unreachable:
+    return;
+  case DecodedOp::AllocaVLA:
+  case DecodedOp::Load:
+  case DecodedOp::GepConst:
+  case DecodedOp::GepConstObs:
+  case DecodedOp::CastCopy:
+  case DecodedOp::CastSExt:
+  case DecodedOp::CastFPToSI:
+  case DecodedOp::CastSIToFP:
+  case DecodedOp::CastFPConvert:
+  case DecodedOp::CondBr:
+  case DecodedOp::Ret:
+    Read(DI.A);
+    return;
+  case DecodedOp::Store:
+  case DecodedOp::GepIndex:
+  case DecodedOp::GepIndexObs:
+  case DecodedOp::Add:
+  case DecodedOp::Sub:
+  case DecodedOp::Mul:
+  case DecodedOp::UDiv:
+  case DecodedOp::SDiv:
+  case DecodedOp::URem:
+  case DecodedOp::SRem:
+  case DecodedOp::And:
+  case DecodedOp::Or:
+  case DecodedOp::Xor:
+  case DecodedOp::Shl:
+  case DecodedOp::LShr:
+  case DecodedOp::AShr:
+  case DecodedOp::FAdd:
+  case DecodedOp::FSub:
+  case DecodedOp::FMul:
+  case DecodedOp::FDiv:
+  case DecodedOp::ICmpInt:
+  case DecodedOp::ICmpFloat:
+    Read(DI.A);
+    Read(DI.B);
+    return;
+  case DecodedOp::Select:
+    Read(DI.A);
+    Read(DI.B);
+    Read(DI.C);
+    return;
+  case DecodedOp::Call: {
+    const DecodedCallSite &CS = DF.CallSites[DI.A];
+    for (uint32_t I = 0; I != CS.NumArgs; ++I)
+      Read(DF.CallArgRegs[CS.ArgStart + I]);
+    return;
+  }
+  }
+}
+
+/// DecodedFunction::ReadFirstSlots: a forward must-analysis over the
+/// instruction array's control flow. A slot is "written" at a point when
+/// every path from entry to it passes its defining instruction (arguments
+/// are written at entry); any read of a result slot that is not written
+/// there is recorded. Unreachable code never runs, so its reads are not
+/// recorded. Functions too large for the bit sets keep every slot.
+std::vector<uint32_t> readFirstSlots(const DecodedFunction &DF) {
+  const uint32_t NumArgs = static_cast<uint32_t>(DF.ArgWidths.size());
+  const uint32_t Tracked = DF.NumMutable - NumArgs;
+  const uint32_t Size = static_cast<uint32_t>(DF.Insts.size());
+  std::vector<uint32_t> Out;
+  if (Tracked == 0)
+    return Out;
+  auto Every = [&] {
+    for (uint32_t S = NumArgs; S != DF.NumMutable; ++S)
+      Out.push_back(S);
+    return Out;
+  };
+
+  // Blocks start at 0, at branch targets and after terminators. (A
+  // verified function has no branch out of its instruction array.)
+  std::vector<bool> Leader(Size + 1, false);
+  Leader[0] = true;
+  for (uint32_t IP = 0; IP != Size; ++IP) {
+    const DecodedInst &DI = DF.Insts[IP];
+    switch (DI.Op) {
+    case DecodedOp::Br:
+      if (DI.A >= Size)
+        return Every();
+      Leader[DI.A] = true;
+      break;
+    case DecodedOp::CondBr:
+      if (DI.B >= Size || DI.C >= Size)
+        return Every();
+      Leader[DI.B] = Leader[DI.C] = true;
+      break;
+    case DecodedOp::Ret:
+    case DecodedOp::RetVoid:
+    case DecodedOp::Unreachable:
+      break;
+    default:
+      continue;
+    }
+    Leader[IP + 1] = true;
+  }
+  std::vector<uint32_t> BlockStart;
+  std::vector<uint32_t> BlockOf(Size);
+  for (uint32_t IP = 0; IP != Size; ++IP) {
+    if (Leader[IP])
+      BlockStart.push_back(IP);
+    BlockOf[IP] = static_cast<uint32_t>(BlockStart.size() - 1);
+  }
+  const size_t NumBlocks = BlockStart.size();
+  const size_t Words = (Tracked + 63) / 64;
+  if (Size == 0 || NumBlocks * Words > (size_t(1) << 20))
+    return Every();
+
+  // In[B]: the slots written on entry to block B. The entry block starts
+  // with none; every other block starts at "all" (unreached so far) and
+  // only shrinks, so the iteration terminates at the greatest fixed point.
+  std::vector<uint64_t> In(NumBlocks * Words, ~uint64_t(0));
+  std::fill(In.begin(), In.begin() + static_cast<ptrdiff_t>(Words), 0);
+  std::vector<uint64_t> Cur(Words);
+  auto Write = [&](uint32_t Slot) {
+    if (Slot >= NumArgs && Slot < DF.NumMutable)
+      Cur[(Slot - NumArgs) / 64] |= uint64_t(1) << ((Slot - NumArgs) % 64);
+  };
+  auto Written = [&](uint32_t Slot) {
+    return Slot < NumArgs || Slot >= DF.NumMutable ||
+           (Cur[(Slot - NumArgs) / 64] >> ((Slot - NumArgs) % 64)) & 1;
+  };
+  // Runs block B from In[B], calling OnRead for each read; returns the
+  // block's successors (at most two).
+  auto RunBlock = [&](size_t B, auto OnRead, uint32_t Succ[2]) {
+    std::copy_n(In.begin() + static_cast<ptrdiff_t>(B * Words), Words,
+                Cur.begin());
+    uint32_t End = B + 1 == NumBlocks ? Size : BlockStart[B + 1];
+    for (uint32_t IP = BlockStart[B]; IP != End; ++IP) {
+      const DecodedInst &DI = DF.Insts[IP];
+      forEachRead(DF, DI, OnRead);
+      if (DI.Dest != DecodedInst::NoReg)
+        Write(DI.Dest);
+    }
+    const DecodedInst &Last = DF.Insts[End - 1];
+    switch (Last.Op) {
+    case DecodedOp::Br:
+      Succ[0] = Last.A;
+      return 1u;
+    case DecodedOp::CondBr:
+      Succ[0] = Last.B;
+      Succ[1] = Last.C;
+      return 2u;
+    case DecodedOp::Ret:
+    case DecodedOp::RetVoid:
+    case DecodedOp::Unreachable:
+      return 0u;
+    default:
+      Succ[0] = End; // falls through (the verifier forbids it at the end)
+      return End < Size ? 1u : 0u;
+    }
+  };
+
+  std::vector<bool> Dirty(NumBlocks, false);
+  Dirty[0] = true;
+  for (bool Changed = true; Changed;) {
+    Changed = false;
+    for (size_t B = 0; B != NumBlocks; ++B) {
+      if (!Dirty[B])
+        continue;
+      Dirty[B] = false;
+      uint32_t Succ[2];
+      unsigned N = RunBlock(B, [](uint32_t) {}, Succ);
+      for (unsigned I = 0; I != N; ++I) {
+        size_t S = BlockOf[Succ[I]];
+        bool Narrowed = false;
+        for (size_t W = 0; W != Words; ++W) {
+          uint64_t &Word = In[S * Words + W];
+          uint64_t Meet = Word & Cur[W];
+          Narrowed |= Meet != Word;
+          Word = Meet;
+        }
+        if (Narrowed && !Dirty[S]) {
+          Dirty[S] = true;
+          Changed = true;
+        }
+      }
+    }
+  }
+
+  // A block no path reaches keeps In = "all" and records nothing.
+  std::vector<bool> ReadFirst(Tracked, false);
+  for (size_t B = 0; B != NumBlocks; ++B) {
+    uint32_t Succ[2];
+    RunBlock(
+        B,
+        [&](uint32_t Slot) {
+          if (!Written(Slot))
+            ReadFirst[Slot - NumArgs] = true;
+        },
+        Succ);
+  }
+  for (uint32_t S = 0; S != Tracked; ++S)
+    if (ReadFirst[S])
+      Out.push_back(NumArgs + S);
+  return Out;
 }
 
 /// Builds the register numbering and constant pool for one function.
@@ -377,6 +587,7 @@ std::unique_ptr<DecodedFunction> FunctionDecoder::decode() {
       DF->Insts.push_back(decodeInst(Inst.get()));
 
   DF->NumSlots = DF->NumMutable + static_cast<uint32_t>(DF->ConstPool.size());
+  DF->ReadFirstSlots = readFirstSlots(*DF);
   ++NumFunctionsDecoded;
   NumInstsDecoded += DF->Insts.size();
   NumConstPoolSlots += DF->ConstPool.size();

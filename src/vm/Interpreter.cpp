@@ -8,7 +8,7 @@
 
 #include "obs/Histogram.h"
 #include "obs/Trace.h"
-#include "rng/RandomSource.h"
+#include "rng/Resilient.h"
 #include "support/Align.h"
 #include "support/Casting.h"
 #include "support/ErrorHandling.h"
@@ -50,14 +50,20 @@ Histogram ScrubStackBytes(
 
 Interpreter::Interpreter(Module &M, RandomSource *Rng,
                          InterpreterOptions Opts)
-    : M(M), Rng(Rng), Opts(Opts) {
+    : M(M), Opts(Opts) {
   assert(Opts.StackBaseOffset < MemoryMap::StackSize / 2 &&
          "stack base randomization exceeds half the stack");
+  setRandomSource(Rng);
   if (this->Opts.UseJit && jitAvailable())
     Jit = std::make_unique<JitCache>(this->Opts.JitThreshold);
 }
 
 Interpreter::~Interpreter() = default;
+
+void Interpreter::setRandomSource(RandomSource *Source) {
+  Rng = Source;
+  Chain = dynamic_cast<ResilientRandomSource *>(Source);
+}
 
 void Interpreter::setSharedProgram(const DecodedProgram *Shared) {
   // Cache entries are keyed on the old program's DecodedFunctions, which a
@@ -313,6 +319,7 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       Ctx.StackPointer = &StackPointer;
       Ctx.StackLowWater = &StackLowWater;
       Ctx.Observed = TheObserver != nullptr;
+      Ctx.Chain = Chain;
       uint64_t Trapped = Fn(&Ctx, Regs);
       StackPointer = SavedStackPointer;
       return Trapped ? 0 : Ctx.RetValue;

@@ -37,6 +37,7 @@ namespace smokestack {
 class JitCache;
 struct JitShims;
 class RandomSource;
+class ResilientRandomSource;
 struct DecodedCallSite;
 struct DecodedFunction;
 class DecodedProgram;
@@ -162,7 +163,7 @@ public:
   void setFuel(uint64_t Fuel) { Opts.Fuel = Fuel; }
 
   /// Binds the randomness source consumed by the smokestack.rand builtin.
-  void setRandomSource(RandomSource *Source) { Rng = Source; }
+  void setRandomSource(RandomSource *Source);
 
   /// Binds a cooperative cancellation flag. The decoded engine and the JIT
   /// poll it every CancelCheckInterval steps inside their fuel loops; once
@@ -244,7 +245,10 @@ private:
 
   Module &M;
   SimMemory Memory;
-  RandomSource *Rng;
+  RandomSource *Rng = nullptr;
+  /// Rng when it is a fallback chain: compiled smokestack.rand call sites
+  /// draw through its healthy path (JitContext::Chain).
+  ResilientRandomSource *Chain = nullptr;
   InterpreterOptions Opts;
   /// Cooperative cancellation flag polled by the fuel loops (see
   /// setCancelFlag); nullptr when cancellation is not wired up.

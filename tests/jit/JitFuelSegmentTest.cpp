@@ -11,8 +11,10 @@
 /// cancel flag off and on: fuel exhaustion and the cancel poll then land
 /// on every instruction the kernel executes, every segment head takes
 /// both its fast and its slow path, and both engines must agree on Trap,
-/// Steps, ReturnValue and Message at every budget. The kernels aim at segment
-/// boundaries: the hardened call kernel per RNG scheme, traps in the middle
+/// Steps, ReturnValue and Message at every budget (jit/JitSweep.h). The
+/// kernels aim at segment boundaries: the hardened call kernel per RNG
+/// scheme (a pool worker's chain included, whose books must agree too),
+/// traps in the middle
 /// of a segment (an out-of-line load shim, the division shim), a heap load
 /// that takes the shim and succeeds, a function longer than the segment
 /// cap, a block that is a lone `br`, and a loop back-edge.
@@ -28,106 +30,20 @@
 ///
 //===----------------------------------------------------------------------===//
 
-#include "core/SmokestackPass.h"
 #include "ir/IRBuilder.h"
-#include "ir/Parser.h"
-#include "ir/Verifier.h"
-#include "jit/JitAbi.h"
 #include "jit/JitCompiler.h"
-#include "rng/Entropy.h"
-#include "rng/RandomSource.h"
+#include "common/JitSweep.h"
 #include "support/Statistics.h"
 #include "vm/DecodedProgram.h"
-#include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
 
-#include <atomic>
 #include <string>
 
 using namespace smokestack;
+using namespace smokestack::jit_sweep;
 
 namespace {
-
-#define SKIP_WITHOUT_JIT()                                                     \
-  do {                                                                         \
-    if (!jitAvailable())                                                       \
-      GTEST_SKIP() << "JIT unavailable on this host";                          \
-  } while (0)
-
-/// One engine's VM for a whole sweep: budgets change between requests
-/// through setFuel, so the JIT compiles once and the arenas are reused.
-struct SweepVM {
-  DeterministicEntropySource Entropy{0x5E6};
-  std::unique_ptr<RandomSource> Rng;
-  std::atomic<bool> Cancel{false};
-  std::unique_ptr<Interpreter> VM;
-
-  /// \p Scheme names the RNG ("" = none); both engines' sources are
-  /// seeded alike and stay in step while every request draws alike.
-  SweepVM(Module &M, bool Jit, const std::string &Scheme) {
-    Rng = makeRandomSource(Scheme, Entropy);
-    InterpreterOptions Opts;
-    Opts.UseJit = Jit;
-    Opts.JitThreshold = 0;
-    VM = std::make_unique<Interpreter>(M, Rng.get(), Opts);
-    VM->setCancelFlag(&Cancel);
-  }
-
-  ExecResult run(uint64_t Fuel, bool CancelSet) {
-    VM->setFuel(Fuel);
-    Cancel = CancelSet;
-    return VM->runRequest("main");
-  }
-};
-
-/// Runs `main` of \p M once on a fresh VM (see SweepVM).
-ExecResult runAt(Module &M, bool Jit, uint64_t Fuel, bool Cancel,
-                 const std::string &Scheme = "") {
-  return SweepVM(M, Jit, Scheme).run(Fuel, Cancel);
-}
-
-/// The sweep: every budget from 1 to 1024 + Steps + 1, with the cancel
-/// flag off and on, where Steps is the decoded engine's count for an
-/// unlimited run (which may itself trap). Budgets up to Steps + 1 run out
-/// of fuel at every instruction, the top Steps + 2 budgets put the first
-/// poll point on every instruction, and the entry head sees every residue
-/// of FuelLeft & JitCancelMask, so every segment runs both ways.
-void expectFuelParity(Module &M, const std::string &Scheme = "") {
-  const uint64_t Steps =
-      runAt(M, false, InterpreterOptions().Fuel, false, Scheme).Steps;
-  SweepVM Decoded(M, false, Scheme), Jit(M, true, Scheme);
-  uint64_t Runs = 0, Mismatches = 0;
-  for (bool Cancel : {false, true})
-    for (uint64_t Fuel = 1; Fuel <= JitCancelMask + Steps + 2; ++Fuel) {
-      ExecResult D = Decoded.run(Fuel, Cancel);
-      ExecResult J = Jit.run(Fuel, Cancel);
-      ++Runs;
-      if (D.Trap == J.Trap && D.Steps == J.Steps &&
-          D.ReturnValue == J.ReturnValue && D.Message == J.Message)
-        continue;
-      if (++Mismatches <= 5)
-        ADD_FAILURE() << "fuel " << Fuel << ", cancel " << Cancel
-                      << ": decoded " << trapKindName(D.Trap) << " after "
-                      << D.Steps << " steps -> " << D.ReturnValue << " ("
-                      << D.Message << "), jit " << trapKindName(J.Trap)
-                      << " after " << J.Steps << " steps -> "
-                      << J.ReturnValue << " (" << J.Message << ")";
-    }
-  EXPECT_EQ(Mismatches, 0u) << "of " << Runs << " budgets";
-}
-
-std::unique_ptr<Module> parse(const char *IR, bool Hardened = false) {
-  ParseResult R = parseModule(IR, "fuel");
-  EXPECT_TRUE(R.ok()) << R.Error;
-  if (Hardened) {
-    PassManager PM;
-    PM.addPass(std::make_unique<SmokestackPass>());
-    PM.run(*R.M);
-  }
-  EXPECT_TRUE(verifyModule(*R.M));
-  return std::move(R.M);
-}
 
 /// The VM's Fig. 3 kernel (bench/interp_throughput) at 40 calls: long
 /// enough that the cancel sweep reaches every instruction of an iteration.
@@ -278,7 +194,7 @@ TEST(JitFuelSegmentTest, HardenedCallKernelEveryBudget) {
   std::unique_ptr<Module> Plain = parse(CallKernelIR);
   expectFuelParity(*Plain);
   std::unique_ptr<Module> Hard = parse(CallKernelIR, /*Hardened=*/true);
-  for (const char *Scheme : {"pseudo", "aes1", "aes10"}) {
+  for (const char *Scheme : {"pseudo", "aes1", "aes10", "chain"}) {
     SCOPED_TRACE(Scheme);
     expectFuelParity(*Hard, Scheme);
   }
@@ -430,18 +346,26 @@ done:
 }
 
 TEST(JitFuelSegmentTest, SegmentationRules) {
-  // Segments start at 0, at branch targets, after terminators, calls and
-  // unreachable, and every JitMaxSegment instructions. Result parity alone
-  // cannot see these boundaries — a longer segment only takes the slow
-  // path more often — so they are pinned directly.
+  // Segments start at 0, at branch targets, after terminators, calls of
+  // defined functions and unreachable, and every JitMaxSegment
+  // instructions; a builtin call (smokestack.rand) runs no instructions
+  // and stays inside its segment. Result parity alone cannot see these
+  // boundaries — a longer segment only takes the slow path more often —
+  // so they are pinned directly.
   std::unique_ptr<Module> M = parse(R"(
 declare i64 @smokestack.rand()
+
+define i64 @id(i64 %x) {
+entry:
+  ret i64 %x
+}
 
 define i64 @main() {
 entry:
   %s = alloca i64, align 8
   %r = call i64 @smokestack.rand()
-  store i64 %r, ptr %s
+  %q = call i64 @id(i64 %r)
+  store i64 %q, ptr %s
   br label %hop
 hop:
   br label %done
@@ -453,9 +377,9 @@ done:
   DecodedProgram P(*M);
   const DecodedFunction *DF = P.find(M->getFunction("main"));
   ASSERT_NE(DF, nullptr);
-  // alloca, call | store, br | br | load, ret
+  // alloca, rand, call @id | store, br | br | load, ret
   EXPECT_EQ(fuelSegmentEnds(*DF),
-            (std::vector<uint32_t>{2, 2, 4, 4, 5, 7, 7}));
+            (std::vector<uint32_t>{3, 3, 3, 5, 5, 6, 8, 8}));
 
   Module Long("long");
   buildStraightLine(Long, 2 * JitMaxSegment + 100);

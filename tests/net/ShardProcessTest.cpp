@@ -9,9 +9,10 @@
 // WorkerPool shards; a SIGKILLed shard child is re-forked and its
 // in-flight requests replayed with no observable effect beyond the shard
 // lifecycle counters; when the restart budget is exhausted the stranded
-// requests are poisoned with exact books instead of being lost; and the
+// requests are poisoned with exact books instead of being lost; the
 // server reaps its own children from the loop thread, leaving no zombie
-// and never blocking on a live one.
+// and never blocking on a live one; and a drain whose loop is alive but
+// late leaves the child to that loop instead of racing it.
 //
 //===----------------------------------------------------------------------===//
 
@@ -25,14 +26,20 @@
 
 #include "gtest/gtest.h"
 
+#include <sys/epoll.h>
+#include <sys/eventfd.h>
 #include <sys/wait.h>
 #include <unistd.h>
 
+#include <atomic>
 #include <cerrno>
+#include <chrono>
 #include <csignal>
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <mutex>
+#include <thread>
 
 using namespace smokestack;
 
@@ -272,11 +279,11 @@ TEST(ShardProcessTest, LoopThreadReapsEveryChildWithoutHelperThreads) {
                                      Killed};
   for (const ServerOptions &SO : Campaigns) {
     SCOPED_TRACE(SO.InjectNetFaults ? "scripted SIGKILL" : "clean drain");
-    unsigned Before = countThreads();
+    unsigned Before = settledThreadCount();
     SocketServer Server(M, SO);
     std::string Err;
     ASSERT_TRUE(Server.start(&Err)) << Err;
-    EXPECT_EQ(countThreads(), Before + 1)
+    EXPECT_EQ(settledThreadCount(), Before + 1)
         << "start() must add the loop thread and nothing else";
     EXPECT_EQ(serveAll(Server.port(), N).size(), N);
     DrainReport Rep = Server.drain();
@@ -286,7 +293,7 @@ TEST(ShardProcessTest, LoopThreadReapsEveryChildWithoutHelperThreads) {
       EXPECT_GE(Rep.Net.ShardRestarts, 1u) << "the scripted kill never fired";
     }
     EXPECT_TRUE(noChildrenLeft()) << "drain() left a shard child unreaped";
-    EXPECT_EQ(countThreads(), Before);
+    EXPECT_EQ(settledThreadCount(), Before);
   }
 }
 
@@ -339,6 +346,105 @@ TEST(ShardProcessTest, HeldPidfdDupDoesNotStallTheLoopAfterARestart) {
   EXPECT_EQ(Rep.Net.ShardDeaths, 1u);
   EXPECT_EQ(Rep.Net.ShardRestarts, 1u);
   EXPECT_TRUE(noChildrenLeft());
+}
+
+TEST(ShardProcessTest, LateLoopKillsTheChildAndBooksOneDeath) {
+  // finish() waits 5 s for a drained or retired shard. Here the loop that
+  // services the shard is alive but asleep for longer than that: finish()
+  // must ask that loop to kill the child and keep waiting, never take the
+  // child down on its own thread while the loop may still touch the
+  // child's pidfd, channel and epoll entries. The loop wakes, kills,
+  // reaps and books exactly one death, and every outcome the child
+  // served stays booked once.
+  constexpr uint64_t N = 8;
+  constexpr uint64_t WakeId = 1, ChannelId = 2, PidId = 3;
+  Module M("shardproc");
+  buildRandModule(M);
+  installServerSignalDefaults();
+
+  int Ep = ::epoll_create1(EPOLL_CLOEXEC);
+  int Wake = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+  ASSERT_GE(Ep, 0);
+  ASSERT_GE(Wake, 0);
+  epoll_event WakeEv = {};
+  WakeEv.events = EPOLLIN;
+  WakeEv.data.u64 = WakeId;
+  ASSERT_EQ(::epoll_ctl(Ep, EPOLL_CTL_ADD, Wake, &WakeEv), 0);
+
+  NetBooks Net;
+  std::mutex DeliveredMtx;
+  uint64_t Delivered = 0;
+  ShardHooks Hooks;
+  Hooks.DeliverOutcome = [&](const PoolOutcome &) {
+    std::lock_guard<std::mutex> Lock(DeliveredMtx);
+    ++Delivered;
+  };
+  Hooks.Probe = [](FaultSite) { return false; };
+  Hooks.WakeLoop = [Wake] {
+    uint64_t One = 1;
+    (void)!::write(Wake, &One, sizeof One);
+  };
+  ChildProcessShard S(M, shardServerOptions(1, ShardMode::Process).Pool, 0,
+                      /*RestartBudget=*/2, Net, Hooks, Ep, ChannelId, PidId);
+  std::string Err;
+  ASSERT_TRUE(S.start(&Err)) << Err;
+
+  // The loop: serve N requests, then sleep past finish()'s guard, then
+  // service the shard as a loop does until told to stop.
+  std::atomic<bool> Asleep{false}, Stop{false};
+  std::thread Loop([&] {
+    for (uint64_t I = 0; I != N; ++I)
+      EXPECT_TRUE(S.submit({I, {}}));
+    bool Slept = false;
+    while (!Stop.load()) {
+      bool AllServed;
+      {
+        std::lock_guard<std::mutex> Lock(DeliveredMtx);
+        AllServed = Delivered == N;
+      }
+      if (AllServed && !Slept) {
+        Asleep = true;
+        std::this_thread::sleep_for(std::chrono::milliseconds(6500));
+        Slept = true;
+      }
+      S.service();
+      epoll_event Events[8];
+      int K = ::epoll_wait(Ep, Events, 8, 50);
+      for (int I = 0; I < K; ++I) {
+        uint64_t Id = Events[I].data.u64;
+        if (Id == WakeId) {
+          uint64_t Count;
+          (void)!::read(Wake, &Count, sizeof Count);
+        } else if (Id == PidId) {
+          S.onExited();
+        } else if (Id == ChannelId) {
+          if (Events[I].events & (EPOLLIN | EPOLLHUP | EPOLLERR))
+            S.onReadable();
+          if (Events[I].events & EPOLLOUT)
+            S.onWritable();
+        }
+      }
+    }
+  });
+  while (!Asleep.load())
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+
+  std::vector<PoolOutcome> Outcomes = S.finish();
+  Stop = true;
+  Loop.join();
+
+  EXPECT_EQ(Net.ShardDeaths, 1u);
+  EXPECT_EQ(Net.ShardDeathsBySignal, 1u);
+  EXPECT_EQ(Net.ShardRestarts, 0u);
+  EXPECT_EQ(Outcomes.size(), N);
+  EXPECT_EQ(Delivered, N);
+  PoolBooks B = S.books();
+  EXPECT_EQ(B.Submitted, N);
+  EXPECT_EQ(B.Completed, N);
+  EXPECT_EQ(B.Poisoned, 0u);
+  EXPECT_TRUE(noChildrenLeft()) << "the killed child was never reaped";
+  ::close(Wake);
+  ::close(Ep);
 }
 
 } // namespace

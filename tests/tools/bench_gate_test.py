@@ -9,9 +9,10 @@
   * an old-shape per-mode soak file must be a clear REGRESSION line, not
     a Python traceback;
   * the interp_jit call kernels: a JIT digest off the decoded one, a
-    hardened kernel under the 3.0x floor (even just, at 2.9x), or no
-    call_kernels at all must each be a REGRESSION, and hardened kernels
-    exactly at the floor pass;
+    hardened kernel under the 3.0x floor (even just, at 2.9x), a seeded
+    hardened kernel whose harden_overhead_jit is above its ceiling (even
+    just), or no call_kernels at all must each be a REGRESSION, and
+    hardened kernels exactly at the floor or at their ceilings pass;
   * interp_throughput: a 10% decoded_steps_per_sec drop passes, a drop of
     more than 25% on one kernel or a kernel without the field is a
     REGRESSION.
@@ -132,6 +133,23 @@ def main():
         def drop_call_kernels(d):
             del d["call_kernels"]
 
+        sys.path.insert(0, os.path.join(ROOT, "tools"))
+        from check_bench_regression import HARDEN_OVERHEAD_JIT_CEILING
+
+        def seeded_overheads_at_ceiling(extra):
+            def mutate(d):
+                for k in d["call_kernels"]:
+                    if k["hardened"] and k["rng"] != "rdrand":
+                        k["harden_overhead_jit"] = (
+                            HARDEN_OVERHEAD_JIT_CEILING[k["rng"]] + extra)
+            return mutate
+
+        def chain_overhead_above_ceiling(d):
+            for k in d["call_kernels"]:
+                if k["rng"] == "chain":
+                    k["harden_overhead_jit"] = (
+                        HARDEN_OVERHEAD_JIT_CEILING["chain"] + 0.01)
+
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json", flip_call_digest),
                           "a call-kernel JIT digest off decoded is a "
@@ -153,6 +171,21 @@ def main():
                                          hardened_calls_at(3.0)))
         expect(rc == 0 and "REGRESSION" not in out,
                "hardened call kernels exactly at the 3.0x floor pass", out)
+        rc, out = gate(jit_path, mutated("BENCH_interp_jit.json",
+                                         seeded_overheads_at_ceiling(0.0)))
+        expect(rc == 0 and "REGRESSION" not in out,
+               "seeded hardened call kernels exactly at their "
+               "harden_overhead_jit ceilings pass", out)
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json",
+                                  chain_overhead_above_ceiling),
+                          "the chain kernel just above its "
+                          "harden_overhead_jit ceiling is a REGRESSION")
+        expect_regression(jit_path,
+                          mutated("BENCH_interp_jit.json",
+                                  seeded_overheads_at_ceiling(0.5)),
+                          "every seeded hardened call kernel 0.5 above its "
+                          "harden_overhead_jit ceiling is a REGRESSION")
         expect_regression(jit_path,
                           mutated("BENCH_interp_jit.json", drop_call_kernels),
                           "an interp_jit file without call_kernels is a "

@@ -213,6 +213,18 @@ def check_interp(base, cand, max_drop_pct):
 # stay in native code or one shim call away from it.
 CALL_KERNEL_FLOOR = 3.0
 
+# Ceiling on harden_overhead_jit (JIT hardened/plain time) per seeded
+# hardened call kernel, keyed by its rng: 1.25x the highest value of five
+# interp_throughput runs after the hardened prologue went native (the
+# chain's healthy draw, P-BOX rows from read-only data, zeroing only the
+# slots read before written), so losing any of that fails the gate.
+HARDEN_OVERHEAD_JIT_CEILING = {
+    "pseudo": 2.67,
+    "aes1": 2.84,
+    "aes10": 3.27,
+    "chain": 2.39,
+}
+
 
 def check_interp_jit(base, cand, max_drop_pct):
     if require(cand, "jit_available", "candidate") is not True:
@@ -268,6 +280,20 @@ def check_interp_jit(base, cand, max_drop_pct):
             else:
                 rc |= ok(f"{name}: jit_speedup_vs_decoded {speedup:.2f} >= "
                          f"{CALL_KERNEL_FLOOR}x floor")
+            rng = kernel.get("rng")
+            ceiling = HARDEN_OVERHEAD_JIT_CEILING.get(rng)
+            overhead = require(kernel, "harden_overhead_jit",
+                               f"candidate call kernel {name}")
+            if ceiling is None:
+                rc |= fail(f"{name}: no harden_overhead_jit ceiling for "
+                           f"rng {rng!r}")
+            elif (not isinstance(overhead, (int, float))
+                    or overhead > ceiling):
+                rc |= fail(f"{name}: harden_overhead_jit {overhead} is above "
+                           f"the {ceiling}x ceiling")
+            else:
+                rc |= ok(f"{name}: harden_overhead_jit {overhead:.3f} <= "
+                         f"{ceiling}x ceiling")
     return rc
 
 
