@@ -18,7 +18,7 @@
 /// per engine and the digests must agree exactly; any divergence is a
 /// correctness bug and exits nonzero. Results land in BENCH_interp.json
 /// (path overridable as argv[1]: per-kernel steps/sec, gated in CI against
-/// the committed baseline, plus the observability-overhead A/B) and
+/// the committed baseline) and
 /// BENCH_interp_jit.json (argv[2]) with the JIT-vs-decoded identity
 /// digests and speedups, gated in CI at >= 2x.
 ///
@@ -44,7 +44,6 @@
 #include "ir/IRBuilder.h"
 #include "ir/Parser.h"
 #include "jit/JitAbi.h"
-#include "obs/Trace.h"
 #include "rng/Entropy.h"
 #include "rng/RandomSource.h"
 #include "rng/RdRand.h"
@@ -53,7 +52,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <memory>
@@ -276,57 +274,6 @@ void buildWorklistKernel(Module &M) {
 
   B.setInsertPoint(Exit);
   B.ret(B.load(B.i64(), Acc));
-}
-
-/// Observability-overhead A/B: a deliberately tiny request (a 64-iteration
-/// accumulate) so the per-request probe cost — the always-on step histogram
-/// record, plus two clock reads feeding vm.request-nanos when obs timing is
-/// enabled — is visible against the run itself instead of vanishing into a
-/// multi-million-step kernel.
-void buildTinyRequestKernel(Module &M) {
-  IRBuilder B(M);
-  Function *F = M.createFunction("main", B.i64(), {});
-  BasicBlock *Entry = F->createBlock("entry");
-  BasicBlock *Loop = F->createBlock("loop");
-  BasicBlock *Exit = F->createBlock("exit");
-
-  B.setInsertPoint(Entry);
-  AllocaInst *Acc = B.alloca_(B.i64(), "acc");
-  AllocaInst *I = B.alloca_(B.i64(), "i");
-  B.store(B.constI64(0), Acc);
-  B.store(B.constI64(0), I);
-  B.br(Loop);
-
-  B.setInsertPoint(Loop);
-  Value *IV = B.load(B.i64(), I);
-  B.store(B.add(B.load(B.i64(), Acc), IV), Acc);
-  Value *INext = B.add(IV, B.constI64(1));
-  B.store(INext, I);
-  B.condBr(B.icmp(ICmpInst::Predicate::ULT, INext, B.constI64(64)), Loop,
-           Exit);
-
-  B.setInsertPoint(Exit);
-  B.ret(B.load(B.i64(), Acc));
-}
-
-/// Serves \p RequestsPerRep tiny requests through runRequest() per rep and
-/// returns the median requests/sec over \p Reps reps.
-double measureRequestRate(Interpreter &VM, int RequestsPerRep, int Reps) {
-  std::vector<double> Times;
-  for (int Rep = 0; Rep != Reps; ++Rep) {
-    auto T0 = std::chrono::steady_clock::now();
-    for (int I = 0; I != RequestsPerRep; ++I) {
-      ExecResult E = VM.runRequest("main");
-      if (!E.ok()) {
-        std::fprintf(stderr, "obs kernel trapped: %s\n", E.Message.c_str());
-        std::exit(1);
-      }
-    }
-    auto T1 = std::chrono::steady_clock::now();
-    Times.push_back(std::chrono::duration<double>(T1 - T0).count());
-  }
-  std::sort(Times.begin(), Times.end());
-  return RequestsPerRep / Times[Times.size() / 2];
 }
 
 /// The VM's Fig. 3 kernel: main() folds leaf(acc) ^ i over 2000 calls of a
@@ -727,47 +674,7 @@ int main(int argc, char **argv) {
     return 2;
   }
 
-  // Observability-overhead A/B (DESIGN.md §11): the same tiny request
-  // served three ways — obs probes compiled in but timing off, off again
-  // (the delta between the two off runs is the measurement noise floor),
-  // then with obs timing enabled so every request reads the clock twice
-  // and feeds vm.request-nanos. The off runs price the disabled probes
-  // (one relaxed load + the step-histogram record); the on run prices full
-  // per-request latency tracing.
-  Module ObsM("obs.tiny_request");
-  buildTinyRequestKernel(ObsM);
-  Interpreter ObsVM(ObsM);
-  const int ObsRequests = 20000;
-  const int ObsReps = 9;
-  measureRequestRate(ObsVM, ObsRequests, 1); // warmup: decode + allocator
-  double DisabledRate = measureRequestRate(ObsVM, ObsRequests, ObsReps);
-  double DisabledRerun = measureRequestRate(ObsVM, ObsRequests, ObsReps);
-  double EnabledRate;
-  {
-    ObsTimingScope Timing;
-    EnabledRate = measureRequestRate(ObsVM, ObsRequests, ObsReps);
-  }
-  double NoisePct =
-      std::fabs(DisabledRate - DisabledRerun) / DisabledRate * 100.0;
-  double OverheadPct = (DisabledRate - EnabledRate) / DisabledRate * 100.0;
-  std::printf("\nobservability overhead (tiny request, %d reqs/rep):\n"
-              "  timing off     %12.0f req/s\n"
-              "  timing off #2  %12.0f req/s  (noise floor %.2f%%)\n"
-              "  timing on      %12.0f req/s  (overhead %.2f%%)\n",
-              ObsRequests, DisabledRate, DisabledRerun, NoisePct, EnabledRate,
-              OverheadPct);
-
-  char Tail[512];
-  std::snprintf(Tail, sizeof(Tail),
-                "  ],\n"
-                "  \"obs_overhead\": {\"requests_per_rep\": %d, "
-                "\"disabled_req_per_sec\": %.0f, "
-                "\"disabled_rerun_req_per_sec\": %.0f, "
-                "\"enabled_req_per_sec\": %.0f, "
-                "\"noise_pct\": %.2f, \"enabled_overhead_pct\": %.2f}\n}\n",
-                ObsRequests, DisabledRate, DisabledRerun, EnabledRate,
-                NoisePct, OverheadPct);
-  Json += Tail;
+  Json += "  ]\n}\n";
 
   if (std::FILE *Out = std::fopen(JsonPath, "w")) {
     std::fputs(Json.c_str(), Out);

@@ -47,11 +47,11 @@
 ///  * A trap at the k-th instruction of a fast-path segment first refunds
 ///    the N - k - 1 units charged for instructions that never ran, so
 ///    FuelLeft (and Steps) at the trap equal the decoded engine's.
-///  * The slow path is the decoded loop itself: per instruction, the
-///    fuel==0 trap, the cancel poll, the decrement, then execution through
-///    ssJitInterpOne. It charges the last instruction but leaves running
-///    it to the native body, so both paths share one copy of a
-///    terminator's code.
+///  * The slow path is the decoded loop itself: per instruction,
+///    Interpreter::chargeFuel (the fuel==0 trap, the cancel poll, the
+///    decrement), then execution through ssJitInterpOne. It charges the
+///    last instruction but leaves running it to the native body, so both
+///    paths share one copy of a terminator's code.
 ///
 /// With a mask of 1023 and segments of at most 256 instructions, the slow
 /// path runs for about N/1024 of the segments a run enters.
@@ -237,13 +237,14 @@ bool jitAvailable();
 
 extern "C" {
 
-/// Executes DF->Insts[IP] with the interpreter's semantics — the shared
-/// slow path behind every opcode the stencils do not inline (VLAs, calls,
-/// division, floating point, unreachable), every failing check of an
-/// inlined stencil (out-of-segment loads/stores, alloca overflow), and
-/// allocas/observed geps while a LayoutObserver is bound. Fuel for the
-/// instruction was already charged. Returns 0 to continue at the next
-/// instruction, 1 on trap (ExecResult filled in).
+/// Executes DF->Insts[IP] by calling Interpreter::execInst, the decoded
+/// engine's own per-instruction code — the shared slow path behind every
+/// opcode the stencils do not inline (VLAs, calls, division, floating
+/// point, unreachable), every failing check of an inlined stencil
+/// (out-of-segment loads/stores, alloca overflow), and allocas/observed
+/// geps while a LayoutObserver is bound. Fuel for the instruction was
+/// already charged. Returns 0 to continue at the next instruction, 1 on
+/// trap (ExecResult filled in).
 uint64_t ssJitInterpOne(smokestack::JitContext *Ctx, uint64_t *Regs,
                         uint64_t IP);
 

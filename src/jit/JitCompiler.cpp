@@ -22,7 +22,8 @@
 //    stack-segment loads/stores, rodata loads, and — with no observer
 //    bound — static allocas and observed geps) are inlined; everything
 //    else — and every failing check of an inlined stencil — funnels
-//    through the ssJitInterpOne shim, which *is* the interpreter's switch;
+//    through the ssJitInterpOne shim, which runs the decoded engine's own
+//    per-instruction code (Interpreter::execInst);
 //  * inlined stores replicate SimMemory's touched-range bookkeeping so
 //    snapshot restore and request-boundary hygiene see identical ranges.
 //

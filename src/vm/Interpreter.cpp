@@ -267,6 +267,273 @@ bool Interpreter::callSite(const DecodedFunction &DF,
   return Result.Trap == TrapKind::None;
 }
 
+[[gnu::always_inline]] inline Interpreter::ExecStatus
+Interpreter::execInlined(const DecodedFunction &DF, const DecodedInst &DI,
+                         uint64_t *Regs, unsigned Depth, ExecResult &Result,
+                         size_t &IP) {
+  Function *F = DF.F;
+  switch (DI.Op) {
+  case DecodedOp::AllocaStatic:
+  case DecodedOp::AllocaVLA: {
+    uint64_t Count = DI.Op == DecodedOp::AllocaVLA ? Regs[DI.A] : 1;
+    uint64_t Addr =
+        materializeAlloca(*F, *cast<AllocaInst>(DI.Src), Count, Result);
+    if (Result.Trap != TrapKind::None)
+      return ExecStatus::Trap;
+    Regs[DI.Dest] = Addr;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::Load: {
+    uint64_t Bits = 0;
+    if (!Memory.loadInt(Regs[DI.A], DI.Width, Bits)) {
+      Result.Trap = Memory.getTrap();
+      Result.Message = Memory.getTrapMessage();
+      return ExecStatus::Trap;
+    }
+    Regs[DI.Dest] = Bits;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::Store:
+    if (!Memory.storeInt(Regs[DI.B], DI.Width, Regs[DI.A])) {
+      Result.Trap = Memory.getTrap();
+      Result.Message = Memory.getTrapMessage();
+      return ExecStatus::Trap;
+    }
+    return ExecStatus::Next;
+  case DecodedOp::GepConst:
+    Regs[DI.Dest] = Regs[DI.A] + static_cast<uint64_t>(DI.Imm);
+    return ExecStatus::Next;
+  case DecodedOp::GepIndex:
+    Regs[DI.Dest] =
+        Regs[DI.A] + Regs[DI.B] * DI.C + static_cast<uint64_t>(DI.Imm);
+    return ExecStatus::Next;
+  case DecodedOp::GepConstObs:
+  case DecodedOp::GepIndexObs: {
+    uint64_t Addr = Regs[DI.A] + static_cast<uint64_t>(DI.Imm);
+    if (DI.Op == DecodedOp::GepIndexObs)
+      Addr += Regs[DI.B] * DI.C;
+    Regs[DI.Dest] = Addr;
+    if (TheObserver) {
+      const std::string &Name = DI.Src->getName();
+      TheObserver->onVariableAddress(*F, Name.substr(0, Name.size() - 3),
+                                     Addr);
+    }
+    return ExecStatus::Next;
+  }
+  case DecodedOp::Add:
+    Regs[DI.Dest] = maskToWidth(Regs[DI.A] + Regs[DI.B], DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::Sub:
+    Regs[DI.Dest] = maskToWidth(Regs[DI.A] - Regs[DI.B], DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::Mul:
+    Regs[DI.Dest] = maskToWidth(Regs[DI.A] * Regs[DI.B], DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::UDiv:
+  case DecodedOp::URem: {
+    uint64_t L = Regs[DI.A], R = Regs[DI.B];
+    if (R == 0) {
+      Result.Trap = TrapKind::DivisionByZero;
+      Result.Message = "division by zero in " + F->getName();
+      return ExecStatus::Trap;
+    }
+    Regs[DI.Dest] = DI.Op == DecodedOp::UDiv ? L / R : L % R;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::SDiv:
+  case DecodedOp::SRem: {
+    int64_t SL = sextFromWidth(Regs[DI.A], DI.Width);
+    int64_t SR = sextFromWidth(Regs[DI.B], DI.Width);
+    if (SR == 0) {
+      Result.Trap = TrapKind::DivisionByZero;
+      Result.Message = "division by zero in " + F->getName();
+      return ExecStatus::Trap;
+    }
+    uint64_t Out;
+    if (SL == INT64_MIN && SR == -1)
+      Out = static_cast<uint64_t>(SL); // wraps, remainder 0
+    else
+      Out = static_cast<uint64_t>(DI.Op == DecodedOp::SDiv ? SL / SR
+                                                           : SL % SR);
+    Regs[DI.Dest] = maskToWidth(Out, DI.Width);
+    return ExecStatus::Next;
+  }
+  case DecodedOp::And:
+    Regs[DI.Dest] = Regs[DI.A] & Regs[DI.B];
+    return ExecStatus::Next;
+  case DecodedOp::Or:
+    Regs[DI.Dest] = Regs[DI.A] | Regs[DI.B];
+    return ExecStatus::Next;
+  case DecodedOp::Xor:
+    Regs[DI.Dest] = Regs[DI.A] ^ Regs[DI.B];
+    return ExecStatus::Next;
+  case DecodedOp::Shl: {
+    uint64_t R = Regs[DI.B];
+    Regs[DI.Dest] =
+        R >= DI.Width * 8u ? 0 : maskToWidth(Regs[DI.A] << R, DI.Width);
+    return ExecStatus::Next;
+  }
+  case DecodedOp::LShr: {
+    uint64_t R = Regs[DI.B];
+    Regs[DI.Dest] = R >= DI.Width * 8u ? 0 : Regs[DI.A] >> R;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::AShr: {
+    int64_t SL = sextFromWidth(Regs[DI.A], DI.Width);
+    uint64_t R = Regs[DI.B];
+    uint64_t Out = static_cast<uint64_t>(
+        R >= DI.Width * 8u ? (SL < 0 ? -1 : 0) : SL >> R);
+    Regs[DI.Dest] = maskToWidth(Out, DI.Width);
+    return ExecStatus::Next;
+  }
+  case DecodedOp::FAdd:
+    Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) +
+                                  slotToFPW(Regs[DI.B], DI.Width),
+                              DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::FSub:
+    Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) -
+                                  slotToFPW(Regs[DI.B], DI.Width),
+                              DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::FMul:
+    Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) *
+                                  slotToFPW(Regs[DI.B], DI.Width),
+                              DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::FDiv:
+    Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) /
+                                  slotToFPW(Regs[DI.B], DI.Width),
+                              DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::ICmpInt: {
+    uint64_t L = Regs[DI.A], R = Regs[DI.B];
+    int64_t SL = sextFromWidth(L, DI.Width);
+    int64_t SR = sextFromWidth(R, DI.Width);
+    bool Out = false;
+    using Pred = ICmpInst::Predicate;
+    switch (static_cast<Pred>(DI.C)) {
+    case Pred::EQ:
+      Out = L == R;
+      break;
+    case Pred::NE:
+      Out = L != R;
+      break;
+    case Pred::ULT:
+      Out = L < R;
+      break;
+    case Pred::ULE:
+      Out = L <= R;
+      break;
+    case Pred::UGT:
+      Out = L > R;
+      break;
+    case Pred::UGE:
+      Out = L >= R;
+      break;
+    case Pred::SLT:
+      Out = SL < SR;
+      break;
+    case Pred::SLE:
+      Out = SL <= SR;
+      break;
+    case Pred::SGT:
+      Out = SL > SR;
+      break;
+    case Pred::SGE:
+      Out = SL >= SR;
+      break;
+    default:
+      smokestack_unreachable("float predicate on integer operands");
+    }
+    Regs[DI.Dest] = Out ? 1 : 0;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::ICmpFloat: {
+    double DL = slotToFPW(Regs[DI.A], DI.Width);
+    double DR = slotToFPW(Regs[DI.B], DI.Width);
+    bool Out = false;
+    using Pred = ICmpInst::Predicate;
+    switch (static_cast<Pred>(DI.C)) {
+    case Pred::OEQ:
+      Out = DL == DR;
+      break;
+    case Pred::OLT:
+      Out = DL < DR;
+      break;
+    case Pred::OLE:
+      Out = DL <= DR;
+      break;
+    case Pred::OGT:
+      Out = DL > DR;
+      break;
+    case Pred::OGE:
+      Out = DL >= DR;
+      break;
+    default:
+      smokestack_unreachable("integer predicate on float operands");
+    }
+    Regs[DI.Dest] = Out ? 1 : 0;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::CastCopy:
+    Regs[DI.Dest] = maskToWidth(Regs[DI.A], DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::CastSExt:
+    Regs[DI.Dest] = maskToWidth(
+        static_cast<uint64_t>(sextFromWidth(Regs[DI.A], DI.C)), DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::CastFPToSI:
+    Regs[DI.Dest] = maskToWidth(
+        static_cast<uint64_t>(
+            static_cast<int64_t>(slotToFPW(Regs[DI.A], DI.C))),
+        DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::CastSIToFP:
+    Regs[DI.Dest] = fpToSlotW(
+        static_cast<double>(sextFromWidth(Regs[DI.A], DI.C)), DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::CastFPConvert:
+    Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.C), DI.Width);
+    return ExecStatus::Next;
+  case DecodedOp::Select:
+    Regs[DI.Dest] = Regs[DI.A] ? Regs[DI.B] : Regs[DI.C];
+    return ExecStatus::Next;
+  case DecodedOp::Br:
+    IP = DI.A;
+    return ExecStatus::Next;
+  case DecodedOp::CondBr:
+    IP = Regs[DI.A] ? DI.B : DI.C;
+    return ExecStatus::Next;
+  case DecodedOp::Call: {
+    uint64_t RetValue = 0;
+    if (!callSite(DF, DF.CallSites[DI.A], Regs, Depth, RetValue, Result))
+      return ExecStatus::Trap;
+    if (DI.Dest != DecodedInst::NoReg)
+      Regs[DI.Dest] = DI.Width ? maskToWidth(RetValue, DI.Width) : RetValue;
+    return ExecStatus::Next;
+  }
+  case DecodedOp::Ret:
+  case DecodedOp::RetVoid:
+    return ExecStatus::Return;
+  case DecodedOp::Unreachable:
+    Result.Trap = TrapKind::ExplicitTrap;
+    Result.Message = "reached unreachable in " + F->getName();
+    return ExecStatus::Trap;
+  }
+  smokestack_unreachable("unknown decoded opcode");
+}
+
+bool Interpreter::execInst(const DecodedFunction &DF, size_t IP,
+                           uint64_t *Regs, unsigned Depth,
+                           ExecResult &Result) {
+  size_t Next = IP + 1;
+  ExecStatus S = execInlined(DF, DF.Insts[IP], Regs, Depth, Result, Next);
+  assert(S != ExecStatus::Return && Next == IP + 1 &&
+         "control flow routed to execInst");
+  return S == ExecStatus::Next;
+}
+
 uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
                                   std::span<const uint64_t> Args,
                                   ExecResult &Result, unsigned Depth) {
@@ -327,276 +594,18 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
   }
 
   size_t IP = 0;
-  while (true) {
-    if (FuelLeft == 0) {
-      Result.Trap = TrapKind::OutOfFuel;
-      Result.Message = "instruction budget exhausted in " + F->getName();
-      break;
-    }
-    if ((FuelLeft & CancelCheckMask) == 0 && CancelFlag &&
-        CancelFlag->load(std::memory_order_relaxed)) {
-      Result.Trap = TrapKind::WorkerCrash;
-      Result.Message = "cooperative cancel in " + F->getName();
-      break;
-    }
-    --FuelLeft;
+  while (chargeFuel(*F, Result)) {
     assert(IP < DF.Insts.size() && "fell off the decoded instruction array");
     const DecodedInst &DI = DF.Insts[IP++];
-
-    switch (DI.Op) {
-    case DecodedOp::AllocaStatic:
-    case DecodedOp::AllocaVLA: {
-      uint64_t Count = DI.Op == DecodedOp::AllocaVLA ? Regs[DI.A] : 1;
-      uint64_t Addr = materializeAlloca(
-          *F, *cast<AllocaInst>(DI.Src), Count, Result);
-      if (Result.Trap != TrapKind::None)
-        break;
-      Regs[DI.Dest] = Addr;
+    switch (execInlined(DF, DI, Regs, Depth, Result, IP)) {
+    case ExecStatus::Next:
       continue;
-    }
-    case DecodedOp::Load: {
-      uint64_t Bits = 0;
-      if (!Memory.loadInt(Regs[DI.A], DI.Width, Bits)) {
-        Result.Trap = Memory.getTrap();
-        Result.Message = Memory.getTrapMessage();
-        break;
-      }
-      Regs[DI.Dest] = Bits;
-      continue;
-    }
-    case DecodedOp::Store:
-      if (!Memory.storeInt(Regs[DI.B], DI.Width, Regs[DI.A])) {
-        Result.Trap = Memory.getTrap();
-        Result.Message = Memory.getTrapMessage();
-        break;
-      }
-      continue;
-    case DecodedOp::GepConst:
-      Regs[DI.Dest] = Regs[DI.A] + static_cast<uint64_t>(DI.Imm);
-      continue;
-    case DecodedOp::GepIndex:
-      Regs[DI.Dest] =
-          Regs[DI.A] + Regs[DI.B] * DI.C + static_cast<uint64_t>(DI.Imm);
-      continue;
-    case DecodedOp::GepConstObs:
-    case DecodedOp::GepIndexObs: {
-      uint64_t Addr = Regs[DI.A] + static_cast<uint64_t>(DI.Imm);
-      if (DI.Op == DecodedOp::GepIndexObs)
-        Addr += Regs[DI.B] * DI.C;
-      Regs[DI.Dest] = Addr;
-      if (TheObserver) {
-        const std::string &Name = DI.Src->getName();
-        TheObserver->onVariableAddress(
-            *F, Name.substr(0, Name.size() - 3), Addr);
-      }
-      continue;
-    }
-    case DecodedOp::Add:
-      Regs[DI.Dest] = maskToWidth(Regs[DI.A] + Regs[DI.B], DI.Width);
-      continue;
-    case DecodedOp::Sub:
-      Regs[DI.Dest] = maskToWidth(Regs[DI.A] - Regs[DI.B], DI.Width);
-      continue;
-    case DecodedOp::Mul:
-      Regs[DI.Dest] = maskToWidth(Regs[DI.A] * Regs[DI.B], DI.Width);
-      continue;
-    case DecodedOp::UDiv:
-    case DecodedOp::URem: {
-      uint64_t L = Regs[DI.A], R = Regs[DI.B];
-      if (R == 0) {
-        Result.Trap = TrapKind::DivisionByZero;
-        Result.Message = "division by zero in " + F->getName();
-        break;
-      }
-      Regs[DI.Dest] = DI.Op == DecodedOp::UDiv ? L / R : L % R;
-      continue;
-    }
-    case DecodedOp::SDiv:
-    case DecodedOp::SRem: {
-      int64_t SL = sextFromWidth(Regs[DI.A], DI.Width);
-      int64_t SR = sextFromWidth(Regs[DI.B], DI.Width);
-      if (SR == 0) {
-        Result.Trap = TrapKind::DivisionByZero;
-        Result.Message = "division by zero in " + F->getName();
-        break;
-      }
-      uint64_t Out;
-      if (SL == INT64_MIN && SR == -1)
-        Out = static_cast<uint64_t>(SL); // wraps, remainder 0
-      else
-        Out = static_cast<uint64_t>(DI.Op == DecodedOp::SDiv ? SL / SR
-                                                             : SL % SR);
-      Regs[DI.Dest] = maskToWidth(Out, DI.Width);
-      continue;
-    }
-    case DecodedOp::And:
-      Regs[DI.Dest] = Regs[DI.A] & Regs[DI.B];
-      continue;
-    case DecodedOp::Or:
-      Regs[DI.Dest] = Regs[DI.A] | Regs[DI.B];
-      continue;
-    case DecodedOp::Xor:
-      Regs[DI.Dest] = Regs[DI.A] ^ Regs[DI.B];
-      continue;
-    case DecodedOp::Shl: {
-      uint64_t R = Regs[DI.B];
-      Regs[DI.Dest] = R >= DI.Width * 8u
-                          ? 0
-                          : maskToWidth(Regs[DI.A] << R, DI.Width);
-      continue;
-    }
-    case DecodedOp::LShr: {
-      uint64_t R = Regs[DI.B];
-      Regs[DI.Dest] = R >= DI.Width * 8u ? 0 : Regs[DI.A] >> R;
-      continue;
-    }
-    case DecodedOp::AShr: {
-      int64_t SL = sextFromWidth(Regs[DI.A], DI.Width);
-      uint64_t R = Regs[DI.B];
-      uint64_t Out = static_cast<uint64_t>(
-          R >= DI.Width * 8u ? (SL < 0 ? -1 : 0) : SL >> R);
-      Regs[DI.Dest] = maskToWidth(Out, DI.Width);
-      continue;
-    }
-    case DecodedOp::FAdd:
-      Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) +
-                                    slotToFPW(Regs[DI.B], DI.Width),
-                                DI.Width);
-      continue;
-    case DecodedOp::FSub:
-      Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) -
-                                    slotToFPW(Regs[DI.B], DI.Width),
-                                DI.Width);
-      continue;
-    case DecodedOp::FMul:
-      Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) *
-                                    slotToFPW(Regs[DI.B], DI.Width),
-                                DI.Width);
-      continue;
-    case DecodedOp::FDiv:
-      Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.Width) /
-                                    slotToFPW(Regs[DI.B], DI.Width),
-                                DI.Width);
-      continue;
-    case DecodedOp::ICmpInt: {
-      uint64_t L = Regs[DI.A], R = Regs[DI.B];
-      int64_t SL = sextFromWidth(L, DI.Width);
-      int64_t SR = sextFromWidth(R, DI.Width);
-      bool Out = false;
-      using Pred = ICmpInst::Predicate;
-      switch (static_cast<Pred>(DI.C)) {
-      case Pred::EQ:
-        Out = L == R;
-        break;
-      case Pred::NE:
-        Out = L != R;
-        break;
-      case Pred::ULT:
-        Out = L < R;
-        break;
-      case Pred::ULE:
-        Out = L <= R;
-        break;
-      case Pred::UGT:
-        Out = L > R;
-        break;
-      case Pred::UGE:
-        Out = L >= R;
-        break;
-      case Pred::SLT:
-        Out = SL < SR;
-        break;
-      case Pred::SLE:
-        Out = SL <= SR;
-        break;
-      case Pred::SGT:
-        Out = SL > SR;
-        break;
-      case Pred::SGE:
-        Out = SL >= SR;
-        break;
-      default:
-        smokestack_unreachable("float predicate on integer operands");
-      }
-      Regs[DI.Dest] = Out ? 1 : 0;
-      continue;
-    }
-    case DecodedOp::ICmpFloat: {
-      double DL = slotToFPW(Regs[DI.A], DI.Width);
-      double DR = slotToFPW(Regs[DI.B], DI.Width);
-      bool Out = false;
-      using Pred = ICmpInst::Predicate;
-      switch (static_cast<Pred>(DI.C)) {
-      case Pred::OEQ:
-        Out = DL == DR;
-        break;
-      case Pred::OLT:
-        Out = DL < DR;
-        break;
-      case Pred::OLE:
-        Out = DL <= DR;
-        break;
-      case Pred::OGT:
-        Out = DL > DR;
-        break;
-      case Pred::OGE:
-        Out = DL >= DR;
-        break;
-      default:
-        smokestack_unreachable("integer predicate on float operands");
-      }
-      Regs[DI.Dest] = Out ? 1 : 0;
-      continue;
-    }
-    case DecodedOp::CastCopy:
-      Regs[DI.Dest] = maskToWidth(Regs[DI.A], DI.Width);
-      continue;
-    case DecodedOp::CastSExt:
-      Regs[DI.Dest] = maskToWidth(
-          static_cast<uint64_t>(sextFromWidth(Regs[DI.A], DI.C)), DI.Width);
-      continue;
-    case DecodedOp::CastFPToSI:
-      Regs[DI.Dest] = maskToWidth(
-          static_cast<uint64_t>(
-              static_cast<int64_t>(slotToFPW(Regs[DI.A], DI.C))),
-          DI.Width);
-      continue;
-    case DecodedOp::CastSIToFP:
-      Regs[DI.Dest] = fpToSlotW(
-          static_cast<double>(sextFromWidth(Regs[DI.A], DI.C)), DI.Width);
-      continue;
-    case DecodedOp::CastFPConvert:
-      Regs[DI.Dest] = fpToSlotW(slotToFPW(Regs[DI.A], DI.C), DI.Width);
-      continue;
-    case DecodedOp::Select:
-      Regs[DI.Dest] = Regs[DI.A] ? Regs[DI.B] : Regs[DI.C];
-      continue;
-    case DecodedOp::Br:
-      IP = DI.A;
-      continue;
-    case DecodedOp::CondBr:
-      IP = Regs[DI.A] ? DI.B : DI.C;
-      continue;
-    case DecodedOp::Call: {
-      uint64_t RetValue = 0;
-      if (!callSite(DF, DF.CallSites[DI.A], Regs, Depth, RetValue, Result))
-        break;
-      if (DI.Dest != DecodedInst::NoReg)
-        Regs[DI.Dest] = DI.Width ? maskToWidth(RetValue, DI.Width) : RetValue;
-      continue;
-    }
-    case DecodedOp::Ret:
+    case ExecStatus::Return:
       StackPointer = SavedStackPointer;
-      return Regs[DI.A];
-    case DecodedOp::RetVoid:
-      StackPointer = SavedStackPointer;
-      return 0;
-    case DecodedOp::Unreachable:
-      Result.Trap = TrapKind::ExplicitTrap;
-      Result.Message = "reached unreachable in " + F->getName();
+      return DI.Op == DecodedOp::Ret ? Regs[DI.A] : 0;
+    case ExecStatus::Trap:
       break;
     }
-    // Any path that did not 'continue' above trapped.
     break;
   }
 

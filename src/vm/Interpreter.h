@@ -40,6 +40,7 @@ class RandomSource;
 class ResilientRandomSource;
 struct DecodedCallSite;
 struct DecodedFunction;
+struct DecodedInst;
 class DecodedProgram;
 struct VmSnapshot;
 
@@ -207,10 +208,18 @@ public:
   void restoreFromSnapshot(const VmSnapshot &S);
 
 private:
-  /// The JIT runtime shims (jit/JitRuntime.cpp) execute single decoded
-  /// instructions with this class's own code — the mechanism that keeps
-  /// compiled execution bit-identical to the decoded engine.
+  /// The JIT runtime shims (jit/JitRuntime.cpp) charge fuel with
+  /// chargeFuel and execute single decoded instructions with execInst —
+  /// the mechanism that keeps compiled execution bit-identical to the
+  /// decoded engine.
   friend struct JitShims;
+
+  /// What execInlined did with one instruction.
+  enum class ExecStatus {
+    Next,   ///< Continue at IP.
+    Trap,   ///< Result holds the trap.
+    Return, ///< A Ret/RetVoid: the frame returns.
+  };
 
   void loadGlobals();
   /// Runs \p DF at call depth \p Depth: dispatches over its flat
@@ -219,6 +228,38 @@ private:
   uint64_t callDecoded(const DecodedFunction &DF,
                        std::span<const uint64_t> Args, ExecResult &Result,
                        unsigned Depth);
+  /// One instruction's fuel charge, in the decoded engine's order: trap
+  /// OutOfFuel at zero, poll the cancel flag on its schedule, then take
+  /// one unit. Returns false on trap. Shared by callDecoded and the JIT's
+  /// segment slow path, so both stop at the same instruction.
+  [[gnu::always_inline]] bool chargeFuel(const Function &F,
+                                         ExecResult &Result) {
+    if (FuelLeft == 0) {
+      Result.Trap = TrapKind::OutOfFuel;
+      Result.Message = "instruction budget exhausted in " + F.getName();
+      return false;
+    }
+    if ((FuelLeft & CancelCheckMask) == 0 && CancelFlag &&
+        CancelFlag->load(std::memory_order_relaxed)) {
+      Result.Trap = TrapKind::WorkerCrash;
+      Result.Message = "cooperative cancel in " + F.getName();
+      return false;
+    }
+    --FuelLeft;
+    return true;
+  }
+  /// The one copy of every opcode's semantics: executes \p DI, an
+  /// instruction of \p DF in the frame at \p Depth whose register file is
+  /// \p Regs. \p IP holds the next instruction's index on entry, and a
+  /// branch overwrites it. Force-inlined into callDecoded's loop (defined
+  /// in Interpreter.cpp); everything else reaches it through execInst.
+  ExecStatus execInlined(const DecodedFunction &DF, const DecodedInst &DI,
+                         uint64_t *Regs, unsigned Depth, ExecResult &Result,
+                         size_t &IP);
+  /// Out-of-line execInlined of DF.Insts[IP], a non-control instruction,
+  /// for the JIT's slow paths. Returns false on trap.
+  bool execInst(const DecodedFunction &DF, size_t IP, uint64_t *Regs,
+                unsigned Depth, ExecResult &Result);
   /// Executes call site \p CS of \p DF (a frame at \p Depth whose register
   /// file is \p Regs): gathers the arguments without a heap allocation
   /// and dispatches to the builtin or the callee. Shared by the decoded

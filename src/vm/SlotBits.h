@@ -5,13 +5,12 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// Width-keyed masking, sign extension, and FP slot encoding shared by the
-/// interpreter's decoded dispatch loop and the JIT's runtime shims. Every
-/// register slot is a uint64_t holding the value's low bytes (integers,
-/// pre-masked to their type width) or its IEEE bit pattern (floats in the
-/// low 4 bytes, doubles in all 8). The JIT shims must reproduce the decoded
-/// engine's arithmetic bit for bit, so both compile against this one
-/// definition.
+/// Width-keyed masking, sign extension, and FP slot encoding used by the
+/// interpreter's per-instruction code (Interpreter::execInlined, which the
+/// JIT's slow paths run too) and the JIT's rand shim. Every register slot
+/// is a uint64_t holding the value's low bytes (integers, pre-masked to
+/// their type width) or its IEEE bit pattern (floats in the low 4 bytes,
+/// doubles in all 8).
 ///
 //===----------------------------------------------------------------------===//
 

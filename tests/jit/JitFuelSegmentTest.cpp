@@ -14,10 +14,10 @@
 /// Steps, ReturnValue and Message at every budget (jit/JitSweep.h). The
 /// kernels aim at segment boundaries: the hardened call kernel per RNG
 /// scheme (a pool worker's chain included, whose books must agree too),
-/// traps in the middle
-/// of a segment (an out-of-line load shim, the division shim), a heap load
-/// that takes the shim and succeeds, a function longer than the segment
-/// cap, a block that is a lone `br`, and a loop back-edge.
+/// traps in the middle of a segment (an out-of-line load shim, the
+/// division shim), a heap load that takes the shim and succeeds, a
+/// function longer than the segment cap, a block that is a lone `br`, a
+/// loop back-edge, and one block holding every non-control opcode.
 ///
 /// Compiled callers enter compiled callees natively (jit/JitAbi.h), so
 /// the sweeps also cross native call boundaries: the leaf-call kernel, a
@@ -38,6 +38,7 @@
 
 #include <gtest/gtest.h>
 
+#include <set>
 #include <string>
 
 using namespace smokestack;
@@ -186,6 +187,103 @@ loop:
   br label %loop
 }
 )";
+
+/// One straight-line block holding every non-control DecodedOp: static
+/// and VLA allocas, loads and stores (stack and heap), all four gep forms,
+/// a builtin call, integer ALU ops with u/s div/rem and the three shifts,
+/// FP arithmetic at both widths, int and float compares, the five cast
+/// kinds and select. Every value feeds the result, a 31-fold of the
+/// leaves: OutOfFuel lands on each instruction in turn, and a wrong case
+/// body in either engine changes the return value.
+constexpr const char *EveryOpcodeIR = R"(
+declare ptr @malloc(i64)
+
+define i64 @main() {
+entry:
+  %s = alloca i64, align 8
+  store i64 7, ptr %s
+  %n = load i64, ptr %s
+  %vla = alloca i8, count i64 %n, align 1
+  %arr = alloca [4 x i32], align 4
+  %e0 = gep ptr %arr + 4
+  store i32 -5, ptr %e0
+  %e1.ss = gep ptr %arr + 8
+  store i32 9, ptr %e1.ss
+  %one = sub i64 %n, i64 6
+  %e2 = gep ptr %arr + i64 %one * 4 + 8
+  store i32 100, ptr %e2
+  %e3.ss = gep ptr %arr + i64 %one * 4
+  %a = load i32, ptr %e3.ss
+  %b = load i32, ptr %e1.ss
+  %c = load i32, ptr %e2
+  %h = call ptr @malloc(i64 16)
+  store i64 %n, ptr %h
+  %hn = load i64, ptr %h
+  %m = mul i64 %hn, i64 6
+  %ud = udiv i64 %m, i64 %hn
+  %ur = urem i64 %m, i64 5
+  %sd = sdiv i32 %c, i32 %a
+  %sr = srem i32 %a, i32 3
+  %sh = shl i64 %ud, i64 %one
+  %lr = lshr i64 %m, i64 2
+  %ar = ashr i32 %sd, i32 2
+  %an = and i64 %m, i64 15
+  %or = or i64 %an, i64 %sh
+  %x = xor i64 %or, i64 %lr
+  %sx = sext i32 %ar to i64
+  %fd = sitofp i32 %sd to double
+  %fb = sitofp i32 %b to double
+  %fa = fadd double %fd, double %fb
+  %fs = fsub double %fa, double 0.5
+  %fm = fmul double %fs, double 4
+  %fv = fdiv double %fm, double %fb
+  %ff = fptrunc double %fv to float
+  %fq = fadd float %ff, float 0.25
+  %fe = fpext float %fq to double
+  %fg = fmul double %fe, double 1000000000
+  %fi = fptosi double %fg to i64
+  %lt = icmp olt double %fe, double %fs
+  %ge = icmp oge double %fm, double -46
+  %cmp = icmp slt i64 %fi, i64 %sx
+  %sel = select i8 %lt, i64 %fi, i64 %x
+  %z = zext i8 %ge to i64
+  %zc = zext i8 %cmp to i64
+  %t8 = trunc i64 %fi to i8
+  %t = zext i8 %t8 to i64
+  %va = ptrtoint ptr %vla to i64
+  %aa = ptrtoint ptr %arr to i64
+  %gap = sub i64 %va, i64 %aa
+  %sdx = sext i32 %sd to i64
+  %srx = sext i32 %sr to i64
+  %r0 = mul i64 %gap, i64 31
+  %r1 = add i64 %r0, i64 %ud
+  %r2 = mul i64 %r1, i64 31
+  %r3 = add i64 %r2, i64 %ur
+  %r4 = mul i64 %r3, i64 31
+  %r5 = add i64 %r4, i64 %sdx
+  %r6 = mul i64 %r5, i64 31
+  %r7 = add i64 %r6, i64 %srx
+  %r8 = mul i64 %r7, i64 31
+  %r9 = add i64 %r8, i64 %sel
+  %r10 = mul i64 %r9, i64 31
+  %r11 = add i64 %r10, i64 %z
+  %r12 = mul i64 %r11, i64 31
+  %r13 = add i64 %r12, i64 %zc
+  %r14 = mul i64 %r13, i64 31
+  %r15 = add i64 %r14, i64 %t
+  %r16 = mul i64 %r15, i64 31
+  %r17 = add i64 %r16, i64 %fi
+  %hp = ptrtoint ptr %h to i64
+  %r18 = mul i64 %r17, i64 31
+  %r19 = add i64 %r18, i64 %hp
+  ret i64 %r19
+}
+)";
+
+/// EveryOpcodeIR's result: gap 17, ud 6, ur 2, sd -20, sr -2, sel 4, z 1,
+/// zc 1, t 132, fi -4861111164 (-46/9 narrowed to float, + 0.25f, x 1e9),
+/// hp 0x4000000 (MemoryMap::HeapBase).
+constexpr uint64_t EveryOpcodeResult = 14093321854682491;
 
 } // namespace
 
@@ -415,4 +513,33 @@ TEST(JitFuelSegmentTest, FastPathExactlyAtTheBoundary) {
   EXPECT_EQ(slowSegments() - Before, 1u);
   EXPECT_EQ(Below.Trap, TrapKind::WorkerCrash);
   EXPECT_EQ(Below.Steps, N - 1);
+}
+
+TEST(JitFuelSegmentTest, EveryOpcodeEveryBudget) {
+  // Through the slow paths, the shared fuel charge and Interpreter::
+  // execInst run every case of the decoded engine's switch.
+  SKIP_WITHOUT_JIT();
+  std::unique_ptr<Module> M = parse(EveryOpcodeIR);
+  DecodedProgram P(*M);
+  const DecodedFunction *DF = P.find(M->getFunction("main"));
+  ASSERT_NE(DF, nullptr);
+  std::set<DecodedOp> Seen;
+  for (const DecodedInst &DI : DF->Insts)
+    Seen.insert(DI.Op);
+  for (unsigned Op = 0; Op <= static_cast<unsigned>(DecodedOp::Unreachable);
+       ++Op) {
+    DecodedOp D = static_cast<DecodedOp>(Op);
+    bool Control = D == DecodedOp::Br || D == DecodedOp::CondBr ||
+                   D == DecodedOp::Ret || D == DecodedOp::RetVoid ||
+                   D == DecodedOp::Unreachable;
+    if (!Control)
+      EXPECT_EQ(Seen.count(D), 1u) << "opcode " << Op;
+  }
+
+  expectFuelParity(*M);
+  for (bool Jit : {false, true}) {
+    ExecResult R = runAt(*M, Jit, InterpreterOptions().Fuel, false);
+    ASSERT_TRUE(R.ok()) << R.Message;
+    EXPECT_EQ(R.ReturnValue, EveryOpcodeResult) << (Jit ? "jit" : "decoded");
+  }
 }

@@ -3,8 +3,16 @@
 // Part of the Smokestack reproduction. MIT license.
 //
 //===----------------------------------------------------------------------===//
+//
+// The opcode cases run on both engines: the decoded engine, and the JIT
+// compiling the function on its first call, whose slow paths execute the
+// same Interpreter code one instruction at a time. Each engine's result
+// must equal the expected value.
+//
+//===----------------------------------------------------------------------===//
 
 #include "ir/IRBuilder.h"
+#include "jit/JitAbi.h"
 #include "vm/Interpreter.h"
 
 #include <gtest/gtest.h>
@@ -24,6 +32,24 @@ struct Prog {
   }
 };
 
+/// Calls \p Body with a fresh VM over \p M on the decoded engine, then on
+/// the JIT with JitThreshold 0 (where jitAvailable()), which must have
+/// compiled what Body ran.
+template <typename BodyFn> void forEachEngine(Module &M, BodyFn Body) {
+  for (bool Jit : {false, true}) {
+    if (Jit && !jitAvailable())
+      continue;
+    SCOPED_TRACE(Jit ? "jit" : "decoded");
+    InterpreterOptions Opts;
+    Opts.UseJit = Jit;
+    Opts.JitThreshold = 0;
+    Interpreter VM(M, nullptr, Opts);
+    Body(VM);
+    if (Jit)
+      EXPECT_GT(VM.jitCompiledFunctions(), 0u);
+  }
+}
+
 } // namespace
 
 TEST(InterpreterEdgeTest, FloatComparisons) {
@@ -39,8 +65,9 @@ TEST(InterpreterEdgeTest, FloatComparisons) {
     IRBuilder &B = P.B;
     Value *Cmp = B.icmp(Pred, B.constF64(A), B.constF64(Bv));
     P.B.ret(B.zext(B.i64(), Cmp));
-    Interpreter VM(P.M);
-    EXPECT_EQ(VM.run("f").ReturnValue, Want);
+    forEachEngine(P.M, [&](Interpreter &VM) {
+      EXPECT_EQ(VM.run("f").ReturnValue, Want);
+    });
   }
 }
 
@@ -54,9 +81,10 @@ TEST(InterpreterEdgeTest, FloatNarrowingRoundTrip) {
   Value *Scaled = B.binop(BinaryInst::BinOp::FMul, Wide,
                           B.constF64(10000000.0));
   P.B.ret(B.cast_(CastInst::CastOp::FPToSI, B.i64(), Scaled));
-  Interpreter VM(P.M);
-  uint64_t V = VM.run("f").ReturnValue;
-  EXPECT_NEAR(static_cast<double>(V), 10000001.0, 2.0);
+  forEachEngine(P.M, [](Interpreter &VM) {
+    uint64_t V = VM.run("f").ReturnValue;
+    EXPECT_NEAR(static_cast<double>(V), 10000001.0, 2.0);
+  });
 }
 
 TEST(InterpreterEdgeTest, SignedDivisionEdge) {
@@ -66,10 +94,11 @@ TEST(InterpreterEdgeTest, SignedDivisionEdge) {
   IRBuilder &B = P.B;
   Value *MinVal = B.constI64(0x8000000000000000ULL);
   P.B.ret(B.sdiv(MinVal, B.constI64(static_cast<uint64_t>(-1))));
-  Interpreter VM(P.M);
-  ExecResult R = VM.run("f");
-  ASSERT_TRUE(R.ok());
-  EXPECT_EQ(R.ReturnValue, 0x8000000000000000ULL);
+  forEachEngine(P.M, [](Interpreter &VM) {
+    ExecResult R = VM.run("f");
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.ReturnValue, 0x8000000000000000ULL);
+  });
 }
 
 TEST(InterpreterEdgeTest, ShiftBeyondWidth) {
@@ -80,9 +109,10 @@ TEST(InterpreterEdgeTest, ShiftBeyondWidth) {
                         B.constI64(static_cast<uint64_t>(-8)),
                         B.constI64(100));
   P.B.ret(B.add(Over, Ashr));
-  Interpreter VM(P.M);
   // shl by >= width -> 0; ashr of negative by >= width -> -1.
-  EXPECT_EQ(static_cast<int64_t>(VM.run("f").ReturnValue), -1);
+  forEachEngine(P.M, [](Interpreter &VM) {
+    EXPECT_EQ(static_cast<int64_t>(VM.run("f").ReturnValue), -1);
+  });
 }
 
 TEST(InterpreterEdgeTest, GepWithIndexAndScale) {
@@ -94,8 +124,9 @@ TEST(InterpreterEdgeTest, GepWithIndexAndScale) {
   Value *Idx = B.constI64(5);
   Value *Slot = B.gep(Arr, Idx, 4, 0, "slot");
   P.B.ret(B.zext(B.i64(), B.load(B.i32(), Slot)));
-  Interpreter VM(P.M);
-  EXPECT_EQ(VM.run("f").ReturnValue, 50u);
+  forEachEngine(P.M, [](Interpreter &VM) {
+    EXPECT_EQ(VM.run("f").ReturnValue, 50u);
+  });
 }
 
 TEST(InterpreterEdgeTest, NegativeGepOffset) {
@@ -107,8 +138,9 @@ TEST(InterpreterEdgeTest, NegativeGepOffset) {
   B.store(B.constI64(0), Bv);
   Value *Back = B.gepConst(Bv, 8, "back"); // b + 8 == a
   P.B.ret(B.load(B.i64(), Back));
-  Interpreter VM(P.M);
-  EXPECT_EQ(VM.run("f").ReturnValue, 77u);
+  forEachEngine(P.M, [](Interpreter &VM) {
+    EXPECT_EQ(VM.run("f").ReturnValue, 77u);
+  });
 }
 
 TEST(InterpreterEdgeTest, SnprintfExactFit) {
@@ -228,24 +260,16 @@ TEST(InterpreterEdgeTest, WrongArityEntryPointTrapsUnderEveryEngine) {
   B.setInsertPoint(G->createBlock("entry"));
   B.ret(B.add(G->getArg(0), B.constI64(1)));
 
-  struct Engine {
-    const char *Name;
-    bool Jit;
-  };
-  for (Engine E : {Engine{"decoded", false}, Engine{"jit", true}}) {
-    InterpreterOptions Opts;
-    Opts.UseJit = E.Jit;
-    Opts.JitThreshold = 0;
-    Interpreter VM(M, nullptr, Opts);
+  forEachEngine(M, [](Interpreter &VM) {
     for (const std::vector<uint64_t> &Args :
          {std::vector<uint64_t>{}, std::vector<uint64_t>{1, 2}}) {
       ExecResult R = VM.run("g", Args);
       EXPECT_EQ(R.Trap, TrapKind::BadCall)
-          << E.Name << " with " << Args.size() << " argument(s)";
-      EXPECT_EQ(R.Steps, 0u) << E.Name;
+          << "with " << Args.size() << " argument(s)";
+      EXPECT_EQ(R.Steps, 0u);
     }
     ExecResult R = VM.run("g", {41});
-    ASSERT_TRUE(R.ok()) << E.Name;
-    EXPECT_EQ(R.ReturnValue, 42u) << E.Name;
-  }
+    ASSERT_TRUE(R.ok());
+    EXPECT_EQ(R.ReturnValue, 42u);
+  });
 }
