@@ -65,8 +65,8 @@ struct NetBooks;
 
 /// Callbacks a shard uses to reach back into its owning SocketServer.
 struct ShardHooks {
-  /// Hands a terminal outcome to the server's completion channel
-  /// (thread-safe; the server matches it to its connection).
+  /// Hands a terminal outcome to the server, which answers it on the
+  /// calling thread (thread-safe).
   std::function<void(const PoolOutcome &)> DeliverOutcome;
   /// Fault probe against the server's net injector (loop thread only).
   std::function<bool(FaultSite)> Probe;

@@ -16,10 +16,12 @@
 #include <climits>
 #include <csignal>
 #include <cstring>
+#include <deque>
 
 #include <fcntl.h>
 #include <netinet/in.h>
 #include <netinet/tcp.h>
+#include <pthread.h>
 #include <sys/epoll.h>
 #include <sys/eventfd.h>
 #include <sys/socket.h>
@@ -41,9 +43,11 @@ constexpr uint64_t ShardIdBase = 0xFFFF'0000'0000'0000ull;
 
 constexpr uint64_t MillisToNanos = 1000u * 1000u;
 
-/// The server whose loop runs on this thread (null elsewhere): an outcome
-/// delivered on its own loop thread needs no hand-off.
-thread_local const SocketServer *LoopOf = nullptr;
+/// Books \p N on a NetBooks field that a completing thread may also
+/// write. drain() reads the books after every writer has been joined.
+void bump(uint64_t &Field, uint64_t N = 1) {
+  std::atomic_ref<uint64_t>(Field).fetch_add(N, std::memory_order_relaxed);
+}
 
 } // namespace
 
@@ -136,35 +140,64 @@ void smokestack::mergePoolBooks(PoolBooks &Into, const PoolBooks &From) {
   std::sort(Into.PoisonedIndices.begin(), Into.PoisonedIndices.end());
 }
 
-/// One client connection, owned entirely by the loop thread.
-struct SocketServer::Conn {
+/// One client connection. The loop thread alone reads it, admits its
+/// requests and closes it; the thread that finishes one of its requests
+/// writes the response to it. Mu guards the output side.
+struct SocketServer::Conn : std::enable_shared_from_this<Conn> {
   int Fd = -1;
   uint64_t Id = 0;
+
+  // ---- Input side: the loop thread only.
   FrameDecoder Decoder;
-
-  /// Pending response bytes: [OutPos, Out.size()) is unwritten. Delivery
-  /// accounting runs in lifetime-offset space so a compaction never
-  /// confuses it: RespEnds holds each booked response's end offset in
-  /// OutTotalEnqueued coordinates, and a response is Delivered the moment
-  /// OutTotalFlushed passes its end.
-  std::vector<uint8_t> Out;
-  size_t OutPos = 0;
-  uint64_t OutTotalEnqueued = 0;
-  uint64_t OutTotalFlushed = 0;
-  std::deque<uint64_t> RespEnds;
-
   /// First byte of the frame currently being assembled (deadline base);
   /// 0 = not mid-frame.
   uint64_t FrameStartNs = 0;
+  bool Doomed = false; ///< Protocol error: no further frames (set under Mu).
+  /// Admitted requests awaiting completion: the loop increments, the
+  /// completing thread decrements under Mu as it queues the response.
+  std::atomic<unsigned> InFlightCount{0};
+  /// Backpressure or drain quiesce. Written under Mu; the loop reads it
+  /// without the lock to stop reading.
+  std::atomic<bool> ReadPaused{false};
 
-  unsigned InFlightCount = 0; ///< Admitted requests awaiting completion.
+  // ---- Output side, guarded by Mu.
+  std::mutex Mu;
+  /// Responses not yet taken by a flusher.
+  std::vector<uint8_t> Out;
+  /// The flusher's batch, swapped out of Out: [SendPos, Sending.size()) is
+  /// unsent. Only the thread that set Flushing touches it, so an append
+  /// never moves the bytes a send() is reading.
+  std::vector<uint8_t> Sending;
+  size_t SendPos = 0;
+  /// Delivery accounting runs in lifetime-offset space: RespEnds holds
+  /// each booked response's end offset in OutTotalEnqueued coordinates,
+  /// and a response is Delivered the moment OutTotalFlushed passes its
+  /// end, i.e. when send() has accepted its last byte.
+  uint64_t OutTotalEnqueued = 0;
+  uint64_t OutTotalFlushed = 0;
+  std::deque<uint64_t> RespEnds;
+  bool Flushing = false;  ///< A thread is sending; others append and leave.
+  bool Closed = false;    ///< Output is dead: later responses are orphaned.
   bool CloseAfterFlush = false;
-  bool ReadPaused = false; ///< Backpressure or drain quiesce.
-  bool Doomed = false;     ///< Protocol error: no further frames processed.
-  bool WantWrite = false;  ///< EPOLLOUT armed (kernel buffer was full).
-  int ArmedEvents = -1;    ///< Last epoll mask installed (-1 = none yet).
+  bool WantWrite = false; ///< EPOLLOUT armed (kernel buffer was full).
+  int ArmedEvents = -1;   ///< Last epoll mask installed (-1 = none yet).
 
-  size_t pendingOut() const { return Out.size() - OutPos; }
+  ~Conn() {
+    if (Fd >= 0)
+      ::close(Fd);
+  }
+
+  size_t pendingOut() const { return Sending.size() - SendPos + Out.size(); }
+
+  /// Books every response still owed on this connection Orphaned and
+  /// drops its bytes.
+  void orphanAll(NetBooks &Net) {
+    bump(Net.ResponsesOrphaned, RespEnds.size());
+    RespEnds.clear();
+    Out.clear();
+    Sending.clear();
+    SendPos = 0;
+  }
 };
 
 SocketServer::SocketServer(Module &M, ServerOptions Opts)
@@ -200,11 +233,15 @@ void SocketServer::wakeLoop() {
 }
 
 bool SocketServer::netProbe(FaultSite Site) {
-  if (NetInjector && NetInjector->shouldFail(Site))
-    return true;
-  // The injector slot fallback keeps the site probe-able from tests that
-  // install a ProcessFaultScope instead of configuring the server.
-  return !NetInjector && faultProbe(Site);
+  if (NetInjector)
+    return NetInjector->shouldFail(Site);
+  // The process-wide slot keeps the sites probe-able from tests that
+  // install a ProcessFaultScope instead of configuring the server. Never
+  // the thread slot: a worker answering its request still runs inside
+  // that request's FaultScope, whose plan is not the socket layer's.
+  FaultInjector *Process =
+      detail::ProcessInjector.load(std::memory_order_acquire);
+  return Process != nullptr && Process->shouldFail(Site);
 }
 
 bool SocketServer::start(std::string *Err) {
@@ -281,17 +318,8 @@ bool SocketServer::start(std::string *Err) {
   // and flips the child to Block admission — see ShardProcess.h.)
   PoolOptions ShardOpts = Opts.Pool;
   ShardOpts.Admission.Policy = AdmissionOptions::ShedPolicy::ShedNewest;
-  auto Deliver = [this](const PoolOutcome &O) {
-    if (LoopOf == this) {
-      completeOutcome(O);
-      return;
-    }
-    {
-      std::lock_guard<std::mutex> Lock(CompletionMutex);
-      Completions.push_back(O);
-    }
-    wakeLoop();
-  };
+  // Every outcome is answered on the thread that delivers it.
+  auto Deliver = [this](const PoolOutcome &O) { completeOutcome(O); };
   ShardOpts.OnOutcome = Deliver;
   if (Opts.Mode == ShardMode::Process) {
     ShardHooks Hooks;
@@ -317,9 +345,10 @@ bool SocketServer::start(std::string *Err) {
 
   Started = true;
   LoopThread = std::thread([this] {
-    LoopOf = this;
+    pthread_setname_np(pthread_self(), "ss-loop");
     loopMain();
-    LoopOf = nullptr;
+    Quiesced.store(true, std::memory_order_release);
+    Quiesced.notify_all();
     // From here on nothing services the shards: a drain that still
     // waits on one may take its child down itself.
     for (ChildProcessShard *S : ProcShards)
@@ -335,10 +364,10 @@ void SocketServer::requestStop() {
   wakeLoop();
 }
 
-void SocketServer::updateEpoll(Conn &C) {
+void SocketServer::updateEpollLocked(Conn &C) {
   int Want = (C.ReadPaused ? 0 : int(EPOLLIN)) |
              (C.WantWrite ? int(EPOLLOUT) : 0);
-  if (Want == C.ArmedEvents)
+  if (C.Closed || Want == C.ArmedEvents)
     return;
   epoll_event Ev = {};
   Ev.events = static_cast<uint32_t>(Want);
@@ -370,16 +399,14 @@ void SocketServer::handleAccept() {
     }
     int One = 1;
     ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof One);
-    auto C = std::make_unique<Conn>();
+    auto C = std::make_shared<Conn>();
     C->Fd = Fd;
     C->Id = NextConnId++;
     epoll_event Ev = {};
     Ev.events = EPOLLIN;
     Ev.data.u64 = C->Id;
-    if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0) {
-      ::close(Fd);
-      continue;
-    }
+    if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0)
+      continue; // ~Conn closes the fd
     C->ArmedEvents = EPOLLIN;
     ++Net.ConnectionsAccepted;
     Conns.emplace(C->Id, std::move(C));
@@ -390,112 +417,190 @@ void SocketServer::closeConn(uint64_t Id, bool CountReset) {
   auto It = Conns.find(Id);
   if (It == Conns.end())
     return;
-  Conn &C = *It->second;
-  // Responses enqueued but not fully written die with the connection.
-  Net.ResponsesOrphaned += C.RespEnds.size();
+  std::shared_ptr<Conn> C = std::move(It->second);
+  Conns.erase(It);
+  {
+    std::lock_guard<std::mutex> Lock(C->Mu);
+    C->Closed = true;
+    // Responses enqueued but not fully written die with the connection.
+    // A flusher inside send() books what it sent and orphans the rest.
+    if (!C->Flushing)
+      C->orphanAll(Net);
+  }
   ++Net.ConnectionsClosed;
   if (CountReset)
     ++Net.ConnectionsReset;
-  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, C.Fd, nullptr);
-  ::close(C.Fd);
-  // In-flight requests keep their InFlight entries; their completions are
-  // booked Orphaned when they arrive and find no connection.
-  Conns.erase(It);
+  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, C->Fd, nullptr);
+  // Fails a send() in progress with EPIPE. The fd number stays taken
+  // until the last reference drops (~Conn): in-flight requests keep the
+  // connection alive, and their responses are booked Orphaned.
+  ::shutdown(C->Fd, SHUT_RDWR);
 }
 
-void SocketServer::enqueueResponse(Conn &C, const WireResponse &R,
-                                   bool Booked) {
-  std::vector<uint8_t> Frame = encodeResponseFrame(R);
-  // Compact the flushed prefix before growing (same anti-ratchet rule as
-  // the decoder buffer).
-  if (C.OutPos > 4096 && C.OutPos * 2 > C.Out.size()) {
-    C.Out.erase(C.Out.begin(), C.Out.begin() + static_cast<ptrdiff_t>(C.OutPos));
-    C.OutPos = 0;
+void SocketServer::queueClose(uint64_t Id, bool CountReset) {
+  {
+    std::lock_guard<std::mutex> Lock(CloseMu);
+    CloseQueue.emplace_back(Id, CountReset);
+  }
+  wakeLoop();
+}
+
+void SocketServer::drainCloseQueue() {
+  std::vector<std::pair<uint64_t, bool>> Batch;
+  {
+    std::lock_guard<std::mutex> Lock(CloseMu);
+    Batch.swap(CloseQueue);
+  }
+  for (auto [Id, CountReset] : Batch)
+    closeConn(Id, CountReset);
+}
+
+bool SocketServer::appendLocked(Conn &C, const std::vector<uint8_t> &Frame,
+                                bool Booked) {
+  if (C.Closed) {
+    if (Booked)
+      bump(Net.ResponsesOrphaned);
+    return false;
   }
   C.Out.insert(C.Out.end(), Frame.begin(), Frame.end());
   C.OutTotalEnqueued += Frame.size();
   if (Booked)
     C.RespEnds.push_back(C.OutTotalEnqueued);
   if (C.pendingOut() > Opts.MaxConnBacklogBytes)
-    C.ReadPaused = true; // resumed by flushConn below the low-water mark
+    C.ReadPaused = true; // resumed by a flush below the low-water mark
+  return true;
 }
 
-void SocketServer::flushConn(Conn &C) {
-  uint64_t Id = C.Id;
-  while (C.OutPos < C.Out.size()) {
+void SocketServer::enqueueResponse(Conn &C, const WireResponse &R,
+                                   bool Booked) {
+  std::vector<uint8_t> Frame = encodeResponseFrame(R);
+  std::lock_guard<std::mutex> Lock(C.Mu);
+  appendLocked(C, Frame, Booked);
+}
+
+void SocketServer::doom(Conn &C) {
+  // The peer is confused or hostile, and there is no safe way to keep
+  // interpreting its stream: answer with a notice, read nothing more, and
+  // close once the responses already owed are out.
+  std::vector<uint8_t> Notice = encodeResponseFrame(
+      {0, WireStatus::ProtocolError, TrapKind::None, 0, 0, 0, 0});
+  std::lock_guard<std::mutex> Lock(C.Mu);
+  appendLocked(C, Notice, /*Booked=*/false);
+  C.Doomed = true;
+  C.CloseAfterFlush = true;
+  C.ReadPaused = true;
+}
+
+SocketServer::CloseWant
+SocketServer::flushLocked(Conn &C, std::unique_lock<std::mutex> &Lock) {
+  if (C.Flushing) {
+    // The active flusher sends these bytes on its next turn.
+    updateEpollLocked(C);
+    return CloseWant::None;
+  }
+  C.Flushing = true;
+  CloseWant Want = CloseWant::None;
+  while (!C.Closed && !C.WantWrite) {
+    if (C.SendPos == C.Sending.size()) {
+      if (C.Out.empty())
+        break;
+      C.Sending.clear();
+      C.SendPos = 0;
+      C.Sending.swap(C.Out);
+    }
     if (netProbe(FaultSite::ClientStall)) {
       // The peer's receive window is full: behave exactly like EAGAIN so
       // the EPOLLOUT path gets exercised.
-      ++Net.StallFaults;
+      bump(Net.StallFaults);
       C.WantWrite = true;
       break;
     }
     if (netProbe(FaultSite::ConnReset)) {
-      ++Net.ResetFaults;
-      closeConn(Id, /*CountReset=*/true);
-      return;
+      bump(Net.ResetFaults);
+      Want = CloseWant::Reset;
+      break;
     }
-    size_t N = C.pendingOut();
+    size_t N = C.Sending.size() - C.SendPos;
     if (netProbe(FaultSite::NetPartialIo)) {
-      ++Net.PartialIoFaults;
+      bump(Net.PartialIoFaults);
       N = 1;
     }
-    ssize_t W = ::send(C.Fd, C.Out.data() + C.OutPos, N, MSG_NOSIGNAL);
+    const uint8_t *Bytes = C.Sending.data() + C.SendPos;
+    Lock.unlock();
+    ssize_t W = ::send(C.Fd, Bytes, N, MSG_NOSIGNAL);
+    int Err = errno;
+    Lock.lock();
     if (W < 0) {
-      if (errno == EINTR)
+      if (Err == EINTR)
         continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+      if (Err == EAGAIN || Err == EWOULDBLOCK) {
         C.WantWrite = true;
         break;
       }
-      closeConn(Id, errno == EPIPE || errno == ECONNRESET);
-      return;
+      Want = Err == EPIPE || Err == ECONNRESET ? CloseWant::Reset
+                                               : CloseWant::Close;
+      break;
     }
-    C.OutPos += static_cast<size_t>(W);
+    C.SendPos += static_cast<size_t>(W);
     C.OutTotalFlushed += static_cast<uint64_t>(W);
-    Net.BytesOut += static_cast<uint64_t>(W);
+    bump(Net.BytesOut, static_cast<uint64_t>(W));
     while (!C.RespEnds.empty() && C.RespEnds.front() <= C.OutTotalFlushed) {
       C.RespEnds.pop_front();
-      ++Net.ResponsesDelivered;
+      bump(Net.ResponsesDelivered);
     }
   }
-  if (C.OutPos == C.Out.size()) {
-    C.Out.clear();
-    C.OutPos = 0;
-    C.WantWrite = false;
-    if (C.CloseAfterFlush && C.InFlightCount == 0) {
-      closeConn(Id, false);
-      return;
-    }
+  C.Flushing = false;
+  if (Want != CloseWant::None)
+    C.Closed = true; // the loop closes the fd; the output is dead now
+  if (C.Closed) {
+    C.orphanAll(Net);
+    return Want;
   }
+  if (C.pendingOut() == 0 && C.CloseAfterFlush && C.InFlightCount == 0)
+    return CloseWant::Close;
   // Backpressure low-water mark: resume reads once the backlog halves.
   if (C.ReadPaused && !C.Doomed &&
       PhaseFlag.load(std::memory_order_acquire) ==
           static_cast<int>(Phase::Running) &&
       C.pendingOut() < Opts.MaxConnBacklogBytes / 2)
     C.ReadPaused = false;
-  updateEpoll(C);
+  updateEpollLocked(C);
+  return Want;
 }
 
-void SocketServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
+void SocketServer::flushConn(Conn &C) {
+  uint64_t Id = C.Id;
+  std::unique_lock<std::mutex> Lock(C.Mu);
+  if (!C.Flushing)
+    C.WantWrite = false; // the loop retries a blocked socket itself
+  CloseWant Want = flushLocked(C, Lock);
+  Lock.unlock();
+  if (Want != CloseWant::None)
+    closeConn(Id, Want == CloseWant::Reset);
+}
+
+bool SocketServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
   uint64_t BaseNs = C.FrameStartNs ? C.FrameStartNs : obsNowNanos();
   C.FrameStartNs = 0;
 
   WireRequest Req;
   bool Parsed = parseRequestPayload(Payload.data(), Payload.size(), Req);
-  if (!Parsed || InFlight.count(Req.Index)) {
-    // Schema violation (or an index already in flight, which would make
-    // response matching ambiguous): the peer is confused or hostile, and
-    // there is no safe way to keep interpreting its stream.
+  // An index admitted earlier in this same read counts as in flight even
+  // when a worker has already answered it, so a pipelined duplicate is
+  // refused whatever the timing.
+  bool Duplicate = Parsed && std::find(ReadAdmitted.begin(), ReadAdmitted.end(),
+                                       Req.Index) != ReadAdmitted.end();
+  if (Parsed && !Duplicate) {
+    std::lock_guard<std::mutex> Lock(InFlightMu);
+    Duplicate = InFlight.count(Req.Index) != 0;
+  }
+  if (!Parsed || Duplicate) {
+    // Schema violation, or an index already in flight, which would make
+    // response matching ambiguous.
     ++Net.BadPayload;
     ++Net.ProtocolErrors;
-    enqueueResponse(C, {0, WireStatus::ProtocolError, TrapKind::None, 0, 0, 0,
-                        0},
-                    /*Booked=*/false);
-    C.Doomed = true;
-    C.CloseAfterFlush = true;
-    C.ReadPaused = true;
-    return;
+    doom(C);
+    return true;
   }
 
   uint64_t DeadlineNs =
@@ -507,25 +612,33 @@ void SocketServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
     enqueueResponse(C, {Req.Index, WireStatus::DeadlineExpired, TrapKind::None,
                         0, 0, 0, 0},
                     /*Booked=*/true);
-    return;
+    return true;
   }
 
   unsigned Shard =
       shardForRequest(Opts.Pool.RootSeed, Req.Index, Opts.Shards);
-  // Insert before submit(): the completion can only be processed by this
-  // same thread on a later iteration, so the entry is always there first.
-  InFlight.emplace(Req.Index, InFlightReq{C.Id, DeadlineNs});
-  ++C.InFlightCount;
+  // Insert before submit(): a worker may answer the request before
+  // submit() returns. Neither lock is held across submit(), which may
+  // deliver outcomes on this thread (a process shard's death path).
+  {
+    std::lock_guard<std::mutex> Lock(InFlightMu);
+    InFlight.emplace(Req.Index, InFlightReq{C.shared_from_this(), DeadlineNs});
+  }
+  C.InFlightCount.fetch_add(1, std::memory_order_relaxed);
   if (!Shards[Shard]->submit({Req.Index, std::move(Req.Inputs)})) {
-    InFlight.erase(Req.Index);
-    --C.InFlightCount;
+    {
+      std::lock_guard<std::mutex> Lock(InFlightMu);
+      InFlight.erase(Req.Index);
+    }
+    C.InFlightCount.fetch_sub(1, std::memory_order_relaxed);
     ++Net.WireShed;
     enqueueResponse(C, {Req.Index, WireStatus::Shed, TrapKind::None, 0, 0, 0,
                         0},
                     /*Booked=*/true);
-    return;
+    return true;
   }
   ++Net.RequestsAdmitted;
+  ReadAdmitted.push_back(Req.Index);
   // Process-isolation chaos: a seeded SIGKILL of the child that just
   // admitted this request. The kill perturbs only *delivery* — the death
   // path re-forks and replays the in-flight requests, whose outcomes are
@@ -534,11 +647,13 @@ void SocketServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
     ++Net.ShardKillFaults;
     ProcShards[Shard]->injectKill();
   }
+  return false;
 }
 
-void SocketServer::pumpDecoder(Conn &C) {
+bool SocketServer::pumpDecoder(Conn &C) {
   std::vector<uint8_t> Payload;
   FrameError Err;
+  bool Wrote = false;
   while (!C.Doomed) {
     FrameDecoder::Item I = C.Decoder.next(Payload, Err);
     if (I == FrameDecoder::Item::None)
@@ -549,25 +664,23 @@ void SocketServer::pumpDecoder(Conn &C) {
         ++Net.FrameOversize;
       else
         ++Net.FrameZeroLength;
-      enqueueResponse(C, {0, WireStatus::ProtocolError, TrapKind::None, 0, 0,
-                          0, 0},
-                      /*Booked=*/false);
-      C.Doomed = true;
-      C.CloseAfterFlush = true;
-      C.ReadPaused = true;
-      break;
+      doom(C);
+      return true;
     }
     ++Net.FramesDecoded;
-    handleFrame(C, Payload);
+    Wrote |= handleFrame(C, Payload);
   }
+  return Wrote;
 }
 
 void SocketServer::handleReadable(Conn &C) {
   uint8_t Buf[65536];
+  bool Wrote = false; // the loop queued a response of its own
+  ReadAdmitted.clear();
   for (;;) {
     size_t Want = sizeof Buf;
     if (netProbe(FaultSite::NetPartialIo)) {
-      ++Net.PartialIoFaults;
+      bump(Net.PartialIoFaults);
       Want = 1;
     }
     ssize_t R = ::recv(C.Fd, Buf, Want, 0);
@@ -594,7 +707,7 @@ void SocketServer::handleReadable(Conn &C) {
     C.Decoder.feed(Buf, static_cast<size_t>(R));
     if (!WasMidFrame)
       C.FrameStartNs = obsNowNanos();
-    pumpDecoder(C);
+    Wrote |= pumpDecoder(C);
     if (!C.Decoder.midFrame())
       C.FrameStartNs = 0;
     if (C.Doomed || C.ReadPaused)
@@ -602,35 +715,24 @@ void SocketServer::handleReadable(Conn &C) {
     if (static_cast<size_t>(R) < Want)
       break; // socket drained (level-trigger re-reports if not)
   }
-  flushConn(C); // may close C; nothing touches it afterwards
+  // Admitted requests are answered by the threads that serve them; only
+  // the loop's own answers (shed, expired, protocol error) flush here.
+  if (Wrote)
+    flushConn(C); // may close C; nothing touches it afterwards
 }
 
 void SocketServer::handleWritable(Conn &C) { flushConn(C); }
 
-void SocketServer::drainCompletions() {
-  std::vector<PoolOutcome> Batch;
-  {
-    std::lock_guard<std::mutex> Lock(CompletionMutex);
-    Batch.swap(Completions);
-  }
-  for (const PoolOutcome &O : Batch)
-    completeOutcome(O);
-}
-
 void SocketServer::completeOutcome(const PoolOutcome &O) {
-  auto It = InFlight.find(O.Index);
-  if (It == InFlight.end())
-    return; // not a wire request (defensive; should not happen)
-  InFlightReq Entry = It->second;
-  InFlight.erase(It);
-  auto ConnIt = Conns.find(Entry.ConnId);
-  if (ConnIt == Conns.end()) {
-    // The connection died while the request was being served.
-    ++Net.ResponsesOrphaned;
-    return;
+  InFlightReq Entry;
+  {
+    std::lock_guard<std::mutex> Lock(InFlightMu);
+    auto It = InFlight.find(O.Index);
+    if (It == InFlight.end())
+      return; // not a wire request (defensive; should not happen)
+    Entry = std::move(It->second);
+    InFlight.erase(It);
   }
-  Conn &C = *ConnIt->second;
-  --C.InFlightCount;
   WireResponse R;
   R.Index = O.Index;
   R.Status = O.Poisoned ? WireStatus::Poisoned
@@ -640,12 +742,23 @@ void SocketServer::completeOutcome(const PoolOutcome &O) {
   R.Attempts = O.Attempts;
   R.ReturnValue = O.ReturnValue;
   R.Steps = O.Steps;
-  if (Entry.DeadlineNs && obsNowNanos() > Entry.DeadlineNs) {
+  bool Missed = Entry.DeadlineNs && obsNowNanos() > Entry.DeadlineNs;
+  if (Missed)
     R.Flags |= RespFlagDeadlineMissed;
-    ++Net.DeadlineMissed;
-  }
-  enqueueResponse(C, R, /*Booked=*/true);
-  flushConn(C);
+  std::vector<uint8_t> Frame = encodeResponseFrame(R);
+
+  Conn &C = *Entry.C;
+  std::unique_lock<std::mutex> Lock(C.Mu);
+  // Under Mu, so a flusher that sees no response owed and nothing in
+  // flight on a doomed connection can close it without losing this one.
+  C.InFlightCount.fetch_sub(1, std::memory_order_relaxed);
+  // A connection that died while the request was served orphans it.
+  if (appendLocked(C, Frame, /*Booked=*/true) && Missed)
+    bump(Net.DeadlineMissed);
+  CloseWant Want = flushLocked(C, Lock);
+  Lock.unlock();
+  if (Want != CloseWant::None)
+    queueClose(C.Id, Want == CloseWant::Reset);
 }
 
 void SocketServer::loopMain() {
@@ -663,17 +776,20 @@ void SocketServer::loopMain() {
         ListenerArmed = false;
       }
       for (auto &[Id, C] : Conns) {
+        std::lock_guard<std::mutex> Lock(C->Mu);
         C->ReadPaused = true;
-        updateEpoll(*C);
+        updateEpollLocked(*C);
       }
       AppliedPhase = static_cast<int>(Phase::Quiesce);
+      Quiesced.store(true, std::memory_order_release);
+      Quiesced.notify_all();
     }
     if (P >= static_cast<int>(Phase::Flush) &&
         AppliedPhase < static_cast<int>(Phase::Flush)) {
-      // Drain step 2: the shards have finished, so every completion is in
-      // the hand-off vector. Match them all, then push the last bytes out
-      // within one drain budget.
-      drainCompletions();
+      // Drain step 2: the shards have finished, so every outcome has been
+      // answered on its connection. Apply the closes those answers asked
+      // for, then push the last bytes out within one drain budget.
+      drainCloseQueue();
       FlushDeadlineNs =
           obsNowNanos() + uint64_t(Opts.DrainTimeoutMillis) * MillisToNanos;
       std::vector<uint64_t> Ids;
@@ -688,9 +804,11 @@ void SocketServer::loopMain() {
     }
     if (AppliedPhase == static_cast<int>(Phase::Flush)) {
       bool AllFlushed = true;
-      for (auto &[Id, C] : Conns)
+      for (auto &[Id, C] : Conns) {
+        std::lock_guard<std::mutex> Lock(C->Mu);
         if (C->pendingOut())
           AllFlushed = false;
+      }
       if (AllFlushed || obsNowNanos() > FlushDeadlineNs) {
         std::vector<uint64_t> Ids;
         for (auto &[Id, C] : Conns)
@@ -704,8 +822,8 @@ void SocketServer::loopMain() {
     for (ChildProcessShard *S : ProcShards)
       S->service();
 
-    // Every wake is an fd: the eventfd carries completions, stop and drain
-    // requests, a shard's pidfd its child's exit. The one wall-clock
+    // Every wake is an fd: a connection's request bytes, the eventfd's
+    // stop, drain and close requests, a shard's pidfd its child's exit. The one wall-clock
     // deadline is the drain's final flush.
     int TimeoutMillis = -1;
     if (AppliedPhase == static_cast<int>(Phase::Flush)) {
@@ -732,7 +850,7 @@ void SocketServer::loopMain() {
       if (Id == WakeId) {
         uint64_t Count = 0;
         (void)!::read(WakeEventFd, &Count, sizeof Count); // one read clears
-        drainCompletions();
+        drainCloseQueue();
         continue;
       }
       if (Id >= ShardPidIdBase) {
@@ -778,6 +896,10 @@ DrainReport SocketServer::drain() {
 
   PhaseFlag.store(static_cast<int>(Phase::Quiesce), std::memory_order_release);
   wakeLoop();
+  // A worker can answer a request before the loop's submit() has returned
+  // and booked it: wait until the loop stops reading, so the shard books
+  // frozen below count every request the loop admitted.
+  Quiesced.wait(false, std::memory_order_acquire);
 
   // Drain every shard inside the budget; one laggard escalates ALL shards
   // to cancellation so drain() has a bounded worst case. Cancelled runs

@@ -13,18 +13,23 @@
 /// (ServerOptions::Mode, net/ShardProcess.h, DESIGN.md §15) — the routing,
 /// backpressure, and deadline machinery here is mode-blind.
 ///
-/// Threading model. The loop thread owns the listener, every Connection,
-/// the in-flight request map, the shard IPC channels and the shard
-/// children's pidfds (it reaps its own children), and the NetBooks —
-/// none of it is locked, because nothing else touches it. The only
-/// cross-thread traffic is the completion path: shard workers (or the
-/// loop's own shard-channel reads) fire a delivery hook that appends the
-/// outcome to a mutex-protected vector and pokes the wake eventfd; the
-/// loop drains the vector on its own thread and writes responses.
-/// Requests therefore flow loop → shard and outcomes flow shard → loop
-/// with exactly one synchronization point each way. The loop sleeps in
-/// epoll_wait until an fd is ready; it keeps no timer except the drain's
-/// final flush deadline.
+/// Threading model. The loop thread owns the listener, the connection
+/// table, the shard IPC channels and the shard children's pidfds (it
+/// reaps its own children), and it alone reads sockets, admits requests
+/// and closes connections. Whichever thread finishes a request answers
+/// it: a pool worker, the loop (a process shard's channel handler), or
+/// the drain() caller. It takes the in-flight entry, which carries a
+/// reference to its connection, encodes the response, appends it under
+/// that connection's output lock, and, unless another thread is already
+/// flushing the connection, sends everything pending itself, releasing
+/// the lock around each send(). A response is Delivered when send()
+/// accepts its last byte. A completing thread that needs the connection
+/// closed (send error, injected reset, a doomed connection drained)
+/// queues its id and wakes the loop; the fd itself closes when the last
+/// reference to the connection drops, so no send() ever reaches a
+/// reused fd number. The loop sleeps in epoll_wait until an fd is ready;
+/// its eventfd carries stop, drain and close requests, and it keeps no
+/// timer except the drain's final flush deadline.
 ///
 /// Robustness posture:
 ///  - a malformed frame (hardened decoder) or payload is an accounted
@@ -63,7 +68,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <deque>
 #include <memory>
 #include <mutex>
 #include <string>
@@ -75,9 +79,12 @@ namespace smokestack {
 
 class MetricsRegistry;
 
-/// Socket-layer accounting, owned by the loop thread and valid to read
-/// after drain(). Mirrors PoolBooks in spirit: every decoded frame and
-/// every generated response is booked into exactly one class.
+/// Socket-layer accounting, valid to read after drain(). Mirrors PoolBooks
+/// in spirit: every decoded frame and every generated response is booked
+/// into exactly one class. The loop thread writes most fields; the ones a
+/// completing thread also writes (BytesOut, the delivery pair,
+/// DeadlineMissed and the three flush-site fault counts) are only ever
+/// incremented as relaxed atomics.
 struct NetBooks {
   // Connection lifecycle.
   uint64_t ConnectionsAccepted = 0;
@@ -190,9 +197,11 @@ struct ServerOptions {
   /// in-flight requests are cancelled and booked poisoned — and reports
   /// Clean = false.
   unsigned DrainTimeoutMillis = 5000;
-  /// Network-layer fault injection (sites AcceptFailure..ClientStall),
-  /// evaluated on the loop thread against NetFaultPlan. Independent of
-  /// the shards' per-request injection (Pool.InjectFaults).
+  /// Network-layer fault injection (sites AcceptFailure..ClientStall)
+  /// against NetFaultPlan: the accept and read sites probe on the loop
+  /// thread, the flush sites on whichever thread flushes. Independent of
+  /// the shards' per-request injection (Pool.InjectFaults), which these
+  /// probes never consult.
   bool InjectNetFaults = false;
   FaultPlan NetFaultPlan;
   /// Template for every shard's pool. Workers is per shard. Admission
@@ -259,15 +268,21 @@ private:
   void handleAccept();
   void handleReadable(Conn &C);
   void handleWritable(Conn &C);
-  void handleFrame(Conn &C, const std::vector<uint8_t> &Payload);
-  void pumpDecoder(Conn &C);
+  /// Both return whether the loop queued a response of its own.
+  bool handleFrame(Conn &C, const std::vector<uint8_t> &Payload);
+  bool pumpDecoder(Conn &C);
+  void doom(Conn &C);
   void enqueueResponse(Conn &C, const WireResponse &R, bool Booked);
+  bool appendLocked(Conn &C, const std::vector<uint8_t> &Frame, bool Booked);
+  enum class CloseWant { None, Close, Reset };
+  CloseWant flushLocked(Conn &C, std::unique_lock<std::mutex> &Lock);
   void flushConn(Conn &C);
   void closeConn(uint64_t Id, bool CountReset);
-  void drainCompletions();
-  /// Answers one shard outcome on its connection (loop thread).
+  void queueClose(uint64_t Id, bool CountReset);
+  void drainCloseQueue();
+  /// Answers one shard outcome on its connection, on the calling thread.
   void completeOutcome(const PoolOutcome &O);
-  void updateEpoll(Conn &C);
+  void updateEpollLocked(Conn &C);
   bool netProbe(FaultSite Site);
   void wakeLoop();
   void closeAll();
@@ -282,7 +297,8 @@ private:
   int EpollFd = -1;
   int ListenFd = -1;
   /// Loop wakeup: an eventfd (write is async-signal-safe, so requestStop
-  /// and completion hooks can poke it from anywhere).
+  /// can poke it from a signal handler). It carries stop, drain and close
+  /// requests.
   int WakeEventFd = -1;
   uint16_t BoundPort = 0;
   bool ListenerArmed = false;
@@ -293,21 +309,31 @@ private:
   /// Drain phases, advanced by drain() and observed by the loop.
   enum class Phase : int { Running = 0, Quiesce = 1, Flush = 2, Exit = 3 };
   std::atomic<int> PhaseFlag{0};
-
-  /// Completion hand-off from other threads (pool workers, a drain-time
-  /// abort); an outcome delivered on the loop thread itself (a process
-  /// shard's channel handler) is answered inline instead.
-  std::mutex CompletionMutex;
-  std::vector<PoolOutcome> Completions;
+  /// Set once the loop has applied Quiesce (or returned): no submit() is
+  /// in progress or will start, so the shard books can be frozen.
+  std::atomic<bool> Quiesced{false};
 
   /// Loop-thread state.
-  std::unordered_map<uint64_t, std::unique_ptr<Conn>> Conns;
+  std::unordered_map<uint64_t, std::shared_ptr<Conn>> Conns;
+  uint64_t NextConnId = 2; ///< 0 = listener, 1 = wake eventfd.
+  /// Indices admitted during the current handleReadable call.
+  std::vector<uint64_t> ReadAdmitted;
+
+  /// Admitted requests awaiting their outcome. The loop inserts; the
+  /// completing thread erases. The mutex covers only find, emplace and
+  /// erase; each entry keeps its connection alive until it is answered.
   struct InFlightReq {
-    uint64_t ConnId;
-    uint64_t DeadlineNs; ///< 0 = none.
+    std::shared_ptr<Conn> C;
+    uint64_t DeadlineNs = 0; ///< 0 = none.
   };
+  std::mutex InFlightMu;
   std::unordered_map<uint64_t, InFlightReq> InFlight;
-  uint64_t NextConnId = 2; ///< 0 = listener, 1 = wake pipe.
+
+  /// Closes wanted by a thread other than the loop: (connection id,
+  /// count as reset).
+  std::mutex CloseMu;
+  std::vector<std::pair<uint64_t, bool>> CloseQueue;
+
   NetBooks Net;
   std::unique_ptr<FaultInjector> NetInjector;
 

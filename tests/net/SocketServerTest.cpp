@@ -11,7 +11,10 @@
 // backpressure sheds with exact books; a hung request is poisoned by the
 // drain-timeout escalation; the wire accounting identity holds at the
 // end of every scenario, friendly or hostile; and an entry point no
-// request can call is refused before anything starts.
+// request can call is refused before anything starts. The worker that
+// serves a request writes its response: that costs the loop no wake-up,
+// keeps the books exact when a close races the worker's send(), and never
+// lets the request's own fault plan reach the socket layer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -22,6 +25,8 @@
 #include "net/Client.h"
 #include "net/ShardRouter.h"
 
+#include "support/Fnv.h"
+#include "support/SplitMix64.h"
 #include "support/Statistics.h"
 
 #include "gtest/gtest.h"
@@ -30,6 +35,8 @@
 
 #include <cerrno>
 #include <chrono>
+#include <filesystem>
+#include <fstream>
 #include <map>
 #include <thread>
 
@@ -443,6 +450,163 @@ TEST(SocketServerTest, ClientResetOrphansItsResponses) {
   EXPECT_EQ(Rep.Net.RequestsAdmitted, 1u);
   EXPECT_EQ(Rep.Net.ResponsesDelivered + Rep.Net.ResponsesOrphaned, 1u);
   EXPECT_EQ(Rep.Pool.Completed, 1u) << "the work itself still completes";
+}
+
+/// voluntary_ctxt_switches of this process's thread named \p Name, or -1
+/// when no such thread runs.
+long voluntarySwitchesOf(const std::string &Name) {
+  for (const auto &Task :
+       std::filesystem::directory_iterator("/proc/self/task")) {
+    std::ifstream Comm(Task.path() / "comm");
+    std::string ThreadName;
+    if (!std::getline(Comm, ThreadName) || ThreadName != Name)
+      continue;
+    std::ifstream Status(Task.path() / "status");
+    const std::string Key = "voluntary_ctxt_switches:";
+    for (std::string Line; std::getline(Status, Line);)
+      if (Line.compare(0, Key.size(), Key) == 0)
+        return std::stol(Line.substr(Key.size()));
+  }
+  return -1;
+}
+
+TEST(SocketServerTest, CompletionDoesNotWakeTheLoop) {
+  // The pool worker answers its request itself, so one request costs the
+  // loop one park (the request's arrival), not a second one for a
+  // completion hand-off.
+  constexpr long N = 200;
+  Module M("net");
+  buildRandModule(M);
+  SocketServer Server(M, randServerOptions(1));
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  BlockingClient C;
+  ASSERT_TRUE(C.connectTo(Server.port()));
+  auto RoundTrip = [&C](uint64_t Index) {
+    WireRequest Req;
+    Req.Index = Index;
+    WireResponse R;
+    return C.sendRequest(Req) && C.recvResponse(R) && R.Index == Index &&
+           R.Status == WireStatus::Ok;
+  };
+  ASSERT_TRUE(RoundTrip(0)); // the accept is behind us
+  long Before = voluntarySwitchesOf("ss-loop");
+  ASSERT_GE(Before, 0) << "no thread named ss-loop";
+  for (long I = 1; I <= N; ++I)
+    ASSERT_TRUE(RoundTrip(static_cast<uint64_t>(I))) << I;
+  long After = voluntarySwitchesOf("ss-loop");
+  EXPECT_LT(double(After - Before) / N, 1.5)
+      << (After - Before) << " loop context switches for " << N
+      << " sequential requests";
+
+  DrainReport Rep = Server.drain();
+  EXPECT_TRUE(Rep.IdentityOk);
+  EXPECT_EQ(Rep.Net.ResponsesDelivered, uint64_t(N) + 1);
+}
+
+TEST(SocketServerTest, CloseRacingAWorkerSendKeepsExactBooks) {
+  // Clients hang up while responses are still being written, so the loop
+  // closes connections under workers that are inside send(). Every
+  // response still ends in exactly one class, and one the client read was
+  // Delivered: send() had accepted its last byte.
+  Module M("net");
+  buildRandModule(M);
+  SocketServer Server(M, randServerOptions(2));
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  SplitMix64 Rng(24);
+  uint64_t NextIndex = 0, Sent = 0, Read = 0;
+  for (unsigned Round = 0; Round != 24; ++Round) {
+    constexpr unsigned Conns = 4;
+    BlockingClient Clients[Conns];
+    uint64_t Keep[Conns];
+    for (unsigned K = 0; K != Conns; ++K) {
+      ASSERT_TRUE(Clients[K].connectTo(Server.port()));
+      uint64_t Batch = 8 + Rng.nextBounded(57);
+      std::vector<uint8_t> Bytes;
+      for (uint64_t I = 0; I != Batch; ++I) {
+        WireRequest Req;
+        Req.Index = NextIndex++;
+        std::vector<uint8_t> F = encodeRequestFrame(Req);
+        Bytes.insert(Bytes.end(), F.begin(), F.end());
+      }
+      ASSERT_TRUE(Clients[K].sendBytes(Bytes.data(), Bytes.size()));
+      Sent += Batch;
+      Keep[K] = Rng.nextBounded(Batch + 1);
+    }
+    for (unsigned K = 0; K != Conns; ++K) {
+      for (uint64_t I = 0; I != Keep[K]; ++I) {
+        WireResponse R;
+        ASSERT_TRUE(Clients[K].recvResponse(R)) << "round " << Round;
+      }
+      Read += Keep[K];
+      if (Rng.next() & 1)
+        Clients[K].resetConn();
+      else
+        Clients[K].closeConn();
+    }
+  }
+
+  DrainReport Rep = Server.drain();
+  EXPECT_TRUE(Rep.Clean);
+  EXPECT_TRUE(Rep.IdentityOk);
+  EXPECT_EQ(Rep.Net.ResponsesDelivered + Rep.Net.ResponsesOrphaned,
+            Rep.Net.RequestsAdmitted + Rep.Net.WireShed +
+                Rep.Net.DeadlineRejected);
+  EXPECT_GE(Rep.Net.ResponsesDelivered, Read);
+  EXPECT_LE(Rep.Net.FramesDecoded, Sent);
+  EXPECT_EQ(Rep.Net.ProtocolErrors, 0u);
+}
+
+WireStatus statusOf(const PoolOutcome &O) {
+  return O.Poisoned                 ? WireStatus::Poisoned
+         : O.Trap != TrapKind::None ? WireStatus::Trapped
+                                    : WireStatus::Ok;
+}
+
+TEST(SocketServerTest, RequestFaultPlanNeverReachesTheSocketLayer) {
+  // A worker writes its response while its request's FaultScope is still
+  // installed. A plan that fails every socket-layer probe must inject
+  // nothing there: with InjectNetFaults off, the socket sites are off.
+  constexpr uint64_t N = 64;
+  Module M("net");
+  buildRandModule(M);
+  ServerOptions Opts = randServerOptions(1);
+  Opts.Pool.InjectFaults = true;
+  for (FaultSite S :
+       {FaultSite::ClientStall, FaultSite::NetPartialIo, FaultSite::ConnReset})
+    Opts.Pool.FaultTemplate.site(S).Probability = 1.0;
+
+  WorkerPool Pool(M, Opts.Pool);
+  Pool.start();
+  for (uint64_t I = 0; I != N; ++I)
+    Pool.submit({I, {}});
+  Fnv64 InProcess;
+  for (const PoolOutcome &O : Pool.finish())
+    for (uint64_t V : {O.Index, uint64_t(statusOf(O)), uint64_t(O.Trap),
+                       O.ReturnValue, O.Steps, uint64_t(O.Attempts)})
+      InProcess.mix(V);
+
+  SocketServer Server(M, Opts);
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+  std::map<uint64_t, WireResponse> Got = serveAll(Server.port(), N);
+  ASSERT_EQ(Got.size(), N);
+  Fnv64 Wire;
+  for (const auto &[Index, R] : Got)
+    for (uint64_t V : {Index, uint64_t(R.Status), uint64_t(R.Trap),
+                       R.ReturnValue, R.Steps, uint64_t(R.Attempts)})
+      Wire.mix(V);
+  EXPECT_EQ(Wire.value(), InProcess.value());
+
+  DrainReport Rep = Server.drain();
+  EXPECT_TRUE(Rep.IdentityOk);
+  EXPECT_EQ(Rep.Net.StallFaults, 0u);
+  EXPECT_EQ(Rep.Net.PartialIoFaults, 0u);
+  EXPECT_EQ(Rep.Net.ResetFaults, 0u);
+  EXPECT_EQ(Rep.Net.ResponsesDelivered, N);
 }
 
 TEST(SocketServerTest, RequestStopIsObservable) {
