@@ -16,11 +16,11 @@
 /// which is exactly the deployment model (translate per function, execute
 /// per invocation). Every kernel's (Steps, ReturnValue) pair is digested
 /// per engine and the digests must agree exactly; any divergence is a
-/// correctness bug and exits nonzero. Results land in BENCH_interp.json
-/// (path overridable as argv[1]: per-kernel steps/sec, gated in CI against
-/// the committed baseline) and
-/// BENCH_interp_jit.json (argv[2]) with the JIT-vs-decoded identity
-/// digests and speedups, gated in CI at >= 2x.
+/// correctness bug and exits nonzero. Results are written as JSON only to
+/// the paths given: argv[1] gets per-kernel steps/sec (BENCH_interp.json's
+/// schema, gated in CI against the committed baseline), argv[2] the
+/// JIT-vs-decoded identity digests and speedups (BENCH_interp_jit.json's,
+/// gated in CI at >= 2x).
 ///
 /// The call kernels ask the paper's Fig. 3 question of the VM itself: a
 /// 2000-call three-alloca leaf, plain and Smokestack-hardened (one kernel
@@ -509,11 +509,27 @@ measureCallKernels(const std::vector<CallKernelSpec> &Specs, bool WantJit,
   return Results;
 }
 
+/// Writes \p Text to \p Path; no path means no file. False when the file
+/// cannot be written.
+bool writeJson(const char *Path, const std::string &Text) {
+  if (!Path)
+    return true;
+  std::FILE *Out = std::fopen(Path, "w");
+  if (!Out) {
+    std::fprintf(stderr, "cannot write %s\n", Path);
+    return false;
+  }
+  std::fputs(Text.c_str(), Out);
+  std::fclose(Out);
+  std::printf("\nwrote %s\n", Path);
+  return true;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
-  const char *JsonPath = argc > 1 ? argv[1] : "BENCH_interp.json";
-  const char *JitJsonPath = argc > 2 ? argv[2] : "BENCH_interp_jit.json";
+  const char *JsonPath = argc > 1 ? argv[1] : nullptr;
+  const char *JitJsonPath = argc > 2 ? argv[2] : nullptr;
   const int Reps = 5;
 
   // The decoded engine is always measured: it is the digest oracle for the
@@ -657,14 +673,8 @@ int main(int argc, char **argv) {
                 WantJit ? MinJitSpeedup : 0.0);
   JitJson += JitTail;
   JitJson += "  \"call_kernels\": [\n" + CallJson + "  ]\n}\n";
-  if (std::FILE *Out = std::fopen(JitJsonPath, "w")) {
-    std::fputs(JitJson.c_str(), Out);
-    std::fclose(Out);
-    std::printf("\nwrote %s\n", JitJsonPath);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", JitJsonPath);
+  if (!writeJson(JitJsonPath, JitJson))
     return 1;
-  }
   if (DigestMismatch)
     return 1;
   if (WantJit && MinJitSpeedup < 2.0) {
@@ -676,13 +686,5 @@ int main(int argc, char **argv) {
 
   Json += "  ]\n}\n";
 
-  if (std::FILE *Out = std::fopen(JsonPath, "w")) {
-    std::fputs(Json.c_str(), Out);
-    std::fclose(Out);
-    std::printf("\nwrote %s\n", JsonPath);
-  } else {
-    std::fprintf(stderr, "cannot write %s\n", JsonPath);
-    return 1;
-  }
-  return 0;
+  return writeJson(JsonPath, Json) ? 0 : 1;
 }

@@ -35,22 +35,22 @@
 //                                     scripted poison requests; traced vs
 //                                     untraced, alternate worker count, and
 //                                     (under -engine=jit) a decoded-engine
-//                                     replay; emits BENCH_soak.json
+//                                     replay (BENCH_soak.json's campaign)
 //   soak_server -net [-chaos] [...]   the in-process pool as reference, then
 //                                     the same campaign over loopback TCP
 //                                     through the epoll front-end at 1/2/4
 //                                     shards, with malformed-frame chaff
 //                                     and (with -chaos) socket-layer and
-//                                     shard-kill faults; emits
-//                                     BENCH_netsoak.json
+//                                     shard-kill faults (BENCH_netsoak.json's)
 //   soak_server -scaling [...]        worker sweep 1..hardware concurrency,
 //                                     then connections x shards over the
-//                                     wire; emits BENCH_scaling.json
+//                                     wire (BENCH_scaling.json's)
 //
 // Every mode but the sequential one is a list of passes over the same
 // campaign: one runPass serves each, one check list judges each, every
 // digest must equal the first pass's, and one JSON writer records them all
-// (-json=PATH; schema "bench": "soak", one entry per pass in "passes").
+// to -json=PATH (schema "bench": "soak", one entry per pass in "passes");
+// without -json= no file is written.
 //
 // Exit code 0 and the final line "SOAK PASS" only when all checks hold.
 //
@@ -1370,7 +1370,7 @@ int main(int argc, char **argv) {
   bool Jit = false;
   Transport Wire = Transport::NetThread;
   unsigned Connections = 4;
-  std::string JsonPath; // per-mode default resolved after parsing
+  std::string JsonPath; // empty: no JSON
   int Positional = 0;
   for (int I = 1; I < argc; ++I) {
     const char *Arg = argv[I];
@@ -1452,8 +1452,6 @@ int main(int argc, char **argv) {
   const char *Mode;
   if (Net) {
     Mode = "net";
-    if (JsonPath.empty())
-      JsonPath = "BENCH_netsoak.json";
     // Malformed chaff is kept at >=1% of the request traffic at any
     // -requests, so hostile-input handling is exercised proportionally.
     const uint64_t PerClass = std::max<uint64_t>(4, C.Requests / 400);
@@ -1470,8 +1468,6 @@ int main(int argc, char **argv) {
     }
   } else if (Chaos) {
     Mode = "chaos";
-    if (JsonPath.empty())
-      JsonPath = "BENCH_soak.json";
     Base.Workers = Workers;
     PassSpec Traced = Base;
     Traced.Traced = true;
@@ -1487,8 +1483,6 @@ int main(int argc, char **argv) {
     }
   } else if (Scaling) {
     Mode = "scaling";
-    if (JsonPath.empty())
-      JsonPath = "BENCH_scaling.json";
     const unsigned HW = hardwareThreads();
     for (unsigned W = 1; W < HW; W *= 2) {
       Base.Workers = W;

@@ -313,8 +313,9 @@ void WorkerPool::rebuildWorker(Worker &W) {
   uint64_t Start = Timed ? obsNowNanos() : 0;
   // Restore the existing VM to the shared post-load image and reset the
   // RNG in place: bitwise equivalent to constructing both anew, at
-  // O(bytes dirtied) instead of a 37 MiB SimMemory rebuild — under chaos
-  // this is the dominant cost of a contained crash or a repaired death.
+  // O(bytes dirtied) instead of fresh mappings, a re-layout and re-faulted
+  // pages — under chaos this is the dominant cost of a contained crash or
+  // a repaired death.
   // Wiring (shared program, cancel flag) survives the restore.
   W.VM->restoreFromSnapshot(Snapshot);
   W.Rng->reset();
@@ -549,6 +550,13 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
     pushSpan(W, Span);
   }
   return ServeVerdict::Served;
+}
+
+uint64_t WorkerPool::residentBytes() const {
+  uint64_t Bytes = 0;
+  for (const auto &W : Workers)
+    Bytes += W->VM->memory().residentBytes();
+  return Bytes;
 }
 
 std::vector<PoolOutcome> WorkerPool::finish() {

@@ -332,6 +332,11 @@ public:
   /// The shared decoded program (exposed for tests).
   const DecodedProgram &sharedProgram() const { return Shared; }
 
+  /// Host memory resident for the workers' VM segments, summed
+  /// (SimMemory::residentBytes). Reads every worker's VM, so call it
+  /// before start() or after finish().
+  uint64_t residentBytes() const;
+
 private:
   /// A queued request plus how many serve attempts it has burned.
   struct Pending {
@@ -392,8 +397,9 @@ private:
   /// and RequestRng to their fresh state in place: the VM is restored from
   /// the shared post-load snapshot and the RNG is reset. Both are
   /// equivalent to constructing replacements (vm/Snapshot.h; SnapshotTest
-  /// and RequestRngTest pin it), at O(bytes dirtied) instead of a 37 MiB
-  /// SimMemory reconstruction plus a module re-layout. Called on the
+  /// and RequestRngTest pin it), at O(bytes dirtied) instead of fresh
+  /// segment mappings, a module re-layout and a page fault for every page
+  /// the worker touches again. Called on the
   /// worker's own thread after a contained crash or a repaired death; the
   /// snapshot is immutable, so concurrent restores of different workers
   /// are safe.

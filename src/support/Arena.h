@@ -19,18 +19,30 @@
 ///     request boundary zeroes exactly the allocated prefix, preserving
 ///     the documented attack semantics of out-of-cursor heap bytes).
 ///
-/// The backing store is zero-initialized at construction, so an arena whose
-/// touched range has been zeroed is bitwise indistinguishable from a fresh
-/// one — the property the VM snapshot/restore fast-path is built on.
+/// The backing store is a private anonymous mapping, so it reads all zeroes
+/// at construction and the kernel supplies each page on first touch: an
+/// arena costs resident memory only for the pages its owner reaches, not
+/// its capacity. An arena whose touched range has been zeroed is bitwise
+/// indistinguishable from a fresh one — the property the VM
+/// snapshot/restore fast-path is built on. Zeroing keeps the pages
+/// resident (no madvise on the reset paths): a server's next request
+/// touches the same pages again.
 ///
 //===----------------------------------------------------------------------===//
 
 #ifndef SMOKESTACK_SUPPORT_ARENA_H
 #define SMOKESTACK_SUPPORT_ARENA_H
 
+#include <cerrno>
 #include <cstdint>
 #include <cstring>
 #include <memory>
+#include <new>
+#include <system_error>
+#include <vector>
+
+#include <sys/mman.h>
+#include <unistd.h>
 
 namespace smokestack {
 
@@ -40,12 +52,30 @@ public:
   /// request overflows the arithmetic).
   static constexpr uint64_t NoSpace = UINT64_MAX;
 
-  explicit ByteArena(uint64_t Capacity)
-      : Bytes(new uint8_t[Capacity]()), Cap(Capacity), TouchedLo(Capacity) {}
+  /// Maps \p Offset + \p Capacity bytes and places data() \p Offset bytes
+  /// into the mapping. Throws std::bad_alloc when the kernel refuses the
+  /// mapping (commit accounting included: there is no MAP_NORESERVE).
+  ByteArena(uint64_t Capacity, uint64_t Offset)
+      : Map(mapZeroed(Offset + Capacity)), Bytes(Map.get() + Offset),
+        Cap(Capacity), TouchedLo(Capacity) {}
 
-  uint8_t *data() { return Bytes.get(); }
-  const uint8_t *data() const { return Bytes.get(); }
+  uint8_t *data() { return Bytes; }
+  const uint8_t *data() const { return Bytes; }
   uint64_t capacity() const { return Cap; }
+
+  /// Bytes of the mapping resident in memory, whole pages (mincore). A page
+  /// that was only read counts too: it maps the kernel's shared zero page.
+  uint64_t residentBytes() const {
+    uint64_t Page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+    uint64_t Len = Map.get_deleter().Len;
+    std::vector<unsigned char> InCore((Len + Page - 1) / Page);
+    if (mincore(Map.get(), Len, InCore.data()) != 0)
+      throw std::system_error(errno, std::generic_category(), "mincore");
+    uint64_t Pages = 0;
+    for (unsigned char C : InCore)
+      Pages += C & 1;
+    return Pages * Page;
+  }
 
   //===--------------------------------------------------------------------===//
   // Touched-range tracking
@@ -78,7 +108,7 @@ public:
   uint64_t zeroTouched() {
     uint64_t Zeroed = touchedBytes();
     if (Zeroed)
-      std::memset(Bytes.get() + TouchedLo, 0, Zeroed);
+      std::memset(Bytes + TouchedLo, 0, Zeroed);
     TouchedLo = Cap;
     TouchedHi = 0;
     return Zeroed;
@@ -124,7 +154,24 @@ public:
   void resetCursor() { Cursor = 0; }
 
 private:
-  std::unique_ptr<uint8_t[]> Bytes;
+  struct Unmap {
+    uint64_t Len;
+    void operator()(uint8_t *P) const { munmap(P, Len); }
+  };
+
+  static std::unique_ptr<uint8_t, Unmap> mapZeroed(uint64_t Len) {
+    void *P = mmap(nullptr, Len, PROT_READ | PROT_WRITE,
+                   MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    if (P == MAP_FAILED)
+      throw std::bad_alloc();
+    // A transparent huge page would make one touch resident 2 MiB, which is
+    // the footprint the lazy mapping exists to avoid.
+    madvise(P, Len, MADV_NOHUGEPAGE);
+    return {static_cast<uint8_t *>(P), Unmap{Len}};
+  }
+
+  std::unique_ptr<uint8_t, Unmap> Map;
+  uint8_t *Bytes;
   uint64_t Cap;
   uint64_t Cursor = 0;
   uint64_t HighWater = 0;

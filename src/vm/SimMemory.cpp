@@ -47,12 +47,18 @@ const char *smokestack::trapKindName(TrapKind Kind) {
 
 SimMemory::SimMemory()
     : Globals{"globals", MemoryMap::GlobalsBase, true,
-              ByteArena(MemoryMap::GlobalsSize)},
+              ByteArena(MemoryMap::GlobalsSize, 0 * HostStagger)},
       ROData{"rodata", MemoryMap::RODataBase, false,
-             ByteArena(MemoryMap::RODataSize)},
-      Heap{"heap", MemoryMap::HeapBase, true, ByteArena(MemoryMap::HeapSize)},
+             ByteArena(MemoryMap::RODataSize, 1 * HostStagger)},
+      Heap{"heap", MemoryMap::HeapBase, true,
+           ByteArena(MemoryMap::HeapSize, 2 * HostStagger)},
       Stack{"stack", MemoryMap::StackBase, true,
-            ByteArena(MemoryMap::StackSize)} {}
+            ByteArena(MemoryMap::StackSize, 3 * HostStagger)} {}
+
+uint64_t SimMemory::residentBytes() const {
+  return Globals.Mem.residentBytes() + ROData.Mem.residentBytes() +
+         Heap.Mem.residentBytes() + Stack.Mem.residentBytes();
+}
 
 SimMemory::Segment *SimMemory::findSegment(uint64_t Addr, uint64_t Size) {
   // Segment bases are 16 MiB-aligned and no segment spans a 16 MiB block

@@ -11,11 +11,12 @@
 /// corrupt neighboring objects — exactly the hardware behavior DOP attacks
 /// exploit — while accesses outside any segment trap like a real segfault.
 ///
-/// Each segment's backing store is a ByteArena (support/Arena.h): writes
-/// maintain an exact touched-byte range, so returning a segment to its
-/// post-load image costs O(bytes actually dirtied) — the mechanism behind
-/// both the request-boundary hygiene metrics and the snapshot/restore
-/// fast-path (vm/Snapshot.h).
+/// Each segment's backing store is a ByteArena (support/Arena.h): a lazily
+/// mapped region, so a VM is resident only for the pages it touches, and
+/// writes maintain an exact touched-byte range, so returning a segment to
+/// its post-load image costs O(bytes actually dirtied) — the mechanism
+/// behind both the request-boundary hygiene metrics and the
+/// snapshot/restore fast-path (vm/Snapshot.h).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -89,6 +90,10 @@ public:
   /// rejected as exhaustion instead of wrapping past the bounds check.
   uint64_t heapAlloc(uint64_t Size);
 
+  /// Host memory resident for the four segments, whole pages (mincore over
+  /// their mappings; see ByteArena::residentBytes).
+  uint64_t residentBytes() const;
+
   /// Total heap bytes handed out so far (memory-overhead accounting).
   uint64_t heapBytesUsed() const { return Heap.Mem.cursor(); }
 
@@ -148,6 +153,13 @@ public:
   uint64_t restoreImage(const VmSnapshot &S);
 
 private:
+  /// Segment I's host bytes start I * HostStagger bytes (17 cache lines)
+  /// into its mapping. With every base page-aligned, same-offset accesses
+  /// to the stack, heap and globals share L1 sets and alias at 4 KiB;
+  /// perfbench `calls` measured 56.8 µs/request staggered against 58.3
+  /// page-aligned.
+  static constexpr uint64_t HostStagger = 1088;
+
   struct Segment {
     const char *Name;
     uint64_t Base;

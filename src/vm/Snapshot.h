@@ -8,8 +8,9 @@
 /// A VmSnapshot freezes an Interpreter's post-load state — the touched
 /// content of every SimMemory segment, the heap cursor, and the global
 /// address map — so that returning a VM to "freshly constructed + globals
-/// loaded" is a delta restore over the dirtied bytes instead of a 37 MiB
-/// reallocation and a full module re-layout.
+/// loaded" is a delta restore over the dirtied bytes instead of fresh
+/// segment mappings, a full module re-layout, and a page fault for every
+/// page the VM touches again.
 ///
 /// Why restore equals reconstruction, bit for bit: a fresh SimMemory is
 /// all zeroes, loading globals writes a layout that is a pure function of

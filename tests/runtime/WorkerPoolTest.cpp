@@ -16,9 +16,13 @@
 
 #include "common/PoolRuns.h"
 #include "common/Threads.h"
+#include "core/SmokestackPass.h"
+#include "ir/Parser.h"
 
 #include "gtest/gtest.h"
 
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <thread>
 
@@ -148,6 +152,36 @@ TEST(WorkerPoolTest, StartAddsExactlyOneThreadPerWorker) {
     EXPECT_EQ(Pool.books().WorkerRestarts, Pool.books().WorkerDeaths);
   }
   EXPECT_EQ(settledThreadCount(), Before);
+}
+
+TEST(WorkerPoolTest, WorkersAreResidentOnlyForTouchedPages) {
+  // Eight hardened Listing-1 workers: each is resident for its globals,
+  // P-BOX rows and the stack pages its frames reach, not for its 37 MiB
+  // of segment mappings.
+  std::ifstream In(SMOKESTACK_EXAMPLES_DIR "/listing1.ir");
+  std::ostringstream Text;
+  Text << In.rdbuf();
+  ParseResult Parsed = parseModule(Text.str(), "listing1.ir");
+  ASSERT_TRUE(Parsed.ok()) << Parsed.Error;
+  Module &M = *Parsed.M;
+  PassManager PM;
+  PM.addPass(std::make_unique<SmokestackPass>());
+  PM.run(M);
+
+  PoolOptions Opts;
+  Opts.Workers = 8;
+  Opts.RootSeed = 7;
+  Opts.Function = "driver";
+  WorkerPool Pool(M, Opts);
+  ASSERT_TRUE(Pool.start());
+  for (uint64_t I = 0; I != 64; ++I)
+    EXPECT_TRUE(Pool.submit({I, {}}));
+  std::vector<PoolOutcome> Outcomes = Pool.finish();
+  ASSERT_EQ(Outcomes.size(), 64u);
+  for (const PoolOutcome &O : Outcomes)
+    EXPECT_TRUE(O.ok());
+  EXPECT_GT(Pool.residentBytes(), 0u);
+  EXPECT_LT(Pool.residentBytes(), 2u << 20);
 }
 
 /// Every request calls Opts.Function with no arguments, so start() must

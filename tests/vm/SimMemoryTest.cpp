@@ -8,6 +8,7 @@
 
 #include <cstring>
 #include <gtest/gtest.h>
+#include <new>
 
 using namespace smokestack;
 
@@ -147,4 +148,30 @@ TEST(SimMemoryTest, StackSegmentBounds) {
   EXPECT_TRUE(Mem.write(MemoryMap::StackBase, &Value, 8));
   EXPECT_FALSE(Mem.write(MemoryMap::StackBase - 8, &Value, 8))
       << "below the stack base is unmapped (guard)";
+}
+
+TEST(SimMemoryTest, FreshMemoryIsNotResident) {
+  // The four segments span 37 MiB of mapping; none of it is written at
+  // construction, so only what the VM touches ever becomes resident.
+  SimMemory Mem;
+  EXPECT_LT(Mem.residentBytes(), 64u << 10);
+  uint64_t Value = 1;
+  ASSERT_TRUE(Mem.write(MemoryMap::StackTop - 8, &Value, 8));
+  EXPECT_GT(Mem.residentBytes(), 0u) << "a write faults its page in";
+  EXPECT_LT(Mem.residentBytes(), 64u << 10);
+}
+
+TEST(SimMemoryTest, FreshSegmentsReadZero) {
+  SimMemory Mem;
+  for (uint64_t Addr : {MemoryMap::GlobalsBase, MemoryMap::RODataBase,
+                        MemoryMap::HeapBase + MemoryMap::HeapSize - 8,
+                        MemoryMap::StackBase}) {
+    uint64_t Out = 1;
+    ASSERT_TRUE(Mem.loadInt(Addr, 8, Out));
+    EXPECT_EQ(Out, 0u) << std::hex << Addr;
+  }
+}
+
+TEST(SimMemoryTest, UnmappableArenaThrowsBadAlloc) {
+  EXPECT_THROW(ByteArena(uint64_t(1) << 62, 0), std::bad_alloc);
 }

@@ -22,6 +22,8 @@
 
 #include "gtest/gtest.h"
 
+#include <unistd.h>
+
 using namespace smokestack;
 
 namespace {
@@ -187,6 +189,31 @@ TEST(SnapshotTest, HeapCursorRestartsAtCaptureState) {
   EXPECT_EQ(VM.memory().heapBytesUsed(), S.HeapCursor);
   EXPECT_EQ(VM.memory().heapAlloc(10), FirstFresh)
       << "the bump cursor must restart exactly where capture left it";
+}
+
+TEST(SnapshotTest, RestoreFaultsInOnlyTheCapturedImage) {
+  Module M("snap");
+  buildStatefulModule(M);
+  DeterministicEntropySource Entropy(9);
+  PseudoRandomSource Rng(Entropy);
+  Interpreter Donor(M, &Rng);
+  VmSnapshot S = Donor.captureSnapshot();
+  dirty(Donor);
+
+  Interpreter VM(M, &Rng);
+  VM.restoreFromSnapshot(S);
+  // Each captured range rounded up to pages, plus the page an unaligned
+  // range can straddle into.
+  const uint64_t Page = static_cast<uint64_t>(sysconf(_SC_PAGESIZE));
+  uint64_t Bound = 0;
+  for (const VmSnapshot::SegmentImage *Img :
+       {&S.Globals, &S.ROData, &S.Heap, &S.Stack})
+    if (Img->size())
+      Bound += (Img->size() + Page - 1) / Page * Page + Page;
+  ASSERT_GT(Bound, 0u);
+  EXPECT_GT(VM.memory().residentBytes(), 0u);
+  EXPECT_LE(VM.memory().residentBytes(), Bound)
+      << "restore writes only the captured image, whatever the donor dirtied";
 }
 
 } // namespace
