@@ -12,18 +12,19 @@
 ///                     (the post-trap recovery path inside runRequest)
 ///   heap_reset        SimMemory::resetHeap after an N-byte allocation
 ///                     (the per-request arena reset)
-///   snapshot_restore  Interpreter::restoreFromSnapshot with N bytes
-///                     dirtied since capture (the crash-rebuild fast-path)
-///   full_rebuild      what the fast-path replaces, priced so the rebuilt
-///                     VM ends where a restored one starts: destroy the
-///                     dirty Interpreter, construct a fresh one, load its
+///   reset_to_load     Interpreter::resetToLoad with N bytes dirtied since
+///                     load (the crash repair); its JSON key keeps the
+///                     name snapshot_restore_nanos
+///   full_rebuild      what the reset replaces, priced so the rebuilt VM
+///                     ends where a reset one starts: destroy the dirty
+///                     Interpreter, construct a fresh one, load its
 ///                     globals and read-only table (the P-BOX's segment),
 ///                     and fault in the same N bytes of stack and heap
-///                     the restored VM keeps resident
+///                     the reset VM keeps resident
 ///
 /// The headline metric, restore_speedup_vs_rebuild, is the full-rebuild /
-/// snapshot-restore ratio at the largest touched size: machine-relative,
-/// so it transfers across runner generations better than raw ns/op.
+/// reset ratio at the largest touched size: machine-relative, so it
+/// transfers across runner generations better than raw ns/op.
 /// Results are written as JSON to argv[1] when it is given (nothing is
 /// written otherwise); the CI bench-smoke job gates them against the
 /// committed BENCH_reset.json with tools/check_bench_regression.py.
@@ -33,7 +34,6 @@
 #include "ir/IRBuilder.h"
 #include "vm/DecodedProgram.h"
 #include "vm/Interpreter.h"
-#include "vm/Snapshot.h"
 
 #include <algorithm>
 #include <chrono>
@@ -47,8 +47,8 @@ using namespace smokestack;
 
 namespace {
 
-/// A module with a few globals so the captured snapshot is non-trivial —
-/// the restore has a real image to copy back, like a deployed module.
+/// A module with a few globals so the load state is non-trivial — the
+/// reset has a writable global to write back, like a deployed module.
 void buildModule(Module &M) {
   IRBuilder B(M);
   M.createGlobal("counter", B.i64(), {1});
@@ -104,14 +104,15 @@ int main(int argc, char **argv) {
   // Pool workers share one decoded program, so a rebuild never re-decodes.
   DecodedProgram Shared(M);
   Interpreter VM(M);
-  VmSnapshot Snap = VM.captureSnapshot();
+  VM.setSharedProgram(&Shared);
+  VM.resetToLoad(); // loads the globals
   SimMemory &Mem = VM.memory();
 
   std::vector<uint8_t> Pattern(1u << 20, 0xA5);
 
   std::printf("request-boundary reset cost (ns/op, median of %d)\n", Reps);
   std::printf("%12s %12s %12s %18s %14s\n", "touched", "scrub", "heap_reset",
-              "snapshot_restore", "full_rebuild");
+              "reset_to_load", "full_rebuild");
 
   std::string Json = "{\n  \"bench\": \"request_reset\",\n  \"reps\": " +
                      std::to_string(Reps) + ",\n  \"points\": [\n";
@@ -134,15 +135,14 @@ int main(int argc, char **argv) {
         },
         [&] { Mem.resetHeap(); });
 
-    // Crash-rebuild fast-path: N bytes dirtied across stack and heap.
+    // Crash repair: N bytes dirtied across stack and heap.
     double RestoreNs = medianOpNanos(
-        Reps, [&] { dirty(Mem, Pattern, N); },
-        [&] { VM.restoreFromSnapshot(Snap); });
+        Reps, [&] { dirty(Mem, Pattern, N); }, [&] { VM.resetToLoad(); });
 
-    // Crash-rebuild without the fast-path. The segments are mapped lazily,
-    // so constructing the VM alone is cheap; the rebuild is not done until
-    // it has loaded its globals (run() does, on a one-instruction main)
-    // and faulted back in the N bytes the restored VM keeps resident.
+    // Crash repair by reconstruction. The segments are mapped lazily, so
+    // constructing the VM alone is cheap; the rebuild is not done until it
+    // has loaded its globals (run() does, on a one-instruction main) and
+    // faulted back in the N bytes the reset VM keeps resident.
     auto Rebuilt = std::make_unique<Interpreter>(M);
     double RebuildNs = medianOpNanos(
         Reps, [&] { dirty(Rebuilt->memory(), Pattern, N); },
@@ -174,11 +174,10 @@ int main(int argc, char **argv) {
   }
 
   // Headline ratio at the LARGEST touched size: the most conservative
-  // point, since a restore's cost is all per byte while a rebuild also
-  // pays a fixed cost (mappings, re-layout) that weighs most at small N.
+  // point, since a reset's cost is all per byte while a rebuild also pays
+  // a fixed cost (mappings, page faults) that weighs most at small N.
   double Speedup = LastRestore > 0.0 ? LastRebuild / LastRestore : 0.0;
-  std::printf("\nsnapshot restore vs full rebuild at 1 MiB touched: %.1fx\n",
-              Speedup);
+  std::printf("\nreset vs full rebuild at 1 MiB touched: %.1fx\n", Speedup);
 
   char Tail[128];
   std::snprintf(Tail, sizeof(Tail),
@@ -195,8 +194,8 @@ int main(int argc, char **argv) {
     std::fclose(Out);
     std::printf("wrote %s\n", JsonPath);
   }
-  // The fast-path exists to beat reconstruction; fail loudly if it ever
-  // does not (2x is far below the measured margin, catching only real
+  // The reset exists to beat reconstruction; fail loudly if it ever does
+  // not (2x is far below the measured margin, catching only real
   // breakage rather than runner noise).
   return Speedup >= 2.0 ? 0 : 2;
 }

@@ -158,7 +158,8 @@ struct ExecResult;
 /// State handed to a compiled function by Interpreter::callDecoded. Built
 /// on every entry from C++ (it is a handful of loads), so compiled code
 /// reads every piece of Interpreter state through it and a code cache
-/// entry stays valid across snapshot restores and pool worker rebuilds.
+/// entry stays valid across resets to the load state and pool worker
+/// rebuilds.
 /// The code is bound to the JitCache that compiled it: its call sites
 /// embed that cache's entry cells and native-call counter.
 /// The native frames a compiled function calls directly share it: DF and

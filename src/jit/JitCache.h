@@ -12,11 +12,11 @@
 /// be compiled costs one attempt, not one per call.
 ///
 /// The cache is *derived* state: everything in it can be rebuilt from the
-/// DecodedFunction it is keyed on, so snapshot restore keeps it (compiled
-/// code reads Interpreter state only through its JitContext and embeds
-/// only this cache's own cells — see JitAbi.h) and only a
-/// program change (setSharedProgram with a different program) clears it,
-/// because the DecodedFunction keys would dangle.
+/// DecodedFunction it is keyed on, so a reset to the load state keeps it
+/// (compiled code reads Interpreter state only through its JitContext and
+/// embeds only this cache's own cells — see JitAbi.h) and only a program
+/// change (setSharedProgram with a different program) clears it, because
+/// the DecodedFunction keys would dangle.
 ///
 //===----------------------------------------------------------------------===//
 

@@ -25,7 +25,8 @@
 //    through the ssJitInterpOne shim, which runs the decoded engine's own
 //    per-instruction code (Interpreter::execInst);
 //  * inlined stores replicate SimMemory's touched-range bookkeeping so
-//    snapshot restore and request-boundary hygiene see identical ranges.
+//    the reset to the load state and request-boundary hygiene see
+//    identical ranges.
 //
 // Layout of a compiled function:
 //

@@ -36,7 +36,7 @@ Statistic NumPoolPoisoned("pool.requests-poisoned",
                           "Requests quarantined as poisoned");
 Statistic NumPoolRestores(
     "pool.snapshot-restores",
-    "Worker rebuilds: snapshot restore of the VM plus an RNG reset");
+    "Worker rebuilds: VM reset to its load state plus an RNG reset");
 Histogram RebuildNanos(
     "pool.rebuild-nanos",
     "Worker rebuild latency (obs timing only)");
@@ -187,11 +187,6 @@ WorkerPool::WorkerPool(Module &M, PoolOptions Opts)
       W->Ring = &this->Opts.Tracer->ringFor(I);
     Workers.push_back(std::move(W));
   }
-  // One post-load image for the whole pool, captured from worker 0's VM
-  // (loading its globals eagerly — a fresh worker would have loaded them
-  // lazily on its first run, with the identical deterministic layout) and
-  // shared read-only by every crash rebuild.
-  Snapshot = Workers.front()->VM->captureSnapshot();
   LiveWorkers.store(Workers.size(), std::memory_order_relaxed);
   findEntryPoint(M, this->Opts.Function, 0, EntryError);
 }
@@ -301,7 +296,7 @@ void WorkerPool::pushSpan(Worker &W, const TraceSpan &S) {
 }
 
 void WorkerPool::rebuildWorker(Worker &W) {
-  // Bank the doomed components' books first: a restored Interpreter and a
+  // Bank the doomed components' books first: a reset Interpreter and a
   // reset RequestRng restart their counters at zero, and the pre-crash
   // totals are part of the pool's accounting.
   W.VmCarry.Requests += W.VM->requestsServed();
@@ -311,13 +306,12 @@ void WorkerPool::rebuildWorker(Worker &W) {
 
   bool Timed = obsTimingEnabled();
   uint64_t Start = Timed ? obsNowNanos() : 0;
-  // Restore the existing VM to the shared post-load image and reset the
-  // RNG in place: bitwise equivalent to constructing both anew, at
-  // O(bytes dirtied) instead of fresh mappings, a re-layout and re-faulted
-  // pages — under chaos this is the dominant cost of a contained crash or
-  // a repaired death.
-  // Wiring (shared program, cancel flag) survives the restore.
-  W.VM->restoreFromSnapshot(Snapshot);
+  // Return the existing VM to its load state and reset the RNG in place:
+  // bitwise equivalent to constructing both anew, at O(bytes dirtied)
+  // instead of fresh mappings and re-faulted pages — under chaos this is
+  // the dominant cost of a contained crash or a repaired death.
+  // Wiring (shared program, cancel flag) survives the reset.
+  W.VM->resetToLoad();
   W.Rng->reset();
   ++NumPoolRestores;
   if (Timed)

@@ -79,7 +79,6 @@
 #include "runtime/RequestRng.h"
 #include "vm/DecodedProgram.h"
 #include "vm/Interpreter.h"
-#include "vm/Snapshot.h"
 
 #include <atomic>
 #include <cstdint>
@@ -373,7 +372,7 @@ private:
     uint64_t InjectedProbes[NumFaultSites] = {};
     uint64_t InjectedEvents[NumFaultSites] = {};
 
-    // Carried across rebuilds: a restored Interpreter/RequestRng restarts
+    // Carried across rebuilds: a reset Interpreter/RequestRng restarts
     // its counters at zero, so the pre-crash books are banked here and
     // merged back at finish().
     struct {
@@ -394,14 +393,14 @@ private:
   void workerMain(Worker &W);
   ServeVerdict serveRequest(Worker &W, Pending &Item);
   /// Banks W's VM/RNG books into its carries and returns its Interpreter
-  /// and RequestRng to their fresh state in place: the VM is restored from
-  /// the shared post-load snapshot and the RNG is reset. Both are
-  /// equivalent to constructing replacements (vm/Snapshot.h; SnapshotTest
-  /// and RequestRngTest pin it), at O(bytes dirtied) instead of fresh
-  /// segment mappings, a module re-layout and a page fault for every page
-  /// the worker touches again. Called on the
-  /// worker's own thread after a contained crash or a repaired death; the
-  /// snapshot is immutable, so concurrent restores of different workers
+  /// and RequestRng to their fresh state in place: the VM is reset to its
+  /// load state (Interpreter::resetToLoad) and the RNG is reset. Both are
+  /// equivalent to constructing replacements (SnapshotTest and
+  /// RequestRngTest pin it), at O(bytes dirtied) instead of fresh segment
+  /// mappings and a page fault for every page the worker touches again.
+  /// Called on the worker's own thread after a contained crash or a
+  /// repaired death; a reset reads only the worker's own VM and the
+  /// immutable shared program, so concurrent resets of different workers
   /// are safe.
   void rebuildWorker(Worker &W);
   /// Deterministic per-request attempt budget (>= 1).
@@ -426,9 +425,6 @@ private:
 
   PoolOptions Opts;
   DecodedProgram Shared;
-  /// Post-load VM image shared read-only by every worker's crash rebuild
-  /// (captured in the constructor).
-  VmSnapshot Snapshot;
   MpmcQueue<Pending> Queue;
   std::vector<std::unique_ptr<Worker>> Workers;
   PoolBooks Books;

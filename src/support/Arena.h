@@ -23,9 +23,9 @@
 /// at construction and the kernel supplies each page on first touch: an
 /// arena costs resident memory only for the pages its owner reaches, not
 /// its capacity. An arena whose touched range has been zeroed is bitwise
-/// indistinguishable from a fresh one — the property the VM
-/// snapshot/restore fast-path is built on. Zeroing keeps the pages
-/// resident (no madvise on the reset paths): a server's next request
+/// indistinguishable from a fresh one — the property a VM's reset to its
+/// load state (Interpreter::resetToLoad) is built on. Zeroing keeps the
+/// pages resident (no madvise on the reset paths): a server's next request
 /// touches the same pages again.
 ///
 //===----------------------------------------------------------------------===//
@@ -112,18 +112,6 @@ public:
     TouchedLo = Cap;
     TouchedHi = 0;
     return Zeroed;
-  }
-
-  /// Declares the touched range directly (snapshot restore stamps the
-  /// captured range back after copying the captured image in).
-  void setTouched(uint64_t Lo, uint64_t Hi) {
-    if (Hi > Lo) {
-      TouchedLo = Lo;
-      TouchedHi = Hi;
-    } else {
-      TouchedLo = Cap;
-      TouchedHi = 0;
-    }
   }
 
   //===--------------------------------------------------------------------===//

@@ -22,10 +22,9 @@ namespace {
 Statistic NumPrograms("vm.decoded-programs",
                       "DecodedPrograms built (pool-shared or VM-owned)");
 
-} // namespace
-
+/// The layout DecodedProgram::globalAddresses documents.
 std::unordered_map<std::string, uint64_t>
-smokestack::layoutModuleGlobals(const Module &M) {
+layoutModuleGlobals(const Module &M) {
   std::unordered_map<std::string, uint64_t> Addresses;
   uint64_t RWCursor = 0;
   uint64_t ROCursor = 0;
@@ -51,6 +50,8 @@ smokestack::layoutModuleGlobals(const Module &M) {
   }
   return Addresses;
 }
+
+} // namespace
 
 DecodedProgram::DecodedProgram(Module &M)
     : GlobalAddresses(layoutModuleGlobals(M)) {

@@ -7,18 +7,20 @@
 /// \file
 /// An immutable, shareable pre-decoded form of a Module: the deterministic
 /// global address map plus one DecodedFunction per definition, with every
-/// direct call site bound to its callee's. It is the only decode path: the
-/// worker pool builds one and publishes it read-only to every interpreter
-/// worker, so the decode cost is paid once per module instead of once per
-/// worker, and the hot path performs zero synchronization — workers only
-/// ever read it; a standalone Interpreter builds its own on its first run.
+/// direct call site bound to its callee's. It is the only decode path and
+/// the only global layout: the worker pool builds one and publishes it
+/// read-only to every interpreter worker, so the decode cost is paid once
+/// per module instead of once per worker, and the hot path performs zero
+/// synchronization — workers only ever read it; a standalone Interpreter
+/// builds its own when it first loads its globals.
 ///
 /// Sharing is sound because global layout is a pure function of the module
-/// (globals are placed by declaration order at fixed segment bases; see
-/// layoutModuleGlobals), so every Interpreter over the same Module resolves
-/// every global to the same simulated address, and the decoded form — which
-/// folds those addresses into its constant pool — is identical for all of
-/// them.
+/// (globals are placed by declaration order at fixed segment bases), so
+/// every Interpreter over the same Module resolves every global to the same
+/// simulated address, and the decoded form — which folds those addresses
+/// into its constant pool — is identical for all of them. The same map
+/// tells Interpreter::loadGlobals where to write each global's initializer
+/// and Interpreter::resetToLoad where to write the writable ones again.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -36,12 +38,6 @@ namespace smokestack {
 class Module;
 class Function;
 
-/// Deterministic simulated addresses for \p M's globals: read-only globals
-/// packed from MemoryMap::RODataBase, writable globals from
-/// MemoryMap::GlobalsBase, both in declaration order with natural
-/// alignment. Interpreter::loadGlobals materializes exactly this layout.
-std::unordered_map<std::string, uint64_t> layoutModuleGlobals(const Module &M);
-
 /// The decoded form of every function definition in a module, built once.
 /// Immutable after construction; safe to share across threads.
 class DecodedProgram {
@@ -55,6 +51,10 @@ public:
     return It == Decoded.end() ? nullptr : It->second.get();
   }
 
+  /// Deterministic simulated addresses of the module's globals: read-only
+  /// globals packed from MemoryMap::RODataBase, writable globals from
+  /// MemoryMap::GlobalsBase, both in declaration order with natural
+  /// alignment.
   const std::unordered_map<std::string, uint64_t> &globalAddresses() const {
     return GlobalAddresses;
   }

@@ -45,6 +45,15 @@ Histogram HeapResetBytes(
 Histogram ScrubStackBytes(
     "vm.scrub-stack-bytes",
     "Stack bytes scrubbed per post-trap recovery");
+// The reset's books keep their "snapshot" names: perfbench
+// (runtime.restores_per_kreq) and the crash-repair tests read them.
+Statistic NumResets("vm.snapshot-restores",
+                    "VMs returned to their load state (resetToLoad)");
+Histogram ResetBytes("vm.snapshot-restore-bytes",
+                     "Bytes zeroed + rewritten per resetToLoad");
+Histogram ResetNanos(
+    "vm.snapshot-restore-nanos",
+    "Wall-clock nanoseconds per resetToLoad (obs timing only)");
 
 } // namespace
 
@@ -66,6 +75,7 @@ void Interpreter::setRandomSource(RandomSource *Source) {
 }
 
 void Interpreter::setSharedProgram(const DecodedProgram *Shared) {
+  assert(Shared && "a loaded VM reads its global layout from the program");
   // Cache entries are keyed on the old program's DecodedFunctions, which a
   // new program replaces; reusing them would execute stale code against
   // dangling decode state.
@@ -84,19 +94,72 @@ void Interpreter::loadGlobals() {
   if (GlobalsLoaded)
     return;
   GlobalsLoaded = true;
-  GlobalAddresses = layoutModuleGlobals(M);
+  if (!Program) {
+    // Decode the whole module once; every direct call site binds its
+    // callee's decoded form, and the program holds the global layout.
+    OwnedProgram = std::make_unique<DecodedProgram>(M);
+    Program = OwnedProgram.get();
+  }
+  writeGlobalInitializers(/*ReadOnlyToo=*/true);
+}
+
+uint64_t Interpreter::writeGlobalInitializers(bool ReadOnlyToo) {
+  const auto &Addresses = Program->globalAddresses();
+  uint64_t Written = 0;
   for (size_t I = 0, E = M.getNumGlobals(); I != E; ++I) {
     const GlobalVariable *G = M.getGlobalAt(I);
     const std::vector<uint8_t> &Init = G->getInitializer();
-    if (!Init.empty())
-      Memory.write(GlobalAddresses[G->getName()], Init.data(), Init.size(),
-                   /*IgnoreProtection=*/true);
+    if (Init.empty() || (G->isReadOnly() && !ReadOnlyToo))
+      continue;
+    Memory.write(Addresses.at(G->getName()), Init.data(), Init.size(),
+                 /*IgnoreProtection=*/true);
+    Written += Init.size();
   }
+  return Written;
+}
+
+void Interpreter::resetToLoad() {
+  bool Timed = obsTimingEnabled();
+  uint64_t Start = Timed ? obsNowNanos() : 0;
+
+  // A fresh VM's memory is all zeroes plus what loadGlobals writes. Read-only
+  // data is never written after the loader (a store traps
+  // ReadOnlyViolation), so zeroing the writable segments and writing the
+  // writable globals again reproduces the load image exactly.
+  uint64_t Written = Memory.zeroWritable();
+  if (GlobalsLoaded)
+    Written += writeGlobalInitializers(/*ReadOnlyToo=*/false);
+  else
+    loadGlobals();
+  Memory.clearTrap();
+
+  // Bookkeeping parity with a freshly constructed interpreter whose globals
+  // are loaded: the request counters restart at zero (callers bank them
+  // first, exactly as across a full rebuild) and the per-run state is
+  // cleared. The decoded program (shared or owned) and the JIT code cache
+  // survive deliberately — they are pure functions of the module, so
+  // keeping them changes nothing observable and skips re-decoding.
+  InputQueue.clear();
+  Output.clear();
+  StackPointer = 0;
+  StackLowWater = 0;
+  CallCount = 0;
+  RequestsServed = 0;
+  RequestTraps = 0;
+  RequestRecoveries = 0;
+
+  ++NumResets;
+  ResetBytes.record(Written);
+  if (Timed)
+    ResetNanos.record(obsNowNanos() - Start);
 }
 
 uint64_t Interpreter::getGlobalAddress(const std::string &Name) const {
-  auto It = GlobalAddresses.find(Name);
-  return It == GlobalAddresses.end() ? 0 : It->second;
+  if (!GlobalsLoaded)
+    return 0;
+  const auto &Addresses = Program->globalAddresses();
+  auto It = Addresses.find(Name);
+  return It == Addresses.end() ? 0 : It->second;
 }
 
 const Function *smokestack::findEntryPoint(const Module &M,
@@ -126,12 +189,6 @@ ExecResult Interpreter::run(const std::string &FuncName,
   if (!F) {
     Result.Trap = TrapKind::BadCall;
     return Result;
-  }
-  if (!Program) {
-    // Decode the whole module once; every direct call site binds its
-    // callee's decoded form.
-    OwnedProgram = std::make_unique<DecodedProgram>(M);
-    Program = OwnedProgram.get();
   }
   const DecodedFunction *DF = Program->find(F);
   if (!DF) {

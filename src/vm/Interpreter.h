@@ -30,7 +30,6 @@
 #include <deque>
 #include <memory>
 #include <span>
-#include <unordered_map>
 
 namespace smokestack {
 
@@ -42,7 +41,6 @@ struct DecodedCallSite;
 struct DecodedFunction;
 struct DecodedInst;
 class DecodedProgram;
-struct VmSnapshot;
 
 /// Outcome of one simulated execution.
 struct ExecResult {
@@ -153,7 +151,8 @@ public:
   const std::string &output() const { return Output; }
   void clearOutput() { Output.clear(); }
 
-  /// Address of a module global after loading (0 if absent).
+  /// Address of a module global in the program's layout
+  /// (DecodedProgram::globalAddresses; 0 if absent or not yet loaded).
   uint64_t getGlobalAddress(const std::string &Name) const;
 
   void setLayoutObserver(LayoutObserver *Observer) {
@@ -177,9 +176,9 @@ public:
   /// Publishes a shared, immutable pre-decoded program (see
   /// vm/DecodedProgram.h), so N pool workers pay the decode cost once. The
   /// program must outlive this interpreter and must have been built from
-  /// the same Module. Without one, the first run() decodes the whole
-  /// module into a program this interpreter owns; the Module must not
-  /// change after that.
+  /// the same Module. Without one, loading the globals (the first run())
+  /// decodes the whole module into a program this interpreter owns; the
+  /// Module must not change after that.
   ///
   /// Changing the program invalidates the JIT code cache (its entries are
   /// keyed on the old program's DecodedFunctions); out-of-line so the
@@ -193,19 +192,18 @@ public:
   /// Number of functions entered during the last run (perf accounting).
   uint64_t callsExecuted() const { return CallCount; }
 
-  /// Captures this VM's post-load state (loading globals first if needed)
-  /// into a VmSnapshot (vm/Snapshot.h). The snapshot is immutable and may
-  /// be shared read-only across interpreters built from the same module.
-  VmSnapshot captureSnapshot();
-
-  /// Restores this VM to \p S's capture-time state: memory becomes bitwise
-  /// identical to "freshly constructed + globals loaded", the request
-  /// counters restart at zero (bank them first, as across a full rebuild),
-  /// and per-run state (input queue, output, trap) is cleared. Wiring
-  /// (random source, cancel flag, shared program, layout observer) is
-  /// preserved. Cost is O(bytes dirtied since capture), the
-  /// crash-rebuild fast-path of runtime/WorkerPool.h.
-  void restoreFromSnapshot(const VmSnapshot &S);
+  /// Returns this VM to its load state: memory becomes bitwise identical
+  /// to "freshly constructed + globals loaded", the request counters
+  /// restart at zero (bank them first, as across a full rebuild), and
+  /// per-run state (input queue, output, trap) is cleared. The load state
+  /// is a pure function of the module: the writable segments are zeroed
+  /// over their touched ranges and the writable globals' initializers are
+  /// written again, while read-only data, which only the loader writes,
+  /// keeps its load image. Wiring (random source, cancel flag, shared
+  /// program, layout observer) and the JIT code cache are preserved. Cost
+  /// is O(bytes dirtied since load), the crash repair of
+  /// runtime/WorkerPool.h.
+  void resetToLoad();
 
 private:
   /// The JIT runtime shims (jit/JitRuntime.cpp) charge fuel with
@@ -221,7 +219,13 @@ private:
     Return, ///< A Ret/RetVoid: the frame returns.
   };
 
+  /// Materializes the module's globals at the program's addresses, once,
+  /// decoding the module into an owned program first if none is set.
   void loadGlobals();
+  /// The one writer of a global's initial bytes, shared by loadGlobals and
+  /// resetToLoad: writes the writable globals' initializers, and the
+  /// read-only ones' too when \p ReadOnlyToo. Returns the bytes written.
+  uint64_t writeGlobalInitializers(bool ReadOnlyToo);
   /// Runs \p DF at call depth \p Depth: dispatches over its flat
   /// DecodedInst array with zero per-operand map lookups, or enters its
   /// compiled code once the JIT has promoted it.
@@ -310,13 +314,14 @@ private:
   uint64_t RequestsServed = 0;
   uint64_t RequestTraps = 0;
   uint64_t RequestRecoveries = 0;
-  /// The decoded module every call executes from: the pool's shared
-  /// program, or OwnedProgram, built by the first run() when none was set.
+  /// The decoded module every call executes from, and the global layout:
+  /// the pool's shared program, or OwnedProgram, built by loadGlobals when
+  /// none was set.
   const DecodedProgram *Program = nullptr;
   std::unique_ptr<DecodedProgram> OwnedProgram;
   /// Tiered native-code cache (jit/JitCache.h); null unless Opts.UseJit on
-  /// a jitAvailable() host. Derived state: survives snapshot restore,
-  /// cleared when the shared program changes.
+  /// a jitAvailable() host. Derived state: survives resetToLoad, cleared
+  /// when the shared program changes.
   std::unique_ptr<JitCache> Jit;
   /// Depth-indexed register files, FrameSlots apart: the frame at depth D
   /// is registerFile(D), and its callee's is FrameSlots words above it,
@@ -331,7 +336,6 @@ private:
   uint64_t *registerFile(unsigned Depth) {
     return RegisterStack.get() + static_cast<size_t>(Depth) * FrameSlots;
   }
-  std::unordered_map<std::string, uint64_t> GlobalAddresses;
   std::deque<std::vector<uint8_t>> InputQueue;
   std::string Output;
   LayoutObserver *TheObserver = nullptr;

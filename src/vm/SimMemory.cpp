@@ -171,7 +171,7 @@ uint64_t SimMemory::scrubStack(uint64_t FromAddr) {
   std::memset(Stack.Mem.data() + (From - MemoryMap::StackBase), 0, Zeroed);
   // Scrubbing writes zeroes — the segment's fresh-state value — so the
   // touched range must NOT widen here: it brackets potentially-nonzero
-  // bytes, and widening it would inflate every later restore.
+  // bytes, and widening it would inflate every later reset.
   return Zeroed;
 }
 
@@ -179,6 +179,13 @@ uint64_t SimMemory::resetHeap() {
   uint64_t Zeroed = Heap.Mem.cursor();
   if (Zeroed)
     std::memset(Heap.Mem.data(), 0, Zeroed);
+  Heap.Mem.resetCursor();
+  return Zeroed;
+}
+
+uint64_t SimMemory::zeroWritable() {
+  uint64_t Zeroed = Globals.Mem.zeroTouched() + Heap.Mem.zeroTouched() +
+                    Stack.Mem.zeroTouched();
   Heap.Mem.resetCursor();
   return Zeroed;
 }

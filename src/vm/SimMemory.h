@@ -14,9 +14,9 @@
 /// Each segment's backing store is a ByteArena (support/Arena.h): a lazily
 /// mapped region, so a VM is resident only for the pages it touches, and
 /// writes maintain an exact touched-byte range, so returning a segment to
-/// its post-load image costs O(bytes actually dirtied) — the mechanism
-/// behind both the request-boundary hygiene metrics and the
-/// snapshot/restore fast-path (vm/Snapshot.h).
+/// all zeroes costs O(bytes actually dirtied) — the mechanism behind both
+/// the request-boundary hygiene metrics and a VM's reset to its load state
+/// (Interpreter::resetToLoad).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -30,8 +30,6 @@
 #include <string>
 
 namespace smokestack {
-
-struct VmSnapshot;
 
 /// Segment layout constants (fixed virtual addresses).
 struct MemoryMap {
@@ -139,18 +137,12 @@ public:
   /// side effect, so a plain host read equals read().
   const uint8_t *jitRODataHost() const { return ROData.Mem.data(); }
 
-  /// Captures every segment's touched content plus the heap cursor into
-  /// \p S (vm/Snapshot.h; implemented in Snapshot.cpp).
-  void captureImage(VmSnapshot &S) const;
-
-  /// Restores memory to a captured image: each writable segment's current
-  /// touched range is zeroed and the captured bytes are copied back, making
-  /// the segment bitwise identical to its capture-time state. Read-only
-  /// segments are skipped when their touched range still matches the
-  /// capture (nothing but the one-shot loader can write them), which keeps
-  /// restore cost independent of the multi-MiB P-BOX. Returns the bytes
-  /// written (zeroed + copied; reset-cost observability).
-  uint64_t restoreImage(const VmSnapshot &S);
+  /// Returns the globals, heap and stack segments to all zeroes — each
+  /// one's touched range is zeroed and collapsed — and rewinds the heap
+  /// cursor; the first step of Interpreter::resetToLoad. Read-only data is
+  /// left alone: only the loader writes it, so it still holds its load
+  /// image. Returns the bytes zeroed (reset-cost observability).
+  uint64_t zeroWritable();
 
 private:
   /// Segment I's host bytes start I * HostStagger bytes (17 cache lines)

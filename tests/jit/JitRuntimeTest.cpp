@@ -9,8 +9,8 @@
 /// tier promotion, fuel exhaustion and cooperative cancellation raised
 /// *inside* compiled code at the interpreter's exact step, W^X on the code
 /// pages (no mapping in the process is ever writable and executable at
-/// once), and code-cache survival across snapshot restore / invalidation
-/// on program change.
+/// once), and code-cache survival across a reset to the load state /
+/// invalidation on program change.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -19,7 +19,6 @@
 #include "support/Statistics.h"
 #include "vm/DecodedProgram.h"
 #include "vm/Interpreter.h"
-#include "vm/Snapshot.h"
 
 #include <gtest/gtest.h>
 
@@ -165,7 +164,7 @@ TEST(JitRuntimeTest, NoWritableExecutableMappings) {
   EXPECT_GT(ExecMappings, 0u) << "maps scan saw no executable mappings at all";
 }
 
-TEST(JitRuntimeTest, CodeCacheSurvivesSnapshotRestore) {
+TEST(JitRuntimeTest, CodeCacheSurvivesResetToLoad) {
   SKIP_WITHOUT_JIT();
   Module M("t");
   buildLoopMain(M, 100);
@@ -173,16 +172,15 @@ TEST(JitRuntimeTest, CodeCacheSurvivesSnapshotRestore) {
   Opts.UseJit = true;
   Opts.JitThreshold = 0;
   Interpreter VM(M, nullptr, Opts);
-  VmSnapshot S = VM.captureSnapshot();
 
   ExecResult First = VM.run("main");
   ASSERT_TRUE(First.ok());
   uint64_t Compiled = VM.jitCompiledFunctions();
   ASSERT_GT(Compiled, 0u);
 
-  // The cache is derived state: restore rolls memory back but keeps the
-  // compiled code, and the post-restore run reuses it bit-identically.
-  VM.restoreFromSnapshot(S);
+  // The cache is derived state: the reset rolls memory back but keeps the
+  // compiled code, and the post-reset run reuses it bit-identically.
+  VM.resetToLoad();
   EXPECT_EQ(VM.jitCompiledFunctions(), Compiled);
   ExecResult Again = VM.run("main");
   EXPECT_EQ(Again.Trap, First.Trap);

@@ -5,15 +5,16 @@
 //===----------------------------------------------------------------------===//
 //
 // The pool-level proof of the crash-repair contract. A crashed or dead
-// worker is repaired in one way only: its Interpreter is restored from the
-// pool's post-load snapshot and its RequestRng is reset. Under chaos
+// worker is repaired in one way only: its Interpreter is reset to its load
+// state (Interpreter::resetToLoad) and its RequestRng is reset. Under chaos
 // (crashes, hard deaths, RNG faults), scripted poison requests and
 // death-only chaos, every observable — per-request outcomes (index, trap,
 // return value, steps, attempts, poisoned) and the complete PoolBooks —
 // must be bit-identical at workers = 1/2/8 and across reruns, and the
-// campaigns must actually repair workers (pool.snapshot-restores counts
-// one restore per contained crash and per restart). That a restore is
-// indistinguishable from fresh construction is pinned per component:
+// campaigns must actually repair workers (pool.snapshot-restores and
+// vm.snapshot-restores each count one reset per contained crash and per
+// restart). That a reset is indistinguishable from fresh construction is
+// pinned per component:
 // tests/vm/SnapshotTest.cpp for the VM, tests/runtime/RequestRngTest.cpp
 // for the RNG.
 //
@@ -30,23 +31,32 @@ using namespace smokestack;
 
 namespace {
 
+/// The value of statistic \p Name (0, and a failure, when it is missing).
+uint64_t statValue(const char *Name) {
+  const Statistic *S = findStatistic(Name);
+  EXPECT_NE(S, nullptr) << Name;
+  return S ? S->value() : 0;
+}
+
 /// runPool, plus the repair checks: at least one worker was repaired, so
 /// the campaign exercised the path under test, and every contained crash
-/// and every worker restart was repaired by a snapshot restore.
+/// and every worker restart was repaired by one VM reset, counted by both
+/// the pool and the VM.
 PoolRun runRepairing(Module &M, const PoolOptions &Opts, unsigned Workers,
                      uint64_t NumRequests) {
-  const Statistic *Restores = findStatistic("pool.snapshot-restores");
-  EXPECT_NE(Restores, nullptr);
-  uint64_t Before = Restores ? Restores->value() : 0;
+  const char *Counters[] = {"pool.snapshot-restores", "vm.snapshot-restores"};
+  uint64_t Before[2];
+  for (size_t I = 0; I != 2; ++I)
+    Before[I] = statValue(Counters[I]);
   PoolRun R = runPool(M, Opts, Workers, NumRequests);
   uint64_t Repairs = R.Books.CrashesContained + R.Books.WorkerRestarts;
   EXPECT_TRUE(R.Books.accountingIdentityHolds()) << "workers=" << Workers;
   EXPECT_GT(Repairs, 0u) << "workers=" << Workers
                          << ": no worker was repaired, the test is vacuous";
-  if (Restores) {
-    EXPECT_EQ(Restores->value() - Before, Repairs)
-        << "workers=" << Workers << ": a repair bypassed the snapshot restore";
-  }
+  for (size_t I = 0; I != 2; ++I)
+    EXPECT_EQ(statValue(Counters[I]) - Before[I], Repairs)
+        << "workers=" << Workers << ": " << Counters[I]
+        << " disagrees with the repairs booked";
   return R;
 }
 

@@ -30,10 +30,10 @@ Supported bench kinds (selected by the "bench"/"benchmark" key):
   interp_throughput gates every kernel's decoded_steps_per_sec (matched
                     to the baseline by kernel name; a baseline kernel
                     missing from the candidate is a REGRESSION)
-  request_reset     gates restore_speedup_vs_rebuild (snapshot restore vs
-                    full VM reconstruction — a machine-relative ratio, so
-                    it transfers across runner generations better than
-                    raw ns/op)
+  request_reset     gates restore_speedup_vs_rebuild (reset to the load
+                    state vs full VM reconstruction — a machine-relative
+                    ratio, so it transfers across runner generations
+                    better than raw ns/op)
   interp_jit        gates per-kernel JIT-vs-decoded digest identity (any
                     mismatch is a correctness bug, not noise), the
                     min_jit_speedup_vs_decoded ratio, and its >= 2x floor;
