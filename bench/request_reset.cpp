@@ -22,9 +22,13 @@
 ///                     and fault in the same N bytes of stack and heap
 ///                     the reset VM keeps resident
 ///
-/// The headline metric, restore_speedup_vs_rebuild, is the full-rebuild /
-/// reset ratio at the largest touched size: machine-relative, so it
-/// transfers across runner generations better than raw ns/op.
+/// The sweep runs Repetitions times, interleaved; each figure is the
+/// median over the repetitions. The headline metric,
+/// restore_speedup_vs_rebuild, is the median over the repetitions of the
+/// full-rebuild / reset ratio at the largest touched size:
+/// machine-relative, so it transfers across runner generations better
+/// than raw ns/op, and a median, so one repetition that the host slowed
+/// cannot move it.
 /// Results are written as JSON to argv[1] when it is given (nothing is
 /// written otherwise); the CI bench-smoke job gates them against the
 /// committed BENCH_reset.json with tools/check_bench_regression.py.
@@ -92,12 +96,20 @@ double medianOpNanos(int Reps, SetupFn Setup, OpFn Op) {
   return static_cast<double>(Times[Times.size() / 2]);
 }
 
+double median(std::vector<double> V) {
+  std::sort(V.begin(), V.end());
+  size_t Mid = V.size() / 2;
+  return V.size() % 2 ? V[Mid] : (V[Mid - 1] + V[Mid]) / 2;
+}
+
 } // namespace
 
 int main(int argc, char **argv) {
   const char *JsonPath = argc > 1 ? argv[1] : nullptr;
   const int Reps = 25;
+  const int Repetitions = 5;
   const uint64_t TouchedSizes[] = {4u << 10, 64u << 10, 256u << 10, 1u << 20};
+  constexpr size_t NumSizes = std::size(TouchedSizes);
 
   Module M("reset");
   buildModule(M);
@@ -110,79 +122,99 @@ int main(int argc, char **argv) {
 
   std::vector<uint8_t> Pattern(1u << 20, 0xA5);
 
-  std::printf("request-boundary reset cost (ns/op, median of %d)\n", Reps);
+  // Per size, per repetition: scrub, heap reset, reset to load, rebuild.
+  std::vector<double> ScrubNs[NumSizes], HeapNs[NumSizes],
+      RestoreNs[NumSizes], RebuildNs[NumSizes];
+  std::vector<double> Speedups;
+  for (int Rep = 0; Rep != Repetitions; ++Rep) {
+    for (size_t K = 0; K != NumSizes; ++K) {
+      uint64_t N = TouchedSizes[K];
+
+      // Post-trap stack scrub: N dirty bytes at the top of the stack.
+      uint64_t StackFrom = MemoryMap::StackTop - N;
+      ScrubNs[K].push_back(medianOpNanos(
+          Reps, [&] { Mem.write(StackFrom, Pattern.data(), N); },
+          [&] { Mem.scrubStack(StackFrom); }));
+
+      // Per-request arena reset: one N-byte allocation, fully written.
+      HeapNs[K].push_back(medianOpNanos(
+          Reps,
+          [&] {
+            uint64_t P = Mem.heapAlloc(N);
+            Mem.write(P, Pattern.data(), N);
+          },
+          [&] { Mem.resetHeap(); }));
+
+      // Crash repair: N bytes dirtied across stack and heap.
+      RestoreNs[K].push_back(medianOpNanos(
+          Reps, [&] { dirty(Mem, Pattern, N); }, [&] { VM.resetToLoad(); }));
+
+      // Crash repair by reconstruction. The segments are mapped lazily, so
+      // constructing the VM alone is cheap; the rebuild is not done until
+      // it has loaded its globals (run() does, on a one-instruction main)
+      // and faulted back in the N bytes the reset VM keeps resident.
+      auto Rebuilt = std::make_unique<Interpreter>(M);
+      RebuildNs[K].push_back(medianOpNanos(
+          Reps, [&] { dirty(Rebuilt->memory(), Pattern, N); },
+          [&] {
+            Rebuilt.reset();
+            Rebuilt = std::make_unique<Interpreter>(M);
+            Rebuilt->setSharedProgram(&Shared);
+            Rebuilt->run("main");
+            dirty(Rebuilt->memory(), Pattern, N);
+          }));
+    }
+    // Headline ratio at the LARGEST touched size: the most conservative
+    // point, since a reset's cost is all per byte while a rebuild also
+    // pays a fixed cost (mappings, page faults) that weighs most at small
+    // N.
+    double Restore = RestoreNs[NumSizes - 1].back();
+    Speedups.push_back(Restore > 0.0 ? RebuildNs[NumSizes - 1].back() / Restore
+                                     : 0.0);
+  }
+
+  std::printf("request-boundary reset cost (ns/op, median of %d "
+              "repetitions of a median of %d)\n",
+              Repetitions, Reps);
   std::printf("%12s %12s %12s %18s %14s\n", "touched", "scrub", "heap_reset",
               "reset_to_load", "full_rebuild");
-
   std::string Json = "{\n  \"bench\": \"request_reset\",\n  \"reps\": " +
-                     std::to_string(Reps) + ",\n  \"points\": [\n";
-  double LastRestore = 0.0, LastRebuild = 0.0;
-  for (size_t K = 0; K != std::size(TouchedSizes); ++K) {
+                     std::to_string(Reps) + ",\n  \"repetitions\": " +
+                     std::to_string(Repetitions) + ",\n  \"points\": [\n";
+  for (size_t K = 0; K != NumSizes; ++K) {
     uint64_t N = TouchedSizes[K];
-
-    // Post-trap stack scrub: N dirty bytes at the top of the stack.
-    uint64_t StackFrom = MemoryMap::StackTop - N;
-    double ScrubNs = medianOpNanos(
-        Reps, [&] { Mem.write(StackFrom, Pattern.data(), N); },
-        [&] { Mem.scrubStack(StackFrom); });
-
-    // Per-request arena reset: one N-byte allocation, fully written.
-    double HeapNs = medianOpNanos(
-        Reps,
-        [&] {
-          uint64_t P = Mem.heapAlloc(N);
-          Mem.write(P, Pattern.data(), N);
-        },
-        [&] { Mem.resetHeap(); });
-
-    // Crash repair: N bytes dirtied across stack and heap.
-    double RestoreNs = medianOpNanos(
-        Reps, [&] { dirty(Mem, Pattern, N); }, [&] { VM.resetToLoad(); });
-
-    // Crash repair by reconstruction. The segments are mapped lazily, so
-    // constructing the VM alone is cheap; the rebuild is not done until it
-    // has loaded its globals (run() does, on a one-instruction main) and
-    // faulted back in the N bytes the reset VM keeps resident.
-    auto Rebuilt = std::make_unique<Interpreter>(M);
-    double RebuildNs = medianOpNanos(
-        Reps, [&] { dirty(Rebuilt->memory(), Pattern, N); },
-        [&] {
-          Rebuilt.reset();
-          Rebuilt = std::make_unique<Interpreter>(M);
-          Rebuilt->setSharedProgram(&Shared);
-          Rebuilt->run("main");
-          dirty(Rebuilt->memory(), Pattern, N);
-        });
-    Rebuilt.reset();
-
-    LastRestore = RestoreNs;
-    LastRebuild = RebuildNs;
+    double Scrub = median(ScrubNs[K]), Heap = median(HeapNs[K]),
+           Restore = median(RestoreNs[K]), Rebuild = median(RebuildNs[K]);
     std::printf("%9llu K %12.0f %12.0f %18.0f %14.0f\n",
-                static_cast<unsigned long long>(N >> 10), ScrubNs, HeapNs,
-                RestoreNs, RebuildNs);
-
+                static_cast<unsigned long long>(N >> 10), Scrub, Heap, Restore,
+                Rebuild);
     char Row[512];
     std::snprintf(Row, sizeof(Row),
                   "    {\"touched_bytes\": %llu, \"scrub_nanos\": %.0f, "
                   "\"heap_reset_nanos\": %.0f, "
                   "\"snapshot_restore_nanos\": %.0f, "
                   "\"full_rebuild_nanos\": %.0f}%s\n",
-                  static_cast<unsigned long long>(N), ScrubNs, HeapNs,
-                  RestoreNs, RebuildNs,
-                  K + 1 == std::size(TouchedSizes) ? "" : ",");
+                  static_cast<unsigned long long>(N), Scrub, Heap, Restore,
+                  Rebuild, K + 1 == NumSizes ? "" : ",");
     Json += Row;
   }
 
-  // Headline ratio at the LARGEST touched size: the most conservative
-  // point, since a reset's cost is all per byte while a rebuild also pays
-  // a fixed cost (mappings, page faults) that weighs most at small N.
-  double Speedup = LastRestore > 0.0 ? LastRebuild / LastRestore : 0.0;
-  std::printf("\nreset vs full rebuild at 1 MiB touched: %.1fx\n", Speedup);
+  double Speedup = median(Speedups);
+  std::string Runs;
+  std::printf("\nreset vs full rebuild at 1 MiB touched, per repetition:");
+  for (double S : Speedups) {
+    char Buf[32];
+    std::snprintf(Buf, sizeof Buf, "%s%.3f", Runs.empty() ? "" : ", ", S);
+    Runs += Buf;
+    std::printf(" %.1fx", S);
+  }
+  std::printf("\nmedian: %.1fx\n", Speedup);
 
   char Tail[128];
   std::snprintf(Tail, sizeof(Tail),
-                "  ],\n  \"restore_speedup_vs_rebuild\": %.3f\n}\n", Speedup);
+                "  ],\n  \"restore_speedup_vs_rebuild\": %.3f,\n", Speedup);
   Json += Tail;
+  Json += "  \"restore_speedup_runs\": [" + Runs + "]\n}\n";
 
   if (JsonPath) {
     std::FILE *Out = std::fopen(JsonPath, "w");

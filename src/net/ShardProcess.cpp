@@ -23,32 +23,6 @@
 using namespace smokestack;
 
 //===----------------------------------------------------------------------===//
-// InProcessShard
-//===----------------------------------------------------------------------===//
-
-InProcessShard::InProcessShard(Module &M, const PoolOptions &Opts)
-    : Pool(M, Opts) {}
-
-bool InProcessShard::start(std::string *) {
-  Pool.start();
-  return true;
-}
-
-bool InProcessShard::submit(PoolRequest Req) {
-  return Pool.submit(std::move(Req));
-}
-
-bool InProcessShard::drainWithin(unsigned Millis) {
-  return Pool.drainWithin(Millis);
-}
-
-void InProcessShard::shutdownNow() { Pool.shutdownNow(); }
-
-std::vector<PoolOutcome> InProcessShard::finish() { return Pool.finish(); }
-
-PoolBooks InProcessShard::books() const { return Pool.books(); }
-
-//===----------------------------------------------------------------------===//
 // Shard child process
 //===----------------------------------------------------------------------===//
 

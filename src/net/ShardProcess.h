@@ -5,13 +5,10 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The Shard abstraction under SocketServer (DESIGN.md §15): the routing,
-/// backpressure, and deadline machinery above it is mode-blind, and a
-/// shard is either a WorkerPool in this process (InProcessShard — the
-/// original, zero-overhead arrangement) or a forked child process owning
-/// its own WorkerPool (ChildProcessShard), speaking the length-prefixed
-/// frame protocol to the parent over a socketpair registered in the
-/// parent's epoll loop.
+/// Process-isolated shards under SocketServer (DESIGN.md §15): a forked
+/// child process owning its own WorkerPool (ChildProcessShard), speaking
+/// the length-prefixed frame protocol to the parent over a socketpair
+/// registered in the parent's epoll loop.
 ///
 /// Process isolation buys crash containment one level up from worker
 /// threads: a wild write that takes out a whole shard process — not just
@@ -66,7 +63,8 @@ struct NetBooks;
 /// Callbacks a shard uses to reach back into its owning SocketServer.
 struct ShardHooks {
   /// Hands a terminal outcome to the server, which answers it on the
-  /// calling thread (thread-safe).
+  /// calling thread: the loop thread, or the drain() caller once the loop
+  /// has returned.
   std::function<void(const PoolOutcome &)> DeliverOutcome;
   /// Fault probe against the server's net injector (loop thread only).
   std::function<bool(FaultSite)> Probe;
@@ -74,61 +72,11 @@ struct ShardHooks {
   std::function<void()> WakeLoop;
 };
 
-/// One WorkerPool shard as SocketServer sees it. submit() is loop-thread
-/// only and must never block; the drain trio follows WorkerPool's
-/// lifecycle contract (drainWithin → [shutdownNow] → finish).
-class Shard {
-public:
-  virtual ~Shard() = default;
-
-  /// Brings the shard up. Returns false with \p Err set on failure.
-  virtual bool start(std::string *Err) = 0;
-
-  /// Routes one request in. False = shed (the caller books WireShed and
-  /// answers Shed); the shard keeps its own Submitted/Shed books exact
-  /// either way.
-  virtual bool submit(PoolRequest Req) = 0;
-
-  /// Cooperative drain within \p Millis. True when every in-flight
-  /// request reached a terminal state without forced cancellation.
-  virtual bool drainWithin(unsigned Millis) = 0;
-
-  /// Escalation after a failed drain: cancel/kill outstanding work. The
-  /// affected requests are booked poisoned, keeping the identity exact.
-  virtual void shutdownNow() = 0;
-
-  /// Final teardown; every outcome has been delivered through
-  /// ShardHooks::DeliverOutcome (or is in the returned vector) exactly
-  /// once. The shard is dead afterwards.
-  virtual std::vector<PoolOutcome> finish() = 0;
-
-  /// The shard's books. Exact after finish().
-  virtual PoolBooks books() const = 0;
-};
-
-/// The original arrangement: a WorkerPool in the server's process. All
-/// Shard calls forward directly; outcomes flow through the pool's
-/// OnOutcome hook (already wired to the server by PoolOptions).
-class InProcessShard final : public Shard {
-public:
-  InProcessShard(Module &M, const PoolOptions &Opts);
-
-  bool start(std::string *Err) override;
-  bool submit(PoolRequest Req) override;
-  bool drainWithin(unsigned Millis) override;
-  void shutdownNow() override;
-  std::vector<PoolOutcome> finish() override;
-  PoolBooks books() const override;
-
-private:
-  WorkerPool Pool;
-};
-
 /// A shard forked into its own process. The parent end holds: the
 /// nonblocking socketpair channel and the child's pidfd (both registered
 /// in the server's epoll by the shard itself), the in-flight request
 /// cache that powers replay, and the parent-assembled PoolBooks.
-class ChildProcessShard final : public Shard {
+class ChildProcessShard {
 public:
   /// \p Opts is the per-shard pool template; the child rebuilds a fresh
   /// WorkerPool from it after fork (admission switched to Block — the
@@ -139,14 +87,31 @@ public:
   ChildProcessShard(Module &M, PoolOptions Opts, unsigned Index,
                     unsigned RestartBudget, NetBooks &Net, ShardHooks Hooks,
                     int EpollFd, uint64_t ChannelId, uint64_t PidId);
-  ~ChildProcessShard() override;
+  ~ChildProcessShard();
 
-  bool start(std::string *Err) override;
-  bool submit(PoolRequest Req) override;
-  bool drainWithin(unsigned Millis) override;
-  void shutdownNow() override;
-  std::vector<PoolOutcome> finish() override;
-  PoolBooks books() const override;
+  /// Forks the first child. Returns false with \p Err set on failure.
+  bool start(std::string *Err);
+
+  /// Routes one request in (loop thread only; never blocks). False =
+  /// shed: the caller books WireShed and answers Shed; the shard keeps
+  /// its own Submitted/Shed books exact either way.
+  bool submit(PoolRequest Req);
+
+  /// Cooperative drain within \p Millis. True when every in-flight
+  /// request reached a terminal state without forced cancellation.
+  bool drainWithin(unsigned Millis);
+
+  /// Escalation after a failed drain: kill the child. Its in-flight
+  /// requests are booked poisoned, keeping the identity exact.
+  void shutdownNow();
+
+  /// Final teardown; every outcome has been delivered through
+  /// ShardHooks::DeliverOutcome exactly once, and is also in the returned
+  /// vector. The shard is dead afterwards.
+  std::vector<PoolOutcome> finish();
+
+  /// The parent-assembled books. Exact after finish().
+  PoolBooks books() const;
 
   // ---- Loop-thread service surface -------------------------------------
 

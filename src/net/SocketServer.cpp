@@ -43,13 +43,39 @@ constexpr uint64_t ShardIdBase = 0xFFFF'0000'0000'0000ull;
 
 constexpr uint64_t MillisToNanos = 1000u * 1000u;
 
-/// Books \p N on a NetBooks field that a completing thread may also
-/// write. drain() reads the books after every writer has been joined.
-void bump(uint64_t &Field, uint64_t N = 1) {
-  std::atomic_ref<uint64_t>(Field).fetch_add(N, std::memory_order_relaxed);
-}
-
 } // namespace
+
+NetBooks &NetBooks::operator+=(const NetBooks &O) {
+  ConnectionsAccepted += O.ConnectionsAccepted;
+  ConnectionsClosed += O.ConnectionsClosed;
+  ConnectionsRefused += O.ConnectionsRefused;
+  ConnectionsReset += O.ConnectionsReset;
+  AcceptFaults += O.AcceptFaults;
+  PartialIoFaults += O.PartialIoFaults;
+  StallFaults += O.StallFaults;
+  ResetFaults += O.ResetFaults;
+  ShardDeaths += O.ShardDeaths;
+  ShardDeathsBySignal += O.ShardDeathsBySignal;
+  ShardRestarts += O.ShardRestarts;
+  ShardReplays += O.ShardReplays;
+  ShardKillFaults += O.ShardKillFaults;
+  ShardIpcFaults += O.ShardIpcFaults;
+  BytesIn += O.BytesIn;
+  BytesOut += O.BytesOut;
+  FramesDecoded += O.FramesDecoded;
+  ProtocolErrors += O.ProtocolErrors;
+  FrameOversize += O.FrameOversize;
+  FrameZeroLength += O.FrameZeroLength;
+  FrameTruncated += O.FrameTruncated;
+  BadPayload += O.BadPayload;
+  RequestsAdmitted += O.RequestsAdmitted;
+  WireShed += O.WireShed;
+  DeadlineRejected += O.DeadlineRejected;
+  DeadlineMissed += O.DeadlineMissed;
+  ResponsesDelivered += O.ResponsesDelivered;
+  ResponsesOrphaned += O.ResponsesOrphaned;
+  return *this;
+}
 
 void NetBooks::exportMetrics(MetricsRegistry &R) const {
   auto G = [&R](const char *Name, const char *Help, uint64_t V) {
@@ -140,35 +166,28 @@ void smokestack::mergePoolBooks(PoolBooks &Into, const PoolBooks &From) {
   std::sort(Into.PoisonedIndices.begin(), Into.PoisonedIndices.end());
 }
 
-/// One client connection. The loop thread alone reads it, admits its
-/// requests and closes it; the thread that finishes one of its requests
-/// writes the response to it. Mu guards the output side.
-struct SocketServer::Conn : std::enable_shared_from_this<Conn> {
+/// One client connection, owned by one loop: only that loop's thread
+/// reads it, answers it and closes it.
+struct SocketServer::Conn {
   int Fd = -1;
   uint64_t Id = 0;
 
-  // ---- Input side: the loop thread only.
   FrameDecoder Decoder;
   /// First byte of the frame currently being assembled (deadline base);
   /// 0 = not mid-frame.
   uint64_t FrameStartNs = 0;
-  bool Doomed = false; ///< Protocol error: no further frames (set under Mu).
-  /// Admitted requests awaiting completion: the loop increments, the
-  /// completing thread decrements under Mu as it queues the response.
-  std::atomic<unsigned> InFlightCount{0};
-  /// Backpressure or drain quiesce. Written under Mu; the loop reads it
-  /// without the lock to stop reading.
-  std::atomic<bool> ReadPaused{false};
+  bool Doomed = false;     ///< Protocol error: no further frames.
+  bool ReadPaused = false; ///< Backpressure, a doomed stream, or drain.
+  bool CloseAfterFlush = false;
+  bool WantWrite = false; ///< EPOLLOUT armed (kernel buffer was full).
+  int ArmedEvents = -1;   ///< Last epoll mask installed (-1 = none yet).
+  /// Process mode: admitted requests whose outcome has not come back. A
+  /// doomed connection stays open until they are answered.
+  unsigned InFlight = 0;
 
-  // ---- Output side, guarded by Mu.
-  std::mutex Mu;
-  /// Responses not yet taken by a flusher.
+  /// Encoded responses; [OutPos, Out.size()) is unsent.
   std::vector<uint8_t> Out;
-  /// The flusher's batch, swapped out of Out: [SendPos, Sending.size()) is
-  /// unsent. Only the thread that set Flushing touches it, so an append
-  /// never moves the bytes a send() is reading.
-  std::vector<uint8_t> Sending;
-  size_t SendPos = 0;
+  size_t OutPos = 0;
   /// Delivery accounting runs in lifetime-offset space: RespEnds holds
   /// each booked response's end offset in OutTotalEnqueued coordinates,
   /// and a response is Delivered the moment OutTotalFlushed passes its
@@ -176,27 +195,50 @@ struct SocketServer::Conn : std::enable_shared_from_this<Conn> {
   uint64_t OutTotalEnqueued = 0;
   uint64_t OutTotalFlushed = 0;
   std::deque<uint64_t> RespEnds;
-  bool Flushing = false;  ///< A thread is sending; others append and leave.
-  bool Closed = false;    ///< Output is dead: later responses are orphaned.
-  bool CloseAfterFlush = false;
-  bool WantWrite = false; ///< EPOLLOUT armed (kernel buffer was full).
-  int ArmedEvents = -1;   ///< Last epoll mask installed (-1 = none yet).
 
   ~Conn() {
     if (Fd >= 0)
       ::close(Fd);
   }
 
-  size_t pendingOut() const { return Sending.size() - SendPos + Out.size(); }
+  size_t pendingOut() const { return Out.size() - OutPos; }
+};
 
-  /// Books every response still owed on this connection Orphaned and
-  /// drops its bytes.
-  void orphanAll(NetBooks &Net) {
-    bump(Net.ResponsesOrphaned, RespEnds.size());
-    RespEnds.clear();
-    Out.clear();
-    Sending.clear();
-    SendPos = 0;
+/// One epoll event loop and the connections it owns. Only its own thread
+/// touches it after start(), except Handoff (under HandoffMu) and the
+/// eventfd.
+struct SocketServer::Loop {
+  int EpollFd = -1;
+  /// Wakes the loop for drain phases and handed-over connections.
+  int WakeFd = -1;
+  /// Thread mode: the pool worker this loop serves its requests on.
+  WorkerPool *Pool = nullptr;
+  unsigned Worker = 0;
+  NetBooks Net;
+  std::unordered_map<uint64_t, std::unique_ptr<Conn>> Conns;
+  /// Indices admitted during the current handleReadable call: a
+  /// pipelined duplicate is refused even once the first copy is answered.
+  std::vector<uint64_t> ReadAdmitted;
+  int AppliedPhase = 0;
+  uint64_t FlushDeadlineNs = 0;
+  /// Connections Loops[0] accepted for this loop: (fd, connection id).
+  std::mutex HandoffMu;
+  std::vector<std::pair<int, uint64_t>> Handoff;
+
+  std::vector<uint64_t> connIds() const {
+    std::vector<uint64_t> Ids;
+    for (auto &[Id, C] : Conns)
+      Ids.push_back(Id);
+    return Ids;
+  }
+
+  ~Loop() {
+    for (auto [Fd, Id] : Handoff)
+      ::close(Fd);
+    Conns.clear();
+    for (int Fd : {EpollFd, WakeFd})
+      if (Fd >= 0)
+        ::close(Fd);
   }
 };
 
@@ -217,19 +259,22 @@ void SocketServer::closeAll() {
   // closes its fds. Shard destructors stop their pools and kill and reap
   // their children.
   ProcShards.clear();
-  Shards.clear();
-  for (int *Fd : {&EpollFd, &ListenFd, &WakeEventFd})
-    if (*Fd >= 0) {
-      ::close(*Fd);
-      *Fd = -1;
-    }
+  Pools.clear();
+  Loops.clear();
+  if (ListenFd >= 0) {
+    ::close(ListenFd);
+    ListenFd = -1;
+  }
 }
 
-void SocketServer::wakeLoop() {
-  if (WakeEventFd >= 0) {
-    uint64_t One = 1;
-    (void)!::write(WakeEventFd, &One, sizeof One);
-  }
+void SocketServer::wake(Loop &L) {
+  uint64_t One = 1;
+  (void)!::write(L.WakeFd, &One, sizeof One);
+}
+
+void SocketServer::wakeAll() {
+  for (auto &L : Loops)
+    wake(*L);
 }
 
 bool SocketServer::netProbe(FaultSite Site) {
@@ -237,8 +282,7 @@ bool SocketServer::netProbe(FaultSite Site) {
     return NetInjector->shouldFail(Site);
   // The process-wide slot keeps the sites probe-able from tests that
   // install a ProcessFaultScope instead of configuring the server. Never
-  // the thread slot: a worker answering its request still runs inside
-  // that request's FaultScope, whose plan is not the socket layer's.
+  // the thread slot: the socket layer is not any request's fault plan.
   FaultInjector *Process =
       detail::ProcessInjector.load(std::memory_order_acquire);
   return Process != nullptr && Process->shouldFail(Site);
@@ -289,69 +333,83 @@ bool SocketServer::start(std::string *Err) {
     return SysFail("getsockname");
   BoundPort = ntohs(Addr.sin_port);
 
-  WakeEventFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
-  if (WakeEventFd < 0)
-    return SysFail("eventfd");
-
-  EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
-  if (EpollFd < 0)
-    return SysFail("epoll_create1");
-  epoll_event Ev = {};
-  Ev.events = EPOLLIN;
-  Ev.data.u64 = ListenerId;
-  if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, ListenFd, &Ev) < 0)
-    return SysFail("epoll_ctl(listener)");
-  ListenerArmed = true;
-  Ev.data.u64 = WakeId;
-  if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, WakeEventFd, &Ev) < 0)
-    return SysFail("epoll_ctl(wake)");
-
   if (Opts.InjectNetFaults)
     NetInjector = std::make_unique<FaultInjector>(Opts.NetFaultPlan);
 
   // Shards: same module, same RootSeed — a request's outcome depends only
-  // on its index, so the shard split (and the isolation mode) is invisible
-  // to results. The loop thread must never block in submit(), so thread-
-  // mode admission is forced to ShedNewest; a full shard queue becomes an
-  // exact WireShed book entry plus a Shed response, which is the
-  // backpressure contract. (Process mode enforces the same cap parent-side
-  // and flips the child to Block admission — see ShardProcess.h.)
+  // on its index, so which worker or shard serves it (and the isolation
+  // mode) is invisible to results. The server answers every outcome
+  // itself; the pool's hook is not its business.
   PoolOptions ShardOpts = Opts.Pool;
-  ShardOpts.Admission.Policy = AdmissionOptions::ShedPolicy::ShedNewest;
-  // Every outcome is answered on the thread that delivers it.
-  auto Deliver = [this](const PoolOutcome &O) { completeOutcome(O); };
-  ShardOpts.OnOutcome = Deliver;
-  if (Opts.Mode == ShardMode::Process) {
+  ShardOpts.OnOutcome = nullptr;
+  const bool Threads = Opts.Mode == ShardMode::Thread;
+  if (Threads)
+    for (unsigned I = 0; I != Opts.Shards; ++I)
+      Pools.push_back(std::make_unique<WorkerPool>(M, ShardOpts));
+  const size_t NumLoops =
+      Threads ? size_t(Opts.Shards) * Pools.front()->workerCount() : 1;
+  for (size_t I = 0; I != NumLoops; ++I) {
+    auto L = std::make_unique<Loop>();
+    L->WakeFd = ::eventfd(0, EFD_NONBLOCK | EFD_CLOEXEC);
+    if (L->WakeFd < 0)
+      return SysFail("eventfd");
+    L->EpollFd = ::epoll_create1(EPOLL_CLOEXEC);
+    if (L->EpollFd < 0)
+      return SysFail("epoll_create1");
+    epoll_event Ev = {};
+    Ev.events = EPOLLIN;
+    Ev.data.u64 = WakeId;
+    if (::epoll_ctl(L->EpollFd, EPOLL_CTL_ADD, L->WakeFd, &Ev) < 0)
+      return SysFail("epoll_ctl(wake)");
+    if (Threads) {
+      L->Pool = Pools[I % Opts.Shards].get();
+      L->Worker = static_cast<unsigned>(I / Opts.Shards);
+    }
+    Loops.push_back(std::move(L));
+  }
+  epoll_event Ev = {};
+  Ev.events = EPOLLIN;
+  Ev.data.u64 = ListenerId;
+  if (::epoll_ctl(Loops.front()->EpollFd, EPOLL_CTL_ADD, ListenFd, &Ev) < 0)
+    return SysFail("epoll_ctl(listener)");
+
+  if (!Threads) {
+    Loop &L = *Loops.front();
     ShardHooks Hooks;
-    Hooks.DeliverOutcome = Deliver;
+    Hooks.DeliverOutcome = [this](const PoolOutcome &O) { completeOutcome(O); };
     Hooks.Probe = [this](FaultSite S) { return netProbe(S); };
-    Hooks.WakeLoop = [this] { wakeLoop(); };
+    Hooks.WakeLoop = [this, &L] { wake(L); };
     for (unsigned I = 0; I != Opts.Shards; ++I) {
       auto C = std::make_unique<ChildProcessShard>(
-          M, ShardOpts, I, Opts.ShardRestartBudget, Net, Hooks, EpollFd,
+          M, ShardOpts, I, Opts.ShardRestartBudget, L.Net, Hooks, L.EpollFd,
           ShardIdBase | I, ShardPidIdBase | I);
       std::string ChildErr;
       if (!C->start(&ChildErr))
         return Fail(ChildErr);
-      ProcShards.push_back(C.get());
-      Shards.push_back(std::move(C));
-    }
-  } else {
-    for (unsigned I = 0; I != Opts.Shards; ++I) {
-      Shards.push_back(std::make_unique<InProcessShard>(M, ShardOpts));
-      Shards.back()->start(nullptr);
+      ProcShards.push_back(std::move(C));
     }
   }
 
   Started = true;
+  if (Threads) {
+    // Each worker thread is a serving loop: loop W * Shards + S runs on
+    // worker W of shard S.
+    for (unsigned S = 0; S != Opts.Shards; ++S)
+      Pools[S]->startServing([this, S](unsigned W) {
+        size_t I = size_t(W) * Opts.Shards + S;
+        std::string Name = "ss-serve-" + std::to_string(I);
+        Name.resize(std::min<size_t>(Name.size(), 15)); // the kernel's limit
+        pthread_setname_np(pthread_self(), Name.c_str());
+        loopMain(*Loops[I]);
+      });
+    return true;
+  }
   LoopThread = std::thread([this] {
     pthread_setname_np(pthread_self(), "ss-loop");
-    loopMain();
-    Quiesced.store(true, std::memory_order_release);
-    Quiesced.notify_all();
+    loopMain(*Loops.front());
     // From here on nothing services the shards: a drain that still
     // waits on one may take its child down itself.
-    for (ChildProcessShard *S : ProcShards)
+    for (auto &S : ProcShards)
       S->loopExited();
   });
   return true;
@@ -359,29 +417,26 @@ bool SocketServer::start(std::string *Err) {
 
 void SocketServer::requestStop() {
   StopFlag.store(true, std::memory_order_release);
-  // eventfd writes are async-signal-safe, like the pipe write this
-  // replaced — requestStop stays callable from a SIGTERM handler.
-  wakeLoop();
 }
 
-void SocketServer::updateEpollLocked(Conn &C) {
+void SocketServer::updateEpoll(Loop &L, Conn &C) {
   int Want = (C.ReadPaused ? 0 : int(EPOLLIN)) |
              (C.WantWrite ? int(EPOLLOUT) : 0);
-  if (C.Closed || Want == C.ArmedEvents)
+  if (Want == C.ArmedEvents)
     return;
   epoll_event Ev = {};
   Ev.events = static_cast<uint32_t>(Want);
   Ev.data.u64 = C.Id;
-  ::epoll_ctl(EpollFd, EPOLL_CTL_MOD, C.Fd, &Ev);
+  ::epoll_ctl(L.EpollFd, EPOLL_CTL_MOD, C.Fd, &Ev);
   C.ArmedEvents = Want;
 }
 
-void SocketServer::handleAccept() {
+void SocketServer::handleAccept(Loop &L) {
   if (netProbe(FaultSite::AcceptFailure)) {
     // Transient accept failure (EMFILE pressure). Level-triggered epoll
     // re-reports the listener, so the pending connection is retried on
     // the next loop iteration with a fresh probe.
-    ++Net.AcceptFaults;
+    ++L.Net.AcceptFaults;
     return;
   }
   for (;;) {
@@ -392,75 +447,82 @@ void SocketServer::handleAccept() {
         continue;
       return; // EAGAIN or a transient kernel error: retry via level-trigger
     }
-    if (Conns.size() >= Opts.MaxConnections) {
-      ++Net.ConnectionsRefused;
+    if (OpenConns.load(std::memory_order_relaxed) >= Opts.MaxConnections) {
+      ++L.Net.ConnectionsRefused;
       ::close(Fd);
       continue;
     }
     int One = 1;
     ::setsockopt(Fd, IPPROTO_TCP, TCP_NODELAY, &One, sizeof One);
-    auto C = std::make_shared<Conn>();
-    C->Fd = Fd;
-    C->Id = NextConnId++;
-    epoll_event Ev = {};
-    Ev.events = EPOLLIN;
-    Ev.data.u64 = C->Id;
-    if (::epoll_ctl(EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0)
-      continue; // ~Conn closes the fd
-    C->ArmedEvents = EPOLLIN;
-    ++Net.ConnectionsAccepted;
-    Conns.emplace(C->Id, std::move(C));
+    OpenConns.fetch_add(1, std::memory_order_relaxed);
+    ++L.Net.ConnectionsAccepted;
+    // Connection k in accept order belongs to loop k mod Loops.size().
+    uint64_t Id = NextConnId++;
+    Loop &Owner = *Loops[(Id - 2) % Loops.size()];
+    if (&Owner == &L) {
+      adopt(L, Fd, Id);
+      continue;
+    }
+    {
+      std::lock_guard<std::mutex> Lock(Owner.HandoffMu);
+      Owner.Handoff.emplace_back(Fd, Id);
+    }
+    wake(Owner);
   }
 }
 
-void SocketServer::closeConn(uint64_t Id, bool CountReset) {
-  auto It = Conns.find(Id);
-  if (It == Conns.end())
+void SocketServer::adopt(Loop &L, int Fd, uint64_t Id) {
+  auto C = std::make_unique<Conn>();
+  C->Fd = Fd;
+  C->Id = Id;
+  // A connection handed over after its loop quiesced is never read.
+  C->ReadPaused = L.AppliedPhase != static_cast<int>(Phase::Running);
+  epoll_event Ev = {};
+  Ev.events = C->ReadPaused ? 0u : uint32_t(EPOLLIN);
+  Ev.data.u64 = Id;
+  if (::epoll_ctl(L.EpollFd, EPOLL_CTL_ADD, Fd, &Ev) < 0) {
+    ++L.Net.ConnectionsClosed; // ~Conn closes the fd
+    OpenConns.fetch_sub(1, std::memory_order_relaxed);
     return;
-  std::shared_ptr<Conn> C = std::move(It->second);
-  Conns.erase(It);
-  {
-    std::lock_guard<std::mutex> Lock(C->Mu);
-    C->Closed = true;
-    // Responses enqueued but not fully written die with the connection.
-    // A flusher inside send() books what it sent and orphans the rest.
-    if (!C->Flushing)
-      C->orphanAll(Net);
   }
-  ++Net.ConnectionsClosed;
+  C->ArmedEvents = static_cast<int>(Ev.events);
+  L.Conns.emplace(Id, std::move(C));
+}
+
+void SocketServer::adoptHandoffs(Loop &L) {
+  std::vector<std::pair<int, uint64_t>> Batch;
+  {
+    std::lock_guard<std::mutex> Lock(L.HandoffMu);
+    Batch.swap(L.Handoff);
+  }
+  for (auto [Fd, Id] : Batch)
+    adopt(L, Fd, Id);
+}
+
+void SocketServer::closeConn(Loop &L, uint64_t Id, bool CountReset) {
+  auto It = L.Conns.find(Id);
+  if (It == L.Conns.end())
+    return;
+  std::unique_ptr<Conn> C = std::move(It->second);
+  L.Conns.erase(It);
+  // Responses queued but not fully written die with the connection; in
+  // process mode so do the answers to its requests still in flight.
+  L.Net.ResponsesOrphaned += C->RespEnds.size();
+  ++L.Net.ConnectionsClosed;
   if (CountReset)
-    ++Net.ConnectionsReset;
-  ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, C->Fd, nullptr);
-  // Fails a send() in progress with EPIPE. The fd number stays taken
-  // until the last reference drops (~Conn): in-flight requests keep the
-  // connection alive, and their responses are booked Orphaned.
-  ::shutdown(C->Fd, SHUT_RDWR);
+    ++L.Net.ConnectionsReset;
+  ::epoll_ctl(L.EpollFd, EPOLL_CTL_DEL, C->Fd, nullptr);
+  OpenConns.fetch_sub(1, std::memory_order_relaxed);
 }
 
-void SocketServer::queueClose(uint64_t Id, bool CountReset) {
-  {
-    std::lock_guard<std::mutex> Lock(CloseMu);
-    CloseQueue.emplace_back(Id, CountReset);
-  }
-  wakeLoop();
-}
-
-void SocketServer::drainCloseQueue() {
-  std::vector<std::pair<uint64_t, bool>> Batch;
-  {
-    std::lock_guard<std::mutex> Lock(CloseMu);
-    Batch.swap(CloseQueue);
-  }
-  for (auto [Id, CountReset] : Batch)
-    closeConn(Id, CountReset);
-}
-
-bool SocketServer::appendLocked(Conn &C, const std::vector<uint8_t> &Frame,
-                                bool Booked) {
-  if (C.Closed) {
-    if (Booked)
-      bump(Net.ResponsesOrphaned);
-    return false;
+void SocketServer::enqueueResponse(Conn &C, const WireResponse &R,
+                                   bool Booked) {
+  std::vector<uint8_t> Frame = encodeResponseFrame(R);
+  // Anti-ratchet: drop the sent prefix once it is most of the buffer.
+  if (C.OutPos > 4096 && C.OutPos * 2 > C.Out.size()) {
+    C.Out.erase(C.Out.begin(),
+                C.Out.begin() + static_cast<ptrdiff_t>(C.OutPos));
+    C.OutPos = 0;
   }
   C.Out.insert(C.Out.end(), Frame.begin(), Frame.end());
   C.OutTotalEnqueued += Frame.size();
@@ -468,271 +530,10 @@ bool SocketServer::appendLocked(Conn &C, const std::vector<uint8_t> &Frame,
     C.RespEnds.push_back(C.OutTotalEnqueued);
   if (C.pendingOut() > Opts.MaxConnBacklogBytes)
     C.ReadPaused = true; // resumed by a flush below the low-water mark
-  return true;
 }
 
-void SocketServer::enqueueResponse(Conn &C, const WireResponse &R,
-                                   bool Booked) {
-  std::vector<uint8_t> Frame = encodeResponseFrame(R);
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  appendLocked(C, Frame, Booked);
-}
-
-void SocketServer::doom(Conn &C) {
-  // The peer is confused or hostile, and there is no safe way to keep
-  // interpreting its stream: answer with a notice, read nothing more, and
-  // close once the responses already owed are out.
-  std::vector<uint8_t> Notice = encodeResponseFrame(
-      {0, WireStatus::ProtocolError, TrapKind::None, 0, 0, 0, 0});
-  std::lock_guard<std::mutex> Lock(C.Mu);
-  appendLocked(C, Notice, /*Booked=*/false);
-  C.Doomed = true;
-  C.CloseAfterFlush = true;
-  C.ReadPaused = true;
-}
-
-SocketServer::CloseWant
-SocketServer::flushLocked(Conn &C, std::unique_lock<std::mutex> &Lock) {
-  if (C.Flushing) {
-    // The active flusher sends these bytes on its next turn.
-    updateEpollLocked(C);
-    return CloseWant::None;
-  }
-  C.Flushing = true;
-  CloseWant Want = CloseWant::None;
-  while (!C.Closed && !C.WantWrite) {
-    if (C.SendPos == C.Sending.size()) {
-      if (C.Out.empty())
-        break;
-      C.Sending.clear();
-      C.SendPos = 0;
-      C.Sending.swap(C.Out);
-    }
-    if (netProbe(FaultSite::ClientStall)) {
-      // The peer's receive window is full: behave exactly like EAGAIN so
-      // the EPOLLOUT path gets exercised.
-      bump(Net.StallFaults);
-      C.WantWrite = true;
-      break;
-    }
-    if (netProbe(FaultSite::ConnReset)) {
-      bump(Net.ResetFaults);
-      Want = CloseWant::Reset;
-      break;
-    }
-    size_t N = C.Sending.size() - C.SendPos;
-    if (netProbe(FaultSite::NetPartialIo)) {
-      bump(Net.PartialIoFaults);
-      N = 1;
-    }
-    const uint8_t *Bytes = C.Sending.data() + C.SendPos;
-    Lock.unlock();
-    ssize_t W = ::send(C.Fd, Bytes, N, MSG_NOSIGNAL);
-    int Err = errno;
-    Lock.lock();
-    if (W < 0) {
-      if (Err == EINTR)
-        continue;
-      if (Err == EAGAIN || Err == EWOULDBLOCK) {
-        C.WantWrite = true;
-        break;
-      }
-      Want = Err == EPIPE || Err == ECONNRESET ? CloseWant::Reset
-                                               : CloseWant::Close;
-      break;
-    }
-    C.SendPos += static_cast<size_t>(W);
-    C.OutTotalFlushed += static_cast<uint64_t>(W);
-    bump(Net.BytesOut, static_cast<uint64_t>(W));
-    while (!C.RespEnds.empty() && C.RespEnds.front() <= C.OutTotalFlushed) {
-      C.RespEnds.pop_front();
-      bump(Net.ResponsesDelivered);
-    }
-  }
-  C.Flushing = false;
-  if (Want != CloseWant::None)
-    C.Closed = true; // the loop closes the fd; the output is dead now
-  if (C.Closed) {
-    C.orphanAll(Net);
-    return Want;
-  }
-  if (C.pendingOut() == 0 && C.CloseAfterFlush && C.InFlightCount == 0)
-    return CloseWant::Close;
-  // Backpressure low-water mark: resume reads once the backlog halves.
-  if (C.ReadPaused && !C.Doomed &&
-      PhaseFlag.load(std::memory_order_acquire) ==
-          static_cast<int>(Phase::Running) &&
-      C.pendingOut() < Opts.MaxConnBacklogBytes / 2)
-    C.ReadPaused = false;
-  updateEpollLocked(C);
-  return Want;
-}
-
-void SocketServer::flushConn(Conn &C) {
-  uint64_t Id = C.Id;
-  std::unique_lock<std::mutex> Lock(C.Mu);
-  if (!C.Flushing)
-    C.WantWrite = false; // the loop retries a blocked socket itself
-  CloseWant Want = flushLocked(C, Lock);
-  Lock.unlock();
-  if (Want != CloseWant::None)
-    closeConn(Id, Want == CloseWant::Reset);
-}
-
-bool SocketServer::handleFrame(Conn &C, const std::vector<uint8_t> &Payload) {
-  uint64_t BaseNs = C.FrameStartNs ? C.FrameStartNs : obsNowNanos();
-  C.FrameStartNs = 0;
-
-  WireRequest Req;
-  bool Parsed = parseRequestPayload(Payload.data(), Payload.size(), Req);
-  // An index admitted earlier in this same read counts as in flight even
-  // when a worker has already answered it, so a pipelined duplicate is
-  // refused whatever the timing.
-  bool Duplicate = Parsed && std::find(ReadAdmitted.begin(), ReadAdmitted.end(),
-                                       Req.Index) != ReadAdmitted.end();
-  if (Parsed && !Duplicate) {
-    std::lock_guard<std::mutex> Lock(InFlightMu);
-    Duplicate = InFlight.count(Req.Index) != 0;
-  }
-  if (!Parsed || Duplicate) {
-    // Schema violation, or an index already in flight, which would make
-    // response matching ambiguous.
-    ++Net.BadPayload;
-    ++Net.ProtocolErrors;
-    doom(C);
-    return true;
-  }
-
-  uint64_t DeadlineNs =
-      Req.DeadlineMillis ? BaseNs + Req.DeadlineMillis * MillisToNanos : 0;
-  if (DeadlineNs && obsNowNanos() > DeadlineNs) {
-    // Expired before admission: answer without burning a shard on work
-    // whose answer nobody is waiting for.
-    ++Net.DeadlineRejected;
-    enqueueResponse(C, {Req.Index, WireStatus::DeadlineExpired, TrapKind::None,
-                        0, 0, 0, 0},
-                    /*Booked=*/true);
-    return true;
-  }
-
-  unsigned Shard =
-      shardForRequest(Opts.Pool.RootSeed, Req.Index, Opts.Shards);
-  // Insert before submit(): a worker may answer the request before
-  // submit() returns. Neither lock is held across submit(), which may
-  // deliver outcomes on this thread (a process shard's death path).
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMu);
-    InFlight.emplace(Req.Index, InFlightReq{C.shared_from_this(), DeadlineNs});
-  }
-  C.InFlightCount.fetch_add(1, std::memory_order_relaxed);
-  if (!Shards[Shard]->submit({Req.Index, std::move(Req.Inputs)})) {
-    {
-      std::lock_guard<std::mutex> Lock(InFlightMu);
-      InFlight.erase(Req.Index);
-    }
-    C.InFlightCount.fetch_sub(1, std::memory_order_relaxed);
-    ++Net.WireShed;
-    enqueueResponse(C, {Req.Index, WireStatus::Shed, TrapKind::None, 0, 0, 0,
-                        0},
-                    /*Booked=*/true);
-    return true;
-  }
-  ++Net.RequestsAdmitted;
-  ReadAdmitted.push_back(Req.Index);
-  // Process-isolation chaos: a seeded SIGKILL of the child that just
-  // admitted this request. The kill perturbs only *delivery* — the death
-  // path re-forks and replays the in-flight requests, whose outcomes are
-  // pure functions of (RootSeed, Index) — so the digest is unchanged.
-  if (!ProcShards.empty() && netProbe(FaultSite::ShardKill)) {
-    ++Net.ShardKillFaults;
-    ProcShards[Shard]->injectKill();
-  }
-  return false;
-}
-
-bool SocketServer::pumpDecoder(Conn &C) {
-  std::vector<uint8_t> Payload;
-  FrameError Err;
-  bool Wrote = false;
-  while (!C.Doomed) {
-    FrameDecoder::Item I = C.Decoder.next(Payload, Err);
-    if (I == FrameDecoder::Item::None)
-      break;
-    if (I == FrameDecoder::Item::Error) {
-      ++Net.ProtocolErrors;
-      if (Err == FrameError::Oversize)
-        ++Net.FrameOversize;
-      else
-        ++Net.FrameZeroLength;
-      doom(C);
-      return true;
-    }
-    ++Net.FramesDecoded;
-    Wrote |= handleFrame(C, Payload);
-  }
-  return Wrote;
-}
-
-void SocketServer::handleReadable(Conn &C) {
-  uint8_t Buf[65536];
-  bool Wrote = false; // the loop queued a response of its own
-  ReadAdmitted.clear();
-  for (;;) {
-    size_t Want = sizeof Buf;
-    if (netProbe(FaultSite::NetPartialIo)) {
-      bump(Net.PartialIoFaults);
-      Want = 1;
-    }
-    ssize_t R = ::recv(C.Fd, Buf, Want, 0);
-    if (R < 0) {
-      if (errno == EINTR)
-        continue;
-      if (errno == EAGAIN || errno == EWOULDBLOCK)
-        break;
-      closeConn(C.Id, errno == ECONNRESET);
-      return;
-    }
-    if (R == 0) {
-      // Peer closed. A close mid-frame is a protocol error (the peer's
-      // framing promised bytes it never sent).
-      if (C.Decoder.finalize() == FrameError::Truncated) {
-        ++Net.FrameTruncated;
-        ++Net.ProtocolErrors;
-      }
-      closeConn(C.Id, false);
-      return;
-    }
-    Net.BytesIn += static_cast<uint64_t>(R);
-    bool WasMidFrame = C.Decoder.midFrame();
-    C.Decoder.feed(Buf, static_cast<size_t>(R));
-    if (!WasMidFrame)
-      C.FrameStartNs = obsNowNanos();
-    Wrote |= pumpDecoder(C);
-    if (!C.Decoder.midFrame())
-      C.FrameStartNs = 0;
-    if (C.Doomed || C.ReadPaused)
-      break;
-    if (static_cast<size_t>(R) < Want)
-      break; // socket drained (level-trigger re-reports if not)
-  }
-  // Admitted requests are answered by the threads that serve them; only
-  // the loop's own answers (shed, expired, protocol error) flush here.
-  if (Wrote)
-    flushConn(C); // may close C; nothing touches it afterwards
-}
-
-void SocketServer::handleWritable(Conn &C) { flushConn(C); }
-
-void SocketServer::completeOutcome(const PoolOutcome &O) {
-  InFlightReq Entry;
-  {
-    std::lock_guard<std::mutex> Lock(InFlightMu);
-    auto It = InFlight.find(O.Index);
-    if (It == InFlight.end())
-      return; // not a wire request (defensive; should not happen)
-    Entry = std::move(It->second);
-    InFlight.erase(It);
-  }
+void SocketServer::answer(Loop &L, Conn &C, const PoolOutcome &O,
+                          uint64_t DeadlineNs) {
   WireResponse R;
   R.Index = O.Index;
   R.Status = O.Poisoned ? WireStatus::Poisoned
@@ -742,115 +543,332 @@ void SocketServer::completeOutcome(const PoolOutcome &O) {
   R.Attempts = O.Attempts;
   R.ReturnValue = O.ReturnValue;
   R.Steps = O.Steps;
-  bool Missed = Entry.DeadlineNs && obsNowNanos() > Entry.DeadlineNs;
-  if (Missed)
+  if (DeadlineNs && obsNowNanos() > DeadlineNs) {
     R.Flags |= RespFlagDeadlineMissed;
-  std::vector<uint8_t> Frame = encodeResponseFrame(R);
-
-  Conn &C = *Entry.C;
-  std::unique_lock<std::mutex> Lock(C.Mu);
-  // Under Mu, so a flusher that sees no response owed and nothing in
-  // flight on a doomed connection can close it without losing this one.
-  C.InFlightCount.fetch_sub(1, std::memory_order_relaxed);
-  // A connection that died while the request was served orphans it.
-  if (appendLocked(C, Frame, /*Booked=*/true) && Missed)
-    bump(Net.DeadlineMissed);
-  CloseWant Want = flushLocked(C, Lock);
-  Lock.unlock();
-  if (Want != CloseWant::None)
-    queueClose(C.Id, Want == CloseWant::Reset);
+    ++L.Net.DeadlineMissed;
+  }
+  enqueueResponse(C, R, /*Booked=*/true);
 }
 
-void SocketServer::loopMain() {
-  int AppliedPhase = static_cast<int>(Phase::Running);
-  uint64_t FlushDeadlineNs = 0;
+void SocketServer::doom(Loop &L, Conn &C) {
+  // The peer is confused or hostile, and there is no safe way to keep
+  // interpreting its stream: answer with a notice, read nothing more, and
+  // close once the responses already owed are out.
+  enqueueResponse(C, {0, WireStatus::ProtocolError, TrapKind::None, 0, 0, 0, 0},
+                  /*Booked=*/false);
+  C.Doomed = true;
+  C.CloseAfterFlush = true;
+  C.ReadPaused = true;
+  updateEpoll(L, C);
+}
 
+void SocketServer::flushConn(Loop &L, Conn &C) {
+  enum class CloseWant { None, Close, Reset } Want = CloseWant::None;
+  C.WantWrite = false;
+  while (C.OutPos != C.Out.size()) {
+    if (netProbe(FaultSite::ClientStall)) {
+      // The peer's receive window is full: behave exactly like EAGAIN so
+      // the EPOLLOUT path gets exercised.
+      ++L.Net.StallFaults;
+      C.WantWrite = true;
+      break;
+    }
+    if (netProbe(FaultSite::ConnReset)) {
+      ++L.Net.ResetFaults;
+      Want = CloseWant::Reset;
+      break;
+    }
+    size_t N = C.Out.size() - C.OutPos;
+    if (netProbe(FaultSite::NetPartialIo)) {
+      ++L.Net.PartialIoFaults;
+      N = 1;
+    }
+    ssize_t W = ::send(C.Fd, C.Out.data() + C.OutPos, N, MSG_NOSIGNAL);
+    if (W < 0) {
+      if (errno == EINTR)
+        continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK) {
+        C.WantWrite = true;
+        break;
+      }
+      Want = errno == EPIPE || errno == ECONNRESET ? CloseWant::Reset
+                                                   : CloseWant::Close;
+      break;
+    }
+    C.OutPos += static_cast<size_t>(W);
+    C.OutTotalFlushed += static_cast<uint64_t>(W);
+    L.Net.BytesOut += static_cast<uint64_t>(W);
+    while (!C.RespEnds.empty() && C.RespEnds.front() <= C.OutTotalFlushed) {
+      C.RespEnds.pop_front();
+      ++L.Net.ResponsesDelivered;
+    }
+  }
+  if (C.OutPos == C.Out.size()) {
+    C.Out.clear();
+    C.OutPos = 0;
+  }
+  if (Want == CloseWant::None && C.CloseAfterFlush && C.pendingOut() == 0 &&
+      C.InFlight == 0)
+    Want = CloseWant::Close;
+  if (Want != CloseWant::None) {
+    closeConn(L, C.Id, Want == CloseWant::Reset);
+    return;
+  }
+  // Backpressure low-water mark: resume reads once the backlog halves.
+  if (C.ReadPaused && !C.Doomed &&
+      L.AppliedPhase == static_cast<int>(Phase::Running) &&
+      C.pendingOut() < Opts.MaxConnBacklogBytes / 2)
+    C.ReadPaused = false;
+  updateEpoll(L, C);
+}
+
+void SocketServer::handleFrame(Loop &L, Conn &C,
+                               const std::vector<uint8_t> &Payload) {
+  uint64_t BaseNs = C.FrameStartNs ? C.FrameStartNs : obsNowNanos();
+  C.FrameStartNs = 0;
+
+  WireRequest Req;
+  bool Parsed = parseRequestPayload(Payload.data(), Payload.size(), Req);
+  bool Duplicate =
+      Parsed && (std::find(L.ReadAdmitted.begin(), L.ReadAdmitted.end(),
+                           Req.Index) != L.ReadAdmitted.end() ||
+                 InFlight.count(Req.Index) != 0);
+  if (!Parsed || Duplicate) {
+    // Schema violation, or an index already in flight, which would make
+    // response matching ambiguous.
+    ++L.Net.BadPayload;
+    ++L.Net.ProtocolErrors;
+    doom(L, C);
+    return;
+  }
+
+  uint64_t DeadlineNs =
+      Req.DeadlineMillis ? BaseNs + Req.DeadlineMillis * MillisToNanos : 0;
+  if (DeadlineNs && obsNowNanos() > DeadlineNs) {
+    // Expired before admission: answer without burning a shard on work
+    // whose answer nobody is waiting for.
+    ++L.Net.DeadlineRejected;
+    enqueueResponse(C, {Req.Index, WireStatus::DeadlineExpired, TrapKind::None,
+                        0, 0, 0, 0},
+                    /*Booked=*/true);
+    return;
+  }
+
+  if (L.Pool) {
+    // Thread mode: serve it here and now, on this loop's own worker.
+    ++L.Net.RequestsAdmitted;
+    L.ReadAdmitted.push_back(Req.Index);
+    answer(L, C, L.Pool->serve(L.Worker, {Req.Index, std::move(Req.Inputs)}),
+           DeadlineNs);
+    return;
+  }
+
+  unsigned Shard =
+      shardForRequest(Opts.Pool.RootSeed, Req.Index, Opts.Shards);
+  InFlight.emplace(Req.Index, InFlightReq{C.Id, DeadlineNs});
+  ++C.InFlight;
+  if (!ProcShards[Shard]->submit({Req.Index, std::move(Req.Inputs)})) {
+    InFlight.erase(Req.Index);
+    --C.InFlight;
+    ++L.Net.WireShed;
+    enqueueResponse(C, {Req.Index, WireStatus::Shed, TrapKind::None, 0, 0, 0,
+                        0},
+                    /*Booked=*/true);
+    return;
+  }
+  ++L.Net.RequestsAdmitted;
+  L.ReadAdmitted.push_back(Req.Index);
+  // Process-isolation chaos: a seeded SIGKILL of the child that just
+  // admitted this request. The kill perturbs only *delivery* — the death
+  // path re-forks and replays the in-flight requests, whose outcomes are
+  // pure functions of (RootSeed, Index) — so the digest is unchanged.
+  if (netProbe(FaultSite::ShardKill)) {
+    ++L.Net.ShardKillFaults;
+    ProcShards[Shard]->injectKill();
+  }
+}
+
+void SocketServer::pumpDecoder(Loop &L, Conn &C) {
+  std::vector<uint8_t> Payload;
+  FrameError Err;
+  while (!C.Doomed) {
+    FrameDecoder::Item I = C.Decoder.next(Payload, Err);
+    if (I == FrameDecoder::Item::None)
+      break;
+    if (I == FrameDecoder::Item::Error) {
+      ++L.Net.ProtocolErrors;
+      if (Err == FrameError::Oversize)
+        ++L.Net.FrameOversize;
+      else
+        ++L.Net.FrameZeroLength;
+      doom(L, C);
+      return;
+    }
+    ++L.Net.FramesDecoded;
+    handleFrame(L, C, Payload);
+  }
+}
+
+void SocketServer::handleReadable(Loop &L, Conn &C) {
+  uint8_t Buf[65536];
+  const uint64_t Id = C.Id;
+  L.ReadAdmitted.clear();
+  for (;;) {
+    size_t Want = sizeof Buf;
+    if (netProbe(FaultSite::NetPartialIo)) {
+      ++L.Net.PartialIoFaults;
+      Want = 1;
+    }
+    ssize_t R = ::recv(C.Fd, Buf, Want, 0);
+    if (R < 0) {
+      if (errno == EINTR)
+        continue;
+      if (errno == EAGAIN || errno == EWOULDBLOCK)
+        break;
+      closeConn(L, Id, errno == ECONNRESET);
+      return;
+    }
+    if (R == 0) {
+      // Peer closed. A close mid-frame is a protocol error (the peer's
+      // framing promised bytes it never sent). What it is owed goes out
+      // first, in case it only shut down its own side.
+      if (C.Decoder.finalize() == FrameError::Truncated) {
+        ++L.Net.FrameTruncated;
+        ++L.Net.ProtocolErrors;
+      }
+      if (C.pendingOut())
+        flushConn(L, C); // may close C
+      closeConn(L, Id, false);
+      return;
+    }
+    L.Net.BytesIn += static_cast<uint64_t>(R);
+    bool WasMidFrame = C.Decoder.midFrame();
+    C.Decoder.feed(Buf, static_cast<size_t>(R));
+    if (!WasMidFrame)
+      C.FrameStartNs = obsNowNanos();
+    pumpDecoder(L, C);
+    if (!C.Decoder.midFrame())
+      C.FrameStartNs = 0;
+    if (C.Doomed || C.ReadPaused)
+      break;
+    if (static_cast<size_t>(R) < Want)
+      break; // socket drained (level-trigger re-reports if not)
+  }
+  // One send for every answer this read produced. A blocked socket waits
+  // for EPOLLOUT instead.
+  if (C.pendingOut() && !C.WantWrite)
+    flushConn(L, C); // may close C; nothing touches it afterwards
+  else
+    updateEpoll(L, C);
+}
+
+void SocketServer::completeOutcome(const PoolOutcome &O) {
+  Loop &L = *Loops.front();
+  auto It = InFlight.find(O.Index);
+  if (It == InFlight.end())
+    return; // not a wire request (defensive; should not happen)
+  InFlightReq Entry = It->second;
+  InFlight.erase(It);
+  auto CIt = L.Conns.find(Entry.ConnId);
+  if (CIt == L.Conns.end()) {
+    ++L.Net.ResponsesOrphaned; // the connection died while it was served
+    return;
+  }
+  Conn &C = *CIt->second;
+  --C.InFlight;
+  answer(L, C, O, Entry.DeadlineNs);
+  if (!C.WantWrite)
+    flushConn(L, C);
+}
+
+void SocketServer::applyPhase(Loop &L, int P) {
+  if (P >= static_cast<int>(Phase::Quiesce) &&
+      L.AppliedPhase < static_cast<int>(Phase::Quiesce)) {
+    // Drain step 1: stop accepting, stop reading. A serving loop is
+    // between requests here, so everything it read has been answered; the
+    // process loop's in-flight requests keep completing.
+    if (&L == Loops.front().get())
+      ::epoll_ctl(L.EpollFd, EPOLL_CTL_DEL, ListenFd, nullptr);
+    for (auto &[Id, C] : L.Conns) {
+      C->ReadPaused = true;
+      updateEpoll(L, *C);
+    }
+    ackQuiesce(L);
+  }
+  if (P >= static_cast<int>(Phase::Flush) &&
+      L.AppliedPhase < static_cast<int>(Phase::Flush)) {
+    // Drain step 2: every outcome has been answered on its connection.
+    // Push the last bytes out within one drain budget.
+    L.FlushDeadlineNs =
+        obsNowNanos() + uint64_t(Opts.DrainTimeoutMillis) * MillisToNanos;
+    L.AppliedPhase = static_cast<int>(Phase::Flush);
+    for (uint64_t Id : L.connIds()) {
+      auto It = L.Conns.find(Id);
+      if (It != L.Conns.end())
+        flushConn(L, *It->second);
+    }
+  }
+}
+
+void SocketServer::ackQuiesce(Loop &L) {
+  L.AppliedPhase = static_cast<int>(Phase::Quiesce);
+  {
+    std::lock_guard<std::mutex> Lock(QuiesceMu);
+    ++QuiescedLoops;
+  }
+  QuiesceCv.notify_all();
+}
+
+void SocketServer::loopMain(Loop &L) {
   for (;;) {
     int P = PhaseFlag.load(std::memory_order_acquire);
-    if (P >= static_cast<int>(Phase::Quiesce) &&
-        AppliedPhase < static_cast<int>(Phase::Quiesce)) {
-      // Drain step 1: stop accepting, stop reading. In-flight requests
-      // keep completing and responses keep flushing.
-      if (ListenerArmed) {
-        ::epoll_ctl(EpollFd, EPOLL_CTL_DEL, ListenFd, nullptr);
-        ListenerArmed = false;
-      }
-      for (auto &[Id, C] : Conns) {
-        std::lock_guard<std::mutex> Lock(C->Mu);
-        C->ReadPaused = true;
-        updateEpollLocked(*C);
-      }
-      AppliedPhase = static_cast<int>(Phase::Quiesce);
-      Quiesced.store(true, std::memory_order_release);
-      Quiesced.notify_all();
-    }
-    if (P >= static_cast<int>(Phase::Flush) &&
-        AppliedPhase < static_cast<int>(Phase::Flush)) {
-      // Drain step 2: the shards have finished, so every outcome has been
-      // answered on its connection. Apply the closes those answers asked
-      // for, then push the last bytes out within one drain budget.
-      drainCloseQueue();
-      FlushDeadlineNs =
-          obsNowNanos() + uint64_t(Opts.DrainTimeoutMillis) * MillisToNanos;
-      std::vector<uint64_t> Ids;
-      for (auto &[Id, C] : Conns)
-        Ids.push_back(Id);
-      for (uint64_t Id : Ids) {
-        auto It = Conns.find(Id);
-        if (It != Conns.end())
-          flushConn(*It->second);
-      }
-      AppliedPhase = static_cast<int>(Phase::Flush);
-    }
-    if (AppliedPhase == static_cast<int>(Phase::Flush)) {
+    if (P != L.AppliedPhase)
+      applyPhase(L, P);
+    if (L.AppliedPhase == static_cast<int>(Phase::Flush)) {
       bool AllFlushed = true;
-      for (auto &[Id, C] : Conns) {
-        std::lock_guard<std::mutex> Lock(C->Mu);
+      for (auto &[Id, C] : L.Conns)
         if (C->pendingOut())
           AllFlushed = false;
-      }
-      if (AllFlushed || obsNowNanos() > FlushDeadlineNs) {
-        std::vector<uint64_t> Ids;
-        for (auto &[Id, C] : Conns)
-          Ids.push_back(Id);
-        for (uint64_t Id : Ids)
-          closeConn(Id, false); // orphans whatever could not be flushed
+      if (AllFlushed || obsNowNanos() > L.FlushDeadlineNs) {
+        for (uint64_t Id : L.connIds())
+          closeConn(L, Id, false); // orphans whatever could not be flushed
         return;
       }
     }
 
-    for (ChildProcessShard *S : ProcShards)
+    for (auto &S : ProcShards)
       S->service();
 
     // Every wake is an fd: a connection's request bytes, the eventfd's
-    // stop, drain and close requests, a shard's pidfd its child's exit. The one wall-clock
-    // deadline is the drain's final flush.
+    // drain phases and handed-over connections, a shard's pidfd its
+    // child's exit. The one wall-clock deadline is the drain's final
+    // flush.
     int TimeoutMillis = -1;
-    if (AppliedPhase == static_cast<int>(Phase::Flush)) {
+    if (L.AppliedPhase == static_cast<int>(Phase::Flush)) {
       uint64_t Now = obsNowNanos();
-      uint64_t Left = Now < FlushDeadlineNs ? FlushDeadlineNs - Now : 0;
+      uint64_t Left = Now < L.FlushDeadlineNs ? L.FlushDeadlineNs - Now : 0;
       TimeoutMillis = static_cast<int>(std::min<uint64_t>(
           (Left + MillisToNanos - 1) / MillisToNanos, INT_MAX));
     }
     epoll_event Events[64];
-    int N = ::epoll_wait(EpollFd, Events, 64, TimeoutMillis);
+    int N = ::epoll_wait(L.EpollFd, Events, 64, TimeoutMillis);
     if (N < 0) {
       if (errno == EINTR)
         continue;
-      return; // epoll itself failed; nothing sane left to do
+      break; // epoll itself failed; nothing sane left to do
     }
     for (int I = 0; I != N; ++I) {
       uint64_t Id = Events[I].data.u64;
       uint32_t Ev = Events[I].events;
       if (Id == ListenerId) {
-        if (AppliedPhase == static_cast<int>(Phase::Running))
-          handleAccept();
+        if (L.AppliedPhase == static_cast<int>(Phase::Running))
+          handleAccept(L);
         continue;
       }
       if (Id == WakeId) {
         uint64_t Count = 0;
-        (void)!::read(WakeEventFd, &Count, sizeof Count); // one read clears
-        drainCloseQueue();
+        (void)!::read(L.WakeFd, &Count, sizeof Count); // one read clears
+        adoptHandoffs(L);
         continue;
       }
       if (Id >= ShardPidIdBase) {
@@ -868,23 +886,26 @@ void SocketServer::loopMain() {
           S.onWritable();
         continue;
       }
-      auto It = Conns.find(Id);
-      if (It == Conns.end())
+      auto It = L.Conns.find(Id);
+      if (It == L.Conns.end())
         continue; // closed earlier in this batch
       if (Ev & EPOLLIN)
-        handleReadable(*It->second);
-      It = Conns.find(Id);
-      if (It == Conns.end())
+        handleReadable(L, *It->second);
+      It = L.Conns.find(Id);
+      if (It == L.Conns.end())
         continue;
       if (Ev & EPOLLOUT)
-        handleWritable(*It->second);
-      It = Conns.find(Id);
-      if (It == Conns.end())
+        flushConn(L, *It->second);
+      It = L.Conns.find(Id);
+      if (It == L.Conns.end())
         continue;
       if ((Ev & (EPOLLHUP | EPOLLERR)) && !(Ev & (EPOLLIN | EPOLLOUT)))
-        closeConn(Id, true);
+        closeConn(L, Id, true);
     }
   }
+  // A loop that gave up early still counts as quiesced: it reads nothing.
+  if (L.AppliedPhase < static_cast<int>(Phase::Quiesce))
+    ackQuiesce(L);
 }
 
 DrainReport SocketServer::drain() {
@@ -895,44 +916,67 @@ DrainReport SocketServer::drain() {
   Drained = true;
 
   PhaseFlag.store(static_cast<int>(Phase::Quiesce), std::memory_order_release);
-  wakeLoop();
-  // A worker can answer a request before the loop's submit() has returned
-  // and booked it: wait until the loop stops reading, so the shard books
-  // frozen below count every request the loop admitted.
-  Quiesced.wait(false, std::memory_order_acquire);
-
-  // Drain every shard inside the budget; one laggard escalates ALL shards
-  // to cancellation so drain() has a bounded worst case. Cancelled runs
-  // are booked poisoned (PoisonedPoolDeath), which keeps the identity
-  // exact and makes an unclean drain visible in the report.
-  bool Clean = true;
-  for (auto &S : Shards)
-    if (!S->drainWithin(Opts.DrainTimeoutMillis))
-      Clean = false;
-  if (!Clean)
-    for (auto &S : Shards)
-      S->shutdownNow();
-
+  wakeAll();
+  auto AllQuiesced = [this] { return QuiescedLoops == Loops.size(); };
   std::vector<PoolOutcome> All;
-  for (auto &S : Shards) {
-    std::vector<PoolOutcome> O = S->finish(); // joins; every OnOutcome fired
+  bool Clean = true;
+  if (!Pools.empty()) {
+    // A serving loop quiesces between requests, so once every loop has,
+    // every request read has been answered. Past the budget the runs
+    // still going are cancelled, booked poisoned, and answered; a drain
+    // with one laggard escalates every shard, so drain() has a bounded
+    // worst case.
+    std::unique_lock<std::mutex> Lock(QuiesceMu);
+    Clean = QuiesceCv.wait_for(
+        Lock, std::chrono::milliseconds(Opts.DrainTimeoutMillis), AllQuiesced);
+    if (!Clean) {
+      Lock.unlock();
+      for (auto &P : Pools)
+        P->shutdownNow();
+      Lock.lock();
+      QuiesceCv.wait(Lock, AllQuiesced);
+    }
+  } else {
+    // The process loop quiesces at once, then keeps servicing the shard
+    // channels while the children drain. Cancelled runs are booked
+    // poisoned (PoisonedPoolDeath), which keeps the identity exact and
+    // makes an unclean drain visible in the report.
+    {
+      std::unique_lock<std::mutex> Lock(QuiesceMu);
+      QuiesceCv.wait(Lock, AllQuiesced);
+    }
+    for (auto &S : ProcShards)
+      if (!S->drainWithin(Opts.DrainTimeoutMillis))
+        Clean = false;
+    if (!Clean)
+      for (auto &S : ProcShards)
+        S->shutdownNow();
+    for (auto &S : ProcShards) {
+      std::vector<PoolOutcome> O = S->finish(); // every outcome answered
+      All.insert(All.end(), O.begin(), O.end());
+      Report.PerShard.push_back(S->books());
+    }
+  }
+
+  PhaseFlag.store(static_cast<int>(Phase::Flush), std::memory_order_release);
+  wakeAll();
+  if (LoopThread.joinable())
+    LoopThread.join();
+  for (auto &P : Pools) {
+    std::vector<PoolOutcome> O = P->finish(); // joins its serving loops
     All.insert(All.end(), O.begin(), O.end());
-    Report.PerShard.push_back(S->books());
+    Report.PerShard.push_back(P->books());
   }
   std::sort(All.begin(), All.end(),
             [](const PoolOutcome &A, const PoolOutcome &B) {
               return A.Index < B.Index;
             });
 
-  PhaseFlag.store(static_cast<int>(Phase::Flush), std::memory_order_release);
-  wakeLoop();
-  if (LoopThread.joinable())
-    LoopThread.join();
-
   for (const PoolBooks &B : Report.PerShard)
     mergePoolBooks(Report.Pool, B);
+  for (auto &L : Loops)
+    Report.Net += L->Net;
   Report.Clean = Clean;
-  Report.Net = Net;
   Report.Outcomes = std::move(All);
   Report.IdentityOk = Report.Net.wireIdentityHolds(Report.Pool);
   return Report;

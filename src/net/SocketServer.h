@@ -5,31 +5,31 @@
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The network serving front-end (DESIGN.md §13): one epoll event-loop
-/// thread speaking the length-prefixed wire protocol (net/FrameCodec.h)
-/// over loopback TCP, routing every request to one of N shards by the
-/// deterministic (RootSeed, Index) hash (net/ShardRouter.h). A shard is a
-/// WorkerPool in this process or a forked child process owning one
-/// (ServerOptions::Mode, net/ShardProcess.h, DESIGN.md §15) — the routing,
-/// backpressure, and deadline machinery here is mode-blind.
+/// The network serving front-end (DESIGN.md §13): epoll event loops
+/// speaking the length-prefixed wire protocol (net/FrameCodec.h) over
+/// loopback TCP. A shard is a WorkerPool in this process or a forked
+/// child process owning one (ServerOptions::Mode, net/ShardProcess.h,
+/// DESIGN.md §15).
 ///
-/// Threading model. The loop thread owns the listener, the connection
-/// table, the shard IPC channels and the shard children's pidfds (it
-/// reaps its own children), and it alone reads sockets, admits requests
-/// and closes connections. Whichever thread finishes a request answers
-/// it: a pool worker, the loop (a process shard's channel handler), or
-/// the drain() caller. It takes the in-flight entry, which carries a
-/// reference to its connection, encodes the response, appends it under
-/// that connection's output lock, and, unless another thread is already
-/// flushing the connection, sends everything pending itself, releasing
-/// the lock around each send(). A response is Delivered when send()
-/// accepts its last byte. A completing thread that needs the connection
-/// closed (send error, injected reset, a doomed connection drained)
-/// queues its id and wakes the loop; the fd itself closes when the last
-/// reference to the connection drops, so no send() ever reaches a
-/// reused fd number. The loop sleeps in epoll_wait until an fd is ready;
-/// its eventfd carries stop, drain and close requests, and it keeps no
-/// timer except the drain's final flush deadline.
+/// Threading model. Every connection belongs to one loop for its whole
+/// life, and only that loop's thread reads it, answers it and closes it,
+/// so no connection state is shared between threads.
+///  - Thread mode: each pool worker is a serving loop (Shards x Workers
+///    threads, and no other). Connection k in accept order belongs to
+///    loop k mod (Shards x Workers); loop 0 also owns the listener and
+///    hands each accepted fd to its owner. A loop reads a frame, serves
+///    it on its own worker (WorkerPool::serve: containment, retry in
+///    place, repair), encodes the response and flushes it, all on one
+///    thread: no queue, no wake of another thread. Backpressure pauses
+///    the connection's reads; nothing is shed.
+///  - Process mode: one loop thread owns the listener, every connection,
+///    the shard IPC channels and the shard children's pidfds (it reaps
+///    its own children). It routes each request by the deterministic
+///    (RootSeed, Index) hash (net/ShardRouter.h) and answers the outcome
+///    when it comes back over the channel.
+/// A loop sleeps in epoll_wait until an fd is ready; its eventfd carries
+/// stop and drain requests and, in thread mode, handed-over connections.
+/// It keeps no timer except the drain's final flush deadline.
 ///
 /// Robustness posture:
 ///  - a malformed frame (hardened decoder) or payload is an accounted
@@ -39,9 +39,9 @@
 ///    is answered DeadlineExpired without touching a shard) and flagged at
 ///    completion (RespFlagDeadlineMissed);
 ///  - backpressure is end-to-end: a slow reader pauses its own socket
-///    reads once its response backlog passes MaxConnBacklogBytes, and the
-///    shards run ShedNewest admission so overload is shed with exact
-///    books, not buffered without bound;
+///    reads once its response backlog passes MaxConnBacklogBytes; in
+///    process mode the parent also caps each shard's in-flight requests
+///    at QueueCapacity and sheds past it with exact books;
 ///  - network fault sites (accept failure, short I/O, connection reset,
 ///    stalled peer) inject at the socket layer and degrade *delivery*
 ///    only: the serving layer below stays deterministic in (RootSeed,
@@ -67,6 +67,7 @@
 #include "runtime/WorkerPool.h"
 
 #include <atomic>
+#include <condition_variable>
 #include <cstdint>
 #include <memory>
 #include <mutex>
@@ -81,10 +82,8 @@ class MetricsRegistry;
 
 /// Socket-layer accounting, valid to read after drain(). Mirrors PoolBooks
 /// in spirit: every decoded frame and every generated response is booked
-/// into exactly one class. The loop thread writes most fields; the ones a
-/// completing thread also writes (BytesOut, the delivery pair,
-/// DeadlineMissed and the three flush-site fault counts) are only ever
-/// incremented as relaxed atomics.
+/// into exactly one class. Each loop keeps its own books; drain() sums
+/// them.
 struct NetBooks {
   // Connection lifecycle.
   uint64_t ConnectionsAccepted = 0;
@@ -150,6 +149,9 @@ struct NetBooks {
                RequestsAdmitted + WireShed + DeadlineRejected;
   }
 
+  /// Adds every field of \p O to this one.
+  NetBooks &operator+=(const NetBooks &O);
+
   /// Adds every field as a "net.books.*" gauge (DESIGN.md §11).
   void exportMetrics(MetricsRegistry &R) const;
 };
@@ -168,7 +170,7 @@ void mergePoolBooks(PoolBooks &Into, const PoolBooks &From);
 
 /// How each shard is isolated from the server (DESIGN.md §15).
 enum class ShardMode {
-  Thread, ///< WorkerPool in this process (InProcessShard).
+  Thread, ///< WorkerPool in this process; its workers serve connections.
   Process ///< Forked child process per shard (ChildProcessShard).
 };
 
@@ -177,7 +179,9 @@ struct ServerOptions {
   /// not an internet-facing daemon). 0 = kernel-assigned, read via port().
   uint16_t Port = 0;
   /// WorkerPool shards. Each shard is an independent pool over the same
-  /// module and RootSeed; requests land by shardForRequest().
+  /// module and RootSeed. In thread mode each worker of each shard serves
+  /// the connections it owns; in process mode requests land by
+  /// shardForRequest().
   unsigned Shards = 1;
   /// Shard isolation level. Process mode is digest-neutral: the wire
   /// outcome stream and the aggregate books are bit-identical to thread
@@ -198,16 +202,16 @@ struct ServerOptions {
   /// Clean = false.
   unsigned DrainTimeoutMillis = 5000;
   /// Network-layer fault injection (sites AcceptFailure..ClientStall)
-  /// against NetFaultPlan: the accept and read sites probe on the loop
-  /// thread, the flush sites on whichever thread flushes. Independent of
-  /// the shards' per-request injection (Pool.InjectFaults), which these
-  /// probes never consult.
+  /// against NetFaultPlan, probed on the loop that owns the listener or
+  /// the connection. Independent of the shards' per-request injection
+  /// (Pool.InjectFaults), which these probes never consult.
   bool InjectNetFaults = false;
   FaultPlan NetFaultPlan;
-  /// Template for every shard's pool. Workers is per shard. Admission
-  /// policy is forced to ShedNewest — the loop thread must never block on
-  /// a full shard queue. OnOutcome is owned by the server. Function must
-  /// name a zero-argument definition, or start() fails.
+  /// Template for every shard's pool. Workers is per shard. OnOutcome is
+  /// owned by the server. QueueCapacity bounds only process mode: the
+  /// parent's in-flight cap per shard and the child's queue (thread mode
+  /// has no queue). Function must name a zero-argument definition, or
+  /// start() fails.
   PoolOptions Pool;
 };
 
@@ -237,8 +241,8 @@ public:
   SocketServer(const SocketServer &) = delete;
   SocketServer &operator=(const SocketServer &) = delete;
 
-  /// Checks the entry point, then binds, listens, starts the shards and
-  /// the loop thread. Returns false with \p Err set on a bad entry point
+  /// Checks the entry point, then binds, listens, and starts the shards
+  /// and the loops. Returns false with \p Err set on a bad entry point
   /// (before any shard starts) or a socket-layer or fork failure. Not
   /// restartable.
   bool start(std::string *Err = nullptr);
@@ -246,95 +250,92 @@ public:
   /// The bound port (valid after start()).
   uint16_t port() const { return BoundPort; }
 
-  /// Records a stop request and wakes the loop. Safe from a signal
-  /// handler (atomic store + pipe write only).
+  /// Records a stop request. Safe from a signal handler (one atomic
+  /// store).
   void requestStop();
 
   bool stopRequested() const {
     return StopFlag.load(std::memory_order_acquire);
   }
 
-  /// Graceful shutdown: stops accepting, quiesces reads, drains every
-  /// shard within the drain budget (escalating to cancellation on
-  /// timeout), flushes every pending response it still can, closes all
-  /// connections, joins all threads, and returns the merged books.
-  /// Idempotent; the second call returns the first call's report.
+  /// Graceful shutdown: stops accepting, quiesces reads, lets every
+  /// request already read finish within the drain budget (escalating to
+  /// cancellation on timeout), flushes every pending response it still
+  /// can, closes all connections, joins all threads, and returns the
+  /// merged books. Idempotent; the second call returns the first call's
+  /// report.
   DrainReport drain();
 
 private:
   struct Conn;
+  struct Loop;
 
-  void loopMain();
-  void handleAccept();
-  void handleReadable(Conn &C);
-  void handleWritable(Conn &C);
-  /// Both return whether the loop queued a response of its own.
-  bool handleFrame(Conn &C, const std::vector<uint8_t> &Payload);
-  bool pumpDecoder(Conn &C);
-  void doom(Conn &C);
+  void loopMain(Loop &L);
+  void applyPhase(Loop &L, int P);
+  void ackQuiesce(Loop &L);
+  void handleAccept(Loop &L);
+  void adopt(Loop &L, int Fd, uint64_t Id);
+  void adoptHandoffs(Loop &L);
+  void handleReadable(Loop &L, Conn &C);
+  void handleFrame(Loop &L, Conn &C, const std::vector<uint8_t> &Payload);
+  void pumpDecoder(Loop &L, Conn &C);
+  void doom(Loop &L, Conn &C);
+  /// Queues \p R on \p C; a Booked response counts toward the delivery
+  /// identity.
   void enqueueResponse(Conn &C, const WireResponse &R, bool Booked);
-  bool appendLocked(Conn &C, const std::vector<uint8_t> &Frame, bool Booked);
-  enum class CloseWant { None, Close, Reset };
-  CloseWant flushLocked(Conn &C, std::unique_lock<std::mutex> &Lock);
-  void flushConn(Conn &C);
-  void closeConn(uint64_t Id, bool CountReset);
-  void queueClose(uint64_t Id, bool CountReset);
-  void drainCloseQueue();
-  /// Answers one shard outcome on its connection, on the calling thread.
+  /// Queues the response to \p O; \p DeadlineNs (0 = none) sets the
+  /// deadline-missed flag.
+  void answer(Loop &L, Conn &C, const PoolOutcome &O, uint64_t DeadlineNs);
+  /// Sends what \p C owes and re-arms its epoll mask. May close \p C:
+  /// nothing touches it afterwards.
+  void flushConn(Loop &L, Conn &C);
+  void closeConn(Loop &L, uint64_t Id, bool CountReset);
+  /// Process mode: answers one shard outcome on its connection.
   void completeOutcome(const PoolOutcome &O);
-  void updateEpollLocked(Conn &C);
+  void updateEpoll(Loop &L, Conn &C);
   bool netProbe(FaultSite Site);
-  void wakeLoop();
+  void wake(Loop &L);
+  void wakeAll();
   void closeAll();
 
   Module &M;
   ServerOptions Opts;
 
-  std::vector<std::unique_ptr<Shard>> Shards;
-  /// Non-owning process-mode view of Shards (empty in thread mode).
-  std::vector<ChildProcessShard *> ProcShards;
+  /// Thread mode: one pool per shard; loop I serves on worker
+  /// I / Shards of pool I % Shards.
+  std::vector<std::unique_ptr<WorkerPool>> Pools;
+  /// Process mode: one child per shard, all serviced by the one loop.
+  std::vector<std::unique_ptr<ChildProcessShard>> ProcShards;
 
-  int EpollFd = -1;
+  /// Loops[0] owns the listener (and, in process mode, everything else).
+  std::vector<std::unique_ptr<Loop>> Loops;
   int ListenFd = -1;
-  /// Loop wakeup: an eventfd (write is async-signal-safe, so requestStop
-  /// can poke it from a signal handler). It carries stop, drain and close
-  /// requests.
-  int WakeEventFd = -1;
   uint16_t BoundPort = 0;
-  bool ListenerArmed = false;
+  /// Accepted connections not yet closed, against MaxConnections.
+  std::atomic<unsigned> OpenConns{0};
+  uint64_t NextConnId = 2; ///< Loops[0] only. 0 = listener, 1 = eventfd.
 
+  /// Process mode only: thread-mode loops run on the pool workers.
   std::thread LoopThread;
   std::atomic<bool> StopFlag{false};
 
-  /// Drain phases, advanced by drain() and observed by the loop.
-  enum class Phase : int { Running = 0, Quiesce = 1, Flush = 2, Exit = 3 };
+  /// Drain phases, advanced by drain() and observed by every loop.
+  enum class Phase : int { Running = 0, Quiesce = 1, Flush = 2 };
   std::atomic<int> PhaseFlag{0};
-  /// Set once the loop has applied Quiesce (or returned): no submit() is
-  /// in progress or will start, so the shard books can be frozen.
-  std::atomic<bool> Quiesced{false};
+  /// Loops that have applied Quiesce (or returned): they read nothing
+  /// more, and a thread-mode loop has answered every request it read.
+  std::mutex QuiesceMu;
+  std::condition_variable QuiesceCv;
+  size_t QuiescedLoops = 0;
 
-  /// Loop-thread state.
-  std::unordered_map<uint64_t, std::shared_ptr<Conn>> Conns;
-  uint64_t NextConnId = 2; ///< 0 = listener, 1 = wake eventfd.
-  /// Indices admitted during the current handleReadable call.
-  std::vector<uint64_t> ReadAdmitted;
-
-  /// Admitted requests awaiting their outcome. The loop inserts; the
-  /// completing thread erases. The mutex covers only find, emplace and
-  /// erase; each entry keeps its connection alive until it is answered.
+  /// Process mode (loop thread only): admitted requests awaiting their
+  /// outcome, by index.
   struct InFlightReq {
-    std::shared_ptr<Conn> C;
+    uint64_t ConnId = 0;
     uint64_t DeadlineNs = 0; ///< 0 = none.
   };
-  std::mutex InFlightMu;
   std::unordered_map<uint64_t, InFlightReq> InFlight;
 
-  /// Closes wanted by a thread other than the loop: (connection id,
-  /// count as reset).
-  std::mutex CloseMu;
-  std::vector<std::pair<uint64_t, bool>> CloseQueue;
-
-  NetBooks Net;
   std::unique_ptr<FaultInjector> NetInjector;
 
   bool Started = false;

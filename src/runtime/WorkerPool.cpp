@@ -196,7 +196,15 @@ WorkerPool::~WorkerPool() {
     finish();
 }
 
-bool WorkerPool::start(std::string *Err) {
+bool WorkerPool::start(std::string *Err) { return launch(nullptr, Err); }
+
+bool WorkerPool::startServing(std::function<void(unsigned)> Body,
+                              std::string *Err) {
+  return launch(std::move(Body), Err);
+}
+
+bool WorkerPool::launch(std::function<void(unsigned)> Body,
+                        std::string *Err) {
   if (Started || Finished)
     return Started;
   // Every request calls the entry point with no arguments: refuse one
@@ -208,11 +216,37 @@ bool WorkerPool::start(std::string *Err) {
     return false;
   }
   Started = true;
+  if (Body)
+    Queue.close(); // the bodies own the workers: nothing serves a queue
   for (auto &W : Workers) {
-    W->Thread = std::thread([this, Raw = W.get()] { workerMain(*Raw); });
+    if (Body)
+      W->Thread = std::thread(Body, W->Id);
+    else
+      W->Thread = std::thread([this, Raw = W.get()] { workerMain(*Raw); });
     ++NumPoolWorkers;
   }
   return true;
+}
+
+const PoolOutcome &WorkerPool::serve(unsigned WorkerIndex,
+                                     PoolRequest Request) {
+  Worker &W = *Workers[WorkerIndex];
+  SubmittedCount.fetch_add(1, std::memory_order_relaxed);
+  AcceptedCount.fetch_add(1, std::memory_order_relaxed);
+  Pending Item;
+  Item.Req = std::move(Request);
+  bool Again = true;
+  while (Again && !W.Retired)
+    Again = attempt(W, Item);
+  if (Again) {
+    // Retired: no other worker takes over an owner's request.
+    Item.Delta.PoisonedPoolDeath += 1;
+    recordPoisoned(W.Outcomes, Item.Req.Index, Item.Attempt, Item.Delta);
+    ++W.PoisonedPoolDeath;
+    pushSpan(W, {Item.Req.Index, W.Id, Item.Attempt, SpanDisposition::Poisoned,
+                 0, 0, 0, 0, 0});
+  }
+  return W.Outcomes.back();
 }
 
 bool WorkerPool::submit(PoolRequest Request) {
@@ -318,7 +352,7 @@ void WorkerPool::rebuildWorker(Worker &W) {
     RebuildNanos.record(obsNowNanos() - Start);
 }
 
-void WorkerPool::retryOrQuarantine(Worker &W, Pending &Item) {
+bool WorkerPool::retryOrQuarantine(Worker &W, Pending &Item) {
   uint32_t Burned = Item.Attempt + 1;
   if (Burned < attemptBudget(Item.Req.Index)) {
     ++W.Retries;
@@ -326,15 +360,12 @@ void WorkerPool::retryOrQuarantine(Worker &W, Pending &Item) {
     // Item.Delta; a fresh Pending here would silently zero it.
     Item.Delta.Retries += 1;
     Item.Attempt = Burned;
-    if (Opts.Tracer)
-      Item.EnqueueNs = obsNowNanos();
-    Queue.pushPriority(std::move(Item));
-  } else {
-    recordPoisoned(W.Outcomes, Item.Req.Index, Burned, Item.Delta);
-    pushSpan(W, {Item.Req.Index, W.Id, Burned, SpanDisposition::Poisoned, 0,
-                 0, 0, 0, 0});
+    return true;
   }
-  Queue.taskDone();
+  recordPoisoned(W.Outcomes, Item.Req.Index, Burned, Item.Delta);
+  pushSpan(W, {Item.Req.Index, W.Id, Burned, SpanDisposition::Poisoned, 0, 0,
+               0, 0, 0});
+  return false;
 }
 
 void WorkerPool::abandonBacklog(Worker &W) {
@@ -350,61 +381,73 @@ void WorkerPool::abandonBacklog(Worker &W) {
 
 void WorkerPool::workerMain(Worker &W) {
   while (std::optional<Pending> Item = Queue.pop()) {
-    ServeVerdict Verdict;
-    try {
-      Verdict = serveRequest(W, *Item);
-    } catch (...) {
-      // Containment: any exception escaping the serve path — injected or
-      // real — costs this worker its attempt, never its thread.
-      Verdict = ServeVerdict::Crashed;
+    if (attempt(W, *Item)) {
+      // Requeue before taskDone(), so the queue never looks idle while
+      // the request's fate is undecided.
+      if (Opts.Tracer)
+        Item->EnqueueNs = obsNowNanos();
+      Queue.pushPriority(std::move(*Item));
     }
-
-    switch (Verdict) {
-    case ServeVerdict::Served:
-      Queue.taskDone();
-      break;
-    case ServeVerdict::Crashed:
-      ++W.CrashEvents;
-      Item->Delta.CrashesContained += 1;
-      rebuildWorker(W);
-      pushSpan(W, {Item->Req.Index, W.Id, Item->Attempt + 1,
-                   SpanDisposition::Crashed, 0, 0, 0, 0, 0});
-      retryOrQuarantine(W, *Item);
-      break;
-    case ServeVerdict::Died: {
-      // A simulated hard death, repaired on this thread. The death, and
-      // the restart it earns if the pool-wide budget allows one, are
-      // attributed to the request the worker died holding, so aggregate
-      // books stay an exact sum of per-request deltas.
-      pushSpan(W, {Item->Req.Index, W.Id, Item->Attempt + 1,
-                   SpanDisposition::Died, 0, 0, 0, 0, 0});
-      ++W.Deaths;
-      Item->Delta.WorkerDeaths += 1;
-      bool Restart = RestartsUsed.fetch_add(1, std::memory_order_relaxed) <
-                     Opts.Supervision.MaxWorkerRestarts;
-      if (Restart) {
-        ++W.Restarts;
-        Item->Delta.WorkerRestarts += 1;
-      }
-      retryOrQuarantine(W, *Item);
-      if (Restart) {
-        rebuildWorker(W);
-        break;
-      }
-      // Out of restart budget: this worker retires. The last one to go
-      // leaves nobody to serve, so it declares the pool dead: cancel any
-      // run still in flight, close the queue so blocked and future
-      // submitters fail fast instead of deadlocking, and drain the
-      // backlog as poisoned — the accounting identity outlives the pool.
-      if (LiveWorkers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
-        CancelAll.store(true, std::memory_order_relaxed);
-        Queue.close();
-        abandonBacklog(W);
-      }
-      return;
+    Queue.taskDone();
+    if (!W.Retired)
+      continue;
+    // The last worker to retire leaves nobody to serve, so it declares the
+    // pool dead: cancel any run still in flight, close the queue so
+    // blocked and future submitters fail fast instead of deadlocking, and
+    // drain the backlog as poisoned — the accounting identity outlives the
+    // pool.
+    if (LiveWorkers.fetch_sub(1, std::memory_order_acq_rel) == 1) {
+      CancelAll.store(true, std::memory_order_relaxed);
+      Queue.close();
+      abandonBacklog(W);
     }
-    }
+    return;
   }
+}
+
+bool WorkerPool::attempt(Worker &W, Pending &Item) {
+  ServeVerdict Verdict;
+  try {
+    Verdict = serveRequest(W, Item);
+  } catch (...) {
+    // Containment: any exception escaping the serve path — injected or
+    // real — costs this worker its attempt, never its thread.
+    Verdict = ServeVerdict::Crashed;
+  }
+
+  switch (Verdict) {
+  case ServeVerdict::Served:
+    return false;
+  case ServeVerdict::Crashed:
+    ++W.CrashEvents;
+    Item.Delta.CrashesContained += 1;
+    rebuildWorker(W);
+    pushSpan(W, {Item.Req.Index, W.Id, Item.Attempt + 1,
+                 SpanDisposition::Crashed, 0, 0, 0, 0, 0});
+    return retryOrQuarantine(W, Item);
+  case ServeVerdict::Died:
+    break;
+  }
+  // A simulated hard death, repaired on this thread. The death, and the
+  // restart it earns if the pool-wide budget allows one, are attributed to
+  // the request the worker died holding, so aggregate books stay an exact
+  // sum of per-request deltas. Out of restart budget, the worker retires.
+  pushSpan(W, {Item.Req.Index, W.Id, Item.Attempt + 1, SpanDisposition::Died,
+               0, 0, 0, 0, 0});
+  ++W.Deaths;
+  Item.Delta.WorkerDeaths += 1;
+  bool Restart = RestartsUsed.fetch_add(1, std::memory_order_relaxed) <
+                 Opts.Supervision.MaxWorkerRestarts;
+  if (Restart) {
+    ++W.Restarts;
+    Item.Delta.WorkerRestarts += 1;
+  }
+  bool Again = retryOrQuarantine(W, Item);
+  if (Restart)
+    rebuildWorker(W);
+  else
+    W.Retired = true;
+  return Again;
 }
 
 WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {

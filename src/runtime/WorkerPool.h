@@ -8,7 +8,10 @@
 /// The multi-worker request engine: N interpreter workers serve requests
 /// from a bounded MPMC queue over one shared, immutable module. Every
 /// worker repairs its own failures, so a pool of N workers runs exactly N
-/// threads (DESIGN.md §10).
+/// threads (DESIGN.md §10). An owner that reads its own requests (the
+/// thread-mode socket server, DESIGN.md §13) runs each worker thread
+/// itself instead (startServing) and serves through the same path with
+/// serve(): no queue, and no wake between threads.
 ///
 /// Ownership map (the concurrency model, DESIGN.md §9):
 ///
@@ -32,15 +35,16 @@
 /// injected FaultSite::WorkerCrash, or a real bug in a hook or the VM — is
 /// contained: the worker's Interpreter, SimMemory arena, and RequestRng
 /// are rebuilt in place and the thread keeps serving. The crashed request
-/// is requeued on the queue's priority lane with a bounded, per-request
-/// attempt budget derived from (RootSeed, Index, SeedLane::RetryBudget);
+/// is retried — requeued on the queue's priority lane, or run again in
+/// place under serve() — with a bounded, per-request attempt budget
+/// derived from (RootSeed, Index, SeedLane::RetryBudget);
 /// once the budget is exhausted the request is recorded as *poisoned* and
 /// never retried again (quarantine). A simulated hard death
 /// (FaultSite::WorkerDeath — models a segfaulting or OS-killed worker) is
 /// repaired the same way on the dying worker's own thread: the death is
-/// booked, the request is requeued or quarantined, and the worker is
+/// booked, the request is retried or quarantined, and the worker is
 /// rebuilt while the pool's restart budget lasts. Past the budget the
-/// worker retires. The last worker to retire declares the pool dead: it
+/// worker retires. The last queue worker to retire declares the pool dead: it
 /// cancels in-flight runs, closes the queue — so submit() returns false
 /// instead of deadlocking — and drains the backlog as poisoned, keeping
 /// the books exact.
@@ -301,6 +305,26 @@ public:
   /// queue. Idempotent; a no-op returning false after finish().
   bool start(std::string *Err = nullptr);
 
+  /// Launches the worker threads like start(), but each runs \p Body with
+  /// its worker index in place of the queue loop: the body owns that
+  /// worker and hands it requests one at a time through serve(). The
+  /// queue is closed, so submit() sheds (ShedClosed). finish() joins the
+  /// threads, so every body must return first. Same entry-point check,
+  /// same failure and idempotence rules as start().
+  bool startServing(std::function<void(unsigned Worker)> Body,
+                    std::string *Err = nullptr);
+
+  /// Serves \p Request to its terminal outcome on the calling thread,
+  /// which must be worker \p WorkerIndex's own (its startServing() body).
+  /// The one serve path of a queued request, with no queue and no other
+  /// thread: a contained crash or a repaired death retries in place while
+  /// the attempt budget lasts, and quarantines past it. Books the request
+  /// Submitted and Accepted. A worker retired past the restart budget has
+  /// no VM left to run on: it answers its pending retry and every later
+  /// request poisoned (PoisonedPoolDeath), as a dead pool's backlog is.
+  /// The reference stays valid until the worker serves again.
+  const PoolOutcome &serve(unsigned WorkerIndex, PoolRequest Request);
+
   /// Enqueues one request through the admission controller. Returns false
   /// when the request was shed (queue full under ShedNewest, or queue
   /// closed by finish(), a failed start() or pool death); the shed is
@@ -382,6 +406,9 @@ private:
     } VmCarry;
     RequestRng::Books RngCarry;
 
+    /// Past the restart budget: the worker serves no more.
+    bool Retired = false;
+
     // Per-worker supervision tallies (merged at finish()).
     uint64_t CrashEvents = 0;
     uint64_t Deaths = 0;
@@ -390,7 +417,14 @@ private:
     uint64_t PoisonedPoolDeath = 0;
   };
 
+  bool launch(std::function<void(unsigned)> Body, std::string *Err);
   void workerMain(Worker &W);
+  /// Runs one serve attempt of \p Item on \p W and settles a failed one:
+  /// books the crash or death, then repairs \p W, or retires it past the
+  /// restart budget. Returns true when \p Item must run again (its
+  /// Attempt already advanced), false once it reached its terminal
+  /// outcome (W.Outcomes.back()).
+  bool attempt(Worker &W, Pending &Item);
   ServeVerdict serveRequest(Worker &W, Pending &Item);
   /// Banks W's VM/RNG books into its carries and returns its Interpreter
   /// and RequestRng to their fresh state in place: the VM is reset to its
@@ -405,11 +439,10 @@ private:
   void rebuildWorker(Worker &W);
   /// Deterministic per-request attempt budget (>= 1).
   uint32_t attemptBudget(uint64_t Index) const;
-  /// After a crashed or dead attempt: requeues \p Item on the priority
-  /// lane while its attempt budget lasts, quarantines it otherwise, then
-  /// declares the popped item done. Requeue comes first, so the queue
-  /// never looks idle while the request's fate is undecided.
-  void retryOrQuarantine(Worker &W, Pending &Item);
+  /// After a crashed or dead attempt: advances \p Item to its next
+  /// attempt and returns true while its attempt budget lasts; quarantines
+  /// it and returns false otherwise.
+  bool retryOrQuarantine(Worker &W, Pending &Item);
   /// Drains both queue lanes as poisoned-by-pool-death into W's books:
   /// the backlog of a dead pool, or of one finished without ever serving.
   void abandonBacklog(Worker &W);

@@ -6,15 +6,17 @@
 //
 // The serving front-end's contract over real loopback sockets: wire
 // outcomes are bit-identical to the in-process WorkerPool at any shard
-// count; every malformed byte stream is an accounted protocol error that
-// kills one connection and nothing else; deadlines reject at admission;
-// backpressure sheds with exact books; a hung request is poisoned by the
-// drain-timeout escalation; the wire accounting identity holds at the
-// end of every scenario, friendly or hostile; and an entry point no
-// request can call is refused before anything starts. The worker that
-// serves a request writes its response: that costs the loop no wake-up,
-// keeps the books exact when a close races the worker's send(), and never
-// lets the request's own fault plan reach the socket layer.
+// count, crashes and deaths included; every malformed byte stream is an
+// accounted protocol error that kills one connection and nothing else;
+// deadlines reject at admission; in thread mode a flood pauses reads and
+// sheds nothing, and in process mode the parent's in-flight cap sheds
+// with exact books; a hung request is poisoned by the drain-timeout
+// escalation; the wire accounting identity holds at the end of every
+// scenario, friendly or hostile; and an entry point no request can call
+// is refused before anything starts. In thread mode the worker that owns
+// a connection reads, serves and answers its requests: a sequential
+// request wakes no second thread, a client hanging up keeps the books
+// exact, and the request's own fault plan never reaches the socket layer.
 //
 //===----------------------------------------------------------------------===//
 
@@ -32,6 +34,7 @@
 #include "gtest/gtest.h"
 
 #include <sys/wait.h>
+#include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
@@ -71,6 +74,31 @@ std::map<uint64_t, WireResponse> serveAll(uint16_t Port, uint64_t N) {
   for (uint64_t I = 0; I != N; ++I) {
     WireResponse R;
     if (!Client.recvResponse(R)) {
+      ADD_FAILURE() << "response " << I << " never arrived";
+      break;
+    }
+    ByIndex[R.Index] = R;
+  }
+  return ByIndex;
+}
+
+/// Connects \p Conns clients one after another (so connection K is K-th
+/// in accept order), pipelines index I on connection I % Conns, and
+/// returns the responses keyed by index.
+std::map<uint64_t, WireResponse> serveSpread(uint16_t Port, uint64_t N,
+                                             unsigned Conns) {
+  std::vector<BlockingClient> Clients(Conns);
+  for (BlockingClient &C : Clients)
+    EXPECT_TRUE(C.connectTo(Port));
+  for (uint64_t I = 0; I != N; ++I) {
+    WireRequest Req;
+    Req.Index = I;
+    EXPECT_TRUE(Clients[I % Conns].sendRequest(Req));
+  }
+  std::map<uint64_t, WireResponse> ByIndex;
+  for (uint64_t I = 0; I != N; ++I) {
+    WireResponse R;
+    if (!Clients[I % Conns].recvResponse(R)) {
       ADD_FAILURE() << "response " << I << " never arrived";
       break;
     }
@@ -142,7 +170,7 @@ TEST(SocketServerTest, ShardCountIsInvisibleToResults) {
     SocketServer Server(M, randServerOptions(ShardCounts[S]));
     std::string Err;
     ASSERT_TRUE(Server.start(&Err)) << Err;
-    PerShardCount[S] = serveAll(Server.port(), N);
+    PerShardCount[S] = serveSpread(Server.port(), N, 4);
     Reports[S] = Server.drain();
     ASSERT_TRUE(Reports[S].Clean);
     ASSERT_TRUE(Reports[S].IdentityOk);
@@ -164,11 +192,12 @@ TEST(SocketServerTest, ShardCountIsInvisibleToResults) {
     EXPECT_EQ(Reports[S].Pool.Rng.DrawsServed, Reports[0].Pool.Rng.DrawsServed);
   }
 
-  // Sanity: at 4 shards the router actually spread the load.
+  // Sanity: at 4 shards the four connections landed on four shards
+  // (connection K is served by loop K, a worker of shard K % 4).
   uint64_t NonEmpty = 0;
   for (const PoolBooks &B : Reports[2].PerShard)
     NonEmpty += B.Requests != 0;
-  EXPECT_GT(NonEmpty, 1u) << "router sent everything to one shard";
+  EXPECT_EQ(NonEmpty, 4u) << "connections did not spread across shards";
 }
 
 TEST(SocketServerTest, ShardRouterIsDeterministic) {
@@ -334,14 +363,16 @@ TEST(SocketServerTest, ExpiredDeadlineRejectsAtAdmission) {
 }
 
 TEST(SocketServerTest, OverloadShedsWithExactBooks) {
-  // One worker, a one-slot queue, and a slow request: flooding the server
-  // must produce Shed responses, not unbounded buffering — and the wire
-  // books must balance exactly even though which requests shed is racy.
+  // Process mode: one worker, a one-slot in-flight cap per shard, and a
+  // slow request. Flooding the server must produce Shed responses, not
+  // unbounded buffering — and the wire books must balance exactly even
+  // though which requests shed is racy.
   constexpr uint64_t N = 32;
   Module M("net");
   buildSpinModule(M, 200'000);
   ServerOptions Opts;
   Opts.Shards = 1;
+  Opts.Mode = ShardMode::Process;
   Opts.Pool.Workers = 1;
   Opts.Pool.QueueCapacity = 1;
   Opts.Pool.Function = "spin";
@@ -368,7 +399,7 @@ TEST(SocketServerTest, OverloadShedsWithExactBooks) {
     }
   }
   EXPECT_EQ(Served + Shed, N);
-  EXPECT_GT(Shed, 0u) << "the flood never overflowed a one-slot queue";
+  EXPECT_GT(Shed, 0u) << "the flood never passed a one-request cap";
   EXPECT_GT(Served, 0u);
 
   DrainReport Rep = Server.drain();
@@ -377,6 +408,136 @@ TEST(SocketServerTest, OverloadShedsWithExactBooks) {
   EXPECT_EQ(Rep.Net.RequestsAdmitted, Served);
   EXPECT_EQ(Rep.Net.ResponsesDelivered, N);
   EXPECT_EQ(Rep.Pool.ShedQueueFull, Shed);
+}
+
+TEST(SocketServerTest, FloodPausesReadsAndShedsNothingInThreadMode) {
+  // Thread mode: one serving thread, a one-slot QueueCapacity (which
+  // thread mode does not use), a 64-byte response backlog cap that every
+  // pipelined batch passes, and a client that reads nothing for a while.
+  // The owning thread pauses its reads until the backlog flushes; it never
+  // sheds, so every request is served and the books balance exactly.
+  constexpr uint64_t N = 2000;
+  Module M("net");
+  buildRandModule(M);
+  ServerOptions Opts = randServerOptions(1);
+  Opts.Pool.Workers = 1;
+  Opts.Pool.QueueCapacity = 1;
+  Opts.MaxConnBacklogBytes = 64;
+  SocketServer Server(M, Opts);
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+
+  BlockingClient C;
+  ASSERT_TRUE(C.connectTo(Server.port()));
+  std::thread Sender([&C] {
+    for (uint64_t I = 0; I != N; ++I) {
+      WireRequest Req;
+      Req.Index = I;
+      if (!C.sendRequest(Req)) {
+        ADD_FAILURE() << "send " << I << " failed";
+        return;
+      }
+    }
+  });
+  sleepMillis(100);
+  uint64_t Ok = 0;
+  for (uint64_t I = 0; I != N; ++I) {
+    WireResponse R;
+    if (!C.recvResponse(R)) {
+      ADD_FAILURE() << "response " << I << " never arrived";
+      break;
+    }
+    EXPECT_EQ(R.Index, I) << "one thread answers a connection in order";
+    Ok += R.Status == WireStatus::Ok;
+  }
+  Sender.join();
+  EXPECT_EQ(Ok, N);
+
+  DrainReport Rep = Server.drain();
+  EXPECT_TRUE(Rep.Clean);
+  EXPECT_TRUE(Rep.IdentityOk);
+  EXPECT_EQ(Rep.Net.WireShed, 0u);
+  EXPECT_EQ(Rep.Pool.Shed, 0u);
+  EXPECT_EQ(Rep.Pool.Completed, N);
+  EXPECT_EQ(Rep.Net.RequestsAdmitted, N);
+  EXPECT_EQ(Rep.Net.ResponsesDelivered, N);
+}
+
+TEST(SocketServerTest, CrashesAndDeathsMatchTheInProcessPool) {
+  // Thread mode with a WorkerCrash/WorkerDeath plan: each serving thread
+  // retries in place and repairs its own worker. Outcomes and books must
+  // equal the queue-driven in-process pool's for the same seed.
+  constexpr uint64_t N = 400;
+  Module M("net");
+  buildRandModule(M);
+  ServerOptions Opts = randServerOptions(2);
+  Opts.Pool.InjectFaults = true;
+  Opts.Pool.FaultTemplate.site(FaultSite::WorkerCrash) = {0.05, 1, 0};
+  Opts.Pool.FaultTemplate.site(FaultSite::WorkerDeath) = {0.02, 1, 0};
+  Opts.Pool.Supervision.AttemptsMin = 2;
+  Opts.Pool.Supervision.AttemptsMax = 4;
+  Opts.Pool.PlanForRequest = [](uint64_t Index, FaultPlan &Plan) {
+    if (Index % 97 == 13) // crashes on every attempt: quarantined
+      Plan.site(FaultSite::WorkerCrash) = {0.0, 1, 1};
+  };
+
+  WorkerPool Pool(M, Opts.Pool);
+  Pool.start();
+  for (uint64_t I = 0; I != N; ++I)
+    Pool.submit({I, {}});
+  std::vector<PoolOutcome> Expected = Pool.finish();
+  const PoolBooks &Want = Pool.books();
+  ASSERT_EQ(Expected.size(), N);
+
+  SocketServer Server(M, Opts);
+  std::string Err;
+  ASSERT_TRUE(Server.start(&Err)) << Err;
+  std::map<uint64_t, WireResponse> Got = serveSpread(Server.port(), N, 4);
+  ASSERT_EQ(Got.size(), N);
+  for (const PoolOutcome &O : Expected) {
+    const WireResponse &R = Got.at(O.Index);
+    EXPECT_EQ(R.Status, O.Poisoned ? WireStatus::Poisoned : WireStatus::Ok)
+        << O.Index;
+    EXPECT_EQ(R.ReturnValue, O.ReturnValue) << O.Index;
+    EXPECT_EQ(R.Attempts, O.Attempts) << O.Index;
+  }
+
+  DrainReport Rep = Server.drain();
+  EXPECT_TRUE(Rep.Clean);
+  EXPECT_TRUE(Rep.IdentityOk);
+  ASSERT_EQ(Rep.Outcomes.size(), N);
+  for (uint64_t I = 0; I != N; ++I) {
+    const PoolOutcome &A = Rep.Outcomes[I], &B = Expected[I];
+    EXPECT_EQ(A.Index, B.Index);
+    EXPECT_EQ(A.Trap, B.Trap) << I;
+    EXPECT_EQ(A.ReturnValue, B.ReturnValue) << I;
+    EXPECT_EQ(A.Steps, B.Steps) << I;
+    EXPECT_EQ(A.Attempts, B.Attempts) << I;
+    EXPECT_EQ(A.Poisoned, B.Poisoned) << I;
+  }
+  const PoolBooks &Have = Rep.Pool;
+  EXPECT_GT(Want.CrashesContained, 0u) << "the plan never crashed a worker";
+  EXPECT_GT(Want.WorkerDeaths, 0u) << "the plan never killed a worker";
+  EXPECT_GT(Want.Poisoned, 0u);
+  EXPECT_EQ(Have.Submitted, Want.Submitted);
+  EXPECT_EQ(Have.Accepted, Want.Accepted);
+  EXPECT_EQ(Have.Completed, Want.Completed);
+  EXPECT_EQ(Have.Shed, Want.Shed);
+  EXPECT_EQ(Have.Poisoned, Want.Poisoned);
+  EXPECT_EQ(Have.PoisonedPoolDeath, Want.PoisonedPoolDeath);
+  EXPECT_EQ(Have.PoisonedIndices, Want.PoisonedIndices);
+  EXPECT_EQ(Have.Requests, Want.Requests);
+  EXPECT_EQ(Have.RequestTraps, Want.RequestTraps);
+  EXPECT_EQ(Have.RequestRecoveries, Want.RequestRecoveries);
+  EXPECT_EQ(Have.Rng.DrawsServed, Want.Rng.DrawsServed);
+  EXPECT_EQ(Have.CrashesContained, Want.CrashesContained);
+  EXPECT_EQ(Have.WorkerDeaths, Want.WorkerDeaths);
+  EXPECT_EQ(Have.WorkerRestarts, Want.WorkerRestarts);
+  EXPECT_EQ(Have.Retries, Want.Retries);
+  for (unsigned S = 0; S != NumFaultSites; ++S) {
+    EXPECT_EQ(Have.InjectedProbes[S], Want.InjectedProbes[S]) << S;
+    EXPECT_EQ(Have.InjectedEvents[S], Want.InjectedEvents[S]) << S;
+  }
 }
 
 TEST(SocketServerTest, DrainTimeoutPoisonsHungRequests) {
@@ -452,28 +613,28 @@ TEST(SocketServerTest, ClientResetOrphansItsResponses) {
   EXPECT_EQ(Rep.Pool.Completed, 1u) << "the work itself still completes";
 }
 
-/// voluntary_ctxt_switches of this process's thread named \p Name, or -1
-/// when no such thread runs.
-long voluntarySwitchesOf(const std::string &Name) {
+/// voluntary_ctxt_switches summed over every thread of this process but
+/// the calling one.
+long voluntarySwitchesOfOtherThreads() {
+  const std::string Self = std::to_string(::gettid());
+  const std::string Key = "voluntary_ctxt_switches:";
+  long Sum = 0;
   for (const auto &Task :
        std::filesystem::directory_iterator("/proc/self/task")) {
-    std::ifstream Comm(Task.path() / "comm");
-    std::string ThreadName;
-    if (!std::getline(Comm, ThreadName) || ThreadName != Name)
+    if (Task.path().filename() == Self)
       continue;
     std::ifstream Status(Task.path() / "status");
-    const std::string Key = "voluntary_ctxt_switches:";
     for (std::string Line; std::getline(Status, Line);)
       if (Line.compare(0, Key.size(), Key) == 0)
-        return std::stol(Line.substr(Key.size()));
+        Sum += std::stol(Line.substr(Key.size()));
   }
-  return -1;
+  return Sum;
 }
 
-TEST(SocketServerTest, CompletionDoesNotWakeTheLoop) {
-  // The pool worker answers its request itself, so one request costs the
-  // loop one park (the request's arrival), not a second one for a
-  // completion hand-off.
+TEST(SocketServerTest, SequentialRequestWakesNoOtherThread) {
+  // The thread that owns the connection reads, serves and answers each
+  // request, so a sequential request costs the server one park in all: its
+  // owner's epoll_wait. A hand-off to another thread would add a second.
   constexpr long N = 200;
   Module M("net");
   buildRandModule(M);
@@ -491,13 +652,12 @@ TEST(SocketServerTest, CompletionDoesNotWakeTheLoop) {
            R.Status == WireStatus::Ok;
   };
   ASSERT_TRUE(RoundTrip(0)); // the accept is behind us
-  long Before = voluntarySwitchesOf("ss-loop");
-  ASSERT_GE(Before, 0) << "no thread named ss-loop";
+  long Before = voluntarySwitchesOfOtherThreads();
   for (long I = 1; I <= N; ++I)
     ASSERT_TRUE(RoundTrip(static_cast<uint64_t>(I))) << I;
-  long After = voluntarySwitchesOf("ss-loop");
-  EXPECT_LT(double(After - Before) / N, 1.5)
-      << (After - Before) << " loop context switches for " << N
+  long After = voluntarySwitchesOfOtherThreads();
+  EXPECT_LE(double(After - Before) / N, 1.2)
+      << (After - Before) << " server context switches for " << N
       << " sequential requests";
 
   DrainReport Rep = Server.drain();

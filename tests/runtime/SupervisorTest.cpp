@@ -207,6 +207,63 @@ TEST(SupervisorTest, UnrecoverablePoolDeathFailsSubmitInsteadOfDeadlocking) {
   EXPECT_EQ(Outcomes.size(), B.Poisoned);
 }
 
+TEST(SupervisorTest, ServedWorkerRetriesInPlaceAndRetiresPastTheBudget) {
+  // startServing/serve: each body serves its own requests on its own
+  // worker. A crash retries in place until the attempt budget quarantines
+  // the request; a death past the restart budget retires the worker,
+  // which then answers every request poisoned. The queue is closed
+  // throughout, so submit() sheds.
+  Module M("chaos");
+  buildRandModule(M);
+  PoolOptions Opts;
+  Opts.Workers = 2;
+  Opts.Function = "driver";
+  Opts.InjectFaults = true;
+  Opts.Supervision.AttemptsMin = 3;
+  Opts.Supervision.AttemptsMax = 3;
+  Opts.Supervision.MaxWorkerRestarts = 0;
+  Opts.PlanForRequest = [](uint64_t Index, FaultPlan &Plan) {
+    if (Index == 1) // crashes on every attempt
+      Plan.site(FaultSite::WorkerCrash) = {0.0, 1, 1};
+    if (Index == 12) // kills worker 1, which has no restart to take
+      Plan.site(FaultSite::WorkerDeath) = {0.0, 1, 1};
+  };
+  WorkerPool Pool(M, Opts);
+  std::vector<PoolOutcome> Seen[2];
+  ASSERT_TRUE(Pool.startServing([&](unsigned W) {
+    for (uint64_t I = W * 10; I != W * 10 + 5; ++I)
+      Seen[W].push_back(Pool.serve(W, {I, {}}));
+  }));
+  EXPECT_FALSE(Pool.submit({99, {}})) << "the bodies own the workers";
+  std::vector<PoolOutcome> Outcomes = Pool.finish();
+  const PoolBooks &B = Pool.books();
+  EXPECT_TRUE(B.accountingIdentityHolds());
+  EXPECT_EQ(B.Submitted, 11u);
+  EXPECT_EQ(B.ShedClosed, 1u);
+  ASSERT_EQ(Outcomes.size(), 10u);
+
+  // Worker 0: index 1 crashed on all three attempts, in place, and was
+  // quarantined; the worker kept serving.
+  for (const PoolOutcome &O : Seen[0]) {
+    EXPECT_EQ(O.Poisoned, O.Index == 1) << O.Index;
+    EXPECT_EQ(O.Attempts, O.Index == 1 ? 3u : 1u) << O.Index;
+  }
+  // Worker 1: 10 and 11 served; 12 killed it, so 12 and everything after
+  // is poisoned by the dead worker.
+  for (const PoolOutcome &O : Seen[1]) {
+    EXPECT_EQ(O.Poisoned, O.Index >= 12) << O.Index;
+    EXPECT_EQ(O.Attempts, O.Index == 12 ? 1u : O.Index > 12 ? 0u : 1u)
+        << O.Index;
+  }
+  EXPECT_EQ(B.CrashesContained, 3u);
+  EXPECT_EQ(B.WorkerDeaths, 1u);
+  EXPECT_EQ(B.WorkerRestarts, 0u);
+  EXPECT_EQ(B.Completed, 6u);
+  EXPECT_EQ(B.Poisoned, 4u);
+  EXPECT_EQ(B.PoisonedPoolDeath, 3u);
+  EXPECT_EQ(B.PoisonedIndices, (std::vector<uint64_t>{1, 12, 13, 14}));
+}
+
 TEST(SupervisorTest, EscapedHookExceptionIsContainedAndQuarantined) {
   Module M("chaos");
   buildRandModule(M);

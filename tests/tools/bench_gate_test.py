@@ -15,7 +15,12 @@
     hardened kernels exactly at the floor or at their ceilings pass;
   * interp_throughput: a 10% decoded_steps_per_sec drop passes, a drop of
     more than 25% on one kernel or a kernel without the field is a
-    REGRESSION.
+    REGRESSION;
+  * the scaling sweep: a 10% slowdown of every run passes, an injected
+    30% slowdown of every run is a REGRESSION, and so is a candidate
+    whose medians come from fewer runs than the baseline's;
+  * request_reset: a 30% lower speedup median, or one over fewer
+    repetitions than the baseline's, is a REGRESSION.
 
 Usage: bench_gate_test.py REPO_ROOT
 """
@@ -215,6 +220,49 @@ def main():
                           mutated("BENCH_interp.json", drop_decoded_rate),
                           "a kernel without decoded_steps_per_sec is a "
                           "REGRESSION line, not a traceback")
+
+        scaling_path = os.path.join(ROOT, "BENCH_scaling.json")
+
+        def slow_every_run(factor):
+            def mutate(d):
+                for p in d["passes"]:
+                    p["requests_per_sec_runs"] = [
+                        r * factor for r in p["requests_per_sec_runs"]]
+                    p["requests_per_sec"] *= factor
+            return mutate
+
+        def single_runs(d):
+            for p in d["passes"]:
+                p["requests_per_sec_runs"] = p["requests_per_sec_runs"][:1]
+
+        rc, out = gate(scaling_path,
+                       mutated("BENCH_scaling.json", slow_every_run(0.9)))
+        expect(rc == 0 and "REGRESSION" not in out,
+               "a 10% slowdown of every scaling run passes", out)
+        expect_regression(scaling_path,
+                          mutated("BENCH_scaling.json", slow_every_run(0.7)),
+                          "an injected 30% slowdown of every scaling run is "
+                          "a REGRESSION")
+        expect_regression(scaling_path,
+                          mutated("BENCH_scaling.json", single_runs),
+                          "scaling medians over fewer runs than the "
+                          "baseline's are a REGRESSION")
+
+        reset_path = os.path.join(ROOT, "BENCH_reset.json")
+
+        def slow_reset(d):
+            d["restore_speedup_vs_rebuild"] *= 0.7
+
+        def single_reset_run(d):
+            d["restore_speedup_runs"] = d["restore_speedup_runs"][:1]
+
+        expect_regression(reset_path,
+                          mutated("BENCH_reset.json", slow_reset),
+                          "a 30% lower reset speedup median is a REGRESSION")
+        expect_regression(reset_path,
+                          mutated("BENCH_reset.json", single_reset_run),
+                          "a reset speedup median over fewer repetitions "
+                          "than the baseline's is a REGRESSION")
 
         old = write("old_soak_chaos.json", {
             "bench": "soak_chaos", "requests": 10000, "fault_rate": 0.08,

@@ -23,17 +23,21 @@ Supported bench kinds (selected by the "bench"/"benchmark" key):
                     keep its accounting identity, and book a shard restart
                     when it injected shard kills; passes matched to the
                     baseline on (pool vs net, workers, shards, connections)
-                    gate requests_per_sec and, at equal campaign
-                    parameters, the exact digest. Shard mode is not part of
-                    the match, so process-mode runs are digest-compared
-                    against a thread-mode baseline
+                    gate requests_per_sec (the median over the pass's
+                    requests_per_sec_runs, which must be at least as many
+                    as the baseline's) and, at equal campaign parameters,
+                    the exact digest. Shard mode is not part of the match,
+                    so process-mode runs are digest-compared against a
+                    thread-mode baseline
   interp_throughput gates every kernel's decoded_steps_per_sec (matched
                     to the baseline by kernel name; a baseline kernel
                     missing from the candidate is a REGRESSION)
   request_reset     gates restore_speedup_vs_rebuild (reset to the load
                     state vs full VM reconstruction — a machine-relative
                     ratio, so it transfers across runner generations
-                    better than raw ns/op)
+                    better than raw ns/op), the median over the
+                    restore_speedup_runs repetitions, which must be at
+                    least as many as the baseline's
   interp_jit        gates per-kernel JIT-vs-decoded digest identity (any
                     mismatch is a correctness bug, not noise), the
                     min_jit_speedup_vs_decoded ratio, and its >= 2x floor;
@@ -113,8 +117,11 @@ def check_soak(base, cand, max_drop_pct):
     (pool vs net, workers, shards, connections), the first pass per key;
     shard mode is deliberately not part of the key, so a process-mode
     candidate is digest-compared against a thread-mode baseline. Matched
-    passes gate requests_per_sec and, when the campaign parameters equal
-    the baseline's, the exact digest.
+    passes gate requests_per_sec, the median over the pass's runs, and,
+    when the campaign parameters equal the baseline's, the exact digest.
+    A candidate median over fewer runs than the baseline's is a
+    REGRESSION: a single run swings by more than the gate on a shared
+    host.
     """
     def key(p, where):
         transport = require(p, "transport", where)
@@ -167,8 +174,14 @@ def check_soak(base, cand, max_drop_pct):
         if b is None:
             continue
         compared += 1
+        base_runs = len(b.get("requests_per_sec_runs", [None]))
+        cand_runs = len(p.get("requests_per_sec_runs", [None]))
+        if cand_runs < base_runs:
+            rc |= fail(f"{label(k)}: requests_per_sec is a median over "
+                       f"{cand_runs} run(s), the baseline's over "
+                       f"{base_runs}")
         rc |= check_drop(
-            f"{label(k)} requests_per_sec",
+            f"{label(k)} requests_per_sec (median of {cand_runs})",
             require(b, "requests_per_sec", "baseline pass"),
             require(p, "requests_per_sec", "candidate pass"),
             max_drop_pct,
@@ -383,8 +396,14 @@ def check_attack_corpus(base, cand, max_drop_pct):
 
 
 def check_request_reset(base, cand, max_drop_pct):
-    return check_drop(
-        "restore_speedup_vs_rebuild",
+    rc = 0
+    base_runs = len(base.get("restore_speedup_runs", [None]))
+    cand_runs = len(cand.get("restore_speedup_runs", [None]))
+    if cand_runs < base_runs:
+        rc |= fail(f"restore_speedup_vs_rebuild is a median over {cand_runs} "
+                   f"repetition(s), the baseline's over {base_runs}")
+    return rc | check_drop(
+        f"restore_speedup_vs_rebuild (median of {cand_runs})",
         require(base, "restore_speedup_vs_rebuild", "baseline"),
         require(cand, "restore_speedup_vs_rebuild", "candidate"),
         max_drop_pct,

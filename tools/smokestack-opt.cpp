@@ -137,7 +137,7 @@ struct Options {
 };
 
 /// The SIGTERM → requestStop() bridge for -serve. requestStop() is
-/// async-signal-safe (atomic store + pipe write); the main thread sees
+/// async-signal-safe (an atomic store); the main thread sees
 /// stopRequested() and performs the actual drain.
 SocketServer *ServeInstance = nullptr;
 
