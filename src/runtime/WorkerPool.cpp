@@ -172,12 +172,7 @@ void PoolBooks::exportMetrics(MetricsRegistry &R) const {
 
 WorkerPool::WorkerPool(Module &M, PoolOptions Opts)
     : Opts(Opts), Shared(M), Queue(Opts.QueueCapacity) {
-  unsigned Count = Opts.Workers;
-  if (Count == 0) {
-    Count = std::thread::hardware_concurrency();
-    if (Count == 0)
-      Count = 1;
-  }
+  const unsigned Count = resolveWorkers(Opts.Workers);
   for (unsigned I = 0; I != Count; ++I) {
     auto W = std::make_unique<Worker>(I, this->Opts.Rng);
     W->VM = std::make_unique<Interpreter>(M, nullptr, this->Opts.InterpOpts);
@@ -189,6 +184,12 @@ WorkerPool::WorkerPool(Module &M, PoolOptions Opts)
   }
   LiveWorkers.store(Workers.size(), std::memory_order_relaxed);
   findEntryPoint(M, this->Opts.Function, 0, EntryError);
+}
+
+unsigned WorkerPool::resolveWorkers(unsigned Requested) {
+  if (Requested != 0)
+    return Requested;
+  return std::max(1u, std::thread::hardware_concurrency());
 }
 
 WorkerPool::~WorkerPool() {
@@ -229,7 +230,8 @@ bool WorkerPool::launch(std::function<void(unsigned)> Body,
 }
 
 const PoolOutcome &WorkerPool::serve(unsigned WorkerIndex,
-                                     PoolRequest Request) {
+                                     PoolRequest Request,
+                                     RequestBooks *Delta) {
   Worker &W = *Workers[WorkerIndex];
   SubmittedCount.fetch_add(1, std::memory_order_relaxed);
   AcceptedCount.fetch_add(1, std::memory_order_relaxed);
@@ -241,11 +243,13 @@ const PoolOutcome &WorkerPool::serve(unsigned WorkerIndex,
   if (Again) {
     // Retired: no other worker takes over an owner's request.
     Item.Delta.PoisonedPoolDeath += 1;
-    recordPoisoned(W.Outcomes, Item.Req.Index, Item.Attempt, Item.Delta);
+    recordPoisoned(W.Outcomes, Item.Req.Index, Item.Attempt);
     ++W.PoisonedPoolDeath;
     pushSpan(W, {Item.Req.Index, W.Id, Item.Attempt, SpanDisposition::Poisoned,
                  0, 0, 0, 0, 0});
   }
+  if (Delta)
+    *Delta = Item.Delta;
   return W.Outcomes.back();
 }
 
@@ -307,7 +311,7 @@ uint32_t WorkerPool::attemptBudget(uint64_t Index) const {
 }
 
 void WorkerPool::recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
-                                uint32_t Attempts, const RequestBooks &Delta) {
+                                uint32_t Attempts) {
   PoolOutcome O;
   O.Index = Index;
   O.Trap = TrapKind::WorkerCrash;
@@ -317,8 +321,6 @@ void WorkerPool::recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
   ++NumPoolPoisoned;
   if (Opts.OnOutcome)
     Opts.OnOutcome(O);
-  if (Opts.OnOutcomeBooks)
-    Opts.OnOutcomeBooks(O, Delta);
 }
 
 void WorkerPool::pushSpan(Worker &W, const TraceSpan &S) {
@@ -362,7 +364,7 @@ bool WorkerPool::retryOrQuarantine(Worker &W, Pending &Item) {
     Item.Attempt = Burned;
     return true;
   }
-  recordPoisoned(W.Outcomes, Item.Req.Index, Burned, Item.Delta);
+  recordPoisoned(W.Outcomes, Item.Req.Index, Burned);
   pushSpan(W, {Item.Req.Index, W.Id, Burned, SpanDisposition::Poisoned, 0, 0,
                0, 0, 0});
   return false;
@@ -370,8 +372,7 @@ bool WorkerPool::retryOrQuarantine(Worker &W, Pending &Item) {
 
 void WorkerPool::abandonBacklog(Worker &W) {
   while (std::optional<Pending> Item = Queue.tryPop()) {
-    Item->Delta.PoisonedPoolDeath += 1;
-    recordPoisoned(W.Outcomes, Item->Req.Index, Item->Attempt, Item->Delta);
+    recordPoisoned(W.Outcomes, Item->Req.Index, Item->Attempt);
     ++W.PoisonedPoolDeath;
     pushSpan(W, {Item->Req.Index, W.Id, Item->Attempt,
                  SpanDisposition::Poisoned, 0, 0, 0, 0, 0});
@@ -492,20 +493,15 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
   }
 
   // Per-attempt delta capture: everything this attempt moves lands in
-  // Item.Delta, folded exactly once — explicitly before the terminal-state
-  // hooks fire (they must see the attempt's full delta), and from the
-  // scope-exit runner on the crash/death unwind paths. The before/after
-  // subtraction is safe because it runs strictly before rebuildWorker
-  // banks-and-resets the VM and RNG counters.
+  // Item.Delta, folded once by the scope-exit runner on every way out,
+  // the crash/death unwind paths included. The before/after subtraction
+  // is safe because it runs strictly before rebuildWorker banks-and-resets
+  // the VM and RNG counters.
   const uint64_t VmReqBefore = W.VM->requestsServed();
   const uint64_t VmTrapBefore = W.VM->requestTraps();
   const uint64_t VmRecBefore = W.VM->requestRecoveries();
   const RequestRng::Books RngBefore = W.Rng->books();
-  bool DeltaFolded = false;
-  auto FoldDelta = [&] {
-    if (DeltaFolded)
-      return;
-    DeltaFolded = true;
+  ScopeExit Harvest([&] {
     RequestBooks &D = Item.Delta;
     D.Requests += W.VM->requestsServed() - VmReqBefore;
     D.RequestTraps += W.VM->requestTraps() - VmTrapBefore;
@@ -523,8 +519,7 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
       W.InjectedEvents[S] += E;
       D.InjectedEvents[S] += E;
     }
-  };
-  ScopeExit Harvest([&] { FoldDelta(); });
+  });
 
   // Crash/death probes come BEFORE the reseed: a doomed attempt consumes
   // no request randomness, so the RNG lanes stay attempt-independent and
@@ -560,9 +555,8 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
     // The cooperative cancel flag fired mid-run: the pool is in abnormal
     // shutdown. The run was cut short, so its result is not a completion;
     // book it as poisoned-by-pool-death.
-    FoldDelta();
     Item.Delta.PoisonedPoolDeath += 1;
-    recordPoisoned(W.Outcomes, Request.Index, Item.Attempt + 1, Item.Delta);
+    recordPoisoned(W.Outcomes, Request.Index, Item.Attempt + 1);
     W.Outcomes.back().Steps = E.Steps;
     ++W.PoisonedPoolDeath;
     if (Ring) {
@@ -576,11 +570,8 @@ WorkerPool::ServeVerdict WorkerPool::serveRequest(Worker &W, Pending &Item) {
       {Request.Index, E.Trap, E.ReturnValue, E.Steps, Item.Attempt + 1, false});
   ++NumPoolRequests;
   CompletedCount.fetch_add(1, std::memory_order_relaxed);
-  FoldDelta();
   if (Opts.OnOutcome)
     Opts.OnOutcome(W.Outcomes.back());
-  if (Opts.OnOutcomeBooks)
-    Opts.OnOutcomeBooks(W.Outcomes.back(), Item.Delta);
   if (Ring) {
     Span.Disposition = E.Trap != TrapKind::None ? SpanDisposition::Trapped
                                                 : SpanDisposition::Completed;

@@ -8,10 +8,13 @@
 /// The multi-worker request engine: N interpreter workers serve requests
 /// from a bounded MPMC queue over one shared, immutable module. Every
 /// worker repairs its own failures, so a pool of N workers runs exactly N
-/// threads (DESIGN.md §10). An owner that reads its own requests (the
-/// thread-mode socket server, DESIGN.md §13) runs each worker thread
-/// itself instead (startServing) and serves through the same path with
-/// serve(): no queue, and no wake between threads.
+/// threads (DESIGN.md §10). An owner that reads its own requests runs
+/// each worker thread itself instead (startServing) and serves through the
+/// same path with serve(): no queue, and no wake between threads. Two
+/// owners do: the thread-mode socket server, whose every worker is a
+/// serving loop over the connections it owns (DESIGN.md §13), and a
+/// process shard's child, whose every worker reads its own IPC channel
+/// and writes its own outcome frames (DESIGN.md §15).
 ///
 /// Ownership map (the concurrency model, DESIGN.md §9):
 ///
@@ -262,21 +265,13 @@ struct PoolOptions {
   /// guarantee.
   std::function<void(uint64_t Index, FaultPlan &Plan)> PlanForRequest;
   /// Terminal-state hook: invoked once per request, the moment it reaches
-  /// its terminal state (completed, trapped, or poisoned) — the socket
-  /// front-end's response path (DESIGN.md §13). Runs on whichever thread
-  /// recorded the outcome (a worker, or the caller of finish()), so it
-  /// must be thread-safe; it observes only, and must never submit back
-  /// into the pool. Shed requests never reach a worker and are NOT
-  /// reported here — submit()'s false return is the shed signal.
+  /// its terminal state (completed, trapped, or poisoned). Runs on
+  /// whichever thread recorded the outcome (a worker, or the caller of
+  /// finish()), so it must be thread-safe; it observes only, and must
+  /// never submit back into the pool. Shed requests never reach a worker
+  /// and are NOT reported here — submit()'s false return is the shed
+  /// signal.
   std::function<void(const PoolOutcome &)> OnOutcome;
-  /// Like OnOutcome, but also hands over the request's accounting delta
-  /// (RequestBooks) — the shard child process's response path, which ships
-  /// each outcome together with the books it moved so the parent can
-  /// re-assemble aggregate PoolBooks from survivors of a killed child.
-  /// Same threading rules as OnOutcome; both hooks may be set at once and
-  /// fire back to back for the same outcome.
-  std::function<void(const PoolOutcome &, const RequestBooks &)>
-      OnOutcomeBooks;
   /// Per-request tracing (obs/Trace.h). Non-owning; null = tracing off,
   /// and the serve path pays exactly one pointer test per request (the
   /// FaultInjector probe pattern). Spans are observational only — they
@@ -297,6 +292,12 @@ public:
   ~WorkerPool();
 
   unsigned workerCount() const { return static_cast<unsigned>(Workers.size()); }
+
+  /// The worker count a pool built with PoolOptions::Workers = \p Requested
+  /// runs: \p Requested, or hardware_concurrency (at least 1) for 0. The
+  /// one resolution: an owner that sizes per-worker state before the pool
+  /// exists (a process shard's channels) resolves through it too.
+  static unsigned resolveWorkers(unsigned Requested);
 
   /// Launches the worker threads, the only threads the pool ever runs.
   /// Returns false with \p Err set to "entry point: <reason>" when
@@ -322,8 +323,12 @@ public:
   /// Submitted and Accepted. A worker retired past the restart budget has
   /// no VM left to run on: it answers its pending retry and every later
   /// request poisoned (PoisonedPoolDeath), as a dead pool's backlog is.
-  /// The reference stays valid until the worker serves again.
-  const PoolOutcome &serve(unsigned WorkerIndex, PoolRequest Request);
+  /// The reference stays valid until the worker serves again. \p Delta,
+  /// when given, receives the request's accounting delta over all its
+  /// attempts: what a shard child ships with each outcome, so the parent
+  /// re-assembles the books from survivors of a killed child.
+  const PoolOutcome &serve(unsigned WorkerIndex, PoolRequest Request,
+                           RequestBooks *Delta = nullptr);
 
   /// Enqueues one request through the admission controller. Returns false
   /// when the request was shed (queue full under ShedNewest, or queue
@@ -446,10 +451,9 @@ private:
   /// Drains both queue lanes as poisoned-by-pool-death into W's books:
   /// the backlog of a dead pool, or of one finished without ever serving.
   void abandonBacklog(Worker &W);
-  /// Records a quarantined request into \p Sink and fires OnOutcome (and
-  /// OnOutcomeBooks with \p Delta).
+  /// Records a quarantined request into \p Sink and fires OnOutcome.
   void recordPoisoned(std::vector<PoolOutcome> &Sink, uint64_t Index,
-                      uint32_t Attempts, const RequestBooks &Delta);
+                      uint32_t Attempts);
   /// Pushes \p S onto W's ring (no-op with tracing off). A ring at least
   /// half full is drained on the spot: TraceRecorder::collect() serializes
   /// consumers under its mutex, so collection stays lossless without a

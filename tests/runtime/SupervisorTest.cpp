@@ -365,30 +365,36 @@ TEST(SupervisorTest, ShutdownNowCancelsInFlightRunsAsPoisoned) {
 
 TEST(SupervisorTest, PerRequestDeltasSumToAggregateBooks) {
   // The foundation under process-shard accounting: the per-request deltas
-  // streamed through OnOutcomeBooks, summed, must reproduce the pool's own
-  // aggregate books exactly — under chaos, where crashes, deaths, retries,
-  // and injected faults all have to land on some request's delta.
+  // serve() hands out, summed, must reproduce the pool's own aggregate
+  // books exactly — under chaos, where crashes, deaths, retries, and
+  // injected faults all have to land on some request's delta.
   Module M("chaos");
   buildRandModule(M);
   PoolOptions Opts = chaosOptions();
   constexpr uint64_t N = 96;
+  constexpr unsigned Workers = 3;
 
-  RequestBooks Sum;
-  std::mutex SumMtx;
-  uint64_t Hooked = 0;
-  Opts.OnOutcomeBooks = [&](const PoolOutcome &, const RequestBooks &D) {
-    std::lock_guard<std::mutex> Lock(SumMtx);
-    Sum += D;
-    ++Hooked;
-  };
-  Opts.Workers = 3;
+  // Worker W serves the indices congruent to W, as a shard child's worker
+  // serves the requests on its own channel.
+  RequestBooks PerWorker[Workers];
+  uint64_t Hooked[Workers] = {};
+  Opts.Workers = Workers;
   WorkerPool Pool(M, Opts);
-  Pool.start();
-  for (uint64_t I = 0; I != N; ++I)
-    EXPECT_TRUE(Pool.submit({I, {}}));
+  ASSERT_TRUE(Pool.startServing([&](unsigned W) {
+    for (uint64_t I = W; I < N; I += Workers) {
+      RequestBooks D;
+      Pool.serve(W, {I, {}}, &D);
+      PerWorker[W] += D;
+      ++Hooked[W];
+    }
+  }));
   Pool.finish();
   const PoolBooks &B = Pool.books();
-  EXPECT_EQ(Hooked, N) << "one delta per terminal outcome";
+  RequestBooks Sum;
+  for (unsigned W = 0; W != Workers; ++W)
+    Sum += PerWorker[W];
+  EXPECT_EQ(Hooked[0] + Hooked[1] + Hooked[2], N)
+      << "one delta per terminal outcome";
 
   // The chaos must bite for the sum to be a meaningful reconstruction.
   EXPECT_GT(B.CrashesContained, 0u);
