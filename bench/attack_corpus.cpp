@@ -23,8 +23,10 @@
 /// must beat every baseline, etc.) is enforced by the regression gate, not
 /// here, so the JSON stays honest even when rates drift.
 ///
-/// Flags: -seed=N -specs=N -budget=N -json=PATH -no-rerun -spec=K
-/// (-spec=K replays one spec against every defense and prints the detail).
+/// Flags: -seed=N -specs=N -budget=N -engine=decoded|jit -json=PATH
+/// -no-rerun -spec=K (-spec=K replays one spec against every defense and
+/// prints the detail). -engine=jit runs every exploit attempt on the JIT;
+/// the probes stay decoded, and the digest must equal the decoded run's.
 ///
 //===----------------------------------------------------------------------===//
 
@@ -56,11 +58,12 @@ void printSpec(const AttackSpec &Spec) {
               Spec.fingerprint());
 }
 
-int replayOneSpec(uint64_t RootSeed, uint32_t Index, unsigned Budget) {
+int replayOneSpec(uint64_t RootSeed, uint32_t Index, unsigned Budget,
+                  bool Jit) {
   AttackSpec Spec = generateSpec(RootSeed, Index);
   printSpec(Spec);
   for (DefenseKind Defense : allDefenseKinds()) {
-    AttackReport R = runCompiledAttack(Spec, Defense, Budget);
+    AttackReport R = runCompiledAttack(Spec, Defense, Budget, Jit);
     std::printf("  %-16s %-14s attempts=%u  %s\n", defenseKindName(Defense),
                 attackOutcomeName(R.Outcome), R.AttemptsUsed,
                 R.Detail.c_str());
@@ -81,6 +84,8 @@ bool writeJson(const std::string &Path, const AttackCorpusResult &Result,
   std::fprintf(F, "  \"root_seed\": %" PRIu64 ",\n", Result.Options.RootSeed);
   std::fprintf(F, "  \"specs\": %u,\n", Result.Options.SpecCount);
   std::fprintf(F, "  \"budget\": %u,\n", Result.Options.Budget);
+  std::fprintf(F, "  \"engine\": \"%s\",\n",
+               Result.Options.Jit ? "jit" : "decoded");
   std::fprintf(F, "  \"distinct_specs\": %u,\n", Result.DistinctSpecs);
   std::fprintf(F, "  \"digest\": \"0x%016" PRIx64 "\",\n", Result.Digest);
   std::fprintf(F, "  \"rerun_checked\": %s,\n",
@@ -125,6 +130,10 @@ int main(int Argc, char **Argv) {
       Options.Budget = unsigned(std::strtoul(Arg + 8, nullptr, 0));
     else if (std::strncmp(Arg, "-json=", 6) == 0)
       JsonPath = Arg + 6;
+    else if (std::strcmp(Arg, "-engine=jit") == 0)
+      Options.Jit = true;
+    else if (std::strcmp(Arg, "-engine=decoded") == 0)
+      Options.Jit = false;
     else if (std::strcmp(Arg, "-no-rerun") == 0)
       Rerun = false;
     else if (std::strncmp(Arg, "-spec=", 6) == 0)
@@ -132,17 +141,19 @@ int main(int Argc, char **Argv) {
     else {
       std::fprintf(stderr,
                    "usage: attack_corpus [-seed=N] [-specs=N] [-budget=N] "
-                   "[-json=PATH] [-no-rerun] [-spec=K]\n");
+                   "[-engine=decoded|jit] [-json=PATH] [-no-rerun] "
+                   "[-spec=K]\n");
       return 2;
     }
   }
 
   if (SpecToReplay >= 0)
     return replayOneSpec(Options.RootSeed, uint32_t(SpecToReplay),
-                         Options.Budget);
+                         Options.Budget, Options.Jit);
 
-  std::printf("attack corpus: seed=%" PRIu64 " specs=%u budget=%u\n",
-              Options.RootSeed, Options.SpecCount, Options.Budget);
+  std::printf("attack corpus: seed=%" PRIu64 " specs=%u budget=%u engine=%s\n",
+              Options.RootSeed, Options.SpecCount, Options.Budget,
+              Options.Jit ? "jit" : "decoded");
 
   auto Start = std::chrono::steady_clock::now();
   AttackCorpusResult Result = runAttackCorpus(Options);
@@ -179,7 +190,7 @@ int main(int Argc, char **Argv) {
     const CorpusCell &InCorpus = Result.Cells[CellIdx];
     CorpusCell Replayed =
         runCorpusCell(Options.RootSeed, InCorpus.SpecIndex, InCorpus.Defense,
-                      Options.Budget);
+                      Options.Budget, Options.Jit);
     ++SpotChecks;
     if (Replayed.Outcome != InCorpus.Outcome ||
         Replayed.Trap != InCorpus.Trap ||

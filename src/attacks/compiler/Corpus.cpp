@@ -14,9 +14,10 @@
 using namespace smokestack;
 
 CorpusCell smokestack::runCorpusCell(uint64_t RootSeed, uint32_t SpecIndex,
-                                     DefenseKind Defense, unsigned Budget) {
+                                     DefenseKind Defense, unsigned Budget,
+                                     bool Jit) {
   AttackSpec Spec = generateSpec(RootSeed, SpecIndex);
-  AttackReport Report = runCompiledAttack(Spec, Defense, Budget);
+  AttackReport Report = runCompiledAttack(Spec, Defense, Budget, Jit);
   CorpusCell Cell;
   Cell.SpecIndex = SpecIndex;
   Cell.Defense = Defense;
@@ -52,7 +53,8 @@ smokestack::runAttackCorpus(const AttackCorpusOptions &Options) {
     Fingerprints.insert(Fingerprint);
     for (size_t D = 0; D != Defenses.size(); ++D) {
       CorpusCell Cell =
-          runCorpusCell(Options.RootSeed, Index, Defenses[D], Options.Budget);
+          runCorpusCell(Options.RootSeed, Index, Defenses[D], Options.Budget,
+                        Options.Jit);
       Digest.mix(uint64_t(Cell.Defense));
       Digest.mix(uint64_t(Cell.Outcome));
       Digest.mix(uint64_t(Cell.Trap));

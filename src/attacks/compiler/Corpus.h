@@ -12,7 +12,9 @@
 /// more than every baseline defense.
 ///
 /// Determinism contract: a corpus cell is a pure function of (RootSeed,
-/// SpecIndex, Defense, Budget). runAttackCorpus is a loop over
+/// SpecIndex, Defense, Budget), whichever engine runs the victims (the
+/// engine is not part of the digest: both must produce the same one).
+/// runAttackCorpus is a loop over
 /// runCorpusCell with zero shared state, so any cell can be replayed
 /// standalone (bench/attack_corpus -spec=K) and must reproduce the
 /// committed corpus bit-for-bit; the corpus digest folds every cell.
@@ -33,6 +35,8 @@ struct AttackCorpusOptions {
   unsigned SpecCount = 512;
   /// Exploit attempts per cell (crash-restart budget).
   unsigned Budget = 4;
+  /// Run the exploit attempts on the JIT (runCompiledAttack).
+  bool Jit = false;
 };
 
 /// One (spec, defense) matrix entry.
@@ -77,7 +81,8 @@ struct AttackCorpusResult {
 /// Replays the single matrix cell at these coordinates. The building block
 /// of runAttackCorpus and of the standalone-replay determinism check.
 CorpusCell runCorpusCell(uint64_t RootSeed, uint32_t SpecIndex,
-                         DefenseKind Defense, unsigned Budget);
+                         DefenseKind Defense, unsigned Budget,
+                         bool Jit = false);
 
 /// Runs the full matrix.
 AttackCorpusResult runAttackCorpus(const AttackCorpusOptions &Options);

@@ -117,7 +117,7 @@ smokestack::lowerAttack(const AttackSpec &Spec, const LayoutOracle &Oracle) {
 
 AttackReport smokestack::runCompiledAttack(const AttackSpec &Spec,
                                            DefenseKind Defense,
-                                           unsigned Budget) {
+                                           unsigned Budget, bool Jit) {
   Module M(formatString("compiled-%s-%u", corruptionModeName(Spec.Mode),
                         Spec.Index));
   synthesizeVictim(M, Spec);
@@ -149,10 +149,15 @@ AttackReport smokestack::runCompiledAttack(const AttackSpec &Spec,
     return Report;
   }
 
+  InterpreterOptions VictimOpts = Deployed.InterpOpts;
+  if (Jit) {
+    VictimOpts.UseJit = true;
+    VictimOpts.JitThreshold = 0;
+  }
   TrapKind LastTrap = TrapKind::None;
   for (unsigned Attempt = 0; Attempt != Budget; ++Attempt) {
     Report.AttemptsUsed = Attempt + 1;
-    Interpreter VM(M, RngPtr, Deployed.InterpOpts);
+    Interpreter VM(M, RngPtr, VictimOpts);
     for (const Payload &Record : Lowered->Records)
       VM.pushInput(Record.bytes());
     ExecResult R = VM.run("driver");

@@ -51,8 +51,11 @@ std::optional<LoweredAttack> lowerAttack(const AttackSpec &Spec,
 /// oracle, lower, then run up to \p Budget exploit attempts against fresh
 /// executions. Smokestack deployments draw from an AES-CTR source seeded
 /// from the corpus coordinates, so every cell replays bit-identically.
+/// With \p Jit the exploit attempts run on the JIT (threshold 0), so a
+/// hardened victim permutes its frames in native code; the probe stays on
+/// the decoded engine, which it must anyway: it binds a LayoutObserver.
 AttackReport runCompiledAttack(const AttackSpec &Spec, DefenseKind Defense,
-                               unsigned Budget);
+                               unsigned Budget, bool Jit = false);
 
 } // namespace smokestack
 

@@ -12,14 +12,17 @@
 /// A compiled function covers exactly the dispatch loop of one
 /// Interpreter::callDecoded invocation: entered from C++, the wrapper still
 /// performs the depth check, register-file setup (constant-pool copy,
-/// argument masking), the LayoutObserver entry callback, and the
-/// stack-pointer restore, so JIT entry and interpreter entry are literally
-/// the same code up to the first instruction (a native call repeats that
-/// sequence inline; see below). Inside, the emitted code keeps the decoded
-/// engine's books bit for bit — ExecResult::Steps, FuelLeft, and the
-/// instruction, TrapKind and message of every trap (messages are built by
-/// the shims, which share the interpreter's code) — while charging fuel
-/// once per *fuel segment* instead of once per instruction.
+/// argument masking) and the stack-pointer restore, so JIT entry and
+/// interpreter entry are literally the same code up to the first
+/// instruction (a native call repeats that sequence inline; see below).
+/// While a LayoutObserver is bound, callDecoded does not enter compiled
+/// code at all: every frame runs on the decoded engine, which makes the
+/// observer's callbacks, so compiled code never runs observed. Inside, the
+/// emitted code keeps the decoded engine's books bit for bit —
+/// ExecResult::Steps, FuelLeft, and the instruction, TrapKind and message
+/// of every trap (messages are built by the shims, which share the
+/// interpreter's code) — while charging fuel once per *fuel segment*
+/// instead of once per instruction.
 ///
 /// Fuel segments. A segment is a maximal run of decoded instructions that
 /// no branch enters mid-way: it ends after a terminator, a call of a
@@ -56,9 +59,28 @@
 /// With a mask of 1023 and segments of at most 256 instructions, the slow
 /// path runs for about N/1024 of the segments a run enters.
 ///
-/// The hardened prologue runs native end to end. While no LayoutObserver
-/// is bound, static allocas and observed geps run inline; the rest is
-/// the draw and the P-BOX loads:
+/// Segment-private values. A slot is segment-private when it has one
+/// definition, every read of it comes later in the same fuel segment, and
+/// it is not an argument, a constant or a DecodedFunction::ReadFirstSlots
+/// entry (segmentPrivateSlots in JitCompiler.h). Such a value lives in a
+/// host register from its definition to its last read — rax when the next
+/// stencil is its only reader, else one of rdi, r8-r11 (a value that finds
+/// none free is written at its definition) — and *reaches the register
+/// file only on the way to a shim*: every exit to the interpreter
+/// (an out-of-line stub, an inline shim call, a P-BOX row's fallback, the
+/// segment head's slow path) first writes the private values in registers
+/// and the constants the shim's instructions read, and the native code it
+/// returns to reads back what it keeps in registers. A call that clobbers
+/// the pool without leaving native code (ssJitDraw) spills and reloads the
+/// values that live across it. Values read by another segment are still
+/// written at their definition. Only the frame's own code and its shims
+/// read a compiled frame's file, so the words of private slots, which may
+/// hold an earlier frame's leftovers on the fast path, stay unobservable.
+/// Constant operands are stencil immediates: compiled code never reads a
+/// constant slot.
+///
+/// The hardened prologue runs native end to end: static allocas and
+/// observed geps run inline, and so do the draw and the P-BOX loads:
 ///
 ///  * The draw. A smokestack.rand call site calls ssJitDraw, which is
 ///    ResilientRandomSource::tryHealthyDraw on the chain bound to the
@@ -92,21 +114,22 @@
 /// callDecoded's entry sequence inline: it bumps Interpreter::CallCount
 /// and the jit.native-calls count, writes the callee's register file one
 /// frame above its own (JitContext::FrameBytes: masked arguments from its
-/// registers, zeroes for the slots DecodedFunction::ReadFirstSlots lists,
-/// the callee's constants), saves the stack pointer, points
-/// JitContext::DF and Depth at the callee, and calls the callee's native
-/// entry with the same context (see the register conventions below); on
-/// return it restores the stack pointer, DF and Depth, and propagates a
-/// trap. The callee's entry address is read
-/// from a data cell that the JitCache fills when it compiles the callee
-/// (JitCache::entryCell), so a callee compiled after its caller is picked
-/// up without writing sealed code. The call takes ssJitInterpOne instead,
-/// through Interpreter::callSite and callDecoded, with identical books,
-/// when:
+/// registers and immediates, zeroes for the slots
+/// DecodedFunction::ReadFirstSlots lists — not the callee's constants,
+/// which only a shim reads, and the callee's shim exits write the ones
+/// they read), saves the stack pointer, points JitContext::DF and Depth at
+/// the callee, and calls the callee's native entry with the same context
+/// (see the register conventions below); on return it restores the stack
+/// pointer, DF and Depth, and propagates a trap. The C++ entry in
+/// callDecoded keeps copying the whole constant pool. The callee's entry
+/// address is read from a data cell that the JitCache fills when it
+/// compiles the callee (JitCache::entryCell), so a callee compiled after
+/// its caller is picked up without writing sealed code. The call takes
+/// ssJitInterpOne instead, through Interpreter::callSite and callDecoded,
+/// with identical books, when:
 ///
 ///  * the callee has no installed code yet (its invocations still count
 ///    toward its tier-up) or failed to compile;
-///  * a LayoutObserver is bound (callDecoded reports onFunctionEnter);
 ///  * the callee would run deeper than MaxCallDepth (callDecoded traps);
 ///  * the callee is a builtin other than smokestack.rand.
 ///
@@ -136,6 +159,12 @@
 ///   r15  stack-segment host base  (inline load/store fast path)
 ///   r12  &stack ByteArena::TouchedLo
 ///   rbp  &stack ByteArena::TouchedHi
+///
+/// The caller-saved registers belong to one fuel segment at a time: rax is
+/// every stencil's accumulator and holds a private value only until the
+/// next stencil reads it; rdi and r8-r11 hold private values from their
+/// definition to their last read; rcx, rdx and rsi are stencil scratch. A
+/// segment head assumes nothing about any of them.
 ///
 /// A compiled function returns 0 when the Mini-IR function returned
 /// normally (result in JitContext::RetValue) and 1 when it trapped
@@ -193,9 +222,6 @@ struct JitContext {
   /// inline static-alloca stencil bumps exactly like materializeAlloca.
   uint64_t *StackPointer = nullptr;
   uint64_t *StackLowWater = nullptr;
-  /// Nonzero when a LayoutObserver is bound: allocas and observed geps then
-  /// take the shim, which makes the observer callbacks.
-  uint64_t Observed = 0;
   /// The interpreter's RandomSource when it is a fallback chain, else
   /// null: smokestack.rand call sites try its healthy draw (ssJitDraw)
   /// before ssJitRand.
@@ -241,10 +267,10 @@ extern "C" {
 /// Executes DF->Insts[IP] by calling Interpreter::execInst, the decoded
 /// engine's own per-instruction code — the shared slow path behind every
 /// opcode the stencils do not inline (VLAs, calls, division, floating
-/// point, unreachable), every failing check of an inlined stencil
-/// (out-of-segment loads/stores, alloca overflow), and allocas/observed
-/// geps while a LayoutObserver is bound. Fuel for the instruction was
-/// already charged. Returns 0 to continue at the next instruction, 1 on
+/// point, unreachable) and every failing check of an inlined stencil
+/// (out-of-segment loads/stores, alloca overflow). Fuel for the
+/// instruction was already charged; the instruction's operands, private
+/// values and constants included, are in the register file. Returns 0 to continue at the next instruction, 1 on
 /// trap (ExecResult filled in).
 uint64_t ssJitInterpOne(smokestack::JitContext *Ctx, uint64_t *Regs,
                         uint64_t IP);

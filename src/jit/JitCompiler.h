@@ -42,6 +42,15 @@ std::vector<uint8_t> compileDecoded(const DecodedFunction &DF,
 /// JitMaxSegment instructions.
 std::vector<uint32_t> fuelSegmentEnds(const DecodedFunction &DF);
 
+/// Marks the segment-private slots of \p DF, whose fuel segments are
+/// \p SegEnd (fuelSegmentEnds): a slot defined once, read only later in
+/// its defining segment, and neither an argument, a constant nor a
+/// DecodedFunction::ReadFirstSlots entry. Compiled code keeps such a
+/// value in a host register and writes it to the register file only on
+/// the way to a shim (JitAbi.h). Indexed by slot, NumMutable entries.
+std::vector<bool> segmentPrivateSlots(const DecodedFunction &DF,
+                                      const std::vector<uint32_t> &SegEnd);
+
 } // namespace smokestack
 
 #endif // SMOKESTACK_JIT_JITCOMPILER_H

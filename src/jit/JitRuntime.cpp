@@ -9,8 +9,8 @@
 // one function that executes a decoded instruction for the decoded
 // dispatch loop too (Interpreter::execInlined). Compiled code and the
 // decoded engine thus run the same statements for anything subtle (RNG
-// draw order inside builtins, trap messages, signed division edge cases,
-// observer callbacks): "bit-identical to the decoded engine" is a
+// draw order inside builtins, trap messages, signed division edge
+// cases): "bit-identical to the decoded engine" is a
 // structural property, not a test wish. ssJitInterpSegment, the segment
 // head's slow path, charges fuel with the loop's own Interpreter::
 // chargeFuel before each instruction.
@@ -65,9 +65,9 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
   const DecodedFunction &DF = *Ctx->DF;
   const DecodedInst &DI = DF.Insts[IP];
   // jit.shim-calls counts builtins and native calls that fell back (no
-  // code for the callee yet, an observer bound, the depth limit), not a
-  // smokestack.rand site run by a segment's slow path (a builtin call does
-  // not end its segment).
+  // code for the callee yet, the depth limit), not a smokestack.rand site
+  // run by a segment's slow path (a builtin call does not end its
+  // segment).
   if (DI.Op == DecodedOp::Call &&
       DF.CallSites[DI.A].Builtin != BuiltinId::Rand)
     ++NumShimCalls;

@@ -155,6 +155,69 @@ struct DecodedFunction {
   std::vector<uint32_t> ReadFirstSlots;
 };
 
+/// Calls \p Read on every register \p DI reads (constants included), in
+/// operand order: A, B, C, or a call's arguments.
+template <typename ReadFn>
+inline void forEachRead(const DecodedFunction &DF, const DecodedInst &DI,
+                        ReadFn Read) {
+  switch (DI.Op) {
+  case DecodedOp::AllocaStatic:
+  case DecodedOp::Br:
+  case DecodedOp::RetVoid:
+  case DecodedOp::Unreachable:
+    return;
+  case DecodedOp::AllocaVLA:
+  case DecodedOp::Load:
+  case DecodedOp::GepConst:
+  case DecodedOp::GepConstObs:
+  case DecodedOp::CastCopy:
+  case DecodedOp::CastSExt:
+  case DecodedOp::CastFPToSI:
+  case DecodedOp::CastSIToFP:
+  case DecodedOp::CastFPConvert:
+  case DecodedOp::CondBr:
+  case DecodedOp::Ret:
+    Read(DI.A);
+    return;
+  case DecodedOp::Store:
+  case DecodedOp::GepIndex:
+  case DecodedOp::GepIndexObs:
+  case DecodedOp::Add:
+  case DecodedOp::Sub:
+  case DecodedOp::Mul:
+  case DecodedOp::UDiv:
+  case DecodedOp::SDiv:
+  case DecodedOp::URem:
+  case DecodedOp::SRem:
+  case DecodedOp::And:
+  case DecodedOp::Or:
+  case DecodedOp::Xor:
+  case DecodedOp::Shl:
+  case DecodedOp::LShr:
+  case DecodedOp::AShr:
+  case DecodedOp::FAdd:
+  case DecodedOp::FSub:
+  case DecodedOp::FMul:
+  case DecodedOp::FDiv:
+  case DecodedOp::ICmpInt:
+  case DecodedOp::ICmpFloat:
+    Read(DI.A);
+    Read(DI.B);
+    return;
+  case DecodedOp::Select:
+    Read(DI.A);
+    Read(DI.B);
+    Read(DI.C);
+    return;
+  case DecodedOp::Call: {
+    const DecodedCallSite &CS = DF.CallSites[DI.A];
+    for (uint32_t I = 0; I != CS.NumArgs; ++I)
+      Read(DF.CallArgRegs[CS.ArgStart + I]);
+    return;
+  }
+  }
+}
+
 } // namespace smokestack
 
 #endif // SMOKESTACK_VM_DECODEDFUNCTION_H

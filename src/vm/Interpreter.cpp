@@ -619,12 +619,14 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
     TheObserver->onFunctionEnter(*F);
 
   // Hot functions run as native code from here: the entry sequence above
-  // (depth check, call accounting, register-file image, observer) and the
-  // exit below (stack-pointer restore, trap propagation) are shared with
-  // the decoded engine verbatim, so only the dispatch loop differs — and
-  // the compiled loop keeps the same books (see jit/JitAbi.h). Compiled
-  // code repeats this entry sequence itself when it calls compiled code.
-  if (Jit) {
+  // (depth check, call accounting, register-file image) and the exit below
+  // (stack-pointer restore, trap propagation) are shared with the decoded
+  // engine verbatim, so only the dispatch loop differs — and the compiled
+  // loop keeps the same books (see jit/JitAbi.h). Compiled code repeats
+  // this entry sequence itself when it calls compiled code. While a
+  // LayoutObserver is bound every frame runs decoded, so compiled code
+  // never has to make the observer's callbacks.
+  if (Jit && !TheObserver) {
     if (JitFn Fn = Jit->onCall(DF)) {
       SimMemory::JitStackView SV = Memory.jitStackView();
       JitContext Ctx;
@@ -642,7 +644,6 @@ uint64_t Interpreter::callDecoded(const DecodedFunction &DF,
       Ctx.RODataHost = Memory.jitRODataHost();
       Ctx.StackPointer = &StackPointer;
       Ctx.StackLowWater = &StackLowWater;
-      Ctx.Observed = TheObserver != nullptr;
       Ctx.Chain = Chain;
       uint64_t Trapped = Fn(&Ctx, Regs);
       StackPointer = SavedStackPointer;

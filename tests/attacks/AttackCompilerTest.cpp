@@ -168,6 +168,25 @@ TEST(AttackCompilerTest, CorpusDigestIsDeterministicAndSeedSensitive) {
   EXPECT_NE(runAttackCorpus(Options).Digest, A.Digest);
 }
 
+TEST(AttackCompilerTest, CorpusDigestIsTheSameOnTheJit) {
+  // Victims on the JIT permute their frames in native code; every cell,
+  // and so the digest, must equal the decoded engine's.
+  AttackCorpusOptions Options;
+  Options.RootSeed = 7;
+  Options.SpecCount = 6;
+  Options.Budget = 2;
+  AttackCorpusResult Decoded = runAttackCorpus(Options);
+  Options.Jit = true;
+  AttackCorpusResult Jit = runAttackCorpus(Options);
+  EXPECT_EQ(Jit.Digest, Decoded.Digest);
+  ASSERT_EQ(Jit.Cells.size(), Decoded.Cells.size());
+  for (size_t I = 0; I != Jit.Cells.size(); ++I) {
+    EXPECT_EQ(Jit.Cells[I].Outcome, Decoded.Cells[I].Outcome) << I;
+    EXPECT_EQ(Jit.Cells[I].Trap, Decoded.Cells[I].Trap) << I;
+    EXPECT_EQ(Jit.Cells[I].AttemptsUsed, Decoded.Cells[I].AttemptsUsed) << I;
+  }
+}
+
 TEST(AttackCompilerTest, SmallCorpusDefeatDifferential) {
   // The headline differential at toy scale: the undefended build loses
   // every attack, Smokestack survives every one. The full defeat-rate

@@ -403,6 +403,12 @@ std::unique_ptr<Module> hardenedCallKernel() {
   return std::move(R.M);
 }
 
+uint64_t statValue(const char *Name) {
+  Statistic *S = findStatistic(Name);
+  EXPECT_NE(S, nullptr) << Name;
+  return S ? S->value() : 0;
+}
+
 /// Records every LayoutObserver callback in order.
 struct RecordingObserver : LayoutObserver {
   std::vector<std::string> Events;
@@ -481,9 +487,9 @@ TEST(JitDifferentialTest, RandShimTrapsLikeDispatchBuiltin) {
 }
 
 TEST(JitDifferentialTest, ObserverCallbacksParity) {
-  // Static allocas and observed geps run inline only while no observer is
-  // bound; with one bound, the JIT must report exactly the decoded
-  // engine's callbacks, in order.
+  // While an observer is bound every frame runs on the decoded engine,
+  // which makes the callbacks: a JIT-enabled VM must report exactly the
+  // decoded engine's callbacks, in order, and enter no compiled code.
   SKIP_WITHOUT_JIT();
   std::unique_ptr<Module> M = hardenedCallKernel();
   InterpreterOptions DecodedOpts, JitOpts;
@@ -496,6 +502,7 @@ TEST(JitDifferentialTest, ObserverCallbacksParity) {
   RecordingObserver DecodedObs, JitObs;
   DecodedVM.setLayoutObserver(&DecodedObs);
   JitVM.setLayoutObserver(&JitObs);
+  uint64_t Native = statValue("jit.native-calls");
   ExecResult DecodedR = DecodedVM.run("main");
   ExecResult JitR = JitVM.run("main");
   ASSERT_TRUE(DecodedR.ok()) << DecodedR.Message;
@@ -503,9 +510,10 @@ TEST(JitDifferentialTest, ObserverCallbacksParity) {
   EXPECT_EQ(DecodedR.Steps, JitR.Steps);
   EXPECT_GT(DecodedObs.Events.size(), 400u);
   EXPECT_EQ(DecodedObs.Events, JitObs.Events);
+  EXPECT_EQ(statValue("jit.native-calls"), Native);
 
-  // Unbinding the observer switches the same compiled code to its inline
-  // paths; the run must still match the decoded engine's.
+  // Unbinding the observer lets the JIT compile and run the code; the run
+  // must still match the decoded engine's.
   DecodedVM.setLayoutObserver(nullptr);
   JitVM.setLayoutObserver(nullptr);
   DecodedR = DecodedVM.run("main");
@@ -574,16 +582,10 @@ TEST(JitDifferentialTest, TrapRecoveryScrubsInlineAllocas) {
 
 // Native-to-native calls (jit/JitAbi.h): a compiled caller enters a
 // compiled callee without the interpreter, and falls back to the shim at
-// the depth limit, while an observer is bound, and while the callee has
-// no code yet. Each fallback must keep the decoded engine's books.
+// the depth limit and while the callee has no code yet. Each fallback
+// must keep the decoded engine's books.
 
 namespace {
-
-uint64_t statValue(const char *Name) {
-  Statistic *S = findStatistic(Name);
-  EXPECT_NE(S, nullptr) << Name;
-  return S ? S->value() : 0;
-}
 
 /// rec(n) = n == 0 ? 0 : rec(n - 1) + 1, and main() = rec(\p N): the
 /// deepest frame, rec(0), runs at depth N + 1.
@@ -640,9 +642,9 @@ TEST(JitDifferentialTest, NativeRecursionToExactlyMaxCallDepth) {
 }
 
 TEST(JitDifferentialTest, BoundObserverSeesEveryFunctionEnter) {
-  // The code is compiled while no observer is bound, so its call sites
-  // take the native path; binding one sends every call through the shim,
-  // where callDecoded reports onFunctionEnter.
+  // The code is compiled while no observer is bound; binding one keeps
+  // every frame on the decoded engine, where callDecoded reports
+  // onFunctionEnter.
   SKIP_WITHOUT_JIT();
   std::unique_ptr<Module> M = hardenedCallKernel();
   InterpreterOptions DecodedOpts, JitOpts;
