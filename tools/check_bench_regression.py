@@ -230,12 +230,14 @@ CALL_KERNEL_FLOOR = 3.0
 # hardened call kernel, keyed by its rng: 1.25x the highest value of five
 # interp_throughput runs after the hardened prologue went native (the
 # chain's healthy draw, P-BOX rows from read-only data, zeroing only the
-# slots read before written), so losing any of that fails the gate.
+# slots read before written), so losing any of that fails the gate; each
+# later set of five runs may only lower a ceiling (aes1 kept 2.84, which
+# 1.25x its next five runs' 2.296 would have raised).
 HARDEN_OVERHEAD_JIT_CEILING = {
-    "pseudo": 2.67,
+    "pseudo": 2.63,
     "aes1": 2.84,
-    "aes10": 3.27,
-    "chain": 2.39,
+    "aes10": 3.22,
+    "chain": 2.38,
 }
 
 
