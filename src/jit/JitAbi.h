@@ -32,6 +32,8 @@
 ///
 ///   if ((FuelLeft & JitCancelMask) >= N)   // N = segment length
 ///     FuelLeft -= N, then run the N instruction bodies natively;
+///   else if (ssJitTryCharge(Ctx, N))  // FuelLeft >= N, no cancel pending
+///     run the N instruction bodies natively (the shim took the N units);
 ///   else
 ///     ssJitInterpSegment(Ctx, Regs, Start, N), then resume at the body
 ///     of the segment's last instruction.
@@ -41,8 +43,13 @@
 /// cancel flag when (FuelLeft - k) & JitCancelMask == 0. With r =
 /// FuelLeft & JitCancelMask >= N, the low bits of FuelLeft - k are r - k
 /// >= 1 (no borrow), so neither event can happen inside the segment and
-/// one subtraction of N leaves FuelLeft where the loop would. Three rules
-/// keep every observer of FuelLeft exact:
+/// one subtraction of N leaves FuelLeft where the loop would. The second
+/// test is exact too: with FuelLeft >= N no instruction sees fuel 0, and a
+/// poll acts only on a set flag, which ssJitTryCharge reads with
+/// chargeFuel's own relaxed load, so a flag set before the head traps on
+/// the decoded engine's instruction. A flag set concurrently is seen at
+/// the next head that crosses a poll point, an interleaving the decoded
+/// engine admits too. Three rules keep every observer of FuelLeft exact:
 ///
 ///  * Nothing inside a segment reads FuelLeft except a call of a defined
 ///    function, and such a call ends its segment, so a callee always
@@ -56,8 +63,8 @@
 ///    last instruction but leaves running it to the native body, so both
 ///    paths share one copy of a terminator's code.
 ///
-/// With a mask of 1023 and segments of at most 256 instructions, the slow
-/// path runs for about N/1024 of the segments a run enters.
+/// So the per-instruction path runs only when fuel is short or a cancel is
+/// pending.
 ///
 /// Segment-private values. A slot is segment-private when it has one
 /// definition, every read of it comes later in the same fuel segment, and
@@ -274,6 +281,11 @@ extern "C" {
 /// trap (ExecResult filled in).
 uint64_t ssJitInterpOne(smokestack::JitContext *Ctx, uint64_t *Regs,
                         uint64_t IP);
+
+/// A segment head's second test: when FuelLeft >= N and the cancel flag
+/// is unbound or clear, takes the N units and returns 1 (run natively);
+/// otherwise changes nothing and returns 0 (take ssJitInterpSegment).
+uint64_t ssJitTryCharge(smokestack::JitContext *Ctx, uint64_t N);
 
 /// The slow path of a segment head: runs DF->Insts[Start, Start + N - 1)
 /// with the decoded loop's per-instruction fuel order (OutOfFuel trap,

@@ -11,7 +11,8 @@
 //
 //  * every fuel segment (see JitAbi.h) starts with a head that charges the
 //    whole segment at once when no instruction in it could see fuel 0 or
-//    a cancel-poll point, and otherwise hands the segment to
+//    a cancel-poll point, out of line (ssJitTryCharge) when fuel suffices
+//    and no cancel is pending, and otherwise hands the segment to
 //    ssJitInterpSegment; every trapping exit inside a segment refunds the
 //    fuel charged for the instructions after it, so ExecResult::Steps and
 //    every trap point land on the same instruction;
@@ -1584,6 +1585,13 @@ void FunctionCompiler::emitOutOfLine() {
   }
   for (const SegmentSlowPath &P : SlowPaths) {
     E.patchRel32(P.JccHole, E.pos());
+    // ssJitTryCharge(Ctx, N); nothing is live at a head.
+    E.movRR(RDI, R13);
+    E.movImm32(RSI, P.N);
+    E.movImm64(RAX, reinterpret_cast<uint64_t>(&ssJitTryCharge));
+    E.u8(0xFF); E.u8(0xD0); // call rax
+    E.testEax();
+    E.patchRel32(E.jccHole(CC_NZ), BodyOff[P.Start]);
     uint32_t Last = P.Start + P.N - 1;
     writeConsts(P.Start, Last);
     E.movImm32(RCX, P.N);

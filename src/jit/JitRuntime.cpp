@@ -12,8 +12,9 @@
 // draw order inside builtins, trap messages, signed division edge
 // cases): "bit-identical to the decoded engine" is a
 // structural property, not a test wish. ssJitInterpSegment, the segment
-// head's slow path, charges fuel with the loop's own Interpreter::
-// chargeFuel before each instruction.
+// head's slow path when ssJitTryCharge declines (fuel short or a cancel
+// pending), charges fuel with the loop's own Interpreter::chargeFuel
+// before each instruction.
 //
 // Control flow (Br/CondBr/Ret/RetVoid) is always inlined by the compiler
 // and never arrives here. ssJitDraw is the healthy draw of
@@ -35,7 +36,8 @@
 
 static smokestack::Statistic
     NumSlowSegments("jit.slow-segments",
-                    "Fuel segments run through the per-instruction path");
+                    "Fuel segments run per instruction (fuel short or "
+                    "a cancel pending)");
 static smokestack::Statistic
     NumShimCalls("jit.shim-calls",
                  "Calls from compiled code through the interpreter shim "
@@ -54,6 +56,7 @@ struct JitShims {
                 "interpreter's poll schedule");
 
   static uint64_t interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP);
+  static uint64_t tryCharge(JitContext *Ctx, uint64_t N);
   static uint64_t interpSegment(JitContext *Ctx, uint64_t *Regs,
                                 uint64_t Start, uint64_t N);
   static uint64_t rand(JitContext *Ctx, uint64_t *Regs, uint64_t IP);
@@ -74,6 +77,15 @@ uint64_t JitShims::interpOne(JitContext *Ctx, uint64_t *Regs, uint64_t IP) {
   return !Ctx->Interp->execInst(DF, IP, Regs,
                                 static_cast<unsigned>(Ctx->Depth),
                                 *Ctx->Result);
+}
+
+uint64_t JitShims::tryCharge(JitContext *Ctx, uint64_t N) {
+  Interpreter &I = *Ctx->Interp;
+  if (I.FuelLeft < N ||
+      (I.CancelFlag && I.CancelFlag->load(std::memory_order_relaxed)))
+    return 0;
+  I.FuelLeft -= N;
+  return 1;
 }
 
 uint64_t JitShims::interpSegment(JitContext *Ctx, uint64_t *Regs,
@@ -119,6 +131,10 @@ using namespace smokestack;
 extern "C" uint64_t ssJitInterpOne(JitContext *Ctx, uint64_t *Regs,
                                    uint64_t IP) {
   return JitShims::interpOne(Ctx, Regs, IP);
+}
+
+extern "C" uint64_t ssJitTryCharge(JitContext *Ctx, uint64_t N) {
+  return JitShims::tryCharge(Ctx, N);
 }
 
 extern "C" uint64_t ssJitInterpSegment(JitContext *Ctx, uint64_t *Regs,

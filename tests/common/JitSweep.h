@@ -113,7 +113,10 @@ inline ExecResult runAt(Module &M, bool Jit, uint64_t Fuel, bool Cancel,
 /// unlimited run (which may itself trap). Budgets up to Steps + 1 run out
 /// of fuel at every instruction, the top Steps + 2 budgets put the first
 /// poll point on every instruction, and the entry head sees every residue
-/// of FuelLeft & JitCancelMask, so every segment runs both ways.
+/// of FuelLeft & JitCancelMask, so every head's inline test goes both
+/// ways. A head whose inline test fails runs the per-instruction path only
+/// with the flag set or fuel short of the segment; with the flag clear and
+/// enough fuel it still charges the segment at once (jit/JitAbi.h).
 inline void expectFuelParity(Module &M, const std::string &Scheme = "") {
   const uint64_t Steps =
       runAt(M, false, InterpreterOptions().Fuel, false, Scheme).Steps;

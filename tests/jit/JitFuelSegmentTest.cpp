@@ -10,7 +10,8 @@
 /// every fuel budget from 1 to 1024 + Steps + 1, with the cooperative
 /// cancel flag off and on: fuel exhaustion and the cancel poll then land
 /// on every instruction the kernel executes, every segment head takes
-/// both its fast and its slow path, and both engines must agree on Trap,
+/// both its fast and its slow path (the per-instruction one with the flag
+/// set or fuel short), and both engines must agree on Trap,
 /// Steps, ReturnValue and Message at every budget (jit/JitSweep.h). The
 /// kernels aim at segment boundaries: the hardened call kernel per RNG
 /// scheme (a pool worker's chain included, whose books must agree too),
@@ -513,6 +514,46 @@ TEST(JitFuelSegmentTest, FastPathExactlyAtTheBoundary) {
   EXPECT_EQ(slowSegments() - Before, 1u);
   EXPECT_EQ(Below.Trap, TrapKind::WorkerCrash);
   EXPECT_EQ(Below.Steps, N - 1);
+}
+
+TEST(JitFuelSegmentTest, PollPointWithTheFlagClearRunsNatively) {
+  // FastPathExactlyAtTheBoundary's segment one unit below the inline
+  // test's bound: it crosses a poll point, but with the flag clear the
+  // head's out-of-line test still charges it at once. Steps is Fuel -
+  // FuelLeft, so equal Steps means equal FuelLeft.
+  SKIP_WITHOUT_JIT();
+  Module M("seg");
+  buildStraightLine(M, 20);
+  const uint64_t N = 24;
+  const uint64_t Fuel = JitCancelMask + N;
+
+  uint64_t Before = slowSegments();
+  ExecResult J = runAt(M, true, Fuel, false);
+  EXPECT_EQ(slowSegments() - Before, 0u);
+  ExecResult D = runAt(M, false, Fuel, false);
+  ASSERT_TRUE(J.ok()) << J.Message;
+  EXPECT_EQ(J.Steps, N);
+  EXPECT_EQ(J.Steps, D.Steps);
+  EXPECT_EQ(J.ReturnValue, D.ReturnValue);
+}
+
+TEST(JitFuelSegmentTest, ShortFuelTakesThePerInstructionPath) {
+  // FuelLeft < N with the flag clear: the out-of-line test declines, and
+  // the per-instruction path traps on the decoded engine's instruction.
+  SKIP_WITHOUT_JIT();
+  Module M("seg");
+  buildStraightLine(M, 20);
+  const uint64_t N = 24;
+
+  uint64_t Before = slowSegments();
+  ExecResult J = runAt(M, true, N - 1, false);
+  EXPECT_EQ(slowSegments() - Before, 1u);
+  ExecResult D = runAt(M, false, N - 1, false);
+  EXPECT_EQ(J.Trap, TrapKind::OutOfFuel);
+  EXPECT_EQ(J.Trap, D.Trap);
+  EXPECT_EQ(J.Steps, N - 1);
+  EXPECT_EQ(J.Steps, D.Steps);
+  EXPECT_EQ(J.Message, D.Message);
 }
 
 TEST(JitFuelSegmentTest, EveryOpcodeEveryBudget) {

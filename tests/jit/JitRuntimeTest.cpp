@@ -23,9 +23,11 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <fstream>
 #include <sstream>
 #include <string>
+#include <thread>
 
 using namespace smokestack;
 
@@ -131,6 +133,35 @@ TEST(JitRuntimeTest, CooperativeCancelInsideCompiledCode) {
   EXPECT_EQ(DecodedR.Message, JitR.Message);
   EXPECT_EQ(DecodedR.Steps, JitR.Steps);
   EXPECT_EQ(DecodedR.Steps, 3000u - 2048u);
+}
+
+TEST(JitRuntimeTest, CancelSetMidRunStopsCompiledLoop) {
+  // A second thread sets the flag while compiled code runs on a large
+  // budget: the run stops at a later head that crosses a poll point, on
+  // the poll point itself.
+  SKIP_WITHOUT_JIT();
+  Module M("t");
+  buildLoopMain(M, uint64_t{1} << 62);
+  InterpreterOptions Opts;
+  Opts.Fuel = (uint64_t{1} << 34) + 5;
+  Opts.UseJit = true;
+  Opts.JitThreshold = 0;
+
+  std::atomic<bool> Cancel{false}, Started{false};
+  Interpreter VM(M, nullptr, Opts);
+  VM.setCancelFlag(&Cancel);
+  std::thread Setter([&] {
+    while (!Started.load())
+      std::this_thread::yield();
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+    Cancel.store(true, std::memory_order_relaxed);
+  });
+  Started.store(true);
+  ExecResult R = VM.run("main");
+  Setter.join();
+  ASSERT_GT(VM.jitCompiledFunctions(), 0u);
+  EXPECT_EQ(R.Trap, TrapKind::WorkerCrash) << R.Message;
+  EXPECT_EQ((Opts.Fuel - R.Steps) % (JitCancelMask + 1), 0u) << R.Steps;
 }
 
 TEST(JitRuntimeTest, NoWritableExecutableMappings) {

@@ -232,12 +232,15 @@ CALL_KERNEL_FLOOR = 3.0
 # chain's healthy draw, P-BOX rows from read-only data, zeroing only the
 # slots read before written), so losing any of that fails the gate; each
 # later set of five runs may only lower a ceiling (aes1 kept 2.84, which
-# 1.25x its next five runs' 2.296 would have raised).
+# 1.25x its next five runs' 2.296 would have raised). The current values
+# are 1.25x the highest of five runs after segment heads that cross a
+# cancel-poll point began charging natively (no cancel pending, fuel
+# enough), rounded to two places.
 HARDEN_OVERHEAD_JIT_CEILING = {
-    "pseudo": 2.63,
-    "aes1": 2.84,
-    "aes10": 3.22,
-    "chain": 2.38,
+    "pseudo": 2.29,
+    "aes1": 2.58,
+    "aes10": 3.04,
+    "chain": 2.01,
 }
 
 
